@@ -98,7 +98,6 @@ Choosing engine and workers
 
 from .core import (
     AgentEngine,
-    AsyncTrajectoryRecorder,
     BatchEngine,
     Configuration,
     CountsEngine,
@@ -166,7 +165,6 @@ __all__ = [
     "__version__",
     # core
     "AgentEngine",
-    "AsyncTrajectoryRecorder",
     "BatchEngine",
     "Configuration",
     "CountsEngine",

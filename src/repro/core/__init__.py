@@ -1,7 +1,6 @@
 """Core execution substrate: configurations, protocols, engines, runs."""
 
 from .agent_engine import AgentEngine
-from .async_recorder import AsyncTrajectoryRecorder
 from .batch_engine import BatchEngine
 from .configuration import Configuration
 from .counts_engine import CountsEngine
@@ -17,7 +16,6 @@ from . import kernels, stopping
 
 __all__ = [
     "AgentEngine",
-    "AsyncTrajectoryRecorder",
     "BatchEngine",
     "BaseEngine",
     "KernelInputs",

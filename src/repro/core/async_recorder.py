@@ -1,188 +1,21 @@
-"""Worker-thread trajectory recording.
+"""Deprecated: the worker-thread recorder is gone.
 
-:class:`AsyncTrajectoryRecorder` is a drop-in
-:class:`~repro.core.recorder.TrajectoryRecorder` whose snapshot
-processing runs on a background worker thread.  The simulation thread
-only captures the raw snapshot (interaction index + a counts copy —
-unavoidable, since the engine mutates its buffer in place) and appends
-it to the active half of a double buffer; the worker swaps buffers and
-does everything downstream — deduplication, accumulation and, in the
-:class:`~repro.core.persistent_recorder.PersistentTrajectoryRecorder`
-subclass, spill-to-disk persistence — while the engine is already
-simulating the next chunk.
-
-The recorded trajectory is *identical* to the synchronous recorder's
-for the same run (``tests/test_async_recorder.py``): snapshots are
-processed in submission order and the duplicate-index rule is applied
-worker-side, where FIFO order makes it deterministic.
-
-Use it as a context manager (or call :meth:`close`); :meth:`build` and
-:meth:`__len__` drain the queue first, so they always observe every
-snapshot recorded so far.  A worker crash is re-raised on the
-simulation thread at the next ``record``/``close`` instead of being
-swallowed.
+Recording is synchronous everywhere; spill-to-disk persistence happens
+on the simulation thread inside
+:class:`~repro.core.persistent_recorder.PersistentTrajectoryRecorder`.
+:class:`AsyncTrajectoryRecorder` remains only so code that imports this
+module keeps importing: it *is* a :class:`TrajectoryRecorder`.  It is a
+subclass rather than an alias so that wrapping its ``record`` never
+wraps :meth:`TrajectoryRecorder.record` a second time.  Use
+:class:`TrajectoryRecorder` instead.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import List, Optional, Tuple
-
-import numpy as np
-
-from ..errors import SimulationError
-from ..types import SupportsCounts
-from .recorder import Trace, TrajectoryRecorder
+from .recorder import TrajectoryRecorder
 
 __all__ = ["AsyncTrajectoryRecorder"]
 
 
 class AsyncTrajectoryRecorder(TrajectoryRecorder):
-    """A :class:`TrajectoryRecorder` with off-thread snapshot processing.
-
-    Double-buffered: ``record`` appends to the active buffer under a
-    lock and signals the worker, which atomically swaps the buffers and
-    processes the filled one in order.  ``close()`` (or leaving the
-    context) drains the queue and joins the worker; the recorder stays
-    readable (``build``) but rejects further snapshots afterwards.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._active: List[Tuple[int, np.ndarray]] = []
-        self._pending = 0  # snapshots recorded but not yet ingested
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._drained = threading.Condition(self._lock)
-        # serializes close(): the whole drain-join-finalize sequence must
-        # run exactly once even under concurrent close() calls
-        self._close_lock = threading.Lock()
-        self._closing = False
-        self._closed = False
-        self._failure: Optional[BaseException] = None
-        self._worker = threading.Thread(
-            target=self._drain_loop, name="trajectory-recorder", daemon=True
-        )
-        self._worker.start()
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-
-    def _drain_loop(self) -> None:
-        try:
-            while True:
-                with self._wakeup:
-                    while not self._active and not self._closing:
-                        self._wakeup.wait()
-                    if not self._active and self._closing:
-                        self._drained.notify_all()
-                        return
-                    # swap the double buffer: the producer immediately
-                    # gets an empty active half to append to
-                    batch, self._active = self._active, []
-                for time, counts in batch:
-                    self._ingest(time, counts)
-                with self._wakeup:
-                    self._pending -= len(batch)
-                    if self._pending == 0:
-                        self._drained.notify_all()
-        except BaseException as error:  # surfaced on the producer thread
-            with self._wakeup:
-                self._failure = error
-                self._drained.notify_all()
-
-    def _ingest(self, time: int, counts: np.ndarray) -> None:
-        """Apply the synchronous recorder's accumulation rule."""
-        if self._times and self._times[-1] == time:
-            return
-        self._times.append(time)
-        self._counts.append(counts)
-
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-
-    def record(self, engine: SupportsCounts) -> None:
-        """Capture a snapshot and hand it to the worker thread."""
-        time = engine.interactions
-        counts = np.array(engine.counts, dtype=np.int64)
-        with self._wakeup:
-            self._raise_failure()
-            if self._closing or self._closed:
-                raise SimulationError("cannot record on a closed recorder")
-            self._active.append((time, counts))
-            self._pending += 1
-            self._wakeup.notify()
-
-    def flush(self) -> None:
-        """Block until every recorded snapshot has been processed."""
-        with self._wakeup:
-            self._wakeup.notify()
-            while self._pending > 0 and self._failure is None:
-                self._drained.wait()
-            self._raise_failure()
-
-    def close(self) -> None:
-        """Drain outstanding snapshots and stop the worker.
-
-        Idempotent and thread-safe: concurrent ``close()`` calls
-        serialize on a dedicated lock, so the drain → join → finalize
-        sequence runs exactly once and ``_closed`` only becomes true
-        after the worker has fully stopped (a ``record()`` racing close
-        is rejected by the ``_closing`` flag, which is set under the
-        same lock ``record`` checks it under).  Late callers block
-        until the first close finishes, then return.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            with self._wakeup:
-                self._closing = True
-                self._wakeup.notify()
-            self._worker.join()
-            try:
-                if self._failure is None:
-                    self._finalize_close()
-            finally:
-                with self._wakeup:
-                    self._closed = True
-        self._raise_failure()
-
-    def _finalize_close(self) -> None:
-        """Post-drain hook for subclasses (worker already joined).
-
-        Runs exactly once, on the closing thread, only for clean
-        shutdowns — a failed worker skips it so subclasses never
-        finalize on top of a half-ingested stream.
-        """
-
-    def _raise_failure(self) -> None:
-        # the failure stays sticky: the worker is dead, so every later
-        # record/flush/build must keep failing fast instead of waiting
-        # on a drain that can never happen
-        if self._failure is not None:
-            raise SimulationError(
-                "trajectory recorder worker thread failed"
-            ) from self._failure
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        if not self._closed:
-            self.flush()
-        return super().__len__()
-
-    def build(self, **kwargs) -> Trace:
-        """Freeze the trajectory; drains (but does not close) first."""
-        if not self._closed:
-            self.flush()
-        return super().build(**kwargs)
-
-    def __enter__(self) -> "AsyncTrajectoryRecorder":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
+    """Deprecated synonym of :class:`TrajectoryRecorder` (synchronous)."""

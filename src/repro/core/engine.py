@@ -209,8 +209,7 @@ class BaseEngine(abc.ABC):
         stop: Optional[StopPredicate] = None,
         snapshot_every: Optional[int] = None,
         recorder: Optional["TrajectoryRecorder"] = None,
-        persist_to: Optional[object] = None,
-    ) -> Optional["TrajectoryRecorder"]:
+    ) -> None:
         """Advance until ``max_interactions``, absorption, or ``stop`` fires.
 
         ``snapshot_every`` controls both the recording cadence and the
@@ -223,13 +222,9 @@ class BaseEngine(abc.ABC):
         absorbed — executes zero interactions instead of silently
         burning a whole chunk and inflating measured hitting times.
 
-        ``persist_to=DIR`` (mutually exclusive with ``recorder``)
-        streams snapshots to a run directory through a
-        :class:`~repro.core.persistent_recorder.PersistentTrajectoryRecorder`
-        owned by this call (closed before returning); the closed
-        recorder is returned so the caller can inspect the run
-        directory, and the full trajectory is read back with
-        :class:`~repro.io.streaming.StreamedTrace`.
+        The caller owns ``recorder``: to stream a run to disk, pass
+        ``persist_to=`` to :func:`repro.core.run.simulate`, which
+        builds, closes (or abandons) the persistent recorder.
         """
         if max_interactions < self._interactions:
             raise SimulationError(
@@ -243,30 +238,6 @@ class BaseEngine(abc.ABC):
         )
         if chunk < 1:
             raise SimulationError(f"snapshot_every must be >= 1, got {chunk}")
-        owned_recorder = None
-        if persist_to is not None:
-            if recorder is not None:
-                raise SimulationError(
-                    "pass either recorder= or persist_to=, not both"
-                )
-            from .persistent_recorder import PersistentTrajectoryRecorder
-            from .protocol import default_undecided_index
-
-            owned_recorder = recorder = PersistentTrajectoryRecorder(
-                persist_to,
-                run_info={
-                    "protocol": self._protocol.name,
-                    "n": self._n,
-                    "seed": None,
-                    "engine": self.engine_name,
-                    "backend": self.backend,
-                    "snapshot_every": chunk,
-                    "max_interactions": max_interactions,
-                    "state_names": list(self._protocol.state_names()),
-                    "undecided_index": default_undecided_index(self._protocol),
-                    "metadata": {},
-                },
-            )
         # the entire off-path observability cost: one call returning
         # None, then an `is None` check per chunk (never per interaction)
         observer = observe_engine_run(self, max_interactions)
@@ -292,20 +263,9 @@ class BaseEngine(abc.ABC):
                     observer.finish(self, error=error)
                 except Exception:
                     pass  # the original error is the one to surface
-            if owned_recorder is not None:
-                try:
-                    # keep the spilled data, but do not certify the
-                    # stream of a run that died mid-flight
-                    owned_recorder.abandon()
-                except Exception:
-                    pass  # the original error is the one to surface
             raise
-        else:
-            if observer is not None:
-                observer.finish(self)
-            if owned_recorder is not None:
-                owned_recorder.close()
-        return owned_recorder
+        if observer is not None:
+            observer.finish(self)
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,14 @@
 """Spill-to-disk trajectory recording.
 
-:class:`PersistentTrajectoryRecorder` layers streaming persistence on
-:class:`~repro.core.async_recorder.AsyncTrajectoryRecorder`: snapshots
-are captured on the simulation thread exactly as before, but the worker
-thread — which already owns deduplication and accumulation — now also
-*spills* every :attr:`chunk_snapshots` ingested snapshots to an
-``.npz`` chunk file under a run directory, clearing them from memory.
-Writes therefore never block the engine, and memory stays bounded at
-the chunk buffer plus a small tail window (:attr:`window_snapshots`)
-retained so :meth:`build` can still hand the caller an in-memory
-:class:`~repro.core.recorder.Trace` of the run's end.
+:class:`PersistentTrajectoryRecorder` is a
+:class:`~repro.core.recorder.TrajectoryRecorder` that *spills* every
+:attr:`chunk_snapshots` recorded snapshots to an ``.npz`` chunk file
+under a run directory, clearing them from memory.  The spill happens
+inside :meth:`record`, on the simulation thread, so memory stays
+bounded at the chunk buffer plus a small tail window
+(:attr:`window_snapshots`) retained so :meth:`build` can still hand the
+caller an in-memory :class:`~repro.core.recorder.Trace` of the run's
+end.
 
 The on-disk layout (``manifest.json`` + ``chunk-*.npz``) is defined in
 :mod:`repro.io.streaming`; read it back with
@@ -28,6 +27,7 @@ is not.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
@@ -43,8 +43,8 @@ from ..io.streaming import (
 )
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
-from .async_recorder import AsyncTrajectoryRecorder
-from .recorder import Trace
+from ..types import SupportsCounts
+from .recorder import Trace, TrajectoryRecorder
 
 __all__ = [
     "DEFAULT_CHUNK_SNAPSHOTS",
@@ -59,8 +59,8 @@ DEFAULT_CHUNK_SNAPSHOTS = 4096
 DEFAULT_WINDOW_SNAPSHOTS = 256
 
 
-class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
-    """An :class:`AsyncTrajectoryRecorder` that streams snapshots to disk.
+class PersistentTrajectoryRecorder(TrajectoryRecorder):
+    """A :class:`TrajectoryRecorder` that streams snapshots to disk.
 
     Parameters
     ----------
@@ -76,6 +76,10 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
     run_info:
         Provenance stored in the manifest at open (protocol, n, seed,
         backend, snapshot cadence, ...).  Must be JSON-encodable.
+
+    Use it as a context manager (or call :meth:`close`); the recorder
+    stays readable (:meth:`build`) after closing but rejects further
+    snapshots.
     """
 
     def __init__(
@@ -94,21 +98,22 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
             raise SimulationError(
                 f"window_snapshots must be >= 1, got {window_snapshots}"
             )
-        # All spill state must exist before super().__init__ starts the
-        # worker thread, which may call our _ingest immediately.
+        super().__init__()
         self._directory = Path(directory)
         self._chunk_snapshots = int(chunk_snapshots)
         self._window_snapshots = int(window_snapshots)
         self._run_info = dict(run_info or {})
-        self._last_time: Optional[int] = None
-        self._next_chunk = 0
-        self._abandoned = False
         self._chunk_records: List[Dict[str, int]] = []
         self._window: Deque[Tuple[int, np.ndarray]] = deque(
             maxlen=self._window_snapshots
         )
+        # serializes record() against close(): a snapshot racing close is
+        # either spilled before the finalize or rejected, and concurrent
+        # close() calls finalize exactly once
+        self._lock = threading.Lock()
+        self._closed = False
+        self._abandoned = False
         self._prepare_directory()
-        super().__init__()
 
     def _prepare_directory(self) -> None:
         self._directory.mkdir(parents=True, exist_ok=True)
@@ -138,9 +143,7 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
     def _update_manifest(self, **fields: Any) -> None:
         """Sync chunk bookkeeping plus ``fields`` into the manifest file."""
         self._manifest["chunks"] = list(self._chunk_records)
-        self._manifest["num_snapshots"] = sum(
-            record["snapshots"] for record in self._chunk_records
-        )
+        self._manifest["num_snapshots"] = self.spilled_snapshots
         self._manifest.update(fields)
         write_manifest(self._directory, self._manifest)
 
@@ -166,35 +169,28 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
     @property
     def spilled_snapshots(self) -> int:
         """Snapshots already written to chunk files."""
-        with self._wakeup:
-            return sum(record["snapshots"] for record in self._chunk_records)
+        return sum(record["snapshots"] for record in self._chunk_records)
 
     @property
     def buffered_snapshots(self) -> int:
-        """Ingested snapshots currently held in the chunk buffer."""
-        with self._wakeup:
-            return len(self._times)
+        """Recorded snapshots currently held in the chunk buffer."""
+        return len(self._times)
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Recording
     # ------------------------------------------------------------------
 
-    def _ingest(self, time: int, counts: np.ndarray) -> None:
-        """Accumulate with the synchronous dedup rule, spilling when full.
-
-        The dedup comparison uses ``_last_time`` rather than the buffer
-        tail because spilling empties the buffer mid-stream; the
-        resulting snapshot sequence (chunks + tail) is exactly what the
-        in-memory recorder would hold.
-        """
-        if self._last_time is not None and time == self._last_time:
-            return
-        self._last_time = time
-        self._times.append(time)
-        self._counts.append(counts)
-        self._window.append((time, counts))
-        if len(self._times) >= self._chunk_snapshots:
-            self._spill()
+    def record(self, engine: SupportsCounts) -> bool:
+        """Record a snapshot, spilling a chunk once the buffer is full."""
+        with self._lock:
+            if self._closed:
+                raise SimulationError("cannot record on a closed recorder")
+            if not super().record(engine):
+                return False
+            self._window.append((self._times[-1], self._counts[-1]))
+            if len(self._times) >= self._chunk_snapshots:
+                self._spill()
+            return True
 
     def _spill(self) -> None:
         """Write the buffered snapshots as the next chunk and drop them."""
@@ -202,58 +198,56 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
             return
         times = np.asarray(self._times, dtype=np.int64)
         counts = np.stack(self._counts).astype(np.int64)
-        write_chunk(self._directory, self._next_chunk, times, counts)
         record = {
-            "index": self._next_chunk,
+            "index": len(self._chunk_records),
             "snapshots": int(times.shape[0]),
             "first_time": int(times[0]),
             "last_time": int(times[-1]),
         }
-        self._next_chunk += 1
-        with self._wakeup:
-            # one atomic hand-over, so __len__/buffered_snapshots can
-            # never observe the snapshots both spilled and buffered
-            self._chunk_records.append(record)
-            self._times.clear()
-            self._counts.clear()
+        write_chunk(self._directory, record["index"], times, counts)
+        self._chunk_records.append(record)
+        self._times.clear()
+        self._counts.clear()
         # keep the manifest's chunk index current so a killed run's
         # manifest still names every spilled chunk
         self._update_manifest()
-        if obs_metrics.REGISTRY.enabled:
-            obs_metrics.REGISTRY.inc("spill_chunks_total")
-            # snapshots recorded but not yet ingested = worker backlog
-            obs_metrics.REGISTRY.set_gauge("spill_queue_depth", self._pending)
+        obs_metrics.REGISTRY.inc("spill_chunks_total")
         obs_runtime.emit(
             "recorder.spill",
             chunk=record["index"],
             snapshots=record["snapshots"],
             last_time=record["last_time"],
-            pending=self._pending,
         )
 
     # ------------------------------------------------------------------
     # Close / finalize
     # ------------------------------------------------------------------
 
-    def _finalize_close(self) -> None:
+    def close(self) -> None:
         """Spill the tail; mark the manifest complete unless abandoned.
 
         ``complete: true`` certifies that the stream describes a run
         that finished — an :meth:`abandon`-ed (aborted) run keeps its
         snapshots but stays incomplete, exactly like a killed one.
+        Idempotent and thread-safe: the first call finalizes, later
+        (or concurrent) calls return once it is done.
         """
-        self._spill()
-        if not self._abandoned:
-            self._update_manifest(complete=True)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._spill()
+            if not self._abandoned:
+                self._update_manifest(complete=True)
 
     def abandon(self) -> None:
         """Close without certifying the stream (the run did not finish).
 
-        Everything the worker ingested is still spilled — the data
-        survives — but the manifest keeps ``complete: false``, so
-        readers and resume guards treat the directory like a crashed
-        run.  Used by :func:`repro.core.run.simulate` when the engine
-        raises mid-run (including ``KeyboardInterrupt``).
+        Every recorded snapshot is still spilled — the data survives —
+        but the manifest keeps ``complete: false``, so readers and
+        resume guards treat the directory like a crashed run.  Used by
+        :func:`repro.core.run.simulate` when the engine raises mid-run
+        (including ``KeyboardInterrupt``).
         """
         self._abandoned = True
         self.close()
@@ -265,18 +259,24 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
         uses it so a resumed experiment can rebuild run outcomes from
         the manifest alone, without touching the chunks.
         """
-        self._update_manifest(summary=dict(summary))
+        with self._lock:
+            self._update_manifest(summary=dict(summary))
+
+    def __enter__(self) -> "PersistentTrajectoryRecorder":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if not self._closed:
-            self.flush()
-        with self._wakeup:
-            spilled = sum(record["snapshots"] for record in self._chunk_records)
-            return spilled + len(self._times)
+        # under the lock, a spill can never be seen half done (its
+        # snapshots counted both spilled and buffered)
+        with self._lock:
+            return self.spilled_snapshots + len(self._times)
 
     def build(self, **kwargs: Any) -> Trace:
         """Freeze the *retained tail window* into a :class:`Trace`.
@@ -287,17 +287,13 @@ class PersistentTrajectoryRecorder(AsyncTrajectoryRecorder):
         (always including the final one), which is what summary
         statistics like the final configuration need.
         """
-        if not self._closed:
-            self.flush()
-        self._raise_failure()
-        with self._wakeup:
+        with self._lock:
             window = list(self._window)
         if not window:
             raise SimulationError("cannot build a trace from zero snapshots")
         times = np.asarray([time for time, _ in window], dtype=np.int64)
         counts = np.stack([counts for _, counts in window]).astype(np.int64)
-        kwargs.setdefault("metadata", {})
-        metadata = dict(kwargs.pop("metadata") or {})
+        metadata = dict(kwargs.pop("metadata", None) or {})
         metadata.setdefault("persist_dir", str(self._directory))
         metadata.setdefault("trace_window", "tail")
         return Trace(times=times, counts=counts, metadata=metadata, **kwargs)

@@ -133,23 +133,32 @@ class TrajectoryRecorder:
 
     Snapshots taken at the same interaction index as the previous one
     are dropped, so re-recording an absorbed engine does not bloat the
-    trace.
+    trace.  The comparison is against the last *recorded* index, not
+    the buffer tail, so it still holds in subclasses that empty the
+    buffer mid-run (the spill-to-disk recorder).
     """
 
     def __init__(self) -> None:
         self._times: List[int] = []
         self._counts: List[np.ndarray] = []
+        self._last_time: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self._times)
 
-    def record(self, engine: SupportsCounts) -> None:
-        """Snapshot the engine's current interaction index and counts."""
+    def record(self, engine: SupportsCounts) -> bool:
+        """Snapshot the engine's current interaction index and counts.
+
+        Returns whether the snapshot was kept (``False`` for a
+        duplicate of the last recorded interaction index).
+        """
         t = engine.interactions
-        if self._times and self._times[-1] == t:
-            return
+        if t == self._last_time:
+            return False
+        self._last_time = t
         self._times.append(t)
         self._counts.append(np.array(engine.counts, dtype=np.int64))
+        return True
 
     def build(
         self,

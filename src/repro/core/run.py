@@ -29,7 +29,6 @@ from ..obs.config import ObsConfig
 from ..obs.timing import wall_timer
 from ..types import SeedLike, StopPredicate
 from .agent_engine import AgentEngine
-from .async_recorder import AsyncTrajectoryRecorder
 from .batch_engine import BatchEngine
 from .configuration import Configuration
 from .counts_engine import CountsEngine
@@ -212,7 +211,6 @@ def simulate(
     snapshot_every: Optional[int] = None,
     stop: Optional[StopPredicate] = None,
     stop_when_stable: bool = True,
-    record_async: bool = False,
     persist_to: Optional[Union[str, Path]] = None,
     persist_chunk_snapshots: Optional[int] = None,
     persist_window: Optional[int] = None,
@@ -249,19 +247,16 @@ def simulate(
     ``snapshot_every`` sets the recording / stop-checking cadence in
     interactions (default: half a parallel round).  ``backend`` picks
     the compute-kernel backend — a pure throughput knob, bit-identical
-    across backends.  ``record_async=True`` processes snapshots on a
-    worker thread (:class:`AsyncTrajectoryRecorder`) so recording
-    overlaps simulation at large n; the recorded trajectory is
-    identical either way.
+    across backends.
 
     ``persist_to=DIR`` streams the trajectory to disk while the run is
-    in flight (implies asynchronous recording: chunks are written from
-    the worker thread and never block the engine).  Memory then holds
-    at most ``persist_chunk_snapshots`` buffered plus ``persist_window``
-    tail snapshots; the result's ``trace`` is the tail window, its
-    ``streamed_trace()`` the full on-disk trajectory, whose
-    ``materialize()`` is bit-identical to an in-memory recording of the
-    same run.  The tuning knobs require a target:
+    in flight: the recorder writes one chunk every
+    ``persist_chunk_snapshots`` snapshots, on the simulation thread.
+    Memory then holds at most ``persist_chunk_snapshots`` buffered plus
+    ``persist_window`` tail snapshots; the result's ``trace`` is the
+    tail window, its ``streamed_trace()`` the full on-disk trajectory,
+    whose ``materialize()`` is bit-identical to an in-memory recording
+    of the same run.  The tuning knobs require a target:
     ``persist_chunk_snapshots``/``persist_window`` without
     ``persist_to`` raise instead of being silently ignored.
 
@@ -292,7 +287,6 @@ def simulate(
                 ("snapshot_every", snapshot_every, None),
                 ("stop", stop, None),
                 ("stop_when_stable", stop_when_stable, True),
-                ("record_async", record_async, False),
                 ("persist_to", persist_to, None),
                 ("persist_chunk_snapshots", persist_chunk_snapshots, None),
                 ("persist_window", persist_window, None),
@@ -350,7 +344,6 @@ def simulate(
             snapshot_every=snapshot_every,
             stop=stop,
             stop_when_stable=stop_when_stable,
-            record_async=record_async,
             persist_to=persist_to,
             persist_chunk_snapshots=persist_chunk_snapshots,
             persist_window=persist_window,
@@ -442,8 +435,6 @@ def simulate(
             run_info=run_info,
             **persist_kwargs,
         )
-    elif record_async:
-        recorder = AsyncTrajectoryRecorder()
     else:
         recorder = TrajectoryRecorder()
 
@@ -481,15 +472,9 @@ def simulate(
                         recorder.abandon()
                     except Exception:
                         pass  # the original error is the one to surface
-                elif isinstance(recorder, AsyncTrajectoryRecorder):
-                    try:
-                        recorder.close()
-                    except Exception:
-                        pass
                 raise
-            else:
-                if isinstance(recorder, AsyncTrajectoryRecorder):
-                    recorder.close()
+            if isinstance(recorder, PersistentTrajectoryRecorder):
+                recorder.close()
         obs_metrics = obs_scope.metrics_delta()
     elapsed = timer.seconds
     if obs_metrics is not None:

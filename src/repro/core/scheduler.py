@@ -15,12 +15,14 @@ so the same protocol runs unmodified under every scheduler.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SchedulerError
+
+if TYPE_CHECKING:  # pragma: no cover — annotation-only import
+    import networkx as nx
 
 __all__ = ["PairScheduler", "UniformPairScheduler", "GraphPairScheduler"]
 
@@ -102,6 +104,8 @@ class GraphPairScheduler(PairScheduler):
     @classmethod
     def complete(cls, n: int) -> "GraphPairScheduler":
         """Graph scheduler on the clique (equivalent to the uniform scheduler)."""
+        import networkx as nx  # lazy: `import repro` must not pay for it
+
         return cls(nx.complete_graph(n))
 
     @property

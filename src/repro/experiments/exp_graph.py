@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..analysis.stabilization import UNDETERMINED_WINNER
@@ -35,7 +34,12 @@ def _clique(n: int, _seed: int) -> PairScheduler:
     return UniformPairScheduler(n)
 
 
+# networkx is imported inside these graph topologies: the experiment
+# registry imports this module on every `import repro`, and only this
+# experiment needs graphs
 def _random_regular(n: int, seed: int) -> PairScheduler:
+    import networkx as nx
+
     degree = 8 if n > 8 else max(2, n - 2)
     if (degree * n) % 2:
         degree += 1
@@ -43,10 +47,14 @@ def _random_regular(n: int, seed: int) -> PairScheduler:
 
 
 def _cycle(n: int, _seed: int) -> PairScheduler:
+    import networkx as nx
+
     return GraphPairScheduler(nx.cycle_graph(n))
 
 
 def _star(n: int, _seed: int) -> PairScheduler:
+    import networkx as nx
+
     return GraphPairScheduler(nx.star_graph(n - 1))
 
 

@@ -12,7 +12,7 @@ Snapshots are plain JSON-able dicts::
     {
       "counters": {"interactions_total": {"": 12345.0},
                    "surrogate_verdicts_total": {"verdict=TRUSTED": 3.0}},
-      "gauges": {"spill_queue_depth": 2.0},
+      "gauges": {},
       "histograms": {"kernel_step_seconds": {
           "buckets": [0.001, ...], "counts": [4, ...], "sum": 1.2,
           "count": 9}},

@@ -3,7 +3,7 @@
 One frozen, validated, hashable object family describes *everything* a
 run needs: :class:`ProtocolSpec` (which dynamics), :class:`InitialSpec`
 (which starting configuration), :class:`RecordingSpec` (cadence,
-asynchrony, spill-to-disk persistence) and :class:`RunSpec` (the whole
+spill-to-disk persistence) and :class:`RunSpec` (the whole
 run: protocol + initial + engine + backend + seed + horizon +
 recording).  Every spec
 
@@ -14,8 +14,8 @@ recording).  Every spec
   result-determining fields in *resolved* form (protocol, canonical
   initial state counts, resolved engine, seed, horizon in interactions,
   snapshot cadence, stop mode) and deliberately excludes pure
-  throughput/placement knobs (``backend``, ``record_async``, persist
-  paths, free-form metadata) — so the same logical run hashes equal
+  throughput/placement knobs (``backend``, persist paths, free-form
+  metadata) — so the same logical run hashes equal
   across machines, backends and persistence layouts.
 
 The keyword form of :func:`repro.core.run.simulate` normalises into a
@@ -480,21 +480,25 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class RecordingSpec:
-    """How the trajectory is recorded: cadence, asynchrony, persistence.
+    """How the trajectory is recorded: cadence and persistence.
 
     ``snapshot_every`` is the recording / stop-check cadence in
     interactions (``None`` = the engine default of half a parallel
-    round).  ``record_async`` moves snapshot processing to a worker
-    thread; ``persist_to`` streams chunks to a run directory
-    (spill-to-disk), with ``persist_chunk_snapshots`` /
-    ``persist_window`` bounding memory.  The persistence tuning knobs
-    are only meaningful with a persistence target: setting either
-    without ``persist_to`` raises (they would otherwise be silently
-    ignored).
+    round).  ``persist_to`` streams chunks to a run directory
+    (spill-to-disk, written on the simulation thread), with
+    ``persist_chunk_snapshots`` / ``persist_window`` bounding memory.
+    The persistence tuning knobs are only meaningful with a persistence
+    target: setting either without ``persist_to`` raises (they would
+    otherwise be silently ignored).
+
+    Schema-v1 documents may carry a ``record_async`` key from when a
+    worker-thread recorder existed; :meth:`from_dict` accepts and
+    ignores it, and :meth:`to_dict` still writes ``false`` so embedded
+    documents (result documents, sweep checkpoint ``meta``) stay
+    byte-identical.
     """
 
     snapshot_every: Optional[int] = None
-    record_async: bool = False
     persist_to: Optional[str] = None
     persist_chunk_snapshots: Optional[int] = None
     persist_window: Optional[int] = None
@@ -505,10 +509,6 @@ class RecordingSpec:
         _require(
             snap is None or snap >= 1,
             f"snapshot_every must be >= 1, got {snap}",
-        )
-        _require(
-            isinstance(self.record_async, bool),
-            f"record_async must be a boolean, got {self.record_async!r}",
         )
         if self.persist_to is not None:
             object.__setattr__(self, "persist_to", str(self.persist_to))
@@ -534,7 +534,7 @@ class RecordingSpec:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "snapshot_every": self.snapshot_every,
-            "record_async": self.record_async,
+            "record_async": False,
             "persist_to": self.persist_to,
             "persist_chunk_snapshots": self.persist_chunk_snapshots,
             "persist_window": self.persist_window,
@@ -557,10 +557,9 @@ class RecordingSpec:
             ),
             "recording spec",
         )
+        # "record_async" stays a known key, and its value is ignored
         return cls(
             snapshot_every=payload.get("snapshot_every"),
-            # no bool() coercion — see RunSpec.from_dict
-            record_async=payload.get("record_async", False),
             persist_to=payload.get("persist_to"),
             persist_chunk_snapshots=payload.get("persist_chunk_snapshots"),
             persist_window=payload.get("persist_window"),
@@ -684,10 +683,9 @@ class RunSpec:
                 "max_parallel_time (1 round ≈ 1 unit of parallel time)",
             )
             _require(
-                self.recording.persist_to is None
-                and not self.recording.record_async,
-                "gossip runs record synchronously in memory; persistence "
-                "and async recording apply to population-protocol runs",
+                self.recording.persist_to is None,
+                "gossip runs record in memory; persistence applies to "
+                "population-protocol runs",
             )
         if self.fidelity == "surrogate" and self.recording.persist_to is not None:
             raise SpecError(
@@ -795,8 +793,8 @@ class RunSpec:
         Covers protocol (canonical name, k, params), the canonical
         initial state counts, n, resolved engine, seed, resolved
         horizon, resolved snapshot cadence and the stop mode.  Excludes
-        ``backend``, ``fidelity``, ``record_async``, persistence
-        placement, ``metadata`` and ``obs`` — resolution / provenance /
+        ``backend``, ``fidelity``, persistence placement,
+        ``metadata`` and ``obs`` — resolution / provenance /
         telemetry knobs that must not change what run this *is*
         (fidelity changes how the question is answered; the verdict
         lands in result metadata, and telemetry only watches).

@@ -99,7 +99,6 @@ def normalize_run(
     snapshot_every: Optional[int] = None,
     stop: Any = None,
     stop_when_stable: bool = True,
-    record_async: bool = False,
     persist_to: Any = None,
     persist_chunk_snapshots: Optional[int] = None,
     persist_window: Optional[int] = None,
@@ -156,7 +155,6 @@ def normalize_run(
             stop_when_stable=stop_when_stable,
             recording=RecordingSpec(
                 snapshot_every=snapshot_every,
-                record_async=record_async,
                 persist_to=None if persist_to is None else str(persist_to),
                 persist_chunk_snapshots=persist_chunk_snapshots,
                 persist_window=persist_window,
@@ -436,7 +434,6 @@ def _resolve_exact(spec: RunSpec):
         max_parallel_time=spec.max_parallel_time,
         snapshot_every=recording.snapshot_every,
         stop_when_stable=spec.stop_when_stable,
-        record_async=recording.record_async,
         persist_to=recording.persist_to,
         persist_chunk_snapshots=recording.persist_chunk_snapshots,
         persist_window=recording.persist_window,

@@ -8,16 +8,19 @@ manifest honestly marked incomplete, and closes idempotently even
 under concurrent ``close()`` calls.
 """
 
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import PersistentTrajectoryRecorder, TrajectoryRecorder
+from repro import PersistentTrajectoryRecorder, TrajectoryRecorder, simulate
+from repro.core import persistent_recorder
 from repro.core.counts_engine import CountsEngine
 from repro.errors import SimulationError
 from repro.io.streaming import (
-    MANIFEST_NAME,
     StreamedTrace,
     load_manifest,
     persisted_run_matches,
@@ -60,7 +63,6 @@ class TestSpilling:
             run_dir, chunk_snapshots=16, window_snapshots=8
         ) as recorder:
             _feed(recorder, 200)
-            recorder.flush()
             assert recorder.buffered_snapshots <= 16
             assert len(recorder._window) <= 8
             assert recorder.spilled_snapshots >= 100
@@ -90,7 +92,6 @@ class TestSpilling:
             engine.advance(1, rng)
             recorder.record(engine)
             recorder.record(engine)  # same interaction index: must drop
-            recorder.flush()  # force chunk-boundary crossings mid-stream
         recorder.close()
         times = StreamedTrace(tmp_path / "run").times
         assert np.array_equal(times, np.arange(1, 9))
@@ -126,7 +127,6 @@ class TestCrashSafety:
         run_dir = tmp_path / "run"
         recorder = PersistentTrajectoryRecorder(run_dir, chunk_snapshots=8)
         _feed(recorder, 50, seed=9, allow_duplicates=False)
-        recorder.flush()
         # no close(): simulates a process killed mid-run
         manifest = load_manifest(run_dir)
         assert manifest["complete"] is False
@@ -140,24 +140,56 @@ class TestCrashSafety:
         recorder.close()
         assert persisted_run_matches(run_dir, {}) is False  # no summary yet
 
-    def test_worker_failure_leaves_manifest_incomplete(self, tmp_path):
+    def test_write_failure_leaves_manifest_incomplete(self, tmp_path, monkeypatch):
+        class DiskFull(OSError):
+            pass
+
+        real_write_chunk = persistent_recorder.write_chunk
+
+        def write_chunk(directory, index, times, counts):
+            if index < 3:
+                return real_write_chunk(directory, index, times, counts)
+            # the temp file a writer dying mid-chunk leaves behind
+            (Path(directory) / f"chunk-{index:05d}.npz.tmp").write_bytes(b"torn")
+            raise DiskFull("no space left on device")
+
+        monkeypatch.setattr(persistent_recorder, "write_chunk", write_chunk)
         run_dir = tmp_path / "run"
-        recorder = PersistentTrajectoryRecorder(run_dir, chunk_snapshots=4)
-        engine = _StubEngine()
-        recorder.record(engine)
-        recorder._spill = None  # break the worker's ingest path
-        rng = np.random.default_rng(0)
-        with pytest.raises(SimulationError, match="worker thread failed"):
-            for _ in range(100):
-                engine.advance(1, rng)
-                recorder.record(engine)
-                recorder.flush()
-        with pytest.raises(SimulationError, match="worker thread failed"):
-            recorder.close()
+        kwargs = dict(seed=77, max_parallel_time=5.0, snapshot_every=50)
+        with pytest.raises(DiskFull):  # the original error, not a wrapper
+            simulate(
+                UndecidedStateDynamics(k=3),
+                np.array([0, 600, 450, 450]),
+                persist_to=run_dir,
+                persist_chunk_snapshots=8,
+                **kwargs,
+            )
         assert load_manifest(run_dir)["complete"] is False
+        streamed = StreamedTrace(run_dir)
+        assert len(streamed.manifest["chunks"]) == 3
+        reference = simulate(
+            UndecidedStateDynamics(k=3), np.array([0, 600, 450, 450]), **kwargs
+        ).trace
+        full = streamed.materialize()  # every chunk written before the failure
+        assert np.array_equal(full.times, reference.times[:24])
+        assert np.array_equal(full.counts, reference.counts[:24])
+        assert list(run_dir.glob("*.tmp"))
+        PersistentTrajectoryRecorder(run_dir).close()  # reopen the directory
+        assert not list(run_dir.glob("*.tmp"))
 
 
 class TestCloseConcurrency:
+    @pytest.fixture(autouse=True)
+    def _frequent_thread_switches(self):
+        # switch threads as often as possible, so a record() or close()
+        # that is not serialized by the recorder's lock tears the stream
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(previous)
+
     def test_close_is_idempotent(self, tmp_path):
         recorder = PersistentTrajectoryRecorder(tmp_path / "run", chunk_snapshots=4)
         _feed(recorder, 20, seed=2, allow_duplicates=False)
@@ -183,7 +215,8 @@ class TestCloseConcurrency:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         assert errors == []
         streamed = StreamedTrace(run_dir)
         assert streamed.complete
@@ -198,29 +231,43 @@ class TestCloseConcurrency:
         recorder.record(engine)
         stop = threading.Event()
         outcomes = []
+        recorded = []
+
+        class _YieldingEngine(_StubEngine):
+            @property
+            def counts(self):
+                time.sleep(0)  # let close() run in the middle of a record()
+                return self._counts
 
         def producer():
             rng = np.random.default_rng(11)
-            local = _StubEngine()
+            local = _YieldingEngine()
             local.interactions = 1
             while not stop.is_set():
                 try:
                     local.advance(1, rng)
                     recorder.record(local)
+                    recorded.append(local.interactions)
+                    recording.set()
                 except SimulationError:
                     outcomes.append("rejected")
                     return
             outcomes.append("stopped")
 
+        recording = threading.Event()
         thread = threading.Thread(target=producer)
         thread.start()
+        assert recording.wait(timeout=30)
         recorder.close()
         stop.set()
-        thread.join()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
         assert outcomes in (["rejected"], ["stopped"])
         streamed = StreamedTrace(run_dir)
         assert streamed.complete
         assert np.all(np.diff(streamed.times) > 0)
+        # a record() that returned is on disk: never lost to the close
+        assert set(recorded) <= set(streamed.times.tolist())
 
 
 class TestValidation:

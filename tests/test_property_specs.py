@@ -62,7 +62,6 @@ def run_specs(draw) -> RunSpec:
         snapshot_every=draw(
             st.one_of(st.none(), st.integers(1, 10_000))
         ),
-        record_async=draw(st.booleans()),
         persist_to="runs/property" if persist else None,
         persist_chunk_snapshots=(
             draw(st.one_of(st.none(), st.integers(1, 512))) if persist else None

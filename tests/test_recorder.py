@@ -103,8 +103,8 @@ class TestRecorder:
         protocol = UndecidedStateDynamics(k=2)
         engine = CountsEngine(protocol, np.array([0, 30, 20]), seed=0)
         recorder = TrajectoryRecorder()
-        recorder.record(engine)
-        recorder.record(engine)
+        assert recorder.record(engine) is True
+        assert recorder.record(engine) is False  # same interaction index
         assert len(recorder) == 1
 
     def test_empty_recorder_cannot_build(self):

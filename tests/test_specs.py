@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestRoundTrips:
                 backend="numpy",
                 max_parallel_time=None,
                 max_interactions=5000,
-                recording=RecordingSpec(snapshot_every=100, record_async=True),
+                recording=RecordingSpec(snapshot_every=100),
                 metadata={"note": "round-trip"},
             ),
             lambda: EnsembleSpec(
@@ -227,10 +228,6 @@ class TestRoundTrips:
         payload["stop_when_stable"] = "false"
         with pytest.raises(SpecError, match="stop_when_stable"):
             RunSpec.from_dict(payload)
-        payload = usd_run_spec().to_dict()
-        payload["recording"]["record_async"] = "false"
-        with pytest.raises(SpecError, match="record_async"):
-            RunSpec.from_dict(payload)
 
     def test_kind_dispatch(self):
         payload = usd_run_spec().to_dict()
@@ -247,6 +244,56 @@ class TestRoundTrips:
         bad.write_text("{not json")
         with pytest.raises(SpecError, match="valid JSON"):
             load_spec_file(bad)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+
+
+class TestRecordAsyncCompatibility:
+    """Schema-v1 documents may carry the retired ``record_async`` key."""
+
+    @pytest.mark.parametrize(
+        "value", [True, False, "absent", "yes"], ids=["true", "false", "absent", "str"]
+    )
+    def test_key_is_accepted_and_ignored(self, value):
+        absent = usd_run_spec().to_dict()
+        del absent["recording"]["record_async"]
+        payload = usd_run_spec().to_dict()
+        if value == "absent":
+            del payload["recording"]["record_async"]
+        else:
+            payload["recording"]["record_async"] = value
+        spec = RunSpec.from_dict(payload)
+        reference = RunSpec.from_dict(absent)
+        assert spec.spec_hash() == reference.spec_hash()
+        assert spec.to_dict() == reference.to_dict()
+        # still written, so documents embedding it stay byte-identical
+        assert spec.to_dict()["recording"]["record_async"] is False
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            (
+                "usd_vs_voter.json",
+                "218fd24094f3b22323919a603ca7bb0adeb1911d56e403dad7d81503818b931b",
+            ),
+            (
+                "persisted_large_n.json",
+                "9004e8410b98032c0a8ee160d328202390760f3a587f442d3392d77f3433a827",
+            ),
+        ],
+    )
+    def test_shipped_scenarios_keep_their_hashes(self, name, expected):
+        assert load_spec_file(SCENARIOS / name).spec_hash() == expected
+
+    def test_sweep_checkpoint_meta_is_unchanged(self):
+        # merge/--resume compare checkpoint meta exactly; it embeds the
+        # sweep document, so its recording block must match the file's
+        path = SCENARIOS / "usd_vs_voter.json"
+        meta = load_spec_file(path).plan().meta
+        recording = meta["spec"]["base"]["recording"]
+        assert recording["record_async"] is False
+        assert recording == json.loads(path.read_text())["base"]["recording"]
 
 
 class TestSpecHash:
@@ -270,7 +317,9 @@ class TestSpecHash:
         assert usd_run_spec(backend="numpy").spec_hash() == base.spec_hash()
         assert (
             usd_run_spec(
-                recording=RecordingSpec(record_async=True)
+                recording=RecordingSpec(
+                    persist_to="runs/elsewhere", persist_chunk_snapshots=64
+                )
             ).spec_hash()
             == base.spec_hash()
         )

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro import Configuration, PersistentTrajectoryRecorder, simulate
 from repro.analysis import usd_stabilization_ensemble
 from repro.cli import main
-from repro.core.counts_engine import CountsEngine
 from repro.core.kernels import available_backends
 from repro.errors import SerializationError, SimulationError
 from repro.io import load_trace
@@ -344,39 +343,6 @@ class TestResume:
                     assert a == b, key
         for key in fresh.series:
             assert np.array_equal(fresh.series[key], resumed.series[key])
-
-
-class TestEngineRunPersist:
-    def test_engine_run_owns_and_closes_the_recorder(self, tmp_path):
-        protocol = UndecidedStateDynamics(k=3)
-        engine = CountsEngine(protocol, np.array([0, 60, 45, 45]), seed=77)
-        recorder = engine.run(6_000, snapshot_every=50, persist_to=tmp_path / "run")
-        assert recorder is not None and recorder.directory == tmp_path / "run"
-        stream = StreamedTrace(tmp_path / "run")
-        assert stream.complete
-        reference = CountsEngine(protocol, np.array([0, 60, 45, 45]), seed=77)
-        from repro.core.recorder import TrajectoryRecorder
-
-        sync = TrajectoryRecorder()
-        reference.run(6_000, snapshot_every=50, recorder=sync)
-        trace = sync.build(
-            n=reference.n,
-            state_names=protocol.state_names(),
-            protocol_name=protocol.name,
-        )
-        full = stream.materialize()
-        assert np.array_equal(full.times, trace.times)
-        assert np.array_equal(full.counts, trace.counts)
-
-    def test_recorder_and_persist_to_are_mutually_exclusive(self, tmp_path):
-        from repro.core.recorder import TrajectoryRecorder
-
-        protocol = UndecidedStateDynamics(k=2)
-        engine = CountsEngine(protocol, np.array([2, 5, 3]), seed=1)
-        with pytest.raises(SimulationError, match="not both"):
-            engine.run(
-                100, recorder=TrajectoryRecorder(), persist_to=tmp_path / "run"
-            )
 
 
 class TestTraceCli:
