@@ -134,8 +134,8 @@ def test_backend_throughput(benchmark):
                     CountsEngine, n, counts_budget, backend
                 )
                 if backend != "numpy" and provenance["batch_step"] != backend:
-                    # recorded delegation (e.g. the cython backend's batch
-                    # kernel) — re-measuring the identical numpy function
+                    # recorded delegation (numba's batch kernel degraded
+                    # to numpy) — re-measuring the identical numpy function
                     # would double the dominant cost for a tautological
                     # number; record the provenance string instead
                     metrics[f"batch_{backend}_n{n}"] = provenance["batch_step"]

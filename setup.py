@@ -1,39 +1,9 @@
-"""Setup shim: metadata lives in pyproject.toml.
+"""Setup shim: all metadata lives in pyproject.toml.
 
-Kept for two jobs pyproject cannot do alone:
-
-* `pip install -e . --no-use-pep517` on environments without `wheel`;
-* the *optional* Cython kernel extension.  When Cython and numpy are
-  importable at build time (`python setup.py build_ext --inplace`, or a
-  pip install with `--no-build-isolation`), the compiled
-  `repro.core.kernels._cython_kernels` extension is built; otherwise
-  the build proceeds without it and the kernel registry records an
-  explicit fallback reason at runtime (the cython backend can also
-  lazy-build from the shipped .pyx when Cython appears later).
+Kept only for installs that bypass PEP 517/660 — `pip install -e .
+--no-use-pep517` (or an older pip without editable-wheel support) on
+environments without `wheel`.
 """
 from setuptools import setup
 
-
-def _optional_extensions():
-    try:
-        import numpy
-        from Cython.Build import cythonize
-        from setuptools import Extension
-    except ImportError:
-        # no Cython (or no numpy) in the build environment: ship the
-        # pure-Python package; the cython kernel backend falls back
-        # with a recorded reason instead of failing the install
-        return []
-    return cythonize(
-        [
-            Extension(
-                "repro.core.kernels._cython_kernels",
-                ["src/repro/core/kernels/_cython_kernels.pyx"],
-                include_dirs=[numpy.get_include()],
-            )
-        ],
-        language_level="3",
-    )
-
-
-setup(ext_modules=_optional_extensions())
+setup()

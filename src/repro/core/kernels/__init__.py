@@ -12,20 +12,19 @@ resolved from its ``backend`` parameter:
   kernels drawing from the same ``np.random.Generator`` (the batch
   kernel's ``binomial``/``multinomial`` draws come from bit-exact
   ports of NumPy's C samplers in :mod:`.numba_rng`); optional, falls
-  back to numpy with a one-time warning when the package is missing;
-* ``'cython'`` — a Cython-compiled counts kernel (optional; needs the
-  prebuilt ``_cython_kernels`` extension or Cython + a C compiler for
-  a lazy build); its batch kernel delegates to numpy, recorded in the
-  backend's per-kernel provenance.
+  back to numpy with a one-time warning when the package is missing.
 
 Backends are bit-identical by contract — the trajectory of a seeded run
 does not depend on the backend, so ``backend`` is a pure throughput
-knob (see ``tests/test_kernels.py``).  Compiled backends are accepted
+knob (see ``tests/test_kernels.py``).  The compiled backend is accepted
 only after a load-time draw-for-draw self-check against the numpy
 reference; when a backend serves a kernel through another backend's
-implementation, :attr:`KernelBackend.provenance` records it (``repro
-backends`` prints the per-kernel breakdown).  Future backends (GPU)
-register through :func:`register_backend` behind the same seam.
+implementation (numba's batch kernel degrades to numpy if its own
+self-check fails), :attr:`KernelBackend.provenance` records it
+(``repro backends`` prints the per-kernel breakdown).  Retired backend
+names stay registered as permanently unavailable, so requests naming
+them fall back instead of failing.  Future backends (GPU) register
+through :func:`register_backend` behind the same seam.
 """
 
 from .inputs import KernelInputs

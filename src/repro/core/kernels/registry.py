@@ -11,8 +11,14 @@ warning when an optional backend cannot deliver; simulation therefore
 All backends are bit-identical by contract: they consume the engine's
 random stream in the same order and apply the same integer updates, so
 ``backend`` is a pure throughput knob — exactly like ``workers`` and
-``shard`` one layer up.  New backends (Cython, GPU) plug in behind the
-same seam via :func:`register_backend`.
+``shard`` one layer up.  The ladder is numpy → numba; new backends
+(GPU) plug in behind the same seam via :func:`register_backend`.
+
+A retired backend stays registered with a loader that always reports
+it unavailable: ``'cython'`` (removed in favour of numba, which
+compiles both kernels) therefore still resolves — to the default,
+with the usual one-time warning — wherever a spec document, sweep
+checkpoint or ``--backend`` flag names it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ...errors import SimulationError
 from ...obs import metrics as obs_metrics
-from . import cython_backend, numba_backend, numpy_backend
+from . import numba_backend, numpy_backend
 
 __all__ = [
     "KERNEL_NAMES",
@@ -167,24 +173,9 @@ def _load_numba() -> Tuple[Optional[KernelBackend], Optional[str]]:
     )
 
 
-def _load_cython() -> Tuple[Optional[KernelBackend], Optional[str]]:
-    kernels, reason = cython_backend.load()
-    if kernels is None:
-        return None, reason
-    return (
-        KernelBackend(
-            name="cython",
-            counts_step=kernels["counts_step"],
-            batch_step=kernels["batch_step"],
-            description=(
-                "Cython-compiled counts kernel, bit-identical to numpy "
-                "(self-checked at load); batch delegates to numpy"
-            ),
-            compiled=True,
-            provenance=tuple(sorted(kernels["provenance"].items())),
-        ),
-        None,
-    )
+def _load_cython() -> Tuple[None, str]:
+    """Retired name: always unavailable (see the module docstring)."""
+    return None, "the Cython backend was removed; install numba for compiled kernels"
 
 
 register_backend("numpy", _load_numpy)
@@ -225,20 +216,15 @@ def default_backend() -> str:
     """The backend used when none is requested.
 
     The Numba JIT backend when it is importable *and* passes its
-    load-time bit-identity self-check; else the Cython backend under
-    the same conditions (its counts kernel is compiled, its batch
-    kernel delegates to numpy); else the NumPy reference.  Backends are
-    bit-identical by contract (the compiled ones are additionally
-    self-checked draw-for-draw at load), so preferring a compiled
-    backend changes throughput only — results are byte-equal whatever
-    optional dependencies are installed.  The resolved choice is
-    recorded per run in ``RunResult.metadata['backend']`` and the
-    persistence manifest's ``run_info``.
+    load-time bit-identity self-check; else the NumPy reference.
+    Backends are bit-identical by contract (numba is additionally
+    self-checked draw-for-draw at load), so preferring it changes
+    throughput only — results are byte-equal whatever optional
+    dependencies are installed.  The resolved choice is recorded per
+    run in ``RunResult.metadata['backend']`` and the persistence
+    manifest's ``run_info``.
     """
-    for name in ("numba", "cython"):
-        if name in _LOADERS and _resolve(name) is not None:
-            return name
-    return "numpy"
+    return "numba" if _resolve("numba") is not None else "numpy"
 
 
 def get_backend(name: Optional[str] = None) -> KernelBackend:

@@ -536,6 +536,9 @@ def _jsonable_seed(seed: SeedLike) -> Union[int, str, None]:
     """Seed provenance for manifests: exact for ints, best-effort otherwise."""
     if seed is None or isinstance(seed, int):
         return seed
+    if isinstance(seed, np.integer):
+        # np.int64(7) is the seed 7, as normalize_run already records it
+        return int(seed)
     return repr(seed)
 
 

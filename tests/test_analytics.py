@@ -126,6 +126,15 @@ class TestCodec:
         )
         assert data["meta"]["identity"] == identity
 
+    def test_numpy_integer_seed_is_exported_as_an_int(self, tmp_path):
+        # seeding from an array hands simulate() an np.int64; the manifest
+        # must record the seed itself, not its repr, or the export loses it
+        _persist_run(tmp_path / "run", seed=np.int64(7))
+        run_info = StreamedTrace(tmp_path / "run").run_info
+        assert run_info["seed"] == 7
+        assert run_info["spec"]["seed"] == 7
+        assert codec.run_identity(run_info, run_key="r")["seed"] == 7
+
     @needs_pyarrow
     @pytest.mark.parametrize("fmt", ["arrow", "parquet"])
     def test_columnar_round_trip_matches_npz_reference(self, tmp_path, fmt):

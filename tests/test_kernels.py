@@ -8,7 +8,8 @@ the whole seam: *trajectories are bit-identical across backends*.
 On a machine without ``numba`` the cross-backend tests exercise the
 fallback path (``'numba'`` resolves to the numpy kernels), so they are
 trivially-true there by design; the CI numba leg runs the same tests
-with the real JIT kernels.
+with the real JIT kernels.  The retired ``'cython'`` name is
+unavailable everywhere, so its fallback tests run on every machine.
 """
 
 import warnings
@@ -21,6 +22,7 @@ from repro.core.kernels import (
     KernelInputs,
     available_backends,
     backend_fallback_reason,
+    backend_fallbacks,
     default_backend,
     get_backend,
     registered_backends,
@@ -44,15 +46,9 @@ class TestRegistry:
         assert {"numpy", "numba", "cython"} <= set(registered_backends())
 
     def test_default_prefers_compiled_backends_in_order(self):
-        # 'auto' resolution order: numba > cython > numpy — each compiled
-        # backend is bit-identity self-checked at load before it can win
-        available = available_backends()
-        if "numba" in available:
-            expected = "numba"
-        elif "cython" in available:
-            expected = "cython"
-        else:
-            expected = "numpy"
+        # 'auto' resolution order: numba > numpy — numba is bit-identity
+        # self-checked at load before it can win
+        expected = "numba" if _numba_available() else "numpy"
         assert default_backend() == expected
 
     def test_aliases_resolve_to_default(self):
@@ -101,14 +97,17 @@ class TestRegistry:
                 ), f"{name}.{kernel} has opaque provenance {served_by!r}"
 
 
+@pytest.fixture
+def fresh_backend_state():
+    """Forget cached resolutions, warnings and fallback counts around a test."""
+    reset_backend_state()
+    yield
+    reset_backend_state()
+
+
+@pytest.mark.usefixtures("fresh_backend_state")
 class TestNumbaFallback:
     """Requesting numba without the package warns once and runs on numpy."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        reset_backend_state()
-        yield
-        reset_backend_state()
 
     @pytest.mark.skipif(_numba_available(), reason="numba is installed")
     def test_fallback_warns_once_and_uses_numpy(self):
@@ -135,6 +134,40 @@ class TestNumbaFallback:
         backend = get_backend("numba")
         assert backend.name == "numba"
         assert backend.compiled
+
+
+@pytest.mark.usefixtures("fresh_backend_state")
+class TestRetiredCythonBackend:
+    """The removed Cython rung stays registered, so specs, checkpoints
+    and ``--backend cython`` calls naming it fall back instead of
+    failing."""
+
+    def test_stays_registered_but_unavailable(self):
+        assert "cython" in registered_backends()
+        assert "cython" not in available_backends()
+
+    def test_reason_names_the_removal(self):
+        reason = backend_fallback_reason("cython")
+        assert "removed" in reason and "numba" in reason
+
+    def test_explicit_request_warns_once_and_falls_back(self):
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            backend = get_backend("cython")
+        assert backend.name == default_backend()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_backend("cython").name == default_backend()
+        assert backend_fallbacks() == {"cython": 2}
+
+    def test_fallback_engine_still_runs(self):
+        protocol = UndecidedStateDynamics(k=2)
+        with pytest.warns(RuntimeWarning):
+            engine = CountsEngine(
+                protocol, np.array([10, 30, 20]), seed=3, backend="cython"
+            )
+        assert engine.backend == default_backend()
+        engine.step(500)
+        assert engine.counts.sum() == 60
 
 
 class TestKernelInputs:
