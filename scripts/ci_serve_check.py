@@ -1,8 +1,8 @@
 """CI driver for the ``serve`` leg: the simulation service contracts.
 
-Boots a real ``repro serve`` daemon (spawned worker processes, the
-production mode) on an ephemeral port and holds it to the three
-promises the service makes:
+Boots a real ``repro serve`` daemon (worker processes forked from a
+preloaded ``forkserver``, the production mode) on an ephemeral port
+and holds it to the four promises the service makes:
 
 1. **Never compute the same answer twice.**  A seeded spec submitted
    twice simulates once; the second submission is answered from the
@@ -16,11 +16,21 @@ promises the service makes:
    mid-simulation; the job settles ``failed`` with a kill signature,
    its journal holds an open ``engine.run`` span (the crash
    signature), and the daemon keeps answering ``/healthz``.
+4. **Workers start warm.**  After the kill, a fresh seeded spec still
+   completes ``done``: the shared forkserver outlives a killed job.
+   Over five fresh misses, the median worker start (the job journal's
+   ``journal.open`` time minus the job's ``started``) must be under
+   half the median time of a cold ``import repro.serve.worker`` in a
+   new interpreter, timed here on the same runner.  A ratio, not an
+   absolute time: a worker that re-imports ``repro`` per job reads
+   about 1, a preloaded one about 0.05.  ``/metrics`` must count no
+   cold worker starts.
 """
 
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -200,12 +210,55 @@ def check_kill_legibility(root: Path, client) -> None:
     )
 
 
+def _cold_import_seconds() -> float:
+    """Wall time of ``import repro.serve.worker`` in a new interpreter."""
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-c", "import repro.serve.worker"],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=True,
+    )
+    return time.perf_counter() - start
+
+
+def check_warm_workers(root: Path, client) -> None:
+    survivor = client.submit_and_wait({**FAST_SPEC, "seed": 2026}, timeout=120.0)
+    assert survivor["status"] == "accepted", survivor["status"]
+    assert survivor["job"]["status"] == "done", survivor["job"]
+    print("forkserver ok: a fresh job after the SIGKILL completed done")
+
+    starts = []
+    for seed in range(2027, 2032):
+        response = client.submit_and_wait({**FAST_SPEC, "seed": seed}, timeout=120.0)
+        assert response["status"] == "accepted", response["status"]
+        job = response["job"]
+        opened = read_journal(root / "jobs" / job["id"] / JOURNAL_NAME)[0]
+        assert opened["event"] == "journal.open", opened
+        starts.append(opened["unix_time"] - job["started"])
+    warm = statistics.median(starts)
+    cold = statistics.median(_cold_import_seconds() for _ in range(3))
+    assert warm < 0.5 * cold, (
+        f"median worker start {warm * 1e3:.1f} ms is not under half a cold "
+        f"import ({cold * 1e3:.1f} ms): jobs are not forked warm"
+    )
+
+    for line in client.metrics_text().splitlines():
+        if line.startswith("serve_worker_cold_starts_total "):
+            assert float(line.split()[1]) == 0, line
+    print(
+        f"warm workers ok: median worker start {warm * 1e3:.1f} ms against "
+        f"{cold * 1e3:.1f} ms for a cold import, no cold starts counted"
+    )
+
+
 def main() -> int:
     root = Path(tempfile.mkdtemp(prefix="repro-serve-ci-"))
     proc, client = _start_daemon(root)
     try:
         reference = check_cache_contract(client)
         check_kill_legibility(root, client)
+        check_warm_workers(root, client)
     finally:
         _stop_daemon(proc)
     check_store_survives_restart(root, reference)

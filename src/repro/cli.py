@@ -64,7 +64,8 @@ Subcommands
 ``repro serve [--host H] [--port P] [--root DIR] [--runs DIR ...] [--jobs N] [--max-jobs N] [--inline]``
     Run the simulation-as-a-service daemon: accept spec documents over
     HTTP, answer repeated submissions from a spec-hash result cache,
-    schedule the rest on a bounded pool of spawned worker processes.
+    schedule the rest on a bounded pool of worker processes, each forked
+    from a ``forkserver`` that imported ``repro`` once.
     ``--runs`` seeds the cache from persisted run directories;
     ``--port 0`` picks an ephemeral port; ``--max-jobs`` bounds how
     many settled jobs (and their directories) are retained.
@@ -656,9 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--inline",
         action="store_true",
         help=(
-            "run jobs on daemon threads instead of spawned worker "
-            "processes (faster startup; a crashing simulation then takes "
-            "the daemon with it — meant for tests and demos)"
+            "run jobs on daemon threads instead of worker processes "
+            "forked from a preloaded forkserver (no helper processes; a "
+            "crashing simulation then takes the daemon with it — meant "
+            "for tests and demos)"
         ),
     )
     serve.add_argument(

@@ -7,8 +7,9 @@ come in over HTTP, are validated by the :mod:`repro.specs` layer,
 keyed by ``spec_hash``, answered from a content-addressed
 :class:`~repro.serve.store.ResultStore` when the identical work was
 ever done before, and otherwise scheduled on a bounded job pool whose
-workers run in spawned processes (a killed simulation never takes the
-daemon down — its job journal records the crash signature instead).
+jobs each run in their own process, forked from a ``forkserver`` that
+imported ``repro`` once (a killed simulation never takes the daemon
+down — its job journal records the crash signature instead).
 
 Everything is standard library: ``http.server`` on the daemon side,
 ``urllib`` in the client.

@@ -3,9 +3,9 @@
 A :class:`JobManager` owns a bounded pool of concurrently running jobs.
 Each job gets a directory under ``<root>/jobs/<id>`` (spec, journal,
 result, error — everything the status and progress endpoints serve) and
-runs either in a spawned child process (``mode='process'``, the daemon
-default: a crashed or killed simulation never takes the server down,
-and the kill signature lands in the job journal) or inline on the
+runs either in a child process of its own (``mode='process'``, the
+daemon default: a crashed or killed simulation never takes the server
+down, and the kill signature lands in the job journal) or inline on the
 scheduler thread (``mode='thread'``, for tests and the in-process demo).
 
 Duplicate submissions coalesce: while a job for some ``spec_hash`` is
@@ -13,9 +13,14 @@ queued or running, submitting the same hash returns that job instead of
 scheduling a second simulation — combined with the result store this
 closes the "never compute the same answer twice" loop end to end.
 
-The spawn start method is deliberate: the daemon's HTTP handler threads
-may hold locks (the metrics registry, the store) at any moment, and a
-``fork`` child would inherit those locks mid-flight.
+Process-mode jobs are forked from a ``forkserver``: one helper process,
+launched by the first job, that imports :data:`PRELOAD` once and never
+runs a job itself.  A job therefore starts in tens of milliseconds
+instead of paying a fresh interpreter and a ``repro`` import each time.
+Plain ``fork`` of the daemon is deliberately not used: the daemon's
+HTTP handler threads may hold locks (the metrics registry, the store)
+at any moment, and a ``fork`` child would inherit those locks
+mid-flight.  The forkserver runs none of those threads.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ __all__ = ["Job", "JobManager"]
 
 #: Job lifecycle states, in order.
 STATUSES = ("queued", "running", "done", "failed")
+
+#: Modules the forkserver imports before it forks any job: the worker
+#: entry point, and the CLI that a daemon started through the ``repro``
+#: console script re-runs (as ``__mp_main__``) in every child.
+PRELOAD = ("repro.serve.worker", "repro.cli")
 
 
 @dataclass
@@ -101,6 +111,18 @@ class JobManager:
             raise ServeError(
                 f"max_retained_jobs must be at least 1, got {max_retained_jobs}"
             )
+        self._context = None
+        if mode == "process":
+            try:
+                self._context = multiprocessing.get_context("forkserver")
+            except ValueError as exc:
+                raise ServeError(
+                    "process mode needs the 'forkserver' start method, "
+                    "which this platform lacks; run jobs on threads "
+                    "with --inline"
+                ) from exc
+            # read only when the first job launches the server
+            self._context.set_forkserver_preload(list(PRELOAD))
         self.store = store
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
@@ -187,16 +209,34 @@ class JobManager:
         with self._slots:
             job.status = "running"
             job.started = time.time()
+            obs_metrics.REGISTRY.observe(
+                "serve_queue_wait_seconds", job.started - job.created
+            )
+            status = "failed"
             try:
                 if self.mode == "process":
-                    self._run_in_process(job, payload)
+                    document = self._run_in_process(job, payload)
                 else:
-                    self._run_in_thread(job, payload)
+                    document = worker.execute_job(
+                        payload,
+                        job.dir,
+                        progress_interval=self.progress_interval,
+                    )
+                if job.cacheable:
+                    self.store.put(job.spec_hash, document)
+                status = "done"
+            except ReproError as exc:
+                job.error = str(exc)
             except BaseException as exc:  # noqa: BLE001 — job must settle
                 job.error = f"{type(exc).__name__}: {exc}"
-                job.status = "failed"
             finally:
                 job.finished = time.time()
+                obs_metrics.REGISTRY.observe(
+                    "serve_job_seconds", job.finished - job.started
+                )
+                # settle last: a client that reads the final status also
+                # reads ``finished`` and the job's latency histograms
+                job.status = status
                 with self._lock:
                     if self._by_hash.get(job.spec_hash) == job.id:
                         del self._by_hash[job.spec_hash]
@@ -248,20 +288,10 @@ class JobManager:
                 spec_hash=job.spec_hash,
             )
 
-    def _run_in_thread(self, job: Job, payload: Dict[str, Any]) -> None:
-        try:
-            document = worker.execute_job(
-                payload, job.dir, progress_interval=self.progress_interval
-            )
-        except ReproError as exc:
-            job.error = str(exc)
-            job.status = "failed"
-            return
-        self._finish(job, document)
-
-    def _run_in_process(self, job: Job, payload: Dict[str, Any]) -> None:
-        context = multiprocessing.get_context("spawn")
-        process = context.Process(
+    def _run_in_process(
+        self, job: Job, payload: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        process = self._context.Process(
             target=worker._job_entry,
             args=(payload, str(job.dir), self.progress_interval),
             daemon=True,
@@ -271,6 +301,11 @@ class JobManager:
         with self._lock:
             self._processes[job.id] = process
         process.join()
+        opened = self._journal_opened(job)
+        if opened is not None:
+            obs_metrics.REGISTRY.observe(
+                "serve_worker_start_seconds", opened - job.started
+            )
         result_path = job.dir / worker.RESULT_NAME
         if process.exitcode == 0 and result_path.is_file():
             document = json.loads(result_path.read_text(encoding="utf-8"))
@@ -283,13 +318,22 @@ class JobManager:
                 )
             except (OSError, ValueError):
                 pass  # metrics are best-effort provenance, never fatal
-            self._finish(job, document)
-            return
-        job.status = "failed"
-        job.error = self._read_error(job) or (
-            f"worker exited with code {process.exitcode}"
-            + (" (killed)" if (process.exitcode or 0) < 0 else "")
+            return document
+        raise ServeError(
+            self._read_error(job)
+            or (
+                f"worker exited with code {process.exitcode}"
+                + (" (killed)" if (process.exitcode or 0) < 0 else "")
+            )
         )
+
+    def _journal_opened(self, job: Job) -> Optional[float]:
+        """Wall time the worker opened the job journal, if it got that far."""
+        try:
+            with open(job.dir / worker.JOURNAL_NAME, encoding="utf-8") as fh:
+                return float(json.loads(fh.readline())["unix_time"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
 
     def _read_error(self, job: Job) -> Optional[str]:
         try:
@@ -299,11 +343,6 @@ class JobManager:
             return f"{payload.get('error')}: {payload.get('message')}"
         except (OSError, ValueError):
             return None
-
-    def _finish(self, job: Job, document: Dict[str, Any]) -> None:
-        if job.cacheable:
-            self.store.put(job.spec_hash, document)
-        job.status = "done"
 
     # -- shutdown ------------------------------------------------------
 

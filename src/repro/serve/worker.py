@@ -6,12 +6,19 @@ scope wraps the whole execution (metrics + a per-job journal, so
 leaves its timeline on disk), and the finished result lands as the
 canonical result-document bytes in ``result.json``.
 
-:func:`_job_entry` is the ``spawn``-context process entry point: it is
-module-level (picklable by qualified name), reports failure through
-``error.json`` + a non-zero exit code, and ships the job's metric
-counters home through ``metrics.json`` — a spawned child has its own
-registry, so deltas travel by file exactly like pool workers ship
-theirs through the result plumbing.
+:func:`_job_entry` is the process entry point of a job forked from the
+daemon's ``forkserver``: it is module-level (picklable by qualified
+name), reports failure through ``error.json`` + a non-zero exit code,
+and ships the job's metric counters home through ``metrics.json`` — a
+worker process has its own registry, so deltas travel by file exactly
+like pool workers ship theirs through the result plumbing.
+
+The forkserver imports this module once, so a job normally starts with
+``repro`` already loaded.  The stdlib drops a failed preload silently
+(say, ``repro`` importable only through a runtime ``sys.path`` edit of
+the daemon); a job whose process had to import this module itself is
+counted in ``serve_worker_cold_starts_total`` and journals a
+``serve.worker_cold_start`` event, so a cold worker is visible.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from ..errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..obs.config import ObsConfig
 from ..obs.journal import JOURNAL_NAME
-from ..obs.runtime import activated
+from ..obs.runtime import activated, emit as obs_emit
 from ..specs import document_bytes, load_spec, run_spec, to_document
 
 __all__ = [
@@ -43,6 +50,10 @@ SPEC_NAME = "spec.json"
 RESULT_NAME = "result.json"
 ERROR_NAME = "error.json"
 METRICS_NAME = "metrics.json"
+
+#: The process that imported this module: the forkserver when its
+#: preload worked, otherwise the job's own process (a cold start).
+_IMPORT_PID = os.getpid()
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -65,6 +76,7 @@ def execute_job(
     job_dir: Union[str, Path],
     *,
     progress_interval: float = 2.0,
+    cold_start: bool = False,
 ) -> Dict[str, Any]:
     """Run one submitted spec document and persist its result document.
 
@@ -72,7 +84,8 @@ def execute_job(
     runs — the progress endpoint tails it), ``result.json`` (the
     canonical document bytes) and ``metrics.json`` (the metric counters
     this job produced, as a snapshot delta for the daemon to merge).
-    Returns the result document.
+    ``cold_start`` marks a worker that imported ``repro`` itself; it is
+    counted and journaled.  Returns the result document.
     """
     job_dir = Path(job_dir)
     job_dir.mkdir(parents=True, exist_ok=True)
@@ -90,6 +103,9 @@ def execute_job(
         },
     ):
         baseline = obs_metrics.REGISTRY.snapshot()
+        if cold_start:
+            obs_metrics.REGISTRY.inc("serve_worker_cold_starts_total")
+            obs_emit("serve.worker_cold_start", pid=os.getpid())
         result = run_spec(spec)
         delta = obs_metrics.snapshot_delta(
             baseline, obs_metrics.REGISTRY.snapshot()
@@ -108,10 +124,15 @@ def _json_bytes(value: Any) -> bytes:
 def _job_entry(
     payload: Dict[str, Any], job_dir: str, progress_interval: float
 ) -> None:
-    """Spawned-process entry point: execute, or leave an ``error.json``."""
+    """Worker-process entry point: execute, or leave an ``error.json``."""
     directory = Path(job_dir)
     try:
-        execute_job(payload, directory, progress_interval=progress_interval)
+        execute_job(
+            payload,
+            directory,
+            progress_interval=progress_interval,
+            cold_start=os.getpid() == _IMPORT_PID,
+        )
     except BaseException as exc:  # noqa: BLE001 — the file IS the report
         try:
             _atomic_write(

@@ -93,9 +93,9 @@ class TestGraphPairScheduler:
 
 
 def test_import_repro_does_not_load_networkx():
-    # every spawned serve worker imports repro; only graph schedulers
-    # need networkx, so it must load lazily (a fresh interpreter, since
-    # this test process already imported it)
+    # every CLI call and the serve forkserver import repro; only graph
+    # schedulers need networkx, so it must load lazily (a fresh
+    # interpreter, since this test process already imported it)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     code = "import repro, sys; assert 'networkx' not in sys.modules"

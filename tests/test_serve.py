@@ -11,19 +11,28 @@ The contracts under test, layer by layer:
   coalesce onto one job instead of simulating twice;
 * the HTTP daemon end to end — submit/miss/hit, byte-identical result
   fetches, live ``/metrics``, job status and journal progress, 400 on
-  invalid specs, 404 on unknown routes; plus a spawned-process-mode
-  smoke test (the production configuration).
+  invalid specs, 404 on unknown routes; plus a process-mode smoke
+  test (the production configuration: jobs forked from a preloaded
+  forkserver), a stress test of forked workers, and a cold-start
+  check for a daemon whose forkserver could not preload ``repro``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ServeError
 from repro.io.streaming import find_persisted_by_hash
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
     JobManager,
     ResultStore,
@@ -337,6 +346,7 @@ def test_retention_bound_must_be_positive(tmp_path):
 
 @pytest.fixture()
 def daemon(tmp_path):
+    obs_metrics.REGISTRY.reset()
     httpd = make_server(
         ServeConfig(
             port=0, root=tmp_path / "serve", job_mode="thread", max_jobs=2
@@ -370,6 +380,10 @@ class TestDaemon:
         metrics = client.metrics_text()
         assert "serve_cache_hits_total 1" in metrics
         assert "serve_cache_misses_total 1" in metrics
+        # one miss, one observation; a thread job has no worker to start
+        assert "serve_queue_wait_seconds_count 1" in metrics
+        assert "serve_job_seconds_count 1" in metrics
+        assert "serve_worker_start_seconds" not in metrics
 
     def test_unseeded_specs_are_never_cached(self, daemon):
         client, _httpd = daemon
@@ -417,7 +431,8 @@ class TestDaemon:
 
 
 def test_process_mode_smoke(tmp_path):
-    """The production configuration: jobs in spawned worker processes."""
+    """The production configuration: jobs in forked worker processes."""
+    obs_metrics.REGISTRY.reset()
     httpd = make_server(
         ServeConfig(
             port=0, root=tmp_path / "serve", job_mode="process", max_jobs=1
@@ -429,6 +444,15 @@ def test_process_mode_smoke(tmp_path):
         client = ServeClient(f"http://127.0.0.1:{httpd.server_address[1]}")
         first = client.submit_and_wait(FAST_PAYLOAD, timeout=120.0)
         assert first["status"] == "accepted"
+        metrics = client.metrics_text()
+        for histogram in (
+            "serve_queue_wait_seconds",
+            "serve_job_seconds",
+            "serve_worker_start_seconds",
+        ):
+            assert f"{histogram}_count 1" in metrics, histogram
+        # PYTHONPATH makes repro importable in the forkserver: a warm start
+        assert "serve_worker_cold_starts_total" not in metrics
         assert client.submit(FAST_PAYLOAD)["status"] == "cached"
         document = json.loads(
             client.result_bytes(first["spec_hash"]).decode("utf-8")
@@ -437,6 +461,150 @@ def test_process_mode_smoke(tmp_path):
     finally:
         shutdown_server(httpd)
         thread.join(timeout=5.0)
+
+
+def test_forked_workers_under_load_match_in_process_runs(tmp_path):
+    """More workers than CPUs, all submitted at once, then fresh entropy.
+
+    Every forked job must reproduce the in-process outcome of its spec,
+    and two unseeded jobs must differ: randomness drawn at import time
+    in the forkserver would be copied into every job it forks.
+    """
+    store = ResultStore(tmp_path / "store")
+    jobs = JobManager(store, tmp_path, max_workers=3, mode="process")
+    payloads = [{**FAST_PAYLOAD, "seed": 100 + i} for i in range(6)]
+    specs = [RunSpec.from_dict(payload) for payload in payloads]
+    submitted = [None] * len(payloads)
+
+    def submit(i):
+        submitted[i], _ = jobs.submit(
+            payloads[i],
+            spec_hash=specs[i].spec_hash(),
+            kind="run",
+            cacheable=True,
+        )
+
+    try:
+        threads = [
+            threading.Thread(target=submit, args=(i,))
+            for i in range(len(payloads))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive(), "a submission never returned"
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline and any(
+            job.status not in ("done", "failed") for job in submitted
+        ):
+            time.sleep(0.05)
+        for job, spec in zip(submitted, specs):
+            assert job.status == "done", job.error
+            local = to_document(run_spec(spec), spec)["outcome"]
+            assert store.get(job.spec_hash)["outcome"] == local
+
+        unseeded = {**FAST_PAYLOAD, "seed": None}
+        spec_hash = RunSpec.from_dict(unseeded).spec_hash()
+        draws = [
+            jobs.submit(
+                unseeded, spec_hash=spec_hash, kind="run", cacheable=False
+            )[0]
+            for _ in range(2)
+        ]
+        outcomes = []
+        for job in draws:
+            _wait_settled(job, timeout=60.0)
+            assert job.status == "done", job.error
+            document = json.loads((job.dir / "result.json").read_text())
+            outcomes.append(document["outcome"])
+        assert outcomes[0] != outcomes[1]
+    finally:
+        jobs.shutdown()
+
+
+#: A daemon that reaches ``repro`` only through a runtime ``sys.path``
+#: edit: its forkserver cannot preload ``repro``, so jobs start cold.
+COLD_START_SCRIPT = """\
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+
+from repro.obs import metrics
+from repro.serve import JobManager, ResultStore
+from repro.specs import RunSpec
+
+
+def main():
+    metrics.REGISTRY.activate()
+    payload = json.loads(Path("payload.json").read_text())
+    jobs = JobManager(ResultStore(Path("store")), Path.cwd(), mode="process")
+    job, _ = jobs.submit(
+        payload,
+        spec_hash=RunSpec.from_dict(payload).spec_hash(),
+        kind="run",
+        cacheable=True,
+    )
+    deadline = time.monotonic() + 120.0
+    while job.status in ("queued", "running") and time.monotonic() < deadline:
+        time.sleep(0.02)
+    journal = (job.dir / "journal.jsonl").read_text().splitlines()
+    counters = metrics.REGISTRY.snapshot()["counters"]
+    print(json.dumps({
+        "status": job.status,
+        "error": job.error,
+        "cold_starts": counters.get("serve_worker_cold_starts_total", {}),
+        "events": [json.loads(line)["event"] for line in journal],
+    }))
+    jobs.shutdown()
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+def test_cold_worker_start_is_counted_and_journaled(tmp_path):
+    script = tmp_path / "daemon.py"
+    script.write_text(COLD_START_SCRIPT)
+    (tmp_path / "payload.json").write_text(json.dumps(FAST_PAYLOAD))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    installed = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+    )
+    if installed.returncode == 0:
+        pytest.skip("repro is installed, so the forkserver preloads it anyway")
+    src = Path(repro.__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, str(script), str(src)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=180.0,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout.splitlines()[-1])
+    assert report["status"] == "done", report["error"]
+    assert report["cold_starts"] == {"": 1.0}
+    assert "serve.worker_cold_start" in report["events"]
+
+
+def test_process_mode_needs_forkserver(tmp_path, monkeypatch):
+    import multiprocessing
+
+    def no_forkserver(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_forkserver)
+    with pytest.raises(ServeError, match="--inline"):
+        JobManager(ResultStore(tmp_path / "store"), tmp_path, mode="process")
 
 
 def test_client_reports_unreachable_server():
