@@ -1,6 +1,6 @@
 """CI driver for the spill-to-disk crash-safety and equivalence contracts.
 
-Three subcommands, composed by the ``persistence`` CI leg:
+Four subcommands, composed by the ``persistence`` CI leg:
 
 ``run DIR``
     Start a persisted run with an effectively unbounded horizon and a
@@ -20,10 +20,22 @@ Three subcommands, composed by the ``persistence`` CI leg:
     bit-identically (the ISSUE 4 acceptance property), with the
     in-memory side of the persisted run bounded to the configured tail
     window.
+
+``ensemble``
+    Start a persisted ``usd_stabilization_ensemble`` in a child process,
+    SIGKILL it as soon as member ``run-0001`` is finished on disk, then
+    re-run the same ensemble in-process.  Assert the re-run reuses every
+    member that was finished at the kill (their manifests are not
+    rewritten), ends with every member complete, and reports the same
+    times and winners as an uninterrupted in-memory ensemble: an
+    interrupted reproduction only pays for the missing runs.
 """
 
+import multiprocessing
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +44,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402 (path bootstrap above)
 
 from repro import Configuration, PopulationProtocol, simulate  # noqa: E402
+from repro.analysis import usd_stabilization_ensemble  # noqa: E402
+from repro.errors import SerializationError  # noqa: E402
 from repro.io.streaming import StreamedTrace, load_chunk, load_manifest  # noqa: E402
 from repro.protocols import UndecidedStateDynamics  # noqa: E402
+
+#: The killed-and-resumed ensemble: each member takes seconds on the
+#: counts engine, so the kill lands with later members still to run.
+ENSEMBLE_SEEDS = 6
+ENSEMBLE_KWARGS = dict(num_seeds=ENSEMBLE_SEEDS, seed=2024, engine="counts")
 
 
 class _Cycler(PopulationProtocol):
@@ -126,6 +145,78 @@ def cmd_equivalence() -> int:
     return 0
 
 
+def _ensemble_initial():
+    return Configuration.equal_minorities_with_bias(n=20_000, k=6, bias=1_000)
+
+
+def _run_ensemble_child(run_dir: str) -> None:
+    usd_stabilization_ensemble(
+        _ensemble_initial(), persist_to=run_dir, **ENSEMBLE_KWARGS
+    )
+
+
+def _finished(member_dir: Path) -> bool:
+    """Whether a member's stream is complete with its summary (resumable)."""
+    if not (member_dir / "manifest.json").is_file():
+        return False
+    try:
+        manifest = load_manifest(member_dir)
+    except SerializationError:
+        return False
+    return bool(manifest.get("complete")) and manifest.get("summary") is not None
+
+
+def cmd_ensemble() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "ens"
+        child = multiprocessing.get_context("spawn").Process(
+            target=_run_ensemble_child, args=(str(run_dir),)
+        )
+        child.start()
+        deadline = time.monotonic() + 600
+        try:
+            while not _finished(run_dir / "run-0001"):
+                assert child.is_alive(), "the ensemble ended before the kill"
+                assert time.monotonic() < deadline, "run-0001 never finished"
+                time.sleep(0.02)
+        finally:
+            child.kill()  # SIGKILL, mid-ensemble like an OOM kill or preemption
+            child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL, f"exit code {child.exitcode}"
+
+        members = [run_dir / f"run-{i:04d}" for i in range(ENSEMBLE_SEEDS)]
+        reused = {
+            member: (member / "manifest.json").stat().st_mtime_ns
+            for member in members
+            if _finished(member)
+        }
+        assert 2 <= len(reused) < ENSEMBLE_SEEDS, (
+            f"expected the kill to land mid-ensemble, {len(reused)} members done"
+        )
+
+        initial = _ensemble_initial()
+        resumed = usd_stabilization_ensemble(
+            initial, persist_to=run_dir, **ENSEMBLE_KWARGS
+        )
+        for member, mtime in reused.items():
+            assert (member / "manifest.json").stat().st_mtime_ns == mtime, (
+                f"{member.name} was finished at the kill but was re-simulated"
+            )
+        for member in members:
+            assert _finished(member), f"{member.name} did not end complete"
+
+    baseline = usd_stabilization_ensemble(initial, **ENSEMBLE_KWARGS)
+    assert np.array_equal(resumed.times, baseline.times), "times differ"
+    assert np.array_equal(resumed.winners, baseline.winners), "winners differ"
+    assert resumed.censored == baseline.censored
+    print(
+        f"ensemble ok: killed with {len(reused)}/{ENSEMBLE_SEEDS} members "
+        "finished; the re-run reused them untouched and matches an "
+        "uninterrupted in-memory ensemble"
+    )
+    return 0
+
+
 def main(argv):
     if len(argv) >= 1 and argv[0] == "run" and len(argv) == 2:
         return cmd_run(Path(argv[1]))
@@ -133,8 +224,13 @@ def main(argv):
         return cmd_verify(Path(argv[1]))
     if argv == ["equivalence"]:
         return cmd_equivalence()
+    if argv == ["ensemble"]:
+        return cmd_ensemble()
     print(__doc__)
-    print("usage: ci_persistence_check.py run DIR | verify DIR | equivalence")
+    print(
+        "usage: ci_persistence_check.py run DIR | verify DIR | equivalence "
+        "| ensemble"
+    )
     return 2
 
 

@@ -56,8 +56,11 @@ Parallel ensembles
 ------------------
 Every distributional measurement (stabilization-time tails, hitting
 times, Figure 1 bands) averages independent seeded runs, and those runs
-fan out over ``multiprocessing`` workers through
-:func:`repro.parallel.run_ensemble` / :func:`repro.parallel.map_seeds`.
+fan out over ``multiprocessing`` workers (:mod:`repro.parallel`).  Seed
+ensembles of simulation runs have one executor, an
+:class:`repro.specs.EnsembleSpec` run by :func:`repro.specs.run_spec`
+(:func:`repro.analysis.usd_stabilization_ensemble` is built on it); the
+theory estimators use :func:`repro.parallel.map_seeds`.
 Per-run streams are derived from the root seed and the run index alone
 (:func:`repro.rng.derive_seed` / :func:`repro.rng.spawn_seeds`), so for
 a fixed root seed the results are **bit-identical for every worker

@@ -5,30 +5,31 @@ randomness; empirically we run independent seeds and report the
 ensemble of stabilization times (in parallel-time units), the winner
 distribution, and censoring information when a horizon was hit.
 
-Ensemble members are independent, so they fan out over
-:func:`repro.parallel.run_ensemble`; ``workers=0`` (the default) runs
-in-process and any worker count returns bit-identical results for the
-same root seed.
+An ensemble is one :class:`~repro.specs.EnsembleSpec` executed by
+:func:`repro.specs.run_spec`, the library's single seed-ensemble
+executor: members fan out over the process pool, ``workers=0`` (the
+default) runs in-process, and any worker count returns bit-identical
+results for the same root seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
 from ..core.configuration import Configuration
-from ..core.engine import default_snapshot_every
-from ..core.run import resolve_engine_name, simulate
 from ..errors import ExperimentError
-from ..io.streaming import load_manifest, persisted_run_matches
-from ..specs import normalize_run
-from ..parallel import run_ensemble
-from ..protocols.usd import UndecidedStateDynamics
-from ..types import SeedLike
+from ..specs import (
+    EnsembleSpec,
+    InitialSpec,
+    ProtocolSpec,
+    RecordingSpec,
+    RunSpec,
+    run_spec,
+)
 from .stats import Summary, summarize
 
 __all__ = [
@@ -107,130 +108,63 @@ class StabilizationEnsemble:
         return summarize(self.times)
 
 
-def _stabilization_task(
-    index: int,
-    run_seed: int,
-    *,
-    initial: Configuration,
-    engine: str,
-    backend: Optional[str],
-    max_parallel_time: float,
-    snapshot_every: Optional[int],
-    persist_to: Optional[str] = None,
-) -> Optional[Tuple[float, int]]:
-    """One ensemble member: ``(parallel_time, winner)``, or ``None`` if censored.
-
-    Module-level so it pickles across process boundaries; the protocol is
-    rebuilt in the worker (it is stateless and cheap to construct).
-
-    With ``persist_to`` set the run streams its trajectory to
-    ``<persist_to>/run-XXXX``, and a directory already holding a
-    complete matching stream answers from its manifest summary without
-    re-simulating (the summary was computed from the identical run).
-    """
-    protocol = UndecidedStateDynamics(k=initial.k)
-    run_dir = None if persist_to is None else Path(persist_to) / f"run-{index:04d}"
-    if run_dir is not None:
-        n = initial.n
-        expect = {
-            "protocol": protocol.name,
-            "n": n,
-            "seed": run_seed,
-            "engine": resolve_engine_name(engine, n),
-            "snapshot_every": snapshot_every
-            if snapshot_every is not None
-            else default_snapshot_every(n),
-            "max_interactions": int(round(max_parallel_time * n)),
-            # the exact initial state counts: a changed k/bias/initial
-            # condition can never be answered from a stale stream
-            "initial_counts": [
-                int(c) for c in protocol.encode_configuration(initial)
-            ],
-        }
-        # hash-first matching: one canonical spec_hash decides against
-        # manifests written by this library version; the field-by-field
-        # keys above remain the fallback for PR-4-format directories
-        expected_spec = normalize_run(
-            protocol,
-            initial,
-            engine=engine,
-            seed=run_seed,
-            max_parallel_time=max_parallel_time,
-            snapshot_every=snapshot_every,
-        )
-        if expected_spec is not None:
-            expect["spec_hash"] = expected_spec.spec_hash()
-        if persisted_run_matches(run_dir, expect):
-            summary = load_manifest(run_dir)["summary"]
-            stab = summary["stabilization_interactions"]
-            if summary["stabilized"] and stab is not None:
-                winner = summary["winner"]
-                winner = winner if winner is not None else UNDETERMINED_WINNER
-                return stab / n, winner
-            return None
-    result = simulate(
-        protocol,
-        initial,
-        engine=engine,
-        backend=backend,
-        seed=run_seed,
-        max_parallel_time=max_parallel_time,
-        snapshot_every=snapshot_every,
-        persist_to=run_dir,
-    )
-    if result.stabilized and result.stabilization_parallel_time is not None:
-        winner = result.winner if result.winner is not None else UNDETERMINED_WINNER
-        return result.stabilization_parallel_time, winner
-    return None
-
-
 def usd_stabilization_ensemble(
     initial: Configuration,
     *,
     num_seeds: int = 10,
-    seed: SeedLike = 0,
+    seed: int = 0,
     engine: str = "auto",
     backend: Optional[str] = None,
     max_parallel_time: float = 10_000.0,
     snapshot_every: Optional[int] = None,
     workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
     persist_to: Optional[Union[str, Path]] = None,
     extra_params: Optional[Dict[str, Any]] = None,
 ) -> StabilizationEnsemble:
     """Run USD from ``initial`` under ``num_seeds`` independent seeds.
 
-    Each run uses :func:`repro.rng.derive_seed` so any individual run
-    can be replayed from the stored root seed and its index.  With
-    ``workers > 0`` (or ``None`` for all CPUs) the runs execute on a
-    process pool; the aggregate results are bit-identical to
-    ``workers=0`` for the same root seed.
+    The ensemble is one :class:`~repro.specs.EnsembleSpec` with root
+    seed ``seed``, executed by :func:`repro.specs.run_spec`: member
+    ``i`` runs with ``derive_seed(seed, i)``, so any individual run can
+    be replayed from the root seed and its index.  With ``workers > 0``
+    (or ``None`` for all CPUs) the members execute on a process pool;
+    the aggregate results are bit-identical to ``workers=0`` for the
+    same root seed.
 
     ``persist_to=DIR`` streams every member's trajectory to
     ``DIR/run-XXXX`` while it runs (spill-to-disk, memory-bounded) and
-    turns the call *resumable*: members whose directory already holds a
-    complete matching stream are answered from the manifest summary
-    instead of re-simulated, so a large-n ensemble interrupted halfway
-    only pays for the missing runs when repeated.
+    turns the call *resumable*: a member whose directory already holds
+    a complete stream recording the member's ``spec_hash`` is answered
+    from that stream instead of re-simulated, so a large-n ensemble
+    interrupted halfway only pays for the missing runs when repeated.
+    A directory without a recorded ``spec_hash`` never answers for a
+    member; it is re-simulated and overwritten.
     """
     if num_seeds < 1:
         raise ExperimentError(f"num_seeds must be >= 1, got {num_seeds}")
-    task = partial(
-        _stabilization_task,
-        initial=initial,
-        engine=engine,
-        backend=backend,
-        max_parallel_time=max_parallel_time,
-        snapshot_every=snapshot_every,
-        persist_to=None if persist_to is None else str(persist_to),
+    ensemble = EnsembleSpec(
+        run=RunSpec(
+            protocol=ProtocolSpec(name="usd", k=initial.k),
+            initial=InitialSpec.from_configuration(initial),
+            engine=engine,
+            backend=backend,
+            max_parallel_time=max_parallel_time,
+            recording=RecordingSpec(
+                snapshot_every=snapshot_every,
+                persist_to=None if persist_to is None else str(persist_to),
+            ),
+        ),
+        num_runs=num_seeds,
+        root_seed=seed,
     )
-    outcomes = run_ensemble(
-        task, num_seeds, seed=seed, workers=workers, chunk_size=chunk_size
-    )
-    stabilized = [outcome for outcome in outcomes if outcome is not None]
-    times = [time for time, _ in stabilized]
-    winners = [winner for _, winner in stabilized]
-    censored = len(outcomes) - len(stabilized)
+    times = []
+    winners = []
+    for result in run_spec(ensemble, workers=workers).results:
+        if result.stabilized and result.stabilization_parallel_time is not None:
+            times.append(result.stabilization_parallel_time)
+            winners.append(
+                result.winner if result.winner is not None else UNDETERMINED_WINNER
+            )
     params = {
         "n": initial.n,
         "k": initial.k,
@@ -238,7 +172,7 @@ def usd_stabilization_ensemble(
         "engine": engine,
         "backend": backend,
         "num_seeds": num_seeds,
-        "root_seed": seed if isinstance(seed, int) else None,
+        "root_seed": ensemble.root_seed,
         "workers": workers,
         "persist_to": None if persist_to is None else str(persist_to),
         **(extra_params or {}),
@@ -246,7 +180,7 @@ def usd_stabilization_ensemble(
     return StabilizationEnsemble(
         times=np.asarray(times, dtype=float),
         winners=np.asarray(winners, dtype=np.int64),
-        censored=censored,
+        censored=num_seeds - len(times),
         horizon_parallel_time=float(max_parallel_time),
         params=params,
     )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -386,9 +386,3 @@ def _read_arrow_like(
         if column.null_count == 0:
             undecided = column.to_numpy().astype(np.int64)
     return {"times": times, "counts": counts, "undecided": undecided, "meta": meta}
-
-
-def iter_trace_chunks(stream: Any) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Adapter: a :class:`~repro.io.streaming.StreamedTrace`'s chunks as
-    the ``(times, counts)`` iterable :func:`write_columnar` consumes."""
-    yield from stream.iter_chunks()

@@ -21,7 +21,6 @@ __all__ = [
     "pyarrow_available",
     "pyarrow_unavailable_reason",
     "require_pyarrow",
-    "reset_gate_state",
 ]
 
 #: ``(module, None)`` or ``(None, reason)`` once resolved; ``None`` before.
@@ -69,9 +68,3 @@ def require_pyarrow(feature: str) -> Any:
     if module is None:
         raise AnalyticsError(f"{feature} requires pyarrow: {reason}")
     return module
-
-
-def reset_gate_state() -> None:
-    """Forget the cached resolution (test hook)."""
-    global _RESOLVED
-    _RESOLVED = None

@@ -41,9 +41,9 @@ def default_snapshot_every(n: int) -> int:
     """Default recording / stop-check cadence: half a parallel round.
 
     The single definition the engine run loop, ``simulate``'s manifest
-    ``run_info``, the persisted-run resume guards and the spec layer's
-    ``spec_hash`` identity all share — they must agree, or a resolved
-    spec would claim a different cadence than its run records.
+    ``run_info`` and the spec layer's ``spec_hash`` identity all share —
+    they must agree, or a resolved spec would claim a different cadence
+    than its run records.
     """
     return max(1, n // 2)
 

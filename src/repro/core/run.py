@@ -189,9 +189,9 @@ def make_engine(
 def resolve_engine_name(engine: str, n: int) -> str:
     """The engine name ``'auto'`` resolves to at population size ``n``.
 
-    Shared with the persisted-run resume guards, which must predict the
-    engine a fresh ``simulate`` call would pick before trusting a
-    streamed run recorded under that name.
+    Shared with :meth:`repro.specs.RunSpec.resolved_engine`, so a
+    spec's ``spec_hash`` names the engine a fresh ``simulate`` call
+    would pick.
     """
     if engine == "auto":
         return "counts" if n <= AUTO_ENGINE_COUNTS_LIMIT else "batch"
@@ -415,19 +415,18 @@ def simulate(
             else default_snapshot_every(eng.n),
             "max_interactions": max_interactions,
             # the engine has not stepped yet: these are the initial
-            # state counts, and (with the protocol name) identify
-            # the workload exactly — resume guards match on them so
-            # a changed k/bias/initial condition can never be
-            # answered from a stale stream
+            # state counts, kept with the fields around them for
+            # inspection and forensics (resume matches spec_hash only)
             "initial_counts": [int(c) for c in eng.counts],
             "state_names": list(protocol.state_names()),
             "undecided_index": undecided_index,
             "metadata": meta,
         }
         if spec is not None:
-            # the canonical identity of this run: resume guards compare
-            # this single hash instead of the field-by-field run_info
-            # (which stays for PR-4-format readers and human forensics)
+            # the canonical identity of this run, and the only thing
+            # resume matches on: a run without a spec (callable stop,
+            # engine kwargs, generator seed, ...) records no hash, so
+            # its stream never answers for another run
             run_info["spec_hash"] = spec.spec_hash()
             run_info["spec"] = spec.to_dict()
         recorder = PersistentTrajectoryRecorder(

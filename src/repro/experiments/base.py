@@ -111,15 +111,16 @@ class Experiment(abc.ABC):
     that are grid sweeps (:class:`SweepExperiment`); the rest accept
     and ignore them, so the registry and CLI can thread them
     universally.  ``persist`` names a directory for spill-to-disk
-    trajectory streaming (``simulate(..., persist_to=...)``) on
-    experiments that record member trajectories — a persisted member
-    whose streamed trace is already complete on disk is *resumed* from
-    it instead of re-simulated; experiments without trajectory
-    recording accept and ignore it.  ``fidelity`` selects the answer
-    tier (:data:`repro.specs.FIDELITY_NAMES`) for experiments whose
-    single runs go through ``simulate``/``run_spec``; experiments that
-    never resolve a single run (pure theory tables) accept and ignore
-    it.
+    trajectory streaming (a ``RecordingSpec.persist_to`` per member) on
+    experiments that record member trajectories —
+    :func:`repro.specs.run_spec` *resumes* a persisted member whose
+    complete stream on disk records the member's ``spec_hash`` instead
+    of re-simulating it; experiments without trajectory recording
+    accept and ignore it.  ``fidelity``
+    selects the answer tier (:data:`repro.specs.FIDELITY_NAMES`) for
+    experiments whose single runs go through ``simulate``/``run_spec``;
+    experiments that never resolve a single run (pure theory tables)
+    accept and ignore it.
     """
 
     #: Registry id; subclasses override.

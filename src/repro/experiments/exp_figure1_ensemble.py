@@ -22,11 +22,13 @@ run/merge``); each checkpoint row carries the member's summary *and*
 its u(t) polyline (downsampled to ≤ :data:`MAX_TRACE_SAMPLES` vertices)
 so :meth:`finalize` can rebuild the ensemble band from rows alone.
 
-With the global ``persist`` parameter (CLI: ``--persist DIR``) each
-member additionally streams its full trajectory to
-``DIR/member-XXXX`` (spill-to-disk, memory-bounded); members whose
-streamed run is already complete on disk are rebuilt from it instead
-of re-simulated — bit-identical rows either way.
+Each member is one seeded :class:`~repro.specs.RunSpec` executed by
+:func:`repro.specs.run_spec`.  With the global ``persist`` parameter
+(CLI: ``--persist DIR``) it additionally streams its full trajectory
+to ``DIR/member-XXXX`` (spill-to-disk, memory-bounded); a member whose
+directory already holds a complete stream with the member's
+``spec_hash`` is rebuilt from it instead of re-simulated —
+bit-identical rows either way.
 """
 
 from __future__ import annotations
@@ -41,11 +43,7 @@ import numpy as np
 from ..analysis.ensembles import ensemble_band_from_series
 from ..analysis.stabilization import UNDETERMINED_WINNER
 from ..analysis.trajectories import doubling_time
-from ..core.recorder import Trace
-from ..core.run import resolve_engine_name, simulate
-from ..io.streaming import StreamedTrace, persisted_run_matches
-from ..specs import normalize_run
-from ..protocols.usd import UndecidedStateDynamics
+from ..specs import InitialSpec, ProtocolSpec, RecordingSpec, RunSpec, run_spec
 from ..sweep import SweepPlan
 from ..theory.bounds import paper_k_schedule
 from ..workloads.initial import paper_bias, paper_initial_configuration
@@ -92,23 +90,23 @@ def _figure1_member(
 ) -> Dict[str, Any]:
     """One ensemble member (module-level so it pickles across workers).
 
-    With ``persist`` set, the member's trajectory streams to
-    ``<persist>/member-XXXX`` while it runs; if that directory already
-    holds a *complete* streamed run of the same (protocol, n, seed,
-    engine, cadence, horizon), the member is rebuilt from disk instead
-    of re-simulated — the row is identical either way, because the
-    materialized stream is bit-identical to the in-memory trace.
+    The member is one seeded :class:`~repro.specs.RunSpec` executed by
+    :func:`repro.specs.run_spec`.  With ``persist`` set, its trajectory
+    streams to ``<persist>/member-XXXX`` while it runs, and a directory
+    already holding a *complete* stream with the member's ``spec_hash``
+    answers instead of a re-simulation; the u(t) polyline then comes
+    from the materialized stream, which is bit-identical to the
+    in-memory trace, so the row is identical either way.
     """
-    protocol = UndecidedStateDynamics(k=point.k)
     member = point.extras["member"]
-    snapshot_every = max(1, point.n // 10)
+    run_dir = None if persist is None else _member_run_dir(persist, member)
     row: Dict[str, Any] = {
         "n": point.n,
         "k": point.k,
         "bias": point.bias,
         "member": member,
         "point_seed": point_seed,
-        "persist": None if persist is None else _member_run_dir(persist, member).name,
+        "persist": None if run_dir is None else run_dir.name,
         "stabilized": False,
         "stab_parallel_time": None,
         "winner": None,
@@ -116,72 +114,33 @@ def _figure1_member(
         "trace_parallel_times": None,
         "trace_undecided": None,
     }
-
-    stabilized: bool
-    stab_interactions: Optional[int]
-    winner: Optional[int]
-    trace: Optional[Trace]
-
-    run_dir = None if persist is None else _member_run_dir(persist, member)
-    config = paper_initial_configuration(point.n, point.k, point.bias)
-    expect = {
-        "protocol": protocol.name,
-        "n": point.n,
-        "seed": point_seed,
-        "engine": resolve_engine_name(engine, point.n),
-        "snapshot_every": snapshot_every,
-        "max_interactions": int(round(max_parallel_time * point.n)),
-        # the exact initial state counts: a changed k/bias can never be
-        # answered from a stale stream
-        "initial_counts": [int(c) for c in protocol.encode_configuration(config)],
-    }
-    # hash-first matching against current manifests; the fields above
-    # remain the fallback for PR-4-format run directories
-    expected_spec = normalize_run(
-        protocol,
-        config,
+    spec = RunSpec(
+        protocol=ProtocolSpec(name="usd", k=point.k),
+        initial=InitialSpec.from_configuration(
+            paper_initial_configuration(point.n, point.k, point.bias)
+        ),
         engine=engine,
+        backend=backend,
         seed=point_seed,
         max_parallel_time=max_parallel_time,
-        snapshot_every=snapshot_every,
+        recording=RecordingSpec(
+            snapshot_every=max(1, point.n // 10),
+            persist_to=None if run_dir is None else str(run_dir),
+        ),
     )
-    if expected_spec is not None:
-        expect["spec_hash"] = expected_spec.spec_hash()
-    if run_dir is not None and persisted_run_matches(run_dir, expect):
-        streamed = StreamedTrace(run_dir)
-        summary = streamed.summary or {}
-        stabilized = bool(summary.get("stabilized"))
-        stab_interactions = summary.get("stabilization_interactions")
-        winner = summary.get("winner")
-        trace = streamed.materialize() if stabilized else None
-    else:
-        result = simulate(
-            protocol,
-            config,
-            engine=engine,
-            backend=backend,
-            seed=point_seed,
-            max_parallel_time=max_parallel_time,
-            snapshot_every=snapshot_every,
-            persist_to=run_dir,
-        )
-        stabilized = bool(result.stabilized)
-        stab_interactions = result.stabilization_interactions
-        winner = result.winner
-        if run_dir is None:
-            trace = result.trace
-        else:
-            # the in-memory trace is only the tail window — rebuild the
-            # full trajectory from the stream just written
-            trace = result.streamed_trace().materialize() if stabilized else None
-
-    if not stabilized:
+    result = run_spec(spec)
+    if not result.stabilized:
         return row
-    row["stabilized"] = True
-    row["stab_parallel_time"] = (
-        None if stab_interactions is None else stab_interactions / point.n
+    # a persisted run keeps only its tail window in memory: the full
+    # trajectory is the materialized stream
+    trace = (
+        result.trace
+        if result.persist_dir is None
+        else result.streamed_trace().materialize()
     )
-    row["winner"] = winner if winner is not None else UNDETERMINED_WINNER
+    row["stabilized"] = True
+    row["stab_parallel_time"] = result.stabilization_parallel_time
+    row["winner"] = result.winner if result.winner is not None else UNDETERMINED_WINNER
     if row["winner"] == 1:
         row["doubling_parallel_time"] = doubling_time(trace, opinion=1)
     picks_t, picks_u = _downsample(

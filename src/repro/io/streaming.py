@@ -47,7 +47,6 @@ __all__ = [
     "load_chunk",
     "load_chunk_times",
     "load_manifest",
-    "persisted_run_matches",
     "update_manifest",
     "write_chunk",
     "write_manifest",
@@ -177,49 +176,6 @@ def update_manifest(directory: PathLike, **fields: Any) -> Dict[str, Any]:
     return manifest
 
 
-def persisted_run_matches(directory: PathLike, expect: Dict[str, Any]) -> bool:
-    """Whether ``directory`` holds a *resumable* streamed run.
-
-    True iff the directory has a manifest marked complete, carrying a
-    post-run summary, whose ``run_info`` agrees with ``expect`` — the
-    guard experiments use before trusting a persisted run instead of
-    re-simulating.  Any unreadable or foreign directory is simply "no
-    match", never an error: the caller's fallback is to re-simulate
-    and overwrite.
-
-    Matching is hash-first: when both ``expect`` and the manifest carry
-    a ``spec_hash`` (the canonical :meth:`repro.specs.RunSpec.spec_hash`
-    of the run's configuration), that single comparison decides.  A
-    manifest written before spec hashing existed (the PR-4 format) has
-    no recorded hash; it is then matched field-by-field on the
-    remaining ``expect`` keys, exactly as before — old run directories
-    stay resumable.
-    """
-    directory = Path(directory)
-    if not (directory / MANIFEST_NAME).is_file():
-        return False
-    try:
-        manifest = load_manifest(directory)
-        if not manifest.get("complete") or manifest.get("summary") is None:
-            return False
-        run_info = manifest.get("run_info", {})
-        expected_hash = expect.get("spec_hash")
-        if expected_hash is not None and run_info.get("spec_hash") is not None:
-            return run_info["spec_hash"] == expected_hash
-        legacy = {
-            key: value for key, value in expect.items() if key != "spec_hash"
-        }
-        if expected_hash is not None and not legacy:
-            # a hash-only expectation cannot be answered by a pre-hash
-            # manifest: refuse rather than vacuously match everything
-            return False
-        return all(run_info.get(key) == value for key, value in legacy.items())
-    except (SerializationError, TypeError, AttributeError):
-        # malformed manifests (wrong types, hand-edits) are "no match",
-        # never a crash — the caller's fallback is to re-simulate
-        return False
-
-
 def _record_scan_skip(directory: Path, reason: str, on_skip) -> None:
     """Record (never raise) one unreadable manifest during a scan."""
     from ..obs import metrics as obs_metrics
@@ -286,9 +242,12 @@ def find_persisted_by_hash(
     store both look runs up through this helper, so they can never
     disagree about what counts as a match.  Only manifests marked
     complete and carrying a post-run summary qualify — a crashed or
-    in-flight stream never answers for a finished run.  Returns the run
-    directory, or ``None``; unreadable manifests are skipped with a
-    recorded reason (see :func:`iter_persisted_manifests`).
+    in-flight stream never answers for a finished run.  A manifest
+    without a recorded ``spec_hash`` (a keyword run that could not
+    normalise, a pre-hash run directory) never answers either; it still
+    loads through :class:`StreamedTrace`.  Returns the run directory,
+    or ``None``; unreadable manifests are skipped with a recorded reason
+    (see :func:`iter_persisted_manifests`).
     """
     for directory, manifest in iter_persisted_manifests(root, on_skip=on_skip):
         if not manifest.get("complete") or manifest.get("summary") is None:

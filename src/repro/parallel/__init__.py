@@ -1,18 +1,23 @@
 """Parallel ensemble execution over ``multiprocessing`` workers.
 
-The single entry points are :func:`run_ensemble` (index-derived integer
-seeds via :func:`repro.rng.derive_seed`) and :func:`map_seeds` (explicit
-seed sequences, e.g. :func:`repro.rng.spawn_seeds` children).  Both
-guarantee results bit-identical to serial execution for the same root
-seed, regardless of worker count or completion order; ``workers=0``
-executes in-process for deterministic, debuggable test runs.
+:func:`parallel_map` maps a picklable task over items in input order;
+:func:`run_ensemble` (index-derived integer seeds via
+:func:`repro.rng.derive_seed`) and :func:`map_seeds` (explicit seed
+sequences, e.g. :func:`repro.rng.spawn_seeds` children) build seeded
+ensembles on it.  All guarantee results bit-identical to serial
+execution for the same root seed, regardless of worker count or
+completion order; ``workers=0`` executes in-process for deterministic,
+debuggable test runs.
 
-All four ensemble surfaces of the library route through here:
-:func:`repro.analysis.usd_stabilization_ensemble`, the ``fig1-ensemble``
-experiment, :func:`repro.theory.estimate_hitting_time` and
-:func:`repro.theory.estimate_drift_empirically` — each accepts a
-``workers`` argument, as does every registry experiment (CLI:
-``repro run <id> --workers N``).
+Seed ensembles of simulation runs execute as a
+:class:`repro.specs.EnsembleSpec` through :func:`repro.specs.run_spec`,
+which fans its members (seeded ``derive_seed(root_seed, i)``) over
+:func:`parallel_map`; :func:`repro.analysis.usd_stabilization_ensemble`
+is built on it, and the ``fig1-ensemble`` experiment runs its members
+on the sweep executor (below).  :func:`repro.theory.estimate_hitting_time`
+and :func:`repro.theory.estimate_drift_empirically` use
+:func:`map_seeds`.  Each accepts a ``workers`` argument, as does every
+registry experiment (CLI: ``repro run <id> --workers N``).
 
 On top of the ensemble pool, :func:`parallel_map_completed` surfaces
 each result the moment it completes (still returning input order) —

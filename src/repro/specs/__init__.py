@@ -57,7 +57,6 @@ from .runner import (
     load_spec,
     load_spec_file,
     normalize_run,
-    register_fidelity_resolver,
     run_spec,
     summary_row,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "load_spec_file",
     "merge_params",
     "normalize_run",
-    "register_fidelity_resolver",
     "result_from_document",
     "run_spec",
     "summary_row",

@@ -33,10 +33,12 @@ __all__ = ["EnsembleSpec"]
 class EnsembleSpec:
     """``num_runs`` independent seeded runs of one template spec.
 
-    The template's recording block may name a ``persist_to`` directory;
-    member ``i`` then streams to ``<persist_to>/run-<i:04d>`` (the
-    layout :func:`repro.analysis.usd_stabilization_ensemble` uses), so
-    a re-run resumes complete members from disk.
+    Executed by :func:`repro.specs.run_spec`, this is the library's one
+    seed-ensemble path: :func:`repro.analysis.usd_stabilization_ensemble`
+    builds one and aggregates its results.  The template's recording
+    block may name a ``persist_to`` directory; member ``i`` then streams
+    to ``<persist_to>/run-<i:04d>``, and a re-run answers every member
+    whose complete stream records the member's ``spec_hash`` from disk.
     """
 
     run: RunSpec

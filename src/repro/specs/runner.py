@@ -39,7 +39,6 @@ __all__ = [
     "load_spec",
     "load_spec_file",
     "normalize_run",
-    "register_fidelity_resolver",
     "run_spec",
     "summary_row",
 ]
@@ -516,26 +515,6 @@ _FIDELITY_RESOLVERS: Dict[str, Any] = {
     "surrogate": _resolve_surrogate,
     "auto": _resolve_auto,
 }
-
-
-def register_fidelity_resolver(name: str, resolver) -> None:
-    """Install (or replace) a fidelity resolver.
-
-    The table is the extension point of the dispatch path: an
-    experimental tier plugs in here without touching ``run_spec``.
-    Replacing a built-in tier is allowed (tests monkey the table) but
-    the name must already be constructible on a :class:`RunSpec`, i.e.
-    listed in :data:`repro.specs.model.FIDELITY_NAMES`, or the specs
-    naming it could never validate.
-    """
-    from .model import FIDELITY_NAMES
-
-    if name not in FIDELITY_NAMES:
-        raise SpecError(
-            f"cannot register resolver for unknown fidelity {name!r}; "
-            f"RunSpec accepts {list(FIDELITY_NAMES)}"
-        )
-    _FIDELITY_RESOLVERS[name] = resolver
 
 
 def _run_single(spec: RunSpec):

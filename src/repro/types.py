@@ -64,14 +64,6 @@ class SupportsCounts(Protocol):
         ...
 
 
-class SupportsTransition(Protocol):
-    """Structural interface of a population protocol's transition rule."""
-
-    def transition(self, initiator: int, responder: int) -> StatePair:
-        """Map an ordered state pair to the post-interaction pair."""
-        ...  # pragma: no cover - protocol stub
-
-
 def as_int_vector(values: Sequence[int] | np.ndarray) -> np.ndarray:
     """Return ``values`` as a fresh 1-D ``int64`` array.
 

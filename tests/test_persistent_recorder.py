@@ -22,8 +22,8 @@ from repro.core.counts_engine import CountsEngine
 from repro.errors import SimulationError
 from repro.io.streaming import (
     StreamedTrace,
+    find_persisted_by_hash,
     load_manifest,
-    persisted_run_matches,
 )
 from repro.protocols import UndecidedStateDynamics
 
@@ -125,7 +125,9 @@ class TestSpilling:
 class TestCrashSafety:
     def test_unclosed_run_reads_as_incomplete_with_whole_chunks(self, tmp_path):
         run_dir = tmp_path / "run"
-        recorder = PersistentTrajectoryRecorder(run_dir, chunk_snapshots=8)
+        recorder = PersistentTrajectoryRecorder(
+            run_dir, chunk_snapshots=8, run_info={"spec_hash": "h"}
+        )
         _feed(recorder, 50, seed=9, allow_duplicates=False)
         # no close(): simulates a process killed mid-run
         manifest = load_manifest(run_dir)
@@ -136,9 +138,12 @@ class TestCrashSafety:
         assert len(streamed) % 8 == 0
         full = streamed.materialize()
         assert np.array_equal(full.times, streamed.times)
-        assert not persisted_run_matches(run_dir, {})  # incomplete => no resume
+        # incomplete => no resume
+        assert find_persisted_by_hash(run_dir, "h") is None
         recorder.close()
-        assert persisted_run_matches(run_dir, {}) is False  # no summary yet
+        assert find_persisted_by_hash(run_dir, "h") is None  # no summary yet
+        recorder.record_summary({"stabilized": False})
+        assert find_persisted_by_hash(run_dir, "h") == run_dir
 
     def test_write_failure_leaves_manifest_incomplete(self, tmp_path, monkeypatch):
         class DiskFull(OSError):

@@ -8,9 +8,8 @@ Covers the :mod:`repro.specs` contracts:
   invariant, sensitive to every semantic field, insensitive to
   throughput knobs — and pinned, so accidental schema drift fails CI;
 * keyword ``simulate(...)`` and ``simulate(spec)`` are bit-identical;
-* the persistence manifest records ``spec_hash`` and
-  ``persisted_run_matches`` is hash-first with PR-4 field-by-field
-  fallback;
+* the persistence manifest records ``spec_hash``, resume finds runs by
+  it alone, and hash-less run directories still load but never answer;
 * ensembles and sweeps derive seeds by contract and embed their root
   spec into sweep provenance;
 * the CLI surface (``repro run --spec``, ``repro spec ...``) works.
@@ -28,7 +27,12 @@ import pytest
 from repro import Configuration, simulate
 from repro.cli import main
 from repro.errors import SimulationError, SpecError
-from repro.io.streaming import load_manifest, persisted_run_matches, update_manifest
+from repro.io.streaming import (
+    StreamedTrace,
+    find_persisted_by_hash,
+    load_manifest,
+    update_manifest,
+)
 from repro.protocols import UndecidedStateDynamics, VoterModel
 from repro.rng import derive_seed
 from repro.specs import (
@@ -520,45 +524,26 @@ class TestPersistenceIntegration:
 
     def test_hash_first_matching(self, tmp_path):
         result = self.run_persisted(tmp_path)
-        expected_hash = result.metadata["spec_hash"]
-        assert persisted_run_matches(
-            tmp_path / "run", {"spec_hash": expected_hash}
-        )
-        assert not persisted_run_matches(
-            tmp_path / "run", {"spec_hash": "0" * 64}
-        )
+        run_dir = tmp_path / "run"
+        assert find_persisted_by_hash(run_dir, result.metadata["spec_hash"]) == run_dir
+        assert find_persisted_by_hash(run_dir, "0" * 64) is None
 
-    def test_pr4_format_directory_still_resumes(self, tmp_path):
-        """A pre-spec manifest (no spec_hash) matches via legacy fields."""
-        self.run_persisted(tmp_path)
-        manifest = load_manifest(tmp_path / "run")
-        run_info = dict(manifest["run_info"])
+    def test_hashless_directory_loads_but_never_answers(self, tmp_path):
+        """A manifest without spec_hash/spec (a pre-hash run directory)
+        still loads as a stream, but no hash finds it for resume."""
+        result = self.run_persisted(tmp_path)
+        run_dir = tmp_path / "run"
+        run_info = load_manifest(run_dir)["run_info"]
         legacy_info = {
             key: value
             for key, value in run_info.items()
             if key not in ("spec_hash", "spec")
         }
-        update_manifest(tmp_path / "run", run_info=legacy_info)
-        expect = {
-            "spec_hash": "does-not-matter-for-legacy",
-            "protocol": "undecided-state-dynamics",
-            "n": 64,
-            "seed": 5,
-            "engine": "counts",
-            "snapshot_every": 8,
-            "max_interactions": 12800,
-            "initial_counts": [0, 40, 24],
-        }
-        assert persisted_run_matches(tmp_path / "run", expect)
-        # ... but a changed legacy field still refuses
-        assert not persisted_run_matches(
-            tmp_path / "run", {**expect, "seed": 6}
-        )
-        # ... and a hash-only expectation cannot be answered by a
-        # pre-hash manifest
-        assert not persisted_run_matches(
-            tmp_path / "run", {"spec_hash": "x"}
-        )
+        update_manifest(run_dir, run_info=legacy_info)
+        stream = StreamedTrace(run_dir)
+        assert stream.complete
+        assert np.array_equal(stream.materialize().counts, result.trace.counts)
+        assert find_persisted_by_hash(run_dir, result.metadata["spec_hash"]) is None
 
     def test_spec_run_resumes_from_completed_stream(self, tmp_path):
         spec = RunSpec(

@@ -20,8 +20,9 @@ from repro.cli import main
 from repro.core.kernels import available_backends
 from repro.errors import SerializationError, SimulationError
 from repro.io import load_trace
-from repro.io.streaming import StreamedTrace, load_manifest
+from repro.io.streaming import StreamedTrace, find_persisted_by_hash, load_manifest
 from repro.protocols import UndecidedStateDynamics
+from repro.rng import derive_seed
 
 
 def _paper_run(tmp_path=None, *, engine="counts", backend=None, snapshot_every=37,
@@ -203,12 +204,10 @@ class TestResume:
         assert np.array_equal(baseline.times, first.times)
         assert np.array_equal(baseline.winners, first.winners)
 
-        import repro.analysis.stabilization as stabilization
-
         def bomb(*args, **kw):  # pragma: no cover - must never run
             raise AssertionError("resume path re-simulated a persisted run")
 
-        monkeypatch.setattr(stabilization, "simulate", bomb)
+        monkeypatch.setattr("repro.core.run.simulate", bomb)
         resumed = usd_stabilization_ensemble(
             initial, persist_to=tmp_path / "ens", **kwargs
         )
@@ -240,12 +239,10 @@ class TestResume:
         initial_a = Configuration.equal_minorities_with_bias(n=600, k=3, bias=60)
         usd_stabilization_ensemble(initial_a, persist_to=tmp_path / "ens", **kwargs)
 
-        import repro.analysis.stabilization as stabilization
-
         def bomb(*args, **kw):
             raise RuntimeError("re-simulated (correctly!)")
 
-        monkeypatch.setattr(stabilization, "simulate", bomb)
+        monkeypatch.setattr("repro.core.run.simulate", bomb)
         initial_b = Configuration.equal_minorities_with_bias(n=600, k=3, bias=120)
         with pytest.raises(RuntimeError, match="re-simulated"):
             usd_stabilization_ensemble(
@@ -257,20 +254,46 @@ class TestResume:
         )
         assert resumed.runs == 1
 
+    def test_hashless_manifest_never_answers_for_a_member(self, tmp_path):
+        """A keyword run that cannot normalise (here: a callable stop)
+        records no spec_hash.  Its stream must not answer for ensemble
+        member 0, although its protocol, n, seed, engine, cadence,
+        horizon and initial counts all equal the member's."""
+        initial = Configuration.equal_minorities_with_bias(n=600, k=3, bias=60)
+        kwargs = dict(num_seeds=1, seed=11, max_parallel_time=500.0)
+        clean = usd_stabilization_ensemble(initial, **kwargs)
+        run_dir = tmp_path / "ens" / "run-0000"
+        simulate(
+            UndecidedStateDynamics(k=3),
+            initial,
+            seed=derive_seed(11, 0),
+            max_parallel_time=500.0,
+            stop=lambda engine: engine.interactions >= 1000,
+            persist_to=run_dir,
+        )
+        manifest = load_manifest(run_dir)
+        assert manifest["complete"] and "spec_hash" not in manifest["run_info"]
+        assert manifest["summary"]["stabilized"] is False  # cut short
+        resumed = usd_stabilization_ensemble(
+            initial, persist_to=tmp_path / "ens", **kwargs
+        )
+        assert resumed.censored == 0
+        assert np.array_equal(resumed.times, clean.times)
+        assert np.array_equal(resumed.winners, clean.winners)
+
     def test_corrupt_manifest_is_no_match_not_a_crash(self, tmp_path):
         kwargs = dict(num_seeds=1, seed=11, max_parallel_time=500.0)
         initial = Configuration.equal_minorities_with_bias(n=600, k=3, bias=60)
         usd_stabilization_ensemble(initial, persist_to=tmp_path / "ens", **kwargs)
         run_dir = tmp_path / "ens" / "run-0000"
+        spec_hash = load_manifest(run_dir)["run_info"]["spec_hash"]
         manifest_path = run_dir / "manifest.json"
         manifest_path.write_text(
             manifest_path.read_text().replace(
                 '"format_version": 1', '"format_version": "1"'
             )
         )
-        from repro.io.streaming import persisted_run_matches
-
-        assert persisted_run_matches(run_dir, {}) is False
+        assert find_persisted_by_hash(run_dir, spec_hash) is None
         # the ensemble silently re-simulates over the corrupt directory
         again = usd_stabilization_ensemble(
             initial, persist_to=tmp_path / "ens", **kwargs
@@ -306,15 +329,10 @@ class TestResume:
         assert manifest.get("summary") is None
         stream = StreamedTrace(tmp_path / "run")
         assert len(stream) >= 2  # the ingested prefix was still spilled
-        from repro.io.streaming import persisted_run_matches
-
-        assert persisted_run_matches(tmp_path / "run", {}) is False
 
     def test_fig1_ensemble_member_resumes_bit_identically(
         self, tmp_path, monkeypatch
     ):
-        from repro.experiments import exp_figure1_ensemble as f1
-
         experiment_kwargs = dict(
             n=800, k=3, bias=80, num_seeds=2, engine="counts",
             max_parallel_time=500.0,
@@ -328,7 +346,7 @@ class TestResume:
         def bomb(*args, **kw):  # pragma: no cover - must never run
             raise AssertionError("resume path re-simulated a persisted member")
 
-        monkeypatch.setattr(f1, "simulate", bomb)
+        monkeypatch.setattr("repro.core.run.simulate", bomb)
         resumed = run_experiment(
             "fig1-ensemble", persist=tmp_path / "fig1", **experiment_kwargs
         )

@@ -22,7 +22,6 @@ import pytest
 import repro.core.run as core_run
 import repro.meanfield.ode as ode
 from repro import SimulationError, simulate
-from repro.errors import SpecError
 from repro.meanfield import (
     ESCALATE,
     MARGINAL,
@@ -40,10 +39,8 @@ from repro.specs import (
     ProtocolSpec,
     RunSpec,
     SweepSpec,
-    register_fidelity_resolver,
     run_spec,
 )
-from repro.specs.runner import _FIDELITY_RESOLVERS
 
 
 def usd_spec(n=20_000, k=3, bias=1_400, fidelity="exact", **kwargs):
@@ -265,19 +262,6 @@ class TestDispatch:
                 seed=1,
                 fidelity="psychic",
             )
-
-    def test_register_resolver_extension_point(self):
-        sentinel = object()
-        original = _FIDELITY_RESOLVERS["surrogate"]
-        try:
-            register_fidelity_resolver("surrogate", lambda spec: sentinel)
-            assert run_spec(usd_spec(fidelity="surrogate")) is sentinel
-        finally:
-            register_fidelity_resolver("surrogate", original)
-
-    def test_register_resolver_rejects_unknown_names(self):
-        with pytest.raises(SpecError, match="unknown fidelity"):
-            register_fidelity_resolver("psychic", lambda spec: None)
 
 
 class TestEnsembleAndSweepFidelity:
