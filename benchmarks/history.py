@@ -1,23 +1,25 @@
-"""Benchmark history: speedups persisted across commits.
+"""Benchmark history: measurements persisted across commits.
 
-The ROADMAP's complaint is that throughput numbers are printed and then
-lost — regressions get eyeballed, not caught.  :func:`record_benchmark`
-appends one entry per (benchmark, commit) to
+Throughput numbers that are only printed get lost, and regressions get
+eyeballed instead of caught.  :func:`record_benchmark` appends one
+entry per (benchmark, commit) to
 ``benchmarks/results/history/<name>.json``; re-recording at the same
 commit overwrites that commit's entry instead of duplicating it.
-:func:`load_history` / :func:`format_trajectory` read the series back:
+``perfbench/run.py --record`` and ``scripts/ci_obs_overhead.py
+overhead`` write through it.  :func:`load_history` /
+:func:`format_trajectory` read the series back:
 
     python benchmarks/history.py                      # list benchmarks
-    python benchmarks/history.py parallel-ensemble-speedup
+    python benchmarks/history.py perfbench-fig1-batch-numpy
 
 prints the commit-by-commit trajectory of the recorded metrics, and
 
     python benchmarks/history.py --check
 
 validates every history file (parses, schema, entries well-formed) and
-exits non-zero on problems — the CI benchmark-smoke leg runs it after
-the smoke benchmarks so a history-recording regression fails the push
-instead of silently corrupting the trajectory.
+exits non-zero on problems — the CI ``perfbench`` leg runs it so a
+malformed history file fails the push instead of silently corrupting
+the trajectory.
 """
 
 from __future__ import annotations

@@ -14,12 +14,18 @@ The leg also asserts the *spread* of the tier: at least one scenario
 point must come out TRUSTED (the fast path exists) and at least one
 must come out ESCALATE (the guard rail trips) — a validity model that
 trusts everything, or nothing, fails the push.
+
+Last, the fast path must stay fast: after one warm-up call, a k = 3
+spec with bias 4·√(n ln n) must resolve TRUSTED on the mean-field
+surrogate, reach consensus, and answer in under a second at
+n ∈ {10⁵, 10⁶, 10⁸}.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,9 @@ from repro.meanfield import (
 )
 from repro.specs import (
     EnsembleSpec,
+    ExperimentSpec,
+    InitialSpec,
+    ProtocolSpec,
     RunSpec,
     SweepSpec,
     load_spec_file,
@@ -52,6 +61,10 @@ ENVELOPE_RADII = 5.0
 HORIZON_FRACTION = 0.8
 #: Surrogate consensus time vs ensemble median stabilization time.
 RATIO_RANGE = (0.5, 2.0)
+#: A warm TRUSTED surrogate resolve must stay under RESOLVE_SECONDS at
+#: every one of these populations, far from engine timescales.
+RESOLVE_POPULATIONS = (100_000, 1_000_000, 100_000_000)
+RESOLVE_SECONDS = 1.0
 
 
 def _assert(condition: bool, message: str) -> None:
@@ -95,6 +108,9 @@ def _templates(path: Path):
             )
             for assignment, point in spec_obj.point_specs()
         ]
+    if isinstance(spec_obj, ExperimentSpec):
+        print(f"{path.name}: registry experiment, no run template (skipped)")
+        return []
     raise AssertionError(f"unknown spec kind in {path}")
 
 
@@ -164,6 +180,39 @@ def _check_agreement(label: str, spec: RunSpec, surrogate) -> None:
     )
 
 
+def _trusted_spec(n: int) -> RunSpec:
+    """k = 3 with bias 4·√(n ln n): a top-two gap of ≈ 4 fluctuation
+    radii, past the TRUSTED threshold (3) at every population."""
+    bias = 4 * math.ceil(math.sqrt(n * math.log(n)))
+    return RunSpec(
+        protocol=ProtocolSpec(name="usd", k=3),
+        initial=InitialSpec(kind="equal-minorities", n=n, params={"bias": bias}),
+        seed=7,
+        max_parallel_time=500.0,
+        fidelity="surrogate",
+    )
+
+
+def _check_resolve_latency() -> None:
+    """A TRUSTED surrogate answer costs milliseconds, whatever n is."""
+    run_spec(_trusted_spec(RESOLVE_POPULATIONS[0]))  # warm scipy's integrator
+    for n in RESOLVE_POPULATIONS:
+        started = time.perf_counter()
+        result = run_spec(_trusted_spec(n))
+        seconds = time.perf_counter() - started
+        verdict = result.metadata["fidelity"]["verdict"]
+        _assert(verdict == TRUSTED, f"n={n}: resolved {verdict}, not TRUSTED")
+        engine = result.metadata["engine"]
+        _assert(engine == "meanfield", f"n={n}: answered by {engine}")
+        _assert(result.stabilized, f"n={n}: the surrogate reached no consensus")
+        _assert(
+            seconds < RESOLVE_SECONDS,
+            f"n={n}: surrogate resolve took {seconds:.2f} s "
+            f"(must be < {RESOLVE_SECONDS:g} s)",
+        )
+        print(f"n={n:,}: TRUSTED surrogate resolve in {seconds * 1e3:.0f} ms")
+
+
 def main() -> int:
     directory = Path(
         sys.argv[1] if len(sys.argv) > 1 else "examples/scenarios"
@@ -203,6 +252,7 @@ def main() -> int:
         escalated >= 1,
         "no scenario point came out ESCALATE — the guard rail never trips",
     )
+    _check_resolve_latency()
     return 0
 
 

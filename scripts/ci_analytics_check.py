@@ -5,6 +5,10 @@ point streaming its trajectory to disk), exports the resulting fleet
 into one partitioned columnar dataset, and holds the subsystem to the
 PR-10 acceptance promises:
 
+0. **The whole fleet is exported and counted.**  The first export
+   writes every run directory and skips none, and both the
+   hitting-quantile and the undecided-envelope answers count every
+   run.
 1. **One scan, bit-identical answers.**  ``repro trace query --ask
    hitting-quantiles`` over the >= 100-run dataset must equal — to the
    last bit, ``==`` on floats — a NumPy reference computed per run
@@ -89,8 +93,12 @@ def main() -> int:
             workdir,
         )
         print("   " + out.splitlines()[0])
+        fleet = len(run_dirs)
+        assert f": {fleet} exported (" in out and ", 0 skipped" in out, (
+            f"the first export must write all {fleet} runs and skip none:\n{out}"
+        )
         ds = analytics.dataset(dataset_dir)
-        assert len(ds) >= MIN_FLEET, f"dataset holds {len(ds)} runs"
+        assert len(ds) == fleet, f"dataset holds {len(ds)} of {fleet} runs"
 
         print("3/4 bit-match against the per-run NumPy reference ...", flush=True)
         quantiles = (0.25, 0.5, 0.9, 0.99)
@@ -127,6 +135,7 @@ def main() -> int:
                 f"  reference: {reference}"
             )
             assert answer["stabilized"] == len(values)
+            assert answer["runs"] == fleet, f"{unit} quantiles count {answer['runs']}"
             print(
                 f"   {unit}: {len(values)} runs, "
                 f"median {answer['quantiles'][repr(0.5)]:.6g} — bit-identical"
@@ -146,7 +155,8 @@ def main() -> int:
                 workdir,
             )
         )
-        assert envelope["runs"] >= MIN_FLEET and len(envelope["grid"]) == 40
+        assert envelope["runs"] == fleet, f"envelope counts {envelope['runs']}"
+        assert len(envelope["grid"]) == 40
 
         print("4/4 incremental re-export + torn-fragment resilience ...", flush=True)
         suffix = f"*.{fragment_format}"

@@ -10,7 +10,10 @@ Three subcommands, composed by the ``obs`` CI leg:
     throttled reporter).  Assert the off path keeps at least 98% of
     baseline throughput — the "zero-overhead-when-off" acceptance
     gate — and record all three rates to the ``obs-overhead``
-    benchmark history so the cost trends across commits.
+    benchmark history so the cost trends across commits.  Then price
+    the chunk boundary at its worst: with a snapshot every
+    ``DENSE_BUDGET/200`` interactions, metrics-on throughput must stay
+    above half of metrics-off at n ∈ {10⁴, 10⁵}.
 
 ``run DIR``
     Start a journaled, metriced, persisted run of a never-absorbing
@@ -55,28 +58,49 @@ N = 100_000
 BUDGET = 400_000
 REPEATS = 5
 
-
-def _workload_kwargs():
-    return dict(
-        engine="counts",
-        seed=3,
-        max_interactions=BUDGET,
-        snapshot_every=N,  # sparse recording: measure the kernel, not numpy stacking
-    )
+#: The dense-cadence floor: metrics-on / off throughput must exceed
+#: MIN_DENSE_ON_FRACTION with hundreds of chunk boundaries per run.
+DENSE_POPULATIONS = (10_000, 100_000)
+DENSE_BUDGET = 100_000
+MIN_DENSE_ON_FRACTION = 0.5
 
 
-def _rate(obs) -> float:
-    """Best-of-repeats interactions/second for one obs setting."""
+def _rate(obs, n=N, budget=BUDGET, snapshot_every=N) -> float:
+    """Best-of-repeats interactions/second for one obs setting.
+
+    The default cadence is sparse: it measures the kernel, not numpy
+    stacking.
+    """
     protocol = UndecidedStateDynamics(k=3)
-    initial = Configuration.equal_minorities_with_bias(n=N, k=3, bias=500)
+    initial = Configuration.equal_minorities_with_bias(n=n, k=3, bias=500)
     best = 0.0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        result = simulate(protocol, initial, obs=obs, **_workload_kwargs())
+        result = simulate(
+            protocol,
+            initial,
+            obs=obs,
+            engine="counts",
+            seed=3,
+            max_interactions=budget,
+            snapshot_every=snapshot_every,
+        )
         elapsed = time.perf_counter() - start
-        assert result.interactions == BUDGET, "workload must run its full budget"
-        best = max(best, BUDGET / max(elapsed, 1e-9))
+        assert result.interactions == budget, "workload must run its full budget"
+        best = max(best, budget / max(elapsed, 1e-9))
     return best
+
+
+def _dense_cadence_ok() -> bool:
+    """Metrics-on / off throughput per n at the dense snapshot cadence."""
+    dense = dict(budget=DENSE_BUDGET, snapshot_every=DENSE_BUDGET // 200)
+    ok = True
+    for n in DENSE_POPULATIONS:
+        off = _rate(None, n=n, **dense)
+        fraction = _rate(ObsConfig(metrics=True), n=n, **dense) / off
+        print(f"dense cadence n={n:,}: metrics on {fraction:.3f}x off")
+        ok = ok and fraction > MIN_DENSE_ON_FRACTION
+    return ok
 
 
 def cmd_overhead() -> int:
@@ -118,6 +142,13 @@ def cmd_overhead() -> int:
         )
         return 1
     print(f"overhead ok: off path >= {MIN_OFF_FRACTION}x baseline")
+    if not _dense_cadence_ok():
+        print(
+            "FAIL: dense-cadence metrics-on throughput must be "
+            f"> {MIN_DENSE_ON_FRACTION}x off"
+        )
+        return 1
+    print(f"dense cadence ok: metrics on > {MIN_DENSE_ON_FRACTION}x off")
     return 0
 
 

@@ -1,0 +1,194 @@
+"""Speed floors of the compiled kernels and the process pools.
+
+Four floors, each checked only where it can fire; otherwise it prints
+``skipped: <reason>``:
+
+* numba counts kernel ≥ 3× numpy at n = 10⁶ (needs numba);
+* numba batch kernel ≥ 2× numpy at n = 10⁶ (needs numba, and the batch
+  kernel must be JIT compiled rather than delegated to numpy);
+* a 32-seed ``usd_stabilization_ensemble`` on 8 workers ≥ 3× serial
+  (needs ≥ 8 CPUs);
+* the ``usd2-logn`` grid as 2 shards × 4 workers plus merge ≥ 1.5×
+  serial (needs ≥ 4 CPUs).
+
+The pooled ensemble and the sharded sweep always run, and must equal
+their serial runs exactly.  Prints one line per check and exits 1 if
+any fails.
+
+    PYTHONPATH=src python scripts/ci_speedup_check.py
+
+Without numba on 2 CPUs it takes about 20 s.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List
+
+import numpy as np
+
+from repro import BatchEngine, CountsEngine
+from repro.analysis import usd_stabilization_ensemble
+from repro.core.kernels import (
+    available_backends,
+    backend_fallback_reason,
+    get_backend,
+)
+from repro.experiments import BinaryLogNExperiment
+from repro.parallel import available_workers
+from repro.protocols import UndecidedStateDynamics
+from repro.sweep import merge_sweep, write_merged_artifact
+from repro.theory.bounds import paper_k_schedule
+from repro.workloads import paper_initial_configuration
+
+#: Kernel floors: population and interaction budgets per engine.
+KERNEL_N = 1_000_000
+COUNTS_BUDGET = 1_000_000
+BATCH_BUDGET = 20_000_000
+
+ENSEMBLE_WORKERS = 8
+SWEEP_WORKERS = 4
+SWEEP_PARAMS = dict(
+    n_values=(5_000, 8_000, 12_000, 20_000, 32_000, 50_000),
+    num_seeds=4,
+    engine="batch",
+    max_parallel_time=2_000.0,
+)
+
+
+def _report(label: str, ok: bool, detail: str) -> bool:
+    print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
+    return ok
+
+
+def _skip(label: str, reason: str) -> bool:
+    print(f"{label}: skipped: {reason}")
+    return True
+
+
+def _floor(label: str, speedup: float, minimum: float) -> bool:
+    return _report(label, speedup >= minimum, f"{speedup:.2f}x (floor {minimum}x)")
+
+
+def _kernel_rate(engine_cls, interactions: int, backend: str) -> float:
+    """Interactions/second of one warmed engine (JIT compiled outside)."""
+    k = paper_k_schedule(KERNEL_N)
+    protocol = UndecidedStateDynamics(k=k)
+    counts = protocol.encode_configuration(paper_initial_configuration(KERNEL_N, k))
+    warm = engine_cls(protocol, counts, seed=1, backend=backend)
+    warm.step(max(1, interactions // 100))
+    engine = engine_cls(protocol, counts, seed=7, backend=backend)
+    started = time.perf_counter()
+    engine.step(interactions)
+    elapsed = time.perf_counter() - started
+    if engine.counts.sum() != KERNEL_N:
+        raise AssertionError(f"{engine_cls.__name__} lost agents on {backend}")
+    return interactions / max(elapsed, 1e-9)
+
+
+def _numba_speedup(engine_cls, interactions: int) -> float:
+    numba = _kernel_rate(engine_cls, interactions, "numba")
+    return numba / _kernel_rate(engine_cls, interactions, "numpy")
+
+
+def check_kernels() -> List[bool]:
+    counts_label = "numba counts kernel at n=10⁶"
+    batch_label = "numba batch kernel at n=10⁶"
+    if "numba" not in available_backends():
+        reason = backend_fallback_reason("numba")
+        return [_skip(counts_label, reason), _skip(batch_label, reason)]
+    speedup = _numba_speedup(CountsEngine, COUNTS_BUDGET)
+    verdicts = [_floor(counts_label, speedup, 3.0)]
+    # a delegated batch kernel would make this a numpy-vs-numpy tie
+    provenance = get_backend("numba").kernel_provenance("batch_step")
+    if provenance == "numba":
+        speedup = _numba_speedup(BatchEngine, BATCH_BUDGET)
+        verdicts.append(_floor(batch_label, speedup, 2.0))
+    else:
+        verdicts.append(_report(batch_label, False, f"not JIT: {provenance}"))
+    return verdicts
+
+
+def _pool_check(label, run_serial, run_pooled, same, workers, minimum):
+    """Pooled must equal serial; the speedup floor needs ``workers`` CPUs."""
+    started = time.perf_counter()
+    serial = run_serial()
+    serial_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    pooled = run_pooled()
+    pooled_seconds = time.perf_counter() - started
+    detail = f"serial {serial_seconds:.2f} s, pooled {pooled_seconds:.2f} s"
+    verdicts = [_report(f"{label} equals serial", same(serial, pooled), detail)]
+    cpus = available_workers()
+    if cpus < workers:
+        reason = f"{cpus} CPUs available, need {workers}"
+        verdicts.append(_skip(f"{label} speedup", reason))
+    else:
+        speedup = serial_seconds / pooled_seconds
+        verdicts.append(_floor(f"{label} speedup", speedup, minimum))
+    return verdicts
+
+
+def _ensemble(workers: int):
+    return usd_stabilization_ensemble(
+        paper_initial_configuration(10_000, 8),
+        num_seeds=32,
+        seed=4242,
+        engine="batch",
+        max_parallel_time=3_000.0,
+        workers=workers,
+    )
+
+
+def _same_ensemble(serial, pooled) -> bool:
+    return (
+        np.array_equal(serial.times, pooled.times)
+        and np.array_equal(serial.winners, pooled.winners)
+        and serial.censored == pooled.censored
+    )
+
+
+def _sharded_sweep():
+    # two shards into one directory, like two hosts would, then merge
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for shard in ("0/2", "1/2"):
+            BinaryLogNExperiment(
+                shard=shard, out=out, workers=SWEEP_WORKERS, **SWEEP_PARAMS
+            ).run()
+        experiment = BinaryLogNExperiment(**SWEEP_PARAMS)
+        merged = merge_sweep(experiment.build_plan(), out)
+        write_merged_artifact(merged, out)
+    return experiment.finalize(list(merged.rows))
+
+
+def _same_sweep(serial, pooled) -> bool:
+    return pooled.rows == serial.rows and pooled.notes == serial.notes
+
+
+def main() -> int:
+    verdicts = check_kernels()
+    verdicts += _pool_check(
+        f"32-seed ensemble on {ENSEMBLE_WORKERS} workers",
+        lambda: _ensemble(0),
+        lambda: _ensemble(ENSEMBLE_WORKERS),
+        _same_ensemble,
+        ENSEMBLE_WORKERS,
+        3.0,
+    )
+    verdicts += _pool_check(
+        f"usd2-logn sweep on 2 shards × {SWEEP_WORKERS} workers",
+        lambda: BinaryLogNExperiment(workers=0, **SWEEP_PARAMS).run(),
+        _sharded_sweep,
+        _same_sweep,
+        SWEEP_WORKERS,
+        1.5,
+    )
+    return 0 if all(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -137,7 +137,7 @@ from .protocols import (
     VoterModel,
 )
 from .errors import ParallelError, SpecError, SweepError
-from .parallel import map_seeds, run_ensemble
+from .parallel import map_seeds
 from .rng import derive_seed, make_rng, spawn, spawn_many, spawn_seeds
 from .specs import (
     EnsembleSpec,
@@ -198,7 +198,6 @@ __all__ = [
     "spawn_seeds",
     # parallel
     "map_seeds",
-    "run_ensemble",
     # specs
     "EnsembleSpec",
     "InitialSpec",

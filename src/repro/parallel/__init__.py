@@ -1,13 +1,12 @@
 """Parallel ensemble execution over ``multiprocessing`` workers.
 
 :func:`parallel_map` maps a picklable task over items in input order;
-:func:`run_ensemble` (index-derived integer seeds via
-:func:`repro.rng.derive_seed`) and :func:`map_seeds` (explicit seed
-sequences, e.g. :func:`repro.rng.spawn_seeds` children) build seeded
-ensembles on it.  All guarantee results bit-identical to serial
-execution for the same root seed, regardless of worker count or
-completion order; ``workers=0`` executes in-process for deterministic,
-debuggable test runs.
+:func:`map_seeds` (explicit seed sequences, e.g.
+:func:`repro.rng.spawn_seeds` children) builds seeded ensembles on it.
+Both guarantee results bit-identical to serial execution for the same
+root seed, regardless of worker count or completion order;
+``workers=0`` executes in-process for deterministic, debuggable test
+runs.
 
 Seed ensembles of simulation runs execute as a
 :class:`repro.specs.EnsembleSpec` through :func:`repro.specs.run_spec`,
@@ -27,20 +26,16 @@ points while the rest of a shard is still running.
 
 from .pool import (
     available_workers,
-    ensemble_seeds,
     map_seeds,
     parallel_map,
     parallel_map_completed,
     resolve_workers,
-    run_ensemble,
 )
 
 __all__ = [
     "available_workers",
-    "ensemble_seeds",
     "map_seeds",
     "parallel_map",
     "parallel_map_completed",
     "resolve_workers",
-    "run_ensemble",
 ]

@@ -7,9 +7,9 @@ This module fans those runs out over ``multiprocessing`` workers while
 keeping the results **bit-identical to serial execution**:
 
 * every run's stream is derived from the root seed and its index alone
-  (:func:`repro.rng.derive_seed` for :func:`run_ensemble`,
-  :func:`repro.rng.spawn_seeds` children for :func:`map_seeds`), never
-  from worker identity or scheduling;
+  (:func:`repro.rng.derive_seed` for :class:`repro.specs.EnsembleSpec`
+  members, :func:`repro.rng.spawn_seeds` children for
+  :func:`map_seeds`), never from worker identity or scheduling;
 * results are returned in submission order regardless of completion
   order.
 
@@ -35,16 +35,12 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 from ..errors import ParallelError
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
-from ..rng import derive_seed
-from ..types import SeedLike
 
 __all__ = [
     "available_workers",
     "resolve_workers",
-    "ensemble_seeds",
     "parallel_map",
     "parallel_map_completed",
-    "run_ensemble",
     "map_seeds",
 ]
 
@@ -77,30 +73,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         raise ParallelError(f"workers must be non-negative, got {workers}")
     return workers
-
-
-def ensemble_seeds(seed: SeedLike, num_runs: int) -> List[int]:
-    """The per-run integer seeds of an ensemble rooted at ``seed``.
-
-    Run ``index`` always receives ``derive_seed(seed, index)``, so any
-    single member can be replayed in isolation from the stored root seed
-    and its index — and the list is independent of how (or whether) the
-    ensemble is parallelised.
-    """
-    if num_runs < 0:
-        raise ParallelError(f"num_runs must be non-negative, got {num_runs}")
-    return [derive_seed(seed, index) for index in range(num_runs)]
-
-
-class _IndexedTask:
-    """Picklable adapter unpacking ``(index, seed)`` items for ``task_fn``."""
-
-    def __init__(self, task_fn: Callable[[int, Any], Any]):
-        self.task_fn = task_fn
-
-    def __call__(self, item: Any) -> Any:
-        index, seed = item
-        return self.task_fn(index, seed)
 
 
 class _ObsPayload:
@@ -267,45 +239,6 @@ def parallel_map_completed(
     return results
 
 
-def run_ensemble(
-    task_fn: Callable[[int, int], Any],
-    num_runs: int,
-    *,
-    seed: SeedLike = 0,
-    workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
-) -> List[Any]:
-    """Run ``task_fn(index, run_seed)`` for each ensemble member.
-
-    ``run_seed`` is ``derive_seed(seed, index)`` (see
-    :func:`ensemble_seeds`); the returned list is ordered by index.  For
-    a fixed root ``seed`` the results are bit-identical for every value
-    of ``workers`` — parallelism never changes the numbers, only the
-    wall-clock time.
-
-    Parameters
-    ----------
-    task_fn:
-        Module-level callable (or partial of one, when ``workers > 0``)
-        executing one run from its index and integer seed.
-    num_runs:
-        Ensemble size.
-    seed:
-        Root seed the per-run seeds are derived from.
-    workers:
-        ``0`` — in-process; ``N`` — pool of ``N`` processes; ``None`` —
-        all available CPUs.
-    chunk_size:
-        Runs dispatched to a worker at a time (default: auto).
-    """
-    return parallel_map(
-        _IndexedTask(task_fn),
-        list(enumerate(ensemble_seeds(seed, num_runs))),
-        workers=workers,
-        chunk_size=chunk_size,
-    )
-
-
 def map_seeds(
     task_fn: Callable[[Any], Any],
     seeds: Sequence[Any],
@@ -318,6 +251,6 @@ def map_seeds(
     Convenience for call sites that already own their seed derivation —
     e.g. :func:`repro.rng.spawn_seeds` children, which reproduce
     ``spawn_many`` streams exactly.  Same determinism contract as
-    :func:`run_ensemble`.
+    :func:`parallel_map`.
     """
     return parallel_map(task_fn, list(seeds), workers=workers, chunk_size=chunk_size)

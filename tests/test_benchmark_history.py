@@ -1,8 +1,8 @@
 """Tests for the benchmark-history persistence (benchmarks/history.py).
 
-The module lives next to the bench files (outside the package) so the
-tests import it by path, the same way pytest's rootdir insertion does
-when the benchmarks run.
+The module lives outside the package, next to the committed series it
+reads and writes, so the tests import it by path, the same way
+``perfbench`` and ``scripts/ci_obs_overhead.py`` do.
 """
 
 import sys

@@ -2,8 +2,8 @@
 
 Experiments run here with drastically reduced parameters: the goal is to
 exercise every code path (rows, series, notes, persistence), not to
-reproduce the paper's numbers — the benchmark harness does that at full
-experiment scale.
+reproduce the paper's numbers — ``scripts/ci_claims_check.py`` does that
+at full experiment scale.
 """
 
 import numpy as np

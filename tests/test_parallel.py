@@ -15,25 +15,23 @@ from repro import Configuration, ParallelError
 from repro.analysis import UNDETERMINED_WINNER, usd_stabilization_ensemble
 from repro.parallel import (
     available_workers,
-    ensemble_seeds,
     map_seeds,
     parallel_map,
     resolve_workers,
-    run_ensemble,
 )
 from repro.rng import derive_seed, make_rng, spawn_seeds
 from repro.theory.drift import estimate_drift_empirically
 from repro.theory.random_walks import LazyRandomWalk, estimate_hitting_time
 
 
-def echo_task(index, run_seed):
+def echo_task(item):
     """Module-level so it pickles into worker processes."""
-    return index, run_seed
+    return item
 
 
-def draw_task(index, run_seed):
-    """A task whose output depends on the derived stream."""
-    return float(make_rng(run_seed).random())
+def draw_task(index):
+    """A task whose output depends on the index-derived stream."""
+    return float(make_rng(derive_seed(3, index)).random())
 
 
 def seed_entropy_task(seed_sequence):
@@ -57,42 +55,31 @@ class TestResolveWorkers:
             resolve_workers(1.5)
 
 
-class TestEnsembleSeeds:
-    def test_matches_derive_seed(self):
-        assert ensemble_seeds(42, 4) == [derive_seed(42, i) for i in range(4)]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParallelError):
-            ensemble_seeds(0, -1)
-
-
 class TestRunEnsemble:
-    def test_in_process_order_and_seeds(self):
-        results = run_ensemble(echo_task, 5, seed=7, workers=0)
-        assert results == [(i, derive_seed(7, i)) for i in range(5)]
+    """The pool contract an ensemble run rests on, through parallel_map."""
 
     def test_pool_matches_in_process_bitwise(self):
-        serial = run_ensemble(draw_task, 8, seed=3, workers=0)
+        serial = parallel_map(draw_task, range(8), workers=0)
         for workers in (1, 2):
-            assert run_ensemble(draw_task, 8, seed=3, workers=workers) == serial
+            assert parallel_map(draw_task, range(8), workers=workers) == serial
 
     def test_pool_preserves_submission_order(self):
-        results = run_ensemble(echo_task, 6, seed=11, workers=2, chunk_size=1)
-        assert [index for index, _ in results] == list(range(6))
+        results = parallel_map(echo_task, range(6), workers=2, chunk_size=1)
+        assert results == list(range(6))
 
     def test_zero_runs(self):
-        assert run_ensemble(echo_task, 0, seed=0, workers=0) == []
+        assert parallel_map(echo_task, [], workers=0) == []
 
     def test_lambda_fine_in_process(self):
-        assert run_ensemble(lambda i, s: i, 3, seed=0, workers=0) == [0, 1, 2]
+        assert parallel_map(lambda i: i, range(3), workers=0) == [0, 1, 2]
 
     def test_lambda_rejected_with_workers(self):
         with pytest.raises(ParallelError, match="pickle"):
-            run_ensemble(lambda i, s: i, 3, seed=0, workers=1)
+            parallel_map(lambda i: i, range(3), workers=1)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ParallelError):
-            run_ensemble(echo_task, 3, seed=0, workers=1, chunk_size=0)
+            parallel_map(echo_task, range(3), workers=1, chunk_size=0)
 
 
 class TestMapSeeds:
