@@ -72,11 +72,12 @@ experiment (CLI: ``repro run <id> --workers N``).
 
 Sharded sweeps
 --------------
-Grid experiments (``thm35-scaling``, ``bias-threshold``, ``usd2-logn``)
-execute through :mod:`repro.sweep`: each grid point's seed is
+Grid experiments (``thm35-scaling``, ``bias-threshold``, ``usd2-logn``,
+``fig1-ensemble`` and the lemma experiments) execute through
+:mod:`repro.sweep`: each grid point's seed is
 ``derive_seed(root_seed, grid_index)`` — a function of the root seed
 and the grid index only — so a sweep split into ``m`` shards
-(``repro sweep run <id> --shard i/m --out DIR``), possibly on ``m``
+(``repro run <id> --shard i/m --out DIR``), possibly on ``m``
 hosts, merges (``repro sweep merge``) into an artifact bit-identical
 to the serial single-host sweep.  Finished points checkpoint to
 ``DIR/<id>/point-*.json`` as they complete; ``--resume`` skips them on

@@ -37,9 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +53,7 @@ from typing import (
 )
 
 from ..errors import AnalyticsError, SerializationError
+from ..io import atomic_write
 from ..obs import metrics as obs_metrics
 from ..obs.runtime import active_journal, emit as obs_emit
 from . import codec
@@ -86,20 +85,6 @@ _SUMMARY_FIELDS = (
 )
 
 _SAFE_PART = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @contextmanager
@@ -282,7 +267,7 @@ def export_dataset(
             "runs": runs,
             "skipped": [list(item) for item in report.skipped],
         }
-        _atomic_write(
+        atomic_write(
             dest / DATASET_MANIFEST_NAME,
             (json.dumps(manifest_payload, indent=1, sort_keys=True) + "\n").encode(
                 "utf-8"

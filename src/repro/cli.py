@@ -4,20 +4,29 @@ Subcommands
 -----------
 ``repro list``
     Show every registered experiment id with its title.
-``repro run <id> [--set name=value ...] [--out DIR] [--no-plots] [--workers N] [--backend B] [--persist DIR]``
-    Run one experiment (or ``all``) and print its report; optionally
-    persist rows/series under ``--out``.  ``--workers`` fans ensemble
-    experiments out over N processes, ``--backend`` picks the
-    compute-kernel backend (bit-identical results either way) and
-    ``--persist`` streams member trajectories to spill-to-disk run
-    directories that later invocations resume from.
+``repro run <id> [--set name=value ...] [--out DIR] [--shard I/M] [--resume] [--no-plots] [--workers N] [--backend B] [--persist DIR]``
+    Run one registry experiment (or ``all``) and print its report.  The
+    id form is the ``ExperimentSpec`` naming the experiment with the
+    ``--set`` overrides as its params, executed by
+    :func:`repro.specs.run_spec` like any scenario file.  ``--out DIR``
+    saves the artifact (``DIR/<id>.json`` plus its series) and, for
+    grid-sweep experiments, checkpoints each point under ``DIR/<id>/``;
+    ``--shard I/M`` runs one shard of a grid sweep (it writes only its
+    checkpoints, for ``repro sweep merge``) and ``--resume`` skips
+    points already checkpointed.  ``--workers`` fans ensembles and grids
+    out over N processes and ``--backend`` picks the compute-kernel
+    backend (bit-identical results either way); ``--persist``
+    (``fig1-ensemble`` only) streams member trajectories to
+    spill-to-disk run directories that later invocations resume from.
+    A flag the experiment cannot honour fails with an error naming it.
 ``repro run --spec FILE [--set dotted.key=value ...] [--out DIR] [--shard I/M] [--resume]``
     Run a *scenario file* — a JSON ``RunSpec`` / ``EnsembleSpec`` /
-    ``SweepSpec`` document (see ``examples/scenarios/``) — instead of a
-    registry experiment.  ``--set`` then addresses dotted keys of the
-    document (``--set initial.n=4000``); sweep scenarios checkpoint
-    under ``--out`` and accept ``--shard``/``--resume`` exactly like
-    ``repro sweep run``.
+    ``SweepSpec`` / ``ExperimentSpec`` document (see
+    ``examples/scenarios/``) — instead of a registry id.  ``--set`` then
+    addresses dotted keys of the document (``--set initial.n=4000``);
+    sweep scenarios checkpoint under ``--out`` and accept
+    ``--shard``/``--resume``; experiment documents run exactly like the
+    id form.
 ``repro spec show|validate|hash FILE [--set dotted.key=value ...]``
     Inspect a scenario file: print the normalised document, validate it
     against the spec schema, or print its canonical ``spec_hash``.
@@ -49,16 +58,10 @@ Subcommands
     columnar scan: ``hitting-quantiles`` (``--unit
     interactions|parallel``), ``undecided-envelope`` (``--grid N``),
     ``winners``, ``throughput``.
-``repro fig1 [--full] [--panel left|right]``
-    Shortcut for the Figure 1 reproduction (``--full`` uses the paper's
-    n = 10⁶ instead of the default 10⁵).
-``repro sweep run <id> --out DIR [--shard I/M] [--resume] [...]``
-    Execute one shard of a sweep experiment, checkpointing each grid
-    point to ``DIR/<id>/`` as it completes.  ``--resume`` skips points
-    already checkpointed.
 ``repro sweep merge <id> --out DIR [...]``
-    Combine all shards' checkpoints into the full artifact
-    (``merged.json`` + ``provenance.json``) and print the report.
+    Combine the checkpoints of every ``repro run <id> --shard I/M``
+    into the full artifact (``merged.json`` + ``provenance.json``) and
+    print the report.
 ``repro sweep status <id> --out DIR [...]``
     Show which grid points are done, missing, and who computed them.
 ``repro serve [--host H] [--port P] [--root DIR] [--runs DIR ...] [--jobs N] [--max-jobs N] [--inline]``
@@ -80,7 +83,9 @@ Parameter overrides use ``--set name=value`` with values parsed as
 Python literals, e.g. ``--set n=200000 --set k_values=(8,16)``.  The
 sweep subcommands take the *same* ``--set`` overrides as ``run`` —
 the plan (grid + root seed) is rebuilt from them, so pass identical
-overrides to every shard and to the merge.
+overrides to every shard and to the merge.  ``repro run fig1-left``
+and ``fig1-right`` reproduce Figure 1 (``--set n=1000000`` for the
+paper's scale).
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from .errors import ReproError
-from .experiments import get_experiment, list_experiments, render_result
+from .experiments import list_experiments, render_result
 from .experiments.registry import EXPERIMENTS
 
 __all__ = ["main", "build_parser", "parse_overrides"]
@@ -149,17 +154,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         default=None,
         metavar="I/M",
-        help="with --spec on a sweep scenario: execute shard I of M",
+        help=(
+            "grid sweeps only: execute shard I of M, checkpointing its "
+            "points under --out (merge with 'repro sweep merge')"
+        ),
     )
     run.add_argument(
         "--resume",
         action="store_true",
+        help="grid sweeps only: skip points already checkpointed under --out",
+    )
+    run.add_argument(
+        "--out",
+        type=Path,
+        default=None,
         help=(
-            "with --spec on a sweep scenario: skip grid points already "
-            "checkpointed under --out"
+            "directory for artifacts (an experiment's <id>.json) and "
+            "grid-sweep checkpoints (<out>/<id>/)"
         ),
     )
-    run.add_argument("--out", type=Path, default=None, help="directory for artifacts")
     run.add_argument(
         "--no-plots", action="store_true", help="suppress ASCII plots in the report"
     )
@@ -169,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "process-pool size for seed-ensemble experiments "
+            "process-pool size for ensembles and grid sweeps "
             "(0 = in-process serial, the default; results are bit-identical "
             "for every worker count)"
         ),
@@ -190,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "stream member trajectories to run directories under DIR "
-            "(spill-to-disk, memory-bounded); complete runs already on "
+            "stream trajectories to run directories under DIR "
+            "(fig1-ensemble members, or a scenario's run template; "
+            "spill-to-disk, memory-bounded); complete runs already on "
             "disk are resumed instead of re-simulated"
         ),
     )
@@ -200,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("exact", "surrogate", "auto"),
         default=None,
         help=(
-            "answer tier: 'exact' runs the engines, 'surrogate' the "
-            "mean-field fluid limit, 'auto' uses the surrogate only when "
-            "its validity verdict is TRUSTED (escalates otherwise)"
+            "answer tier of a run/ensemble/sweep scenario: 'exact' runs "
+            "the engines, 'surrogate' the mean-field fluid limit, 'auto' "
+            "uses the surrogate only when its validity verdict is TRUSTED "
+            "(escalates otherwise)"
         ),
     )
     run.add_argument(
@@ -489,23 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
-    fig1 = commands.add_parser("fig1", help="reproduce Figure 1")
-    fig1.add_argument(
-        "--full",
-        action="store_true",
-        help="paper scale n = 1,000,000 (default: 100,000)",
-    )
-    fig1.add_argument(
-        "--panel", choices=("left", "right", "both"), default="both"
-    )
-    fig1.add_argument("--out", type=Path, default=None, help="directory for artifacts")
-
     sweep = commands.add_parser(
-        "sweep", help="sharded sweep execution: run / merge / status"
+        "sweep", help="sharded sweep checkpoints: merge / status"
     )
     sweep_commands = sweep.add_subparsers(dest="sweep_command", required=True)
     for name, description in (
-        ("run", "execute one shard of a sweep, checkpointing each point"),
         ("merge", "combine shard checkpoints into the full artifact"),
         ("status", "show checkpointed vs missing grid points"),
     ):
@@ -527,73 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NAME=VALUE",
             help=(
                 "override an experiment parameter; pass the same overrides "
-                "to every shard and to the merge"
+                "every shard ran with"
             ),
         )
-        if name == "run":
-            sub.add_argument(
-                "--shard",
-                default=None,
-                metavar="I/M",
-                help="execute shard I of M (default: the whole grid)",
-            )
-            sub.add_argument(
-                "--resume",
-                action="store_true",
-                help="skip grid points already checkpointed under --out",
-            )
-            sub.add_argument(
-                "--workers",
-                type=int,
-                default=None,
-                metavar="N",
-                help=(
-                    "grid points in flight at once (0 = in-process serial, "
-                    "the default; results are bit-identical regardless)"
-                ),
-            )
-            sub.add_argument(
-                "--backend",
-                default=None,
-                metavar="NAME",
-                help=(
-                    "compute-kernel backend the grid points run on "
-                    "(bit-identical for every backend; see 'repro backends')"
-                ),
-            )
-            sub.add_argument(
-                "--persist",
-                type=Path,
-                default=None,
-                metavar="DIR",
-                help=(
-                    "stream member trajectories to run directories under "
-                    "DIR; complete runs on disk are resumed, not re-run"
-                ),
-            )
-            sub.add_argument(
-                "--fidelity",
-                choices=("exact", "surrogate", "auto"),
-                default=None,
-                help=(
-                    "answer tier for the grid points (surrogate / auto "
-                    "resolve on the mean-field fluid limit when trustworthy)"
-                ),
-            )
-            sub.add_argument(
-                "--obs",
-                action="store_true",
-                help=(
-                    "collect sweep/pool metric counters (summary printed "
-                    "to stderr on exit) and journal persisted member runs; "
-                    "rows and checkpoints stay bit-identical"
-                ),
-            )
-            sub.add_argument(
-                "--progress",
-                action="store_true",
-                help="print throttled engine progress heartbeats to stderr",
-            )
 
     serve = commands.add_parser(
         "serve",
@@ -762,20 +701,6 @@ def parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
     return overrides
 
 
-def _run_one(
-    experiment_id: str,
-    overrides: Dict[str, Any],
-    out: Optional[Path],
-    plots: bool,
-) -> None:
-    experiment = get_experiment(experiment_id)(**overrides)
-    result = experiment.run()
-    print(render_result(result, plots=plots))
-    if out is not None:
-        for path in result.save(out):
-            print(f"wrote {path}")
-
-
 def _spec_with_cli_overrides(
     spec_obj: Any,
     overrides: Dict[str, Any],
@@ -788,7 +713,9 @@ def _spec_with_cli_overrides(
 
     The implied flags address the run template of whichever spec kind
     was loaded (the run itself, an ensemble's ``run``, a sweep's
-    ``base``); explicit ``--set`` keys win.
+    ``base``) or an experiment's ``params``, where a flag the experiment
+    does not take fails validation naming it; explicit ``--set`` keys
+    win.
     """
     from .specs import apply_overrides, load_spec
 
@@ -804,8 +731,8 @@ def _spec_with_cli_overrides(
     if backend is not None:
         implied[f"{prefix}backend"] = backend
     if persist is not None:
-        # experiments take a flat 'persist' parameter; the run-template
-        # kinds nest it under the recording block
+        # fig1-ensemble takes a flat 'persist' parameter; the
+        # run-template kinds nest it under the recording block
         key = "params.persist" if kind == "experiment" else (
             f"{prefix}recording.persist_to"
         )
@@ -850,23 +777,35 @@ def _print_run_result(result: Any) -> None:
         print(f"spec hash        {spec_hash}")
 
 
-def _run_spec_file(args: Any) -> None:
-    from .io.tables import format_table
-    from .specs import (
-        EnsembleRun,
-        ExperimentSpecRun,
-        SweepSpecRun,
-        load_spec_file,
-        run_spec,
-    )
+def _run_command(args: Any) -> None:
+    """``repro run``: every form is one spec executed by ``run_spec``."""
+    from .specs import ExperimentSpec, load_spec_file
 
-    spec_obj = load_spec_file(args.spec)
+    if args.spec is not None:
+        if args.experiment_id is not None:
+            raise ReproError("give either an experiment id or --spec FILE, not both")
+        _run_and_print(args, load_spec_file(args.spec), parse_overrides(args.overrides))
+        return
+    if args.experiment_id is None:
+        raise ReproError("run needs an experiment id or --spec FILE")
+    # the id form is the ExperimentSpec naming the experiment, with the
+    # --set overrides as its params
+    params = parse_overrides(args.overrides)
+    if args.experiment_id != "all":
+        _run_and_print(args, ExperimentSpec(name=args.experiment_id, params=params), {})
+        return
+    for experiment_id in sorted(EXPERIMENTS):
+        print(f"=== {experiment_id} ===")
+        _run_and_print(args, ExperimentSpec(name=experiment_id, params=params), {})
+        print()
+
+
+def _run_and_print(args: Any, spec_obj: Any, overrides: Dict[str, Any]) -> None:
+    from .io.tables import format_table
+    from .specs import EnsembleRun, ExperimentSpecRun, SweepSpecRun, run_spec
+
     spec_obj = _spec_with_cli_overrides(
-        spec_obj,
-        parse_overrides(args.overrides),
-        args.backend,
-        args.persist,
-        args.fidelity,
+        spec_obj, overrides, args.backend, args.persist, args.fidelity
     )
     result = run_spec(
         spec_obj,
@@ -876,16 +815,7 @@ def _run_spec_file(args: Any) -> None:
         resume=args.resume,
     )
     if isinstance(result, ExperimentSpecRun):
-        if result.result is not None:
-            print(render_result(result.result, plots=not args.no_plots))
-        else:
-            if result.rows:
-                print(
-                    format_table(list(result.rows), title=result.title)
-                )
-            for note in result.notes:
-                print(f"note: {note}")
-        print(f"spec hash        {result.spec_hash}")
+        _print_experiment_run(result, out=args.out, plots=not args.no_plots)
     elif isinstance(result, EnsembleRun):
         print(
             format_table(
@@ -913,6 +843,25 @@ def _run_spec_file(args: Any) -> None:
             print(f"wrote {path}")
     else:
         _print_run_result(result)
+
+
+def _print_experiment_run(run: Any, *, out: Optional[Path], plots: bool) -> None:
+    """Report an experiment run; a full run with ``out`` also saves it."""
+    from .sweep import ShardSpec
+
+    result = run.result
+    partial = not ShardSpec.parse(result.params.get("shard")).is_full
+    if partial and not result.rows:
+        # more shards than grid points: this shard owns none, a no-op
+        for note in result.notes:
+            print(f"note: {note}")
+    else:
+        print(render_result(result, plots=plots))
+    print(f"spec hash        {run.spec_hash}")
+    if out is not None and not partial:
+        # a partial shard's output is its checkpoints, for the merge
+        for path in result.save(out):
+            print(f"wrote {path}")
 
 
 def _run_spec_inspect(args: Any) -> None:
@@ -1034,24 +983,6 @@ def _run_meanfield_command(args: Any) -> None:
     print(f"doubling/consensus   {None if ratio is None else round(ratio, 4)}")
 
 
-def _sweep_experiment_class(experiment_id: str):
-    from .experiments.base import SweepExperiment
-
-    experiment_cls = get_experiment(experiment_id)
-    if not issubclass(experiment_cls, SweepExperiment):
-        sweep_ids = sorted(
-            experiment_id_
-            for experiment_id_, cls in EXPERIMENTS.items()
-            if issubclass(cls, SweepExperiment)
-        )
-        raise ReproError(
-            f"experiment {experiment_id!r} is not a sweep experiment; "
-            "sweep subcommands apply to grid sweeps only "
-            f"({', '.join(sweep_ids)})"
-        )
-    return experiment_cls
-
-
 def _print_backends() -> None:
     from .core.kernels import (
         backend_fallback_reason,
@@ -1086,31 +1017,12 @@ def _print_backends() -> None:
 
 
 def _run_sweep_command(args: Any) -> None:
+    from .experiments import get_sweep_experiment
     from .sweep import merge_sweep, sweep_status, write_merged_artifact
 
-    experiment_cls = _sweep_experiment_class(args.experiment_id)
+    experiment_cls = get_sweep_experiment(args.experiment_id)
     overrides = parse_overrides(args.overrides)
-    if args.sweep_command == "run":
-        overrides["shard"] = args.shard
-        overrides["resume"] = args.resume
-        overrides["out"] = args.out
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.persist is not None:
-            overrides["persist"] = args.persist
-        if args.fidelity is not None:
-            overrides["fidelity"] = args.fidelity
-        result = experiment_cls(**overrides).run()
-        if result.rows:
-            print(render_result(result, plots=False))
-        else:
-            # a shard can legitimately own zero points (more shards than
-            # grid points) — that is a no-op, not a failure
-            for note in result.notes:
-                print(f"note: {note}")
-    elif args.sweep_command == "merge":
+    if args.sweep_command == "merge":
         experiment = experiment_cls(**overrides)
         merged = merge_sweep(experiment.build_plan(), args.out)
         # Persist the artifact before finalize(): merged.json must hold the
@@ -1553,49 +1465,7 @@ def _dispatch(args: Any) -> int:
     elif args.command == "backends":
         _print_backends()
     elif args.command == "run":
-        if args.spec is not None:
-            if args.experiment_id is not None:
-                raise ReproError(
-                    "give either an experiment id or --spec FILE, not both"
-                )
-            _run_spec_file(args)
-            return 0
-        if args.experiment_id is None:
-            raise ReproError("run needs an experiment id or --spec FILE")
-        if args.shard is not None or args.resume:
-            raise ReproError(
-                "--shard/--resume on 'repro run' apply to sweep scenario "
-                "files (--spec); use 'repro sweep run' for registry "
-                "sweep experiments"
-            )
-        overrides = parse_overrides(args.overrides)
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.persist is not None:
-            overrides["persist"] = args.persist
-        if args.fidelity is not None:
-            overrides["fidelity"] = args.fidelity
-        if args.experiment_id == "all":
-            for experiment_id in sorted(EXPERIMENTS):
-                print(f"=== {experiment_id} ===")
-                _run_one(experiment_id, overrides, args.out, not args.no_plots)
-                print()
-        else:
-            _run_one(
-                args.experiment_id, overrides, args.out, not args.no_plots
-            )
-    elif args.command == "fig1":
-        overrides = {"n": 1_000_000} if args.full else {}
-        panels = ("fig1-left", "fig1-right")
-        if args.panel == "left":
-            panels = ("fig1-left",)
-        elif args.panel == "right":
-            panels = ("fig1-right",)
-        for panel in panels:
-            _run_one(panel, overrides, args.out, plots=True)
-            print()
+        _run_command(args)
     elif args.command == "spec":
         _run_spec_inspect(args)
     elif args.command == "meanfield":

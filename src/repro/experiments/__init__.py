@@ -17,7 +17,13 @@ from .exp_opinion_growth import OpinionGrowthExperiment
 from .exp_scaling import ScalingExperiment
 from .exp_undecided_ceiling import UndecidedCeilingExperiment
 from .figure1 import Figure1Left, Figure1Right, run_figure1_trace
-from .registry import EXPERIMENTS, get_experiment, list_experiments, run_experiment
+from .registry import (
+    EXPERIMENTS,
+    get_experiment,
+    get_sweep_experiment,
+    list_experiments,
+    run_experiment,
+)
 from .report import render_result
 
 __all__ = [
@@ -43,6 +49,7 @@ __all__ = [
     "build_scheduler",
     "choose_alpha",
     "get_experiment",
+    "get_sweep_experiment",
     "list_experiments",
     "one_parallel_round_agent_stats",
     "render_result",

@@ -16,12 +16,12 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..errors import ExperimentError, SpecError, SweepError
+from ..errors import ExperimentError, SpecError
 from ..io.serialization import save_result_rows
 from ..io.tables import format_table
 from ..obs.timing import wall_timer
 from ..specs import merge_params
-from ..sweep import ShardSpec, SweepPlan, run_sweep
+from ..sweep import SweepPlan, run_sweep
 
 __all__ = ["ExperimentResult", "Experiment", "SweepExperiment"]
 
@@ -98,29 +98,18 @@ class Experiment(abc.ABC):
     override defaults; unknown parameter names are rejected so typos
     fail loudly.
 
-    Every experiment additionally accepts the :data:`GLOBAL_DEFAULTS`
-    parameters.  ``workers`` sizes the process pool for experiments
-    built on seed ensembles (``0`` = in-process serial, ``None`` = all
-    CPUs); results are bit-identical for every value, and experiments
-    without an ensemble simply ignore it.  ``backend`` selects the
-    compute-kernel backend (:mod:`repro.core.kernels`) the simulation
-    engines run on — also bit-identical by contract, so like
-    ``workers`` it is a pure throughput knob that sweeps and ensembles
-    fan out across the process pool.  ``shard``, ``resume`` and ``out``
-    drive the sharded sweep layer (:mod:`repro.sweep`) for experiments
-    that are grid sweeps (:class:`SweepExperiment`); the rest accept
-    and ignore them, so the registry and CLI can thread them
-    universally.  ``persist`` names a directory for spill-to-disk
-    trajectory streaming (a ``RecordingSpec.persist_to`` per member) on
-    experiments that record member trajectories —
-    :func:`repro.specs.run_spec` *resumes* a persisted member whose
-    complete stream on disk records the member's ``spec_hash`` instead
-    of re-simulating it; experiments without trajectory recording
-    accept and ignore it.  ``fidelity``
-    selects the answer tier (:data:`repro.specs.FIDELITY_NAMES`) for
-    experiments whose single runs go through ``simulate``/``run_spec``;
-    experiments that never resolve a single run (pure theory tables)
-    accept and ignore it.
+    Every experiment additionally accepts its :data:`GLOBAL_DEFAULTS`,
+    the *placement* parameters: where and how the work runs, never what
+    it computes, so none enters an
+    :class:`~repro.specs.ExperimentSpec` hash.  Every experiment takes
+    ``workers`` (the process-pool size for experiments built on seed
+    ensembles or grids; ``0`` = in-process serial, ``None`` = all CPUs)
+    and ``backend`` (the compute-kernel backend of
+    :mod:`repro.core.kernels`); results are bit-identical for every
+    value of either.  :class:`SweepExperiment` adds the sweep trio
+    ``shard``/``resume``/``out`` and ``fig1-ensemble`` adds
+    ``persist``; any other experiment rejects those names like any
+    unknown parameter.
     """
 
     #: Registry id; subclasses override.
@@ -129,18 +118,9 @@ class Experiment(abc.ABC):
     title: str = "abstract experiment"
     #: Default parameters; subclasses override.
     DEFAULTS: Dict[str, Any] = {}
-    #: Parameters accepted by *every* experiment (subclass DEFAULTS win on
-    #: collision).  Threaded by the registry and the CLI (``--workers``,
-    #: ``sweep run --shard/--resume/--out``).
-    GLOBAL_DEFAULTS: Dict[str, Any] = {
-        "workers": 0,
-        "backend": None,
-        "shard": None,
-        "resume": False,
-        "out": None,
-        "persist": None,
-        "fidelity": None,
-    }
+    #: Placement parameters (subclass DEFAULTS win on collision);
+    #: subclasses that honour more placement knobs extend the dict.
+    GLOBAL_DEFAULTS: Dict[str, Any] = {"workers": 0, "backend": None}
 
     def __init__(self, **overrides: Any):
         defaults = {**self.GLOBAL_DEFAULTS, **self.DEFAULTS}
@@ -206,13 +186,20 @@ class SweepExperiment(Experiment):
     * :meth:`finalize` — post-processing over the full grid's rows
       (fits, notes, series) into the :class:`ExperimentResult`.
 
-    With the global ``shard`` parameter set to a proper shard
-    (``'i/m'``, m > 1), :meth:`_execute` computes and checkpoints only
-    that shard's points and returns a *partial* result; the full
-    artifact is produced by ``repro sweep merge`` (or
+    With ``shard`` set to a proper shard (``'i/m'``, m > 1),
+    :meth:`_execute` computes and checkpoints only that shard's points
+    under ``out`` and returns a *partial* result; the full artifact is
+    produced by ``repro sweep merge`` (or
     :func:`repro.sweep.merge_sweep` + :meth:`finalize`) once every
     shard has run.
     """
+
+    GLOBAL_DEFAULTS: Dict[str, Any] = {
+        **Experiment.GLOBAL_DEFAULTS,
+        "shard": None,
+        "resume": False,
+        "out": None,
+    }
 
     @abc.abstractmethod
     def build_plan(self) -> SweepPlan:
@@ -230,36 +217,27 @@ class SweepExperiment(Experiment):
         """How one checkpoint row appears in a *partial-shard* report.
 
         Checkpoints always keep the full row; this only shapes the
-        table a partial ``repro sweep run`` prints.  Override when rows
-        carry bulk payloads (e.g. trajectory polylines) that would
-        swamp the terminal.
+        table a partial ``repro run <id> --shard I/M`` prints.  Override
+        when rows carry bulk payloads (e.g. trajectory polylines) that
+        would swamp the terminal.
         """
         return row
 
     def _execute(self) -> ExperimentResult:
         plan = self.build_plan()
-        shard = ShardSpec.parse(self.params["shard"])
-        if not shard.is_full and self.params["out"] is None:
-            # a partial shard only makes sense if its points persist for a
-            # later merge; computing them into thin air wastes the grid
-            raise SweepError(
-                f"shard {shard} of {self.experiment_id!r} needs an 'out' "
-                "checkpoint directory — without one the shard's points "
-                "cannot be merged and the work is lost"
-            )
         run = run_sweep(
             plan,
             self.point_task(),
-            shard=shard,
+            shard=self.params["shard"],
             workers=self.params["workers"],
             out_dir=self.params["out"],
             resume=bool(self.params["resume"]),
         )
-        if not shard.is_full:
+        if not run.shard.is_full:
             return self._result(
                 rows=[self.partial_row_view(dict(row)) for row in run.rows],
                 notes=[
-                    f"partial sweep: shard {shard} computed "
+                    f"partial sweep: shard {run.shard} computed "
                     f"{len(run.outcomes)}/{len(plan)} grid points "
                     f"({run.reused} restored from checkpoints); run the "
                     "remaining shards and 'repro sweep merge' for the "

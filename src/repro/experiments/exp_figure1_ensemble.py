@@ -17,18 +17,19 @@ The ensemble executes through :mod:`repro.sweep`: each member is one
 and the grid index — the same ``derive_seed(root, i)`` contract the
 previous in-``_execute`` ensemble used, so per-member trajectories are
 unchanged.  Members therefore shard across hosts, checkpoint as they
-finish and resume (``shard``/``resume``/``out``, ``repro sweep
-run/merge``); each checkpoint row carries the member's summary *and*
-its u(t) polyline (downsampled to ≤ :data:`MAX_TRACE_SAMPLES` vertices)
-so :meth:`finalize` can rebuild the ensemble band from rows alone.
+finish and resume (``repro run fig1-ensemble --shard I/M --out DIR``,
+then ``repro sweep merge``); each checkpoint row carries the member's
+summary *and* its u(t) polyline (downsampled to ≤
+:data:`MAX_TRACE_SAMPLES` vertices) so :meth:`finalize` can rebuild
+the ensemble band from rows alone.
 
 Each member is one seeded :class:`~repro.specs.RunSpec` executed by
-:func:`repro.specs.run_spec`.  With the global ``persist`` parameter
-(CLI: ``--persist DIR``) it additionally streams its full trajectory
-to ``DIR/member-XXXX`` (spill-to-disk, memory-bounded); a member whose
-directory already holds a complete stream with the member's
-``spec_hash`` is rebuilt from it instead of re-simulated —
-bit-identical rows either way.
+:func:`repro.specs.run_spec`.  With the ``persist`` placement parameter
+(CLI: ``--persist DIR``; no other experiment takes it) it additionally
+streams its full trajectory to ``DIR/member-XXXX`` (spill-to-disk,
+memory-bounded); a member whose directory already holds a complete
+stream with the member's ``spec_hash`` is rebuilt from it instead of
+re-simulated — bit-identical rows either way.
 """
 
 from __future__ import annotations
@@ -165,6 +166,12 @@ class Figure1EnsembleExperiment(SweepExperiment):
         "seed": 1848,
         "engine": "batch",
         "max_parallel_time": 2_000.0,
+    }
+    #: ``persist`` streams member trajectories to disk: where the runs
+    #: are recorded, not what they compute, so it stays out of the hash
+    GLOBAL_DEFAULTS: Dict[str, Any] = {
+        **SweepExperiment.GLOBAL_DEFAULTS,
+        "persist": None,
     }
 
     def _resolved_nkb(self):

@@ -17,7 +17,8 @@ The k-grid executes through :mod:`repro.sweep`: each k is one
 :class:`~repro.workloads.sweeps.SweepPoint` whose seed derives from the
 experiment's root ``seed`` and the grid index, so the sweep shards
 across processes and hosts (``shard``/``resume``/``out`` parameters,
-``repro sweep run/merge``) without changing a single number.
+``repro run <id> --shard`` then ``repro sweep merge``) without changing
+a single number.
 """
 
 from __future__ import annotations

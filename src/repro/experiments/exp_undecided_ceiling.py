@@ -16,7 +16,8 @@ The (n, k) grid executes through :mod:`repro.sweep` — one
 :class:`~repro.workloads.sweeps.SweepPoint` per cell, per-point seeds
 derived from the root seed and the grid index — so it shards,
 checkpoints and resumes like every grid in the repo
-(``shard``/``resume``/``out`` parameters, ``repro sweep run/merge``).
+(``shard``/``resume``/``out`` parameters, ``repro run <id> --shard``
+then ``repro sweep merge``).
 """
 
 from __future__ import annotations

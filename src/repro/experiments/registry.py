@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Type
 
 from ..errors import ExperimentError
-from .base import Experiment, ExperimentResult
+from .base import Experiment, ExperimentResult, SweepExperiment
 from .exp_bias_threshold import BiasThresholdExperiment
 from .exp_binary_logn import BinaryLogNExperiment
 from .exp_engines import EngineAblationExperiment
@@ -23,7 +23,13 @@ from .exp_scaling import ScalingExperiment
 from .exp_undecided_ceiling import UndecidedCeilingExperiment
 from .figure1 import Figure1Left, Figure1Right
 
-__all__ = ["EXPERIMENTS", "get_experiment", "list_experiments", "run_experiment"]
+__all__ = [
+    "EXPERIMENTS",
+    "get_experiment",
+    "get_sweep_experiment",
+    "list_experiments",
+    "run_experiment",
+]
 
 #: All registered experiments, keyed by id (see DESIGN.md §2).
 EXPERIMENTS: Dict[str, Type[Experiment]] = {
@@ -57,6 +63,23 @@ def get_experiment(experiment_id: str) -> Type[Experiment]:
         ) from None
 
 
+def get_sweep_experiment(experiment_id: str) -> Type[SweepExperiment]:
+    """Look up a grid-sweep experiment class; other ids fail legibly."""
+    cls = get_experiment(experiment_id)
+    if not issubclass(cls, SweepExperiment):
+        sweep_ids = sorted(
+            key
+            for key, candidate in EXPERIMENTS.items()
+            if issubclass(candidate, SweepExperiment)
+        )
+        raise ExperimentError(
+            f"experiment {experiment_id!r} is not a sweep experiment; "
+            "shards, resume and 'repro sweep merge|status' apply to grid "
+            f"sweeps only ({', '.join(sweep_ids)})"
+        )
+    return cls
+
+
 def list_experiments() -> List[str]:
     """One description line per registered experiment."""
     return [EXPERIMENTS[key].describe() for key in sorted(EXPERIMENTS)]
@@ -65,16 +88,15 @@ def list_experiments() -> List[str]:
 def run_experiment(experiment_id: str, **params: Any) -> ExperimentResult:
     """Instantiate and run an experiment by id with parameter overrides.
 
-    Besides each experiment's own ``DEFAULTS``, the global parameters of
-    :class:`Experiment` are accepted for every id and threaded through
-    unchanged: ``workers`` (the process-pool size), ``backend`` (the
-    compute-kernel backend of :mod:`repro.core.kernels` — bit-identical
-    across backends, so a pure throughput knob) plus the sweep-layer
-    trio ``shard``/``resume``/``out`` (sharded execution, checkpoint
-    reuse and checkpoint directory for :class:`~repro.experiments.base.
-    SweepExperiment` subclasses; ignored by non-sweep experiments).
-    Parameters resolve through the spec layer's merge
-    (:func:`repro.specs.merge_params`): unknown names are rejected, and
-    dotted names descend into nested dict defaults.
+    Besides each experiment's own ``DEFAULTS``, its placement
+    parameters (:attr:`Experiment.GLOBAL_DEFAULTS`) are accepted:
+    ``workers`` (the process-pool size) and ``backend`` (the
+    compute-kernel backend of :mod:`repro.core.kernels`) for every id,
+    the sweep trio ``shard``/``resume``/``out`` for
+    :class:`~repro.experiments.base.SweepExperiment` subclasses, and
+    ``persist`` for ``fig1-ensemble``.  Parameters resolve through the
+    spec layer's merge (:func:`repro.specs.merge_params`): unknown
+    names are rejected, and dotted names descend into nested dict
+    defaults.
     """
     return get_experiment(experiment_id)(**params).run()

@@ -1,11 +1,13 @@
 """Persistence and report formatting."""
 
+from .atomic import atomic_write
 from .serialization import load_result_rows, load_trace, save_result_rows, save_trace
 from .streaming import StreamedTrace, load_manifest, update_manifest
 from .tables import format_markdown_table, format_table, write_csv
 
 __all__ = [
     "StreamedTrace",
+    "atomic_write",
     "format_markdown_table",
     "format_table",
     "load_manifest",

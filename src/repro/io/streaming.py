@@ -26,9 +26,7 @@ in-memory recorder would have produced for the same run.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -37,6 +35,7 @@ import numpy as np
 
 from ..core.recorder import Trace
 from ..errors import SerializationError
+from .atomic import atomic_write
 
 __all__ = [
     "MANIFEST_NAME",
@@ -70,24 +69,6 @@ def chunk_filename(index: int) -> str:
     return f"chunk-{index:05d}.npz"
 
 
-def _atomic_write_bytes(path: Path, write_fn) -> None:
-    """Write via a sibling temp file and ``os.replace`` so readers never
-    observe a partially written file (the crash-safety contract)."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            write_fn(handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def write_chunk(
     directory: PathLike, index: int, times: np.ndarray, counts: np.ndarray
 ) -> Path:
@@ -101,7 +82,7 @@ def write_chunk(
         raise SerializationError("refusing to write an empty chunk")
     path = directory / chunk_filename(index)
     try:
-        _atomic_write_bytes(
+        atomic_write(
             path,
             lambda handle: np.savez_compressed(handle, times=times, counts=counts),
         )
@@ -140,7 +121,7 @@ def write_manifest(directory: PathLike, manifest: Dict[str, Any]) -> Path:
     path = directory / MANIFEST_NAME
     payload = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
     try:
-        _atomic_write_bytes(path, lambda handle: handle.write(payload))
+        atomic_write(path, payload)
     except OSError as exc:
         raise SerializationError(f"could not write manifest to {path}: {exc}") from exc
     return path

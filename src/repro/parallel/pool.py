@@ -136,24 +136,20 @@ def parallel_map(
     items: Iterable[Any],
     *,
     workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
 ) -> List[Any]:
     """Apply ``fn`` to each item, optionally over a process pool.
 
     Results come back in input order.  ``workers=0`` runs in-process;
     otherwise a :class:`~concurrent.futures.ProcessPoolExecutor` of
     ``min(workers, len(items))`` processes executes the items in chunks
-    of ``chunk_size`` (default: enough chunks for ~4 rounds per worker,
-    balancing dispatch overhead against load balance).
+    sized for ~4 rounds per worker, balancing dispatch overhead against
+    load balance.
     """
     items = list(items)
-    if chunk_size is not None and chunk_size < 1:
-        raise ParallelError(f"chunk_size must be >= 1, got {chunk_size}")
     pool_size = min(resolve_workers(workers), len(items))
     if pool_size <= 0:
         return [fn(item) for item in items]
-    if chunk_size is None:
-        chunk_size = max(1, len(items) // (pool_size * 4))
+    chunk_size = max(1, len(items) // (pool_size * 4))
     _ensure_picklable(fn)
     task: Callable[[Any], Any] = fn
     if obs_metrics.REGISTRY.enabled:
@@ -244,7 +240,6 @@ def map_seeds(
     seeds: Sequence[Any],
     *,
     workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
 ) -> List[Any]:
     """Run ``task_fn(seed)`` over an explicit seed sequence, in order.
 
@@ -253,4 +248,4 @@ def map_seeds(
     ``spawn_many`` streams exactly.  Same determinism contract as
     :func:`parallel_map`.
     """
-    return parallel_map(task_fn, list(seeds), workers=workers, chunk_size=chunk_size)
+    return parallel_map(task_fn, list(seeds), workers=workers)

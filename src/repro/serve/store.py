@@ -18,14 +18,13 @@ the wire.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ServeError
+from ..io import atomic_write
 from ..obs import metrics as obs_metrics
 from ..obs.runtime import emit as obs_emit
 from ..specs import document_bytes, document_from_persisted_run
@@ -35,20 +34,6 @@ __all__ = ["INDEX_NAME", "ResultStore"]
 INDEX_NAME = "index.json"
 _DOCUMENTS = "documents"
 _HASH_RE = re.compile(r"^[0-9a-f]{64}$")
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class ResultStore:
@@ -158,7 +143,7 @@ class ResultStore:
         with self._lock:
             already = spec_hash in self._hashes
         if not already:
-            _atomic_write(path, document_bytes(document))
+            atomic_write(path, document_bytes(document))
             with self._lock:
                 self._hashes[spec_hash] = filename
             self._persist_index()
@@ -200,7 +185,7 @@ class ResultStore:
     def _persist_index(self) -> None:
         with self._lock:
             payload = {"format_version": 1, "hashes": dict(self._hashes)}
-        _atomic_write(
+        atomic_write(
             self.root / INDEX_NAME,
             (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode(
                 "utf-8"

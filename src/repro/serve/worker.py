@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
 from ..errors import ReproError
+from ..io import atomic_write
 from ..obs import metrics as obs_metrics
 from ..obs.config import ObsConfig
 from ..obs.journal import JOURNAL_NAME
@@ -54,21 +54,6 @@ METRICS_NAME = "metrics.json"
 #: The process that imported this module: the forkserver when its
 #: preload worked, otherwise the job's own process (a cold start).
 _IMPORT_PID = os.getpid()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write-then-rename so readers never observe a torn file."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def execute_job(
@@ -111,9 +96,9 @@ def execute_job(
             baseline, obs_metrics.REGISTRY.snapshot()
         )
     doc = to_document(result, spec)
-    _atomic_write(job_dir / METRICS_NAME, _json_bytes(delta))
+    atomic_write(job_dir / METRICS_NAME, _json_bytes(delta))
     # the result lands last: its presence certifies the job completed
-    _atomic_write(job_dir / RESULT_NAME, document_bytes(doc))
+    atomic_write(job_dir / RESULT_NAME, document_bytes(doc))
     return doc
 
 
@@ -135,7 +120,7 @@ def _job_entry(
         )
     except BaseException as exc:  # noqa: BLE001 — the file IS the report
         try:
-            _atomic_write(
+            atomic_write(
                 directory / ERROR_NAME,
                 _json_bytes(
                     {

@@ -242,13 +242,14 @@ def run_spec(
       members over the process pool (bit-identical for every count).
     * :class:`SweepSpec` → a :class:`SweepSpecRun`; the grid runs on
       the sharded sweep executor with per-point checkpoints under
-      ``out``, honouring ``shard``/``resume``/``workers`` exactly like
-      ``repro sweep run``.
+      ``out``, honouring ``shard``/``resume``/``workers``.
     * :class:`ExperimentSpec` → an :class:`ExperimentSpecRun`; the
       named registry experiment runs with the spec's params, and the
-      call-site ``workers``/``shard``/``out``/``resume`` knobs thread
-      through as the experiment's global parameters (placement choices,
-      not experiment identity — they never affect the spec hash).
+      call-site knobs thread through as its placement parameters (they
+      never affect the spec hash): ``workers`` always, and
+      ``shard``/``out``/``resume`` for grid-sweep experiments, which
+      checkpoint under ``out``.  Other experiments have no checkpoints
+      (``out`` is unused) and reject ``shard``/``resume``.
     """
     if isinstance(spec, RunSpec):
         if shard is not None or out is not None or resume:
@@ -291,25 +292,31 @@ def _run_experiment(
     out: Union[None, str, Path] = None,
     resume: bool = False,
 ) -> ExperimentSpecRun:
-    from ..experiments import run_experiment
+    from ..experiments import SweepExperiment, get_experiment, get_sweep_experiment
     from ..obs.runtime import emit as obs_emit
 
+    if shard is not None or resume:
+        # only grid sweeps shard or resume; others fail naming the sweeps
+        cls = get_sweep_experiment(spec.name)
+    else:
+        cls = get_experiment(spec.name)
     overrides: Dict[str, Any] = dict(spec.params)
     # call-site knobs win over spec params: they place the work on this
     # machine (pool size, shard, checkpoint dir), they are not part of
     # what the experiment computes
     if workers not in (0, None):
         overrides["workers"] = workers
-    if shard is not None:
-        overrides["shard"] = shard
-    if out is not None:
-        overrides["out"] = str(out)
-    if resume:
-        overrides["resume"] = True
+    if issubclass(cls, SweepExperiment):
+        if shard is not None:
+            overrides["shard"] = shard
+        if out is not None:
+            overrides["out"] = str(out)
+        if resume:
+            overrides["resume"] = True
     obs_emit(
         "experiment.start", spec_hash=spec.spec_hash(), experiment=spec.name
     )
-    result = run_experiment(spec.name, **overrides)
+    result = cls(**overrides).run()
     obs_emit(
         "experiment.done", spec_hash=spec.spec_hash(), experiment=spec.name
     )
@@ -331,13 +338,13 @@ def _resume_persisted(spec: RunSpec):
 
     A spec whose recording names a ``persist_to`` directory that already
     holds a *complete* stream with the same ``spec_hash`` is answered
-    from the stream's summary without re-simulating — the stream was
-    written by the identical run.  The rebuilt result carries the same
-    summary numbers and the same tail-window snapshots; only
-    execution-provenance details (``wall_seconds`` is the original
-    run's, trace bookkeeping metadata) reflect the recorded run.
-    Returns ``None`` when there is nothing resumable (then the caller
-    simulates and overwrites).
+    from the stream without re-simulating — the stream was written by
+    the identical run.  The result is the one its persisted document
+    describes (:func:`~repro.specs.document.document_from_persisted_run`,
+    recorded metrics included) with the stream's tail window as its
+    trace; only execution provenance (``wall_seconds``) is the recorded
+    run's.  Returns ``None`` when there is nothing resumable (then the
+    caller simulates and overwrites).
     """
     persist_root = spec.recording.persist_to
     if persist_root is None or spec.protocol.model == "gossip":
@@ -349,6 +356,7 @@ def _resume_persisted(spec: RunSpec):
         return None
     from ..errors import SerializationError
     from ..io.streaming import StreamedTrace, find_persisted_by_hash
+    from .document import document_from_persisted_run, result_from_document
 
     # the persist target itself answers when it holds the matching
     # stream; otherwise any complete run *under* it does (an ensemble
@@ -357,30 +365,18 @@ def _resume_persisted(spec: RunSpec):
     run_dir = find_persisted_by_hash(persist_root, spec.spec_hash())
     if run_dir is None:
         return None
+    document = document_from_persisted_run(run_dir)
+    if document is None:
+        return None
     try:
-        from ..core.run import RunResult
-
         stream = StreamedTrace(run_dir)
-        summary = stream.summary or {}
         window = int(stream.manifest.get("window_snapshots") or 1)
         tail = stream[max(0, len(stream) - window) :]
-        return RunResult(
-            trace=tail,
-            final_counts=np.asarray(summary["final_counts"], dtype=np.int64),
-            interactions=int(summary["interactions"]),
-            parallel_time=float(summary["parallel_time"]),
-            stabilized=bool(summary["stabilized"]),
-            stabilization_interactions=summary["stabilization_interactions"],
-            winner=summary["winner"],
-            engine_name=str(stream.run_info.get("engine", "unknown")),
-            wall_seconds=float(summary.get("wall_seconds", 0.0)),
-            metadata=dict(stream.run_info.get("metadata", {})),
-            persist_dir=Path(run_dir),
-        )
-    except (SerializationError, KeyError, TypeError, ValueError):
+    except (SerializationError, TypeError, ValueError):
         # a half-believable directory is "not resumable", never a crash:
-        # the fallback below re-simulates and overwrites it
+        # the caller re-simulates and overwrites it
         return None
+    return replace(result_from_document(document), trace=tail)
 
 
 # ----------------------------------------------------------------------
@@ -674,25 +670,19 @@ def _run_sweep(
     out: Union[None, str, Path] = None,
     resume: bool = False,
 ) -> SweepSpecRun:
-    from ..sweep import ShardSpec, run_sweep
+    from ..sweep import run_sweep
 
-    shard_spec = ShardSpec.parse(shard)
-    if not shard_spec.is_full and out is None:
-        raise SpecError(
-            f"shard {shard_spec} of sweep {spec.sweep_id!r} needs an 'out' "
-            "checkpoint directory — without one the shard cannot be merged"
-        )
     plan = spec.plan()
     run = run_sweep(
         plan,
         _sweep_point_task,
-        shard=shard_spec,
+        shard=shard,
         workers=workers,
         out_dir=out,
         resume=resume,
     )
     artifacts: Tuple[Path, ...] = ()
-    if out is not None and shard_spec.is_full:
+    if out is not None and run.shard.is_full:
         # a complete checkpointed sweep merges immediately: merged.json
         # (bit-identical per sharding) + provenance.json embedding the
         # root spec document and hash via the plan meta
@@ -704,7 +694,7 @@ def _run_sweep(
         spec_hash=spec.spec_hash(),
         sweep_id=spec.sweep_id,
         rows=tuple(run.rows),
-        partial=not shard_spec.is_full,
+        partial=not run.shard.is_full,
         artifacts=artifacts,
         escalated=_escalated_labels(spec, run.rows),
     )

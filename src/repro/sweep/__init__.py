@@ -29,10 +29,10 @@ Shard / merge workflow (two hosts)
 Host A and host B split a sweep and a third step merges::
 
     # host A                                      (owns points 0, 2, 4, …)
-    repro sweep run thm35-scaling --shard 0/2 --out results/
+    repro run thm35-scaling --shard 0/2 --out results/
 
     # host B                                      (owns points 1, 3, 5, …)
-    repro sweep run thm35-scaling --shard 1/2 --out results/
+    repro run thm35-scaling --shard 1/2 --out results/
 
     # anywhere, after copying both hosts' results/thm35-scaling/ together
     repro sweep merge thm35-scaling --out results/

@@ -21,12 +21,12 @@ uninterrupted one — there is no "fresh row vs loaded row" divergence.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import SweepError
+from ..io import atomic_write
 from ..io.serialization import _jsonable
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
@@ -150,13 +150,6 @@ def _checkpoint_payload(
     }
 
 
-def _write_checkpoint(path: Path, payload: Dict[str, Any]) -> None:
-    """Atomic write: a reader (or a resume) never sees a torn checkpoint."""
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, path)
-
-
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     """Read one checkpoint file, validating its structure."""
     path = Path(path)
@@ -229,11 +222,21 @@ def run_sweep(
         all CPUs).  Results are bit-identical for every value.
     out_dir:
         Checkpoint root; points land in ``<out_dir>/<sweep_id>/``.
-        ``None`` disables checkpointing (and therefore resume).
+        ``None`` disables checkpointing (and therefore resume); a
+        partial shard requires one, since its points exist only to be
+        merged.
     resume:
         Reuse verified checkpoints instead of re-executing their points.
     """
     shard = ShardSpec.parse(shard)
+    if not shard.is_full and out_dir is None:
+        # a partial shard only makes sense if its points persist for a
+        # later merge; computing them into thin air wastes the grid
+        raise SweepError(
+            f"shard {shard} of sweep {plan.sweep_id!r} needs an 'out' "
+            "checkpoint directory — without one the shard's points "
+            "cannot be merged and the work is lost"
+        )
     if resume and out_dir is None:
         raise SweepError("resume=True requires an out_dir to resume from")
     directory: Optional[Path] = None
@@ -272,9 +275,11 @@ def run_sweep(
     def _checkpoint(position: int, row: Dict[str, Any]) -> None:
         index, _, seed = pending[position]
         if directory is not None:
-            _write_checkpoint(
+            # atomic: a reader (or a resume) never sees a torn checkpoint
+            payload = _checkpoint_payload(plan, index, seed, shard, row)
+            atomic_write(
                 directory / plan.checkpoint_name(index),
-                _checkpoint_payload(plan, index, seed, shard, row),
+                json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
             )
         obs_metrics.REGISTRY.inc("sweep_points_completed")
         obs_runtime.emit(

@@ -196,7 +196,6 @@ def estimate_drift_empirically(
     opinion: int = 1,
     other: int = 2,
     workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
 ) -> DriftEstimate:
     """Estimate a one-step drift by simulating single USD interactions.
 
@@ -224,11 +223,7 @@ def estimate_drift_empirically(
         opinion=opinion,
         other=other,
     )
-    changes = np.asarray(
-        map_seeds(
-            task, spawn_seeds(seed, samples), workers=workers, chunk_size=chunk_size
-        )
-    )
+    changes = np.asarray(map_seeds(task, spawn_seeds(seed, samples), workers=workers))
     mean = float(changes.mean())
     std_error = float(changes.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return DriftEstimate(mean=mean, std_error=std_error, samples=samples)

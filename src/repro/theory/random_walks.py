@@ -272,7 +272,6 @@ def estimate_hitting_time(
     max_steps: int = 100_000,
     seed: SeedLike = None,
     workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
 ) -> HittingTimeEstimate:
     """Monte-Carlo first-hitting-time estimation for ``walk``.
 
@@ -286,9 +285,7 @@ def estimate_hitting_time(
     if runs < 1:
         raise RegimeError(f"runs must be >= 1, got {runs}")
     task = partial(_hitting_time_task, walk=walk, target=target, max_steps=max_steps)
-    hits = map_seeds(
-        task, spawn_seeds(seed, runs), workers=workers, chunk_size=chunk_size
-    )
+    hits = map_seeds(task, spawn_seeds(seed, runs), workers=workers)
     times = [hit for hit in hits if hit is not None]
     censored = sum(1 for hit in hits if hit is None)
     return HittingTimeEstimate(

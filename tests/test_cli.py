@@ -1,9 +1,12 @@
 """Unit tests for the repro command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main, parse_overrides
 from repro.errors import ReproError
+from repro.io import load_result_rows
 
 
 class TestParseOverrides:
@@ -53,15 +56,11 @@ class TestCommands:
         assert main(["run", "fig1-left", "--set", "bogus=1"]) == 1
         assert "unknown parameters" in capsys.readouterr().err
 
-    def test_fig1_parser_accepts_flags(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["fig1", "--full", "--panel", "right"])
-        assert args.full and args.panel == "right"
 
 
 class TestSweepCommands:
+    """Shards run through ``repro run <id> --shard``; merge/status stay."""
+
     OVERRIDES = [
         "--set", "n_values=(400,600,900)",
         "--set", "num_seeds=2",
@@ -69,19 +68,24 @@ class TestSweepCommands:
         "--set", "max_parallel_time=400.0",
     ]
 
+    def _run(self, *argv, out):
+        return main(["run", *argv, "--out", str(out), *self.OVERRIDES])
+
     def _sweep(self, *argv, out):
         return main(["sweep", *argv, "--out", str(out), *self.OVERRIDES])
 
     def test_sharded_run_status_merge(self, capsys, tmp_path):
-        assert self._sweep("run", "usd2-logn", "--shard", "0/2", out=tmp_path) == 0
+        assert self._run("usd2-logn", "--shard", "0/2", out=tmp_path) == 0
         capsys.readouterr()
 
         assert self._sweep("status", "usd2-logn", out=tmp_path) == 0
         out = capsys.readouterr().out
         assert "2/3 points checkpointed" in out and "missing" in out
 
-        assert self._sweep("run", "usd2-logn", "--shard", "1/2", out=tmp_path) == 0
+        assert self._run("usd2-logn", "--shard", "1/2", out=tmp_path) == 0
         capsys.readouterr()
+        # a partial shard writes only its checkpoints, never the artifact
+        assert not (tmp_path / "usd2-logn.json").exists()
 
         assert self._sweep("merge", "usd2-logn", out=tmp_path) == 0
         out = capsys.readouterr().out
@@ -91,32 +95,30 @@ class TestSweepCommands:
 
     def test_empty_shard_is_a_noop_not_a_failure(self, capsys, tmp_path):
         """More shards than grid points: the extra shards own nothing."""
-        assert self._sweep("run", "usd2-logn", "--shard", "4/5", out=tmp_path) == 0
+        assert self._run("usd2-logn", "--shard", "4/5", out=tmp_path) == 0
         out = capsys.readouterr().out
         assert "0/3 grid points" in out
 
     def test_resume_flag_accepted(self, capsys, tmp_path):
-        assert self._sweep("run", "usd2-logn", out=tmp_path) == 0
+        assert self._run("usd2-logn", out=tmp_path) == 0
         capsys.readouterr()
-        assert (
-            self._sweep("run", "usd2-logn", "--resume", out=tmp_path) == 0
-        )
+        assert self._run("usd2-logn", "--resume", out=tmp_path) == 0
 
     def test_merge_before_all_shards_fails(self, capsys, tmp_path):
-        assert self._sweep("run", "usd2-logn", "--shard", "0/2", out=tmp_path) == 0
+        assert self._run("usd2-logn", "--shard", "0/2", out=tmp_path) == 0
         capsys.readouterr()
         assert self._sweep("merge", "usd2-logn", out=tmp_path) == 1
         assert "incomplete" in capsys.readouterr().err
 
     def test_non_sweep_experiment_rejected(self, capsys, tmp_path):
-        code = main(["sweep", "run", "fig1-left", "--out", str(tmp_path)])
+        code = main(["run", "fig1-left", "--shard", "0/2", "--out", str(tmp_path)])
         assert code == 1
         assert "not a sweep experiment" in capsys.readouterr().err
 
     def test_bad_shard_spec_fails(self, capsys, tmp_path):
         code = main(
             [
-                "sweep", "run", "usd2-logn",
+                "run", "usd2-logn",
                 "--shard", "9/3",
                 "--out", str(tmp_path),
                 *self.OVERRIDES,
@@ -124,6 +126,86 @@ class TestSweepCommands:
         )
         assert code == 1
         assert "shard" in capsys.readouterr().err
+
+
+class TestOneExecutor:
+    """``repro run <id>`` and ``repro run --spec`` share one executor:
+    flags an experiment cannot honour fail naming themselves, and both
+    forms write the same artifacts."""
+
+    PARAMS = {
+        "n_values": [400, 600, 900],
+        "num_seeds": 2,
+        "engine": "counts",
+        "max_parallel_time": 400.0,
+    }
+
+    def _experiment_doc(self, tmp_path, name, params):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "kind": "experiment",
+                    "name": name,
+                    "params": params,
+                }
+            )
+        )
+        return path
+
+    def test_fidelity_on_an_experiment_fails_naming_it(self, capsys):
+        assert main(["run", "fig1-left", "--fidelity", "surrogate"]) == 1
+        assert "fidelity" in capsys.readouterr().err
+
+    def test_persist_outside_fig1_ensemble_fails_naming_it(self, capsys, tmp_path):
+        code = main(["run", "lem31-ceiling", "--persist", str(tmp_path / "p")])
+        assert code == 1
+        assert "persist" in capsys.readouterr().err
+
+    def test_spec_shard_on_non_sweep_experiment_fails(self, capsys, tmp_path):
+        code = main(
+            [
+                "run",
+                "--spec",
+                "examples/scenarios/experiment_fig1.json",
+                "--shard",
+                "0/2",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "not a sweep experiment" in capsys.readouterr().err
+
+    def test_spec_empty_shard_is_a_noop(self, capsys, tmp_path):
+        doc = self._experiment_doc(tmp_path, "usd2-logn", self.PARAMS)
+        code = main(
+            ["run", "--spec", str(doc), "--shard", "4/5", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert "0/3 grid points" in capsys.readouterr().out
+
+    def test_id_and_spec_forms_write_the_same_artifacts(self, tmp_path):
+        overrides = []
+        for name, value in self.PARAMS.items():
+            literal = tuple(value) if isinstance(value, list) else value
+            overrides += ["--set", f"{name}={literal!r}"]
+        by_id, by_spec = tmp_path / "by-id", tmp_path / "by-spec"
+        assert main(["run", "usd2-logn", "--out", str(by_id), *overrides]) == 0
+        doc = self._experiment_doc(tmp_path, "usd2-logn", self.PARAMS)
+        assert main(["run", "--spec", str(doc), "--out", str(by_spec)]) == 0
+
+        def written(root):
+            return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+        assert written(by_id) == written(by_spec)
+        assert "usd2-logn.json" in written(by_id)
+        assert any(name.startswith("usd2-logn/point-") for name in written(by_id))
+        rows_id, extra_id = load_result_rows(by_id / "usd2-logn.json")
+        rows_spec, extra_spec = load_result_rows(by_spec / "usd2-logn.json")
+        assert rows_id == rows_spec
+        assert extra_id["notes"] == extra_spec["notes"]
 
 
 class TestFidelityCommands:
@@ -135,11 +217,6 @@ class TestFidelityCommands:
         parser = build_parser()
         args = parser.parse_args(["run", "fig1-left", "--fidelity", "auto"])
         assert args.fidelity == "auto"
-        args = parser.parse_args(
-            ["sweep", "run", "usd2-logn", "--out", "/tmp/x",
-             "--fidelity", "surrogate"]
-        )
-        assert args.fidelity == "surrogate"
 
     def test_run_spec_surrogate_fast_path(self, capsys):
         assert main(["run", "--spec", self.SCENARIO]) == 0

@@ -46,6 +46,65 @@ def test_hash_ignores_placement_knobs():
         name="fig1-left", params={**SMALL, "workers": 4, "backend": "numpy"}
     )
     assert plain.spec_hash() == placed.spec_hash()
+    # the sweep trio and fig1-ensemble's persist are placement too
+    ensemble = ExperimentSpec(name="fig1-ensemble")
+    placed = ExperimentSpec(
+        name="fig1-ensemble",
+        params={"shard": "0/2", "out": "results", "persist": "runs"},
+    )
+    assert ensemble.spec_hash() == placed.spec_hash()
+
+
+#: ``spec_hash`` prefixes at the registry defaults.  Placement
+#: parameters never enter the hash, so moving one between experiments
+#: (or dropping one) must leave every pin where it is.
+PINNED_HASHES = {
+    "bias-threshold": "6a0cf404f831a2f7",
+    "engine-throughput": "8c554ce422265591",
+    "fig1-ensemble": "e31d35ea824c4173",
+    "fig1-left": "cb41113597c79361",
+    "fig1-right": "015e096488bed5be",
+    "graph-topology": "60e856c994cf21ea",
+    "lem31-ceiling": "f6fa325f1d618c61",
+    "lem33-growth": "be9b0aae0d0e2d64",
+    "lem34-gap": "c2b95b9330491948",
+    "memory-usd": "f5fee608e9873677",
+    "model-comparison": "858f77b51c02d8e4",
+    "thm35-scaling": "e92ad36b4c3cbcd1",
+    "usd2-logn": "23f7fa76701d1544",
+}
+
+
+def test_default_hashes_are_pinned():
+    from repro.experiments import EXPERIMENTS
+    from repro.specs import load_spec_file
+
+    hashes = {name: ExperimentSpec(name=name).spec_hash()[:16] for name in EXPERIMENTS}
+    assert hashes == PINNED_HASHES
+    scenario = load_spec_file("examples/scenarios/experiment_fig1.json")
+    assert scenario.spec_hash().startswith("f92779060152cacf")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("fig1-left", {"fidelity": "auto"}),
+        ("lem31-ceiling", {"persist": "runs"}),
+        ("fig1-left", {"shard": "0/2"}),
+        ("engine-throughput", {"resume": True}),
+    ],
+)
+def test_placement_an_experiment_cannot_honour_is_rejected(name, params):
+    with pytest.raises(SpecError, match=next(iter(params))):
+        ExperimentSpec(name=name, params=params)
+
+
+def test_run_spec_rejects_shard_for_non_sweep_experiment(tmp_path):
+    from repro.errors import ExperimentError
+
+    spec = ExperimentSpec(name="fig1-left", params=SMALL)
+    with pytest.raises(ExperimentError, match="not a sweep experiment"):
+        run_spec(spec, shard="0/2", out=tmp_path)
 
 
 def test_hash_matches_spelled_out_defaults():

@@ -5,6 +5,7 @@ import pytest
 
 from repro import SerializationError, Trace
 from repro.io import (
+    atomic_write,
     format_markdown_table,
     format_table,
     load_result_rows,
@@ -131,3 +132,25 @@ class TestResultRows:
     def test_load_missing(self, tmp_path):
         with pytest.raises(SerializationError):
             load_result_rows(tmp_path / "missing.json")
+
+
+class TestAtomicWrite:
+    def test_bytes_and_writer_forms(self, tmp_path):
+        path = tmp_path / "doc.json"
+        atomic_write(path, b"first")
+        atomic_write(path, lambda handle: handle.write(b"second"))
+        assert path.read_bytes() == b"second"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "doc.json"
+        atomic_write(path, b"intact")
+
+        def torn(handle):
+            handle.write(b"half")
+            raise RuntimeError("crash mid-write")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(path, torn)
+        assert path.read_bytes() == b"intact"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["doc.json"]

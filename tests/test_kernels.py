@@ -252,10 +252,6 @@ class TestBackendThreading:
 
         args = build_parser().parse_args(["run", "fig1-left", "--backend", "numpy"])
         assert args.backend == "numpy"
-        args = build_parser().parse_args(
-            ["sweep", "run", "usd2-logn", "--out", "/tmp/x", "--backend", "numpy"]
-        )
-        assert args.backend == "numpy"
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "numpy" in out and "numba" in out and "cython" in out

@@ -571,6 +571,31 @@ class TestPersistenceIntegration:
         assert np.array_equal(second.trace.times, first.trace.times)
         assert np.array_equal(second.trace.counts, first.trace.counts)
 
+    def test_resumed_run_keeps_its_recorded_metrics(self, tmp_path):
+        """A resumed run is the one its persisted document describes, so
+        the metrics recorded with the stream come back with it."""
+        from repro.specs import ObsConfig, document_from_persisted_run, to_document
+
+        spec = RunSpec(
+            protocol=ProtocolSpec(name="usd", k=2),
+            initial=InitialSpec(
+                kind="explicit",
+                n=64,
+                params={"opinion_counts": [40, 24], "undecided": 0},
+            ),
+            seed=5,
+            max_parallel_time=200,
+            recording=RecordingSpec(
+                snapshot_every=8, persist_to=str(tmp_path / "run")
+            ),
+            obs=ObsConfig(metrics=True),
+        )
+        live = to_document(run_spec(spec), spec)
+        resumed = to_document(run_spec(spec), spec)
+        assert live["obs_metrics"] is not None
+        assert resumed["obs_metrics"] == live["obs_metrics"]
+        assert resumed == document_from_persisted_run(tmp_path / "run")
+
     def test_unseeded_persisted_run_never_resumes(self, tmp_path):
         """seed=None means fresh entropy each run: no cached answers."""
         from repro.specs.runner import _resume_persisted

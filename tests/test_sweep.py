@@ -195,6 +195,13 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep(plan, toy_task, resume=True)
 
+    def test_partial_shard_requires_out_dir(self):
+        """The one home of the check every sweep front-end relies on."""
+        plan = make_plan(2)
+        with pytest.raises(SweepError, match="needs an 'out'"):
+            run_sweep(plan, toy_task, shard="0/2")
+        assert len(run_sweep(plan, toy_task, shard="0/1").outcomes) == 2
+
     def test_pool_workers_match_serial(self, tmp_path):
         """Worker count is a pure throughput knob — same rows either way."""
         plan = make_plan(6)
