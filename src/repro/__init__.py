@@ -5,7 +5,7 @@ Bound for Plurality Consensus with Undecided State Dynamics in the
 Population Protocol Model"* (El-Hayek, Elsässer, Schmid — PODC 2025):
 
 * :mod:`repro.core` — the population-protocol execution substrate
-  (configurations, protocols, three simulation engines);
+  (configurations, protocols, four simulation engines);
 * :mod:`repro.protocols` — USD plus classic baselines;
 * :mod:`repro.gossip` — the synchronous Gossip model for comparison;
 * :mod:`repro.meanfield` — the fluid-limit ODEs and fixed points;
@@ -86,9 +86,10 @@ contract and a two-host walkthrough.
 
 Choosing engine and workers
 ---------------------------
-* ``engine='counts'`` (exact) up to a few 10⁴ agents, ``'batch'``
-  (τ-leaping) beyond, ``'agent'`` only for ground-truth checks —
-  ``'auto'`` picks counts/batch on a size threshold.
+* ``engine='auto'`` (the default) runs the exact collision-free
+  batched engine ``'multibatch'`` at every n; ``'counts'`` is the exact
+  per-event reference, ``'agent'`` the per-agent ground truth, and
+  ``'batch'`` (τ-leaping, approximate) runs only when named.
 * ``workers=0`` (default) runs in-process: right for tests, debugging
   and tiny ensembles, where pool startup would dominate.
 * ``workers=N`` pays ~100 ms of pool startup plus per-run pickling of
@@ -106,6 +107,7 @@ from .core import (
     Configuration,
     CountsEngine,
     GraphPairScheduler,
+    MultiBatchEngine,
     OpinionProtocol,
     PersistentTrajectoryRecorder,
     PopulationProtocol,
@@ -173,6 +175,7 @@ __all__ = [
     "Configuration",
     "CountsEngine",
     "GraphPairScheduler",
+    "MultiBatchEngine",
     "OpinionProtocol",
     "PersistentTrajectoryRecorder",
     "PopulationProtocol",

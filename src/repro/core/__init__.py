@@ -6,10 +6,11 @@ from .configuration import Configuration
 from .counts_engine import CountsEngine
 from .engine import BaseEngine
 from .kernels import KernelInputs, available_backends, default_backend, get_backend
+from .multibatch_engine import MultiBatchEngine
 from .persistent_recorder import PersistentTrajectoryRecorder
 from .protocol import OpinionProtocol, PopulationProtocol, default_undecided_index
 from .recorder import Trace, TrajectoryRecorder
-from .run import AUTO_ENGINE_COUNTS_LIMIT, RunResult, make_engine, simulate
+from .run import ENGINE_NAMES, RunResult, make_engine, simulate
 from .scheduler import GraphPairScheduler, PairScheduler, UniformPairScheduler
 from .transitions import TransitionTable
 from . import kernels, stopping
@@ -21,6 +22,7 @@ __all__ = [
     "KernelInputs",
     "Configuration",
     "CountsEngine",
+    "MultiBatchEngine",
     "GraphPairScheduler",
     "OpinionProtocol",
     "PairScheduler",
@@ -31,7 +33,7 @@ __all__ = [
     "TrajectoryRecorder",
     "TransitionTable",
     "UniformPairScheduler",
-    "AUTO_ENGINE_COUNTS_LIMIT",
+    "ENGINE_NAMES",
     "available_backends",
     "default_backend",
     "default_undecided_index",

@@ -1,4 +1,4 @@
-"""Shared machinery of the three simulation engines.
+"""Shared machinery of the four simulation engines.
 
 All engines present one API: they are constructed from a protocol and a
 state-count vector, :meth:`BaseEngine.step` advances an exact number of
@@ -12,8 +12,11 @@ Engines differ only in *how* they advance:
   implementation (exact, slow);
 * :class:`repro.core.counts_engine.CountsEngine` — exact counts-level
   simulation with closed-form skipping of null interactions;
+* :class:`repro.core.multibatch_engine.MultiBatchEngine` — exact
+  counts-level simulation in collision-free epochs of ~0.63·√n
+  interactions; what ``engine='auto'`` runs at every ``n``;
 * :class:`repro.core.batch_engine.BatchEngine` — τ-leaping
-  approximation for large populations.
+  approximation for large populations, run only when asked for.
 """
 
 from __future__ import annotations
@@ -141,8 +144,11 @@ class BaseEngine(abc.ABC):
         """Whether the configuration can never change again.
 
         Engines flip this flag as soon as they can determine it cheaply;
-        it is always sound (never ``True`` for a live configuration) and,
-        for the counts/batch engines, also complete.
+        it is always sound (never ``True`` for a live configuration).
+        The agent and multibatch engines check it at the end of every
+        step, so there it is also complete; the counts and batch engines
+        notice an absorbing configuration at their next step at the
+        latest.
         """
         return self._absorbed
 
@@ -150,10 +156,11 @@ class BaseEngine(abc.ABC):
     def last_change_interaction(self) -> Optional[int]:
         """Interaction index of the most recent configuration change.
 
-        For an absorbed run this is the stabilization time.  The counts
-        engine reports it exactly; the agent engine exactly; the batch
-        engine at batch resolution (the end of the changing batch).
-        ``None`` means the configuration has not changed yet.
+        For an absorbed run this is the stabilization time.  The agent,
+        counts and multibatch engines report it exactly, to the
+        interaction; the batch engine at batch resolution (the end of
+        the changing batch).  ``None`` means the configuration has not
+        changed yet.
         """
         return self._last_change
 

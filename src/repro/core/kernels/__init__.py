@@ -11,8 +11,10 @@ resolved from its ``backend`` parameter:
 * ``'numba'`` — ``@njit``-compiled counts *and* τ-leaping batch
   kernels drawing from the same ``np.random.Generator`` (the batch
   kernel's ``binomial``/``multinomial`` draws come from bit-exact
-  ports of NumPy's C samplers in :mod:`.numba_rng`); optional, falls
-  back to numpy with a one-time warning when the package is missing.
+  ports of NumPy's C samplers in :mod:`.numba_rng`), with the
+  vectorised ``multibatch_step`` epoch kernel delegated to numpy;
+  optional, falls back to numpy with a one-time warning when the
+  package is missing.
 
 Backends are bit-identical by contract — the trajectory of a seeded run
 does not depend on the backend, so ``backend`` is a pure throughput
@@ -27,7 +29,7 @@ them fall back instead of failing.  Future backends (GPU) register
 through :func:`register_backend` behind the same seam.
 """
 
-from .inputs import KernelInputs
+from .inputs import EpochInputs, KernelInputs
 from .registry import (
     KERNEL_NAMES,
     KernelBackend,
@@ -43,6 +45,7 @@ from .registry import (
 
 __all__ = [
     "KERNEL_NAMES",
+    "EpochInputs",
     "KernelBackend",
     "KernelInputs",
     "available_backends",

@@ -1,4 +1,4 @@
-"""The frozen per-engine kernel input struct.
+"""The frozen per-engine kernel input structs.
 
 A :class:`KernelInputs` is everything a compute kernel needs to know
 about a protocol/population pair that does *not* change during a run:
@@ -6,16 +6,26 @@ the effective ordered pairs (as flat ``int64`` arrays), the dense
 per-pair delta matrix, and the ``n (n - 1)`` pair denominator.  Engines
 build it once in their constructor and hand it to every kernel call, so
 kernels stay stateless and a compiled backend can specialise on plain
-arrays instead of protocol objects.
+arrays instead of protocol objects.  :class:`EpochInputs` adds what the
+collision-free epoch kernel needs on top: the flat transition table and
+the law of the epoch length at this ``n``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelInputs"]
+__all__ = ["EpochInputs", "KernelInputs"]
+
+#: The epoch-length table stops at ``EPOCH_TABLE_ROOTS · √n`` disjoint
+#: interactions, where P(ℓ ≥ m) ≈ exp(−2m²/n) is below 1e-55.  Where it
+#: stops matters for speed only: an epoch that reaches the end of the
+#: table plays no collision, and the next epoch starts afresh, which the
+#: Markov property makes exact.
+EPOCH_TABLE_ROOTS = 8
 
 
 @dataclass(frozen=True)
@@ -80,4 +90,71 @@ class KernelInputs:
             pair_denominator=float(n) * float(n - 1),
             num_states=int(table.num_states),
             n=int(n),
+        )
+
+
+@dataclass(frozen=True)
+class EpochInputs:
+    """Immutable inputs of the collision-free epoch kernel.
+
+    Attributes
+    ----------
+    pairs:
+        The :class:`KernelInputs` of the same protocol and ``n``: the
+        epoch kernel weighs the effective pairs with it, and the engine
+        hands it to ``counts_step`` near absorption.
+    out_initiator, out_responder:
+        Post-interaction states of the ordered pair ``(a, b)`` at flat
+        index ``a * S + b``, shape ``(S²,)`` ``int64``.
+    effective:
+        ``True`` at the flat index of every non-null ordered pair.
+    epoch_table:
+        ``epoch_table[m] = −log P(ℓ ≥ m)`` for ``m = 0 .. M``, where ℓ
+        is the number of pairwise-disjoint interactions before the first
+        one that touches an agent already touched (see
+        :data:`EPOCH_TABLE_ROOTS` for ``M``).  Non-decreasing, with
+        ``epoch_table[0] = epoch_table[1] = 0``.
+    expected_epoch:
+        ``E[min(ℓ, M)]``, about ``0.63 · √n`` interactions.
+    """
+
+    pairs: KernelInputs
+    out_initiator: np.ndarray
+    out_responder: np.ndarray
+    effective: np.ndarray
+    epoch_table: np.ndarray
+    expected_epoch: float
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("out_initiator", np.int64),
+            ("out_responder", np.int64),
+            ("effective", np.bool_),
+            ("epoch_table", np.float64),
+        ):
+            array = np.array(getattr(self, name), dtype=dtype, order="C").ravel()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def longest_epoch(self) -> int:
+        """``M``, the most disjoint interactions one epoch plays."""
+        return int(self.epoch_table.shape[0]) - 1
+
+    @classmethod
+    def from_table(cls, table, n: int) -> "EpochInputs":
+        """Build the struct from a compiled transition table and ``n``."""
+        longest = min(n // 2, EPOCH_TABLE_ROOTS * (math.isqrt(n) + 1))
+        # P(interaction i + 1 is disjoint from the first i) is
+        # (n − 2i)(n − 2i − 1) / (n (n − 1)) for 0-based i
+        i = np.arange(longest, dtype=np.float64)
+        log_disjoint = np.log1p(-2.0 * i / n) + np.log1p(-2.0 * i / (n - 1))
+        epoch_table = np.concatenate(([0.0], -np.cumsum(log_disjoint)))
+        return cls(
+            pairs=KernelInputs.from_table(table, n),
+            out_initiator=table.out_initiator,
+            out_responder=table.out_responder,
+            effective=~table.null_mask,
+            epoch_table=epoch_table,
+            expected_epoch=float(np.exp(-epoch_table[1:]).sum()),
         )

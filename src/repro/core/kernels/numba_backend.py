@@ -39,7 +39,8 @@ Three deliberate safety properties:
   so explicitly (``batch_step: numpy (delegated: <reason>)``), which
   ``repro backends`` and the :class:`~.registry.KernelBackend` repr
   surface.  A user can always tell which backend actually serves each
-  kernel.
+  kernel.  The exact batched engine's ``multibatch_step`` has no
+  compiled port and is always served that way.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ __all__ = ["load"]
 NAME = "numba"
 
 _SELF_CHECK_SEED = 20250728
+
+#: Why the collision-free epoch kernel is served by numpy.  Its epoch
+#: loop is a handful of vectorised numpy calls per ~0.63·√n
+#: interactions; the engine's hand-over to ``counts_step`` near
+#: absorption still runs this backend's compiled counts kernel.
+_MULTIBATCH_DELEGATION = "vectorised epoch kernel, no compiled port"
 
 #: Seeds the batch self-check replays every scenario under.  Several
 #: seeds, because the rejection-sampling branches (BTPE squeeze accepts,
@@ -545,6 +552,8 @@ def load():
 
     ``kernels`` maps kernel names to callables plus a ``"provenance"``
     entry recording which implementation actually serves each kernel.
+    ``multibatch_step`` is always the NumPy reference, recorded as
+    delegated.
     The batch kernel degrades independently: if *it* cannot compile or
     fails its self-check while the counts kernel passes, the backend
     still loads with ``batch_step`` delegated to the NumPy reference
@@ -572,8 +581,10 @@ def load():
     if batch_step is None or batch_mismatch is not None:
         batch_step = numpy_backend.batch_step
         provenance["batch_step"] = f"numpy (delegated: {batch_mismatch})"
+    provenance["multibatch_step"] = f"numpy (delegated: {_MULTIBATCH_DELEGATION})"
     return {
         "counts_step": counts_step,
         "batch_step": batch_step,
+        "multibatch_step": numpy_backend.multibatch_step,
         "provenance": provenance,
     }, None

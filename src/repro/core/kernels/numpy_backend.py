@@ -1,14 +1,16 @@
-"""Reference NumPy kernels — the extracted engine hot loops.
+"""Reference NumPy kernels — the engine hot loops.
 
-These functions are pure extractions of the pre-kernel
-``CountsEngine._step_impl`` (geometric null-skipping) and
+``counts_step`` and ``batch_step`` are pure extractions of the
+pre-kernel ``CountsEngine._step_impl`` (geometric null-skipping) and
 ``BatchEngine._step_impl``/``_attempt_batch`` (binomial/multinomial
 τ-leaping with rejection halving): they consume the random stream in
 exactly the same order and apply exactly the same integer updates, so
 trajectories are bit-identical to the pre-refactor engines by
 construction.  Every other backend must reproduce this draw sequence —
 :mod:`repro.core.kernels.numba_backend` proves it does with a
-self-check at load time.
+self-check at load time.  ``multibatch_step`` is the collision-free
+epoch loop of the exact batched engine; it is vectorised numpy
+throughout, and the numba backend delegates it here.
 
 Kernels are stateless: all run state lives in the engine and travels
 through the arguments/returns.  ``counts`` is mutated in place.
@@ -21,9 +23,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...errors import BatchSizeError
-from .inputs import KernelInputs
+from .inputs import EpochInputs, KernelInputs
 
-__all__ = ["counts_step", "batch_step"]
+__all__ = ["counts_step", "batch_step", "multibatch_step"]
 
 #: Registry name of this backend.
 NAME = "numpy"
@@ -134,3 +136,95 @@ def batch_step(
         if batch < nominal_batch:
             batch = min(nominal_batch, batch * 2)
     return interactions, last_change, False, batch, halvings
+
+
+def multibatch_step(
+    inputs: EpochInputs,
+    counts: np.ndarray,
+    rng: np.random.Generator,
+    start: int,
+    target: int,
+) -> Tuple[int, Optional[int], bool]:
+    """Advance the exact dynamics from ``start`` in collision-free epochs.
+
+    One epoch (Berenbrink et al., ESA 2020, arXiv:2005.03584) samples
+    ℓ, the number of pairwise-disjoint interactions before the first one
+    that touches an agent twice, draws the states of the 2ℓ touched
+    agents without replacement and in uniform order (positions ``i`` and
+    ``ℓ + i`` interact), applies the transition table to all ℓ pairs at
+    once, and then plays the colliding interaction ℓ + 1 on its own.
+    That is exactly the law of ℓ + 1 uniform interactions.  The epoch
+    that would cross ``target`` stops there and plays no collision,
+    which the Markov property makes exact.
+
+    Returns ``(interactions, last_change, absorbed)`` like
+    :func:`counts_step`, with ``last_change`` exact to the interaction.
+    It returns early, at ``interactions < target``, once an epoch holds
+    less than one effective interaction on average (``p_effective ·
+    E[ℓ] < 1``): there geometric null-skipping is cheaper, and the
+    caller runs ``counts_step`` instead.  ``absorbed`` is checked at
+    every return, and an absorbed call returns ``target``.
+    """
+    pairs = inputs.pairs
+    eff_a, eff_b, eff_same = pairs.eff_a, pairs.eff_b, pairs.eff_same
+    num_states, n = pairs.num_states, pairs.n
+    handover = pairs.pair_denominator / inputs.expected_epoch
+    out_a, out_b = inputs.out_initiator, inputs.out_responder
+    effective, epoch_table = inputs.effective, inputs.epoch_table
+    longest = inputs.longest_epoch
+    states = np.arange(num_states)
+    interactions = start
+    last_change: Optional[int] = None
+    while True:
+        total = int((counts[eff_a] * (counts[eff_b] - eff_same)).sum())
+        if total == 0:
+            return target, last_change, True
+        if interactions >= target or total < handover:
+            return interactions, last_change, False
+        # inversion: P(ℓ ≥ m) = exp(-epoch_table[m]) = P(E ≥ epoch_table[m])
+        exponential = rng.standard_exponential()
+        ell = int(epoch_table.searchsorted(exponential, side="right")) - 1
+        collide = ell < longest and ell < target - interactions
+        ell = min(ell, target - interactions)
+        touched = 2 * ell
+        drawn = rng.multivariate_hypergeometric(counts, touched)
+        order = states.repeat(drawn)
+        rng.shuffle(order)
+        flat = order[:ell] * num_states + order[ell:]
+        changed = effective[flat].nonzero()[0]
+        if changed.size:
+            last_change = interactions + int(changed[-1]) + 1
+        interactions += ell
+        post = np.concatenate((out_a[flat], out_b[flat]))
+        untouched = counts - drawn
+        np.add(untouched, np.bincount(post, minlength=num_states), out=counts)
+        if not collide:
+            continue
+        # the colliding pair is touched-untouched, untouched-touched or
+        # touched-touched, with weights t·u : u·t : t(t − 1); one uniform
+        # integer picks the kind and both agents
+        rest = n - touched
+        cross = touched * rest
+        draw = int(rng.integers(0, 2 * cross + touched * (touched - 1)))
+        if draw < cross:
+            agent, other = divmod(draw, rest)
+            a, b = post[agent], _untouched_state(untouched, other)
+        elif draw < 2 * cross:
+            other, agent = divmod(draw - cross, touched)
+            a, b = _untouched_state(untouched, other), post[agent]
+        else:
+            first, second = divmod(draw - 2 * cross, touched - 1)
+            a, b = post[first], post[second + (second >= first)]
+        interactions += 1
+        pair = a * num_states + b
+        if effective[pair]:
+            counts[a] -= 1
+            counts[b] -= 1
+            counts[out_a[pair]] += 1
+            counts[out_b[pair]] += 1
+            last_change = interactions
+
+
+def _untouched_state(untouched: np.ndarray, index: int) -> int:
+    """State of the ``index``-th untouched agent, in state order."""
+    return int(untouched.cumsum().searchsorted(index, side="right"))

@@ -1,8 +1,9 @@
 """Backend registry: named, pluggable compute kernels.
 
-A :class:`KernelBackend` bundles the two hot-loop kernels the engines
-delegate to — ``counts_step`` (exact geometric null-skipping) and
-``batch_step`` (τ-leaping) — under a name.  :func:`get_backend`
+A :class:`KernelBackend` bundles the three hot-loop kernels the engines
+delegate to — ``counts_step`` (exact geometric null-skipping),
+``batch_step`` (τ-leaping) and ``multibatch_step`` (exact
+collision-free epochs) — under a name.  :func:`get_backend`
 resolves a requested name (or ``None``/``'auto'`` for the default)
 into a backend, falling back to the NumPy reference with a one-time
 warning when an optional backend cannot deliver; simulation therefore
@@ -49,7 +50,7 @@ _DEFAULT_ALIASES = (None, "auto", "default")
 
 
 #: The kernels every backend must provide, in display order.
-KERNEL_NAMES = ("counts_step", "batch_step")
+KERNEL_NAMES = ("counts_step", "batch_step", "multibatch_step")
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,11 @@ class KernelBackend:
         ``(inputs, counts, rng, num, start, batch, nominal_batch) ->
         (interactions, last_change, absorbed, batch, halvings)`` — the
         τ-leaping kernel.
+    multibatch_step:
+        ``(epoch_inputs, counts, rng, start, target) -> (interactions,
+        last_change, absorbed)`` — the exact collision-free epoch
+        kernel, which may return before ``target`` (see
+        :func:`~repro.core.kernels.numpy_backend.multibatch_step`).
     description:
         One line for ``repro backends``.
     compiled:
@@ -84,6 +90,7 @@ class KernelBackend:
     name: str
     counts_step: Callable
     batch_step: Callable
+    multibatch_step: Callable
     description: str = ""
     compiled: bool = False
     provenance: Tuple[Tuple[str, str], ...] = ()
@@ -147,6 +154,7 @@ def _load_numpy() -> Tuple[KernelBackend, None]:
             name="numpy",
             counts_step=numpy_backend.counts_step,
             batch_step=numpy_backend.batch_step,
+            multibatch_step=numpy_backend.multibatch_step,
             description="pure-NumPy reference kernels (always available)",
         ),
         None,
@@ -162,6 +170,7 @@ def _load_numba() -> Tuple[Optional[KernelBackend], Optional[str]]:
             name="numba",
             counts_step=kernels["counts_step"],
             batch_step=kernels["batch_step"],
+            multibatch_step=kernels["multibatch_step"],
             description=(
                 "Numba-JIT counts + batched-RNG τ-leaping kernels, "
                 "bit-identical to numpy (self-checked at load)"

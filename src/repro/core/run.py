@@ -33,6 +33,7 @@ from .batch_engine import BatchEngine
 from .configuration import Configuration
 from .counts_engine import CountsEngine
 from .engine import BaseEngine, default_snapshot_every
+from .multibatch_engine import MultiBatchEngine
 from .persistent_recorder import PersistentTrajectoryRecorder
 from .protocol import OpinionProtocol, PopulationProtocol, default_undecided_index
 from .recorder import Trace, TrajectoryRecorder
@@ -41,23 +42,23 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only import
     from ..specs import RunSpec
 
 __all__ = [
+    "ENGINE_NAMES",
     "RunResult",
     "make_engine",
     "resolve_engine_name",
     "simulate",
-    "AUTO_ENGINE_COUNTS_LIMIT",
 ]
-
-#: Populations up to this size default to the exact counts engine; larger
-#: ones use τ-leaping.  Chosen so the default stays exact whenever exact
-#: is affordable (~seconds).
-AUTO_ENGINE_COUNTS_LIMIT = 30_000
 
 _ENGINES = {
     "agent": AgentEngine,
     "counts": CountsEngine,
     "batch": BatchEngine,
+    "multibatch": MultiBatchEngine,
 }
+
+#: Every engine name :func:`make_engine` and :class:`repro.specs.RunSpec`
+#: accept; ``'auto'`` resolves through :func:`resolve_engine_name`.
+ENGINE_NAMES = ("auto", *_ENGINES)
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,10 @@ def make_engine(
 
     ``initial`` may be an opinion-level :class:`Configuration` (encoded
     through the protocol) or a raw state-count vector.  ``engine`` is
-    ``'agent'``, ``'counts'``, ``'batch'`` or ``'auto'`` (exact counts
-    engine up to :data:`AUTO_ENGINE_COUNTS_LIMIT` agents, τ-leaping
-    beyond).  ``backend`` selects the compute-kernel backend
+    one of :data:`ENGINE_NAMES`: ``'agent'``, ``'counts'``,
+    ``'multibatch'`` (all three exact), ``'batch'`` (τ-leaping, only
+    when asked for) or ``'auto'`` (the exact ``'multibatch'`` engine at
+    every ``n``).  ``backend`` selects the compute-kernel backend
     (:mod:`repro.core.kernels`); backends are bit-identical, so it only
     affects throughput.
     """
@@ -189,12 +191,14 @@ def make_engine(
 def resolve_engine_name(engine: str, n: int) -> str:
     """The engine name ``'auto'`` resolves to at population size ``n``.
 
-    Shared with :meth:`repro.specs.RunSpec.resolved_engine`, so a
-    spec's ``spec_hash`` names the engine a fresh ``simulate`` call
-    would pick.
+    ``'auto'`` is the exact collision-free batched engine
+    (``'multibatch'``) at every ``n``: it is exact, and it outruns the
+    counts engine from a few hundred agents up.  Shared with
+    :meth:`repro.specs.RunSpec.resolved_engine`, so a spec's
+    ``spec_hash`` names the engine a fresh ``simulate`` call would pick.
     """
     if engine == "auto":
-        return "counts" if n <= AUTO_ENGINE_COUNTS_LIMIT else "batch"
+        return "multibatch"
     return engine
 
 
@@ -243,6 +247,11 @@ def simulate(
     ``max_parallel_time`` (converted as ``round(t * n)``).  The run ends
     at the horizon, at absorption (detected automatically), or when the
     optional extra ``stop`` predicate fires, whichever comes first.
+
+    ``engine`` names the engine (see :func:`make_engine`).  The
+    default ``'auto'`` runs the exact collision-free batched engine at
+    every ``n``, so results are exact in law unless ``'batch'``
+    (τ-leaping) is asked for by name.
 
     ``snapshot_every`` sets the recording / stop-checking cadence in
     interactions (default: half a parallel round).  ``backend`` picks

@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..core.configuration import Configuration
+from ..core.run import ENGINE_NAMES, resolve_engine_name
 from ..errors import ReproError, SpecError
 from ..obs.config import ObsConfig
 from .hashing import canonicalize, content_hash
@@ -50,9 +51,6 @@ __all__ = [
 #: ``from_dict`` accepts documents up to this version and rejects newer
 #: ones, mirroring the streamed-trace manifest convention.
 SCHEMA_VERSION = 1
-
-#: Engine names :class:`RunSpec` accepts (``'auto'`` resolves by size).
-_ENGINE_NAMES = ("auto", "agent", "counts", "batch")
 
 #: Fidelity tiers :class:`RunSpec` accepts.  ``'exact'`` runs the real
 #: engines, ``'surrogate'`` the mean-field fluid limit, ``'auto'``
@@ -625,8 +623,8 @@ class RunSpec:
             "RunSpec.obs must be an ObsConfig",
         )
         _require(
-            self.engine in _ENGINE_NAMES,
-            f"unknown engine {self.engine!r}; choose from {list(_ENGINE_NAMES)}",
+            self.engine in ENGINE_NAMES,
+            f"unknown engine {self.engine!r}; choose from {list(ENGINE_NAMES)}",
         )
         _require(
             self.fidelity in FIDELITY_NAMES,
@@ -781,8 +779,6 @@ class RunSpec:
         """The concrete engine name ``'auto'`` resolves to at this n."""
         if self.protocol.model == "gossip":
             return "gossip"
-        from ..core.run import resolve_engine_name
-
         return resolve_engine_name(self.engine, self.n)
 
     # -- hashing -----------------------------------------------------

@@ -1,17 +1,18 @@
 """Cross-engine equivalence: the heart of the methodology.
 
-The agent engine is the ground truth.  The counts engine must match it
-*exactly in distribution* (same process, different representation); the
-batch engine must match within its O(B/n) τ-leaping error.  We check
-first moments of several observables after a fixed number of
-interactions, over independent-seed ensembles, with generous
-multiple-of-standard-error tolerances so the suite is stable.
+The agent engine is the ground truth.  The counts and multibatch
+engines must match it *exactly in distribution* (same process,
+different representation); the batch engine must match within its
+O(B/n) τ-leaping error.  We check first moments of several observables
+after a fixed number of interactions, over independent-seed ensembles,
+with generous multiple-of-standard-error tolerances so the suite is
+stable.
 """
 
 import numpy as np
 import pytest
 
-from repro import AgentEngine, BatchEngine, CountsEngine
+from repro import AgentEngine, BatchEngine, CountsEngine, MultiBatchEngine
 from repro.core.kernels import available_backends
 from repro.protocols import UndecidedStateDynamics
 
@@ -57,6 +58,11 @@ def counts_moments(request):
 
 
 @pytest.fixture(scope="module", params=available_backends())
+def multibatch_moments(request):
+    return ensemble_moments(MultiBatchEngine, backend=request.param)
+
+
+@pytest.fixture(scope="module", params=available_backends())
 def batch_moments(request):
     return ensemble_moments(BatchEngine, epsilon=0.01, backend=request.param)
 
@@ -82,6 +88,19 @@ class TestCountsMatchesAgent:
 
     def test_gap(self, agent_moments, counts_moments):
         assert_close(agent_moments["gap"], counts_moments["gap"])
+
+
+class TestMultiBatchMatchesAgent:
+    """Multibatch engine is exact: every observable's mean must agree."""
+
+    def test_undecided(self, agent_moments, multibatch_moments):
+        assert_close(agent_moments["undecided"], multibatch_moments["undecided"])
+
+    def test_majority(self, agent_moments, multibatch_moments):
+        assert_close(agent_moments["majority"], multibatch_moments["majority"])
+
+    def test_gap(self, agent_moments, multibatch_moments):
+        assert_close(agent_moments["gap"], multibatch_moments["gap"])
 
 
 class TestBatchMatchesAgent:

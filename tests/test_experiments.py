@@ -222,6 +222,7 @@ class TestOtherExperiments:
         assert {row["engine"] for row in result.rows} == {
             "agent",
             "counts",
+            "multibatch",
             "batch",
         }
         assert all(row["throughput_per_sec"] > 0 for row in result.rows)

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import BatchEngine, CountsEngine, make_engine, simulate
+from repro import BatchEngine, CountsEngine, MultiBatchEngine, make_engine, simulate
 from repro.core.kernels import (
     KernelInputs,
     available_backends,
@@ -319,6 +319,24 @@ def test_batch_trajectories_bit_identical_across_backends(name, seed):
             steps=30,
             chunk=401,
             epsilon=0.01,
+        )
+        if reference is None:
+            reference = (snapshots, state)
+        else:
+            assert snapshots == reference[0], f"{backend} trajectory diverged"
+            assert state == reference[1], f"{backend} consumed a different stream"
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1848, 9001])
+def test_multibatch_trajectories_bit_identical_across_backends(name, seed):
+    # the epoch kernel is numpy everywhere, but its hand-over near
+    # absorption runs each backend's own counts kernel
+    protocol, counts = PROTOCOLS[name]
+    reference = None
+    for backend in available_backends():
+        snapshots, state = _trajectory(
+            MultiBatchEngine, protocol, counts * 20, seed, backend, steps=30, chunk=97
         )
         if reference is None:
             reference = (snapshots, state)

@@ -65,7 +65,7 @@ def _run_doc(n=400, k=3, seed=9, **extra):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ["counts", "batch"])
+    @pytest.mark.parametrize("engine", ["counts", "batch", "multibatch"])
     def test_population_engines(self, engine, capsys):
         from repro.core.kernels import available_backends
 

@@ -11,10 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AgentEngine, BatchEngine, CountsEngine
+from repro import AgentEngine, BatchEngine, CountsEngine, MultiBatchEngine
 from repro.protocols import UndecidedStateDynamics, VoterModel
 
-engines = st.sampled_from([AgentEngine, CountsEngine, BatchEngine])
+engines = st.sampled_from([AgentEngine, CountsEngine, BatchEngine, MultiBatchEngine])
 
 usd_counts = st.lists(
     st.integers(min_value=0, max_value=60), min_size=3, max_size=6
@@ -75,6 +75,22 @@ class TestUSDReachability:
             engine.step(1)
             current = engine.counts[0]
             assert current - previous in (-1, 0, 2)
+            previous = current
+
+    @given(engines, usd_counts, st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_plays_one_interaction(self, engine_cls, counts, seed):
+        """``step(1)`` is one interaction: u moves by −1, 0 or +2 and at
+        most two agents change state.  An epoch clipped one interaction
+        late (or early) at the call's target breaks this."""
+        protocol = UndecidedStateDynamics(k=len(counts) - 1)
+        engine = engine_cls(protocol, np.asarray(counts), seed=seed)
+        previous = engine.counts
+        for _ in range(40):
+            engine.step(1)
+            current = engine.counts
+            assert current[0] - previous[0] in (-1, 0, 2)
+            assert np.abs(current - previous).sum() <= 4
             previous = current
 
     @given(usd_counts, st.integers(0, 2**31 - 1))

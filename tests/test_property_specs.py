@@ -15,6 +15,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.run import ENGINE_NAMES
 from repro.specs import (
     EnsembleSpec,
     InitialSpec,
@@ -73,7 +74,7 @@ def run_specs(draw) -> RunSpec:
     return RunSpec(
         protocol=ProtocolSpec(name=name, k=k, params=params),
         initial=InitialSpec(kind=kind, n=n, params=initial_params),
-        engine=draw(st.sampled_from(["auto", "agent", "counts", "batch"])),
+        engine=draw(st.sampled_from(ENGINE_NAMES)),
         backend=draw(st.sampled_from([None, "numpy", "numba"])),
         seed=draw(st.one_of(st.none(), st.integers(0, 2**63 - 1))),
         stop_when_stable=True,

@@ -8,12 +8,13 @@ from repro import (
     BatchEngine,
     Configuration,
     CountsEngine,
+    MultiBatchEngine,
     SimulationError,
     make_engine,
     simulate,
 )
 from repro.core import stopping
-from repro.core.run import AUTO_ENGINE_COUNTS_LIMIT
+from repro.core.run import resolve_engine_name
 from repro.protocols import FourStateExactMajority, UndecidedStateDynamics, VoterModel
 
 
@@ -29,14 +30,17 @@ class TestMakeEngine:
         assert isinstance(make_engine(usd2, config, engine="counts"), CountsEngine)
         assert isinstance(make_engine(usd2, config, engine="batch"), BatchEngine)
 
-    def test_auto_small_uses_counts(self, usd2):
+    def test_auto_small_uses_multibatch(self, usd2):
         engine = make_engine(usd2, Configuration([6, 4]), engine="auto")
-        assert isinstance(engine, CountsEngine)
+        assert isinstance(engine, MultiBatchEngine)
+        assert resolve_engine_name("auto", 10) == "multibatch"
 
-    def test_auto_large_uses_batch(self, usd2):
-        n = AUTO_ENGINE_COUNTS_LIMIT + 10
+    def test_auto_large_uses_multibatch(self, usd2):
+        # exact at every n: no size threshold hands large runs to τ-leaping
+        n = 10**6
         engine = make_engine(usd2, Configuration([n - 5, 5]), engine="auto")
-        assert isinstance(engine, BatchEngine)
+        assert isinstance(engine, MultiBatchEngine)
+        assert resolve_engine_name("auto", n) == "multibatch"
 
     def test_unknown_engine_rejected(self, usd2):
         with pytest.raises(SimulationError):

@@ -49,7 +49,7 @@ def _paper_run(tmp_path=None, *, engine="counts", backend=None, snapshot_every=3
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ["agent", "counts", "batch"])
+    @pytest.mark.parametrize("engine", ["agent", "counts", "batch", "multibatch"])
     @pytest.mark.parametrize("snapshot_every", [1, 37, 5000])
     def test_materialize_matches_in_memory_trace(
         self, tmp_path, engine, snapshot_every
