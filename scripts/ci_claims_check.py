@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import sys
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, get_experiment
 
 #: The doubling law k·log₂((n/k)/bias) must explain this much of the
 #: variance of the ``thm35-scaling`` medians.
@@ -263,7 +263,7 @@ def main() -> int:
         return 1
     verdicts = []
     for experiment_id, check in CLAIMS.items():
-        result = run_experiment(experiment_id)
+        result = get_experiment(experiment_id)().run()
         print()
         print(result.table())
         for note in result.notes:

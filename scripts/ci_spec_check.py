@@ -8,7 +8,7 @@ Modes
     on the first invalid document or if the directory holds none.
 ``bitidentity``
     The acceptance contract of the spec layer: a keyword
-    ``simulate(...)`` call and ``simulate(spec)`` of the equivalent
+    ``simulate(...)`` call and ``run_spec(spec)`` of the equivalent
     :class:`repro.specs.RunSpec` must produce bit-identical
     ``RunResult``s — same trace arrays (values *and* dtypes), same
     final counts, same scalar outcome, same metadata (including the
@@ -30,6 +30,7 @@ from repro.specs import (
     ProtocolSpec,
     RunSpec,
     load_spec_file,
+    run_spec,
 )
 
 
@@ -79,7 +80,7 @@ def check_bitidentity() -> int:
         "spec_hash depends on dict key order",
     )
 
-    declarative = simulate(roundtripped)
+    declarative = run_spec(roundtripped)
     _assert(
         keyword.metadata.get("spec_hash") == spec.spec_hash(),
         "keyword simulate did not normalise to the same spec_hash",
@@ -94,11 +95,11 @@ def check_bitidentity() -> int:
     ):
         _assert(
             getattr(keyword, name) == getattr(declarative, name),
-            f"keyword vs spec form disagree on {name}",
+            f"keyword simulate vs run_spec disagree on {name}",
         )
     _assert(
         keyword.metadata == declarative.metadata,
-        "keyword vs spec form disagree on metadata",
+        "keyword simulate vs run_spec disagree on metadata",
     )
     for keyword_array, declarative_array, name in (
         (keyword.final_counts, declarative.final_counts, "final_counts"),
@@ -114,7 +115,7 @@ def check_bitidentity() -> int:
             f"{name} values differ",
         )
     print(
-        "keyword and spec form are bit-identical "
+        "keyword simulate and run_spec are bit-identical "
         f"(spec_hash {spec.spec_hash()[:16]}…, "
         f"{keyword.interactions} interactions, winner {keyword.winner})"
     )

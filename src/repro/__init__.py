@@ -32,9 +32,9 @@ Quickstart
 1
 
 The same run as a declarative spec — serializable, diffable, hashable
-(``simulate(spec)`` and the keyword form are bit-identical):
+(``run_spec(spec)`` and the keyword form are bit-identical):
 
->>> from repro.specs import ProtocolSpec, InitialSpec, RunSpec
+>>> from repro.specs import ProtocolSpec, InitialSpec, RunSpec, run_spec
 >>> spec = RunSpec(
 ...     protocol=ProtocolSpec(name="usd", k=8),
 ...     initial=InitialSpec(
@@ -43,7 +43,7 @@ The same run as a declarative spec — serializable, diffable, hashable
 ...     seed=0,
 ...     max_parallel_time=2_000,
 ... )
->>> simulate(spec).winner
+>>> run_spec(spec).winner
 1
 >>> len(spec.spec_hash())  # canonical content hash (SHA-256)
 64
@@ -60,7 +60,7 @@ fan out over ``multiprocessing`` workers (:mod:`repro.parallel`).  Seed
 ensembles of simulation runs have one executor, an
 :class:`repro.specs.EnsembleSpec` run by :func:`repro.specs.run_spec`
 (:func:`repro.analysis.usd_stabilization_ensemble` is built on it); the
-theory estimators use :func:`repro.parallel.map_seeds`.
+theory estimators map seeds with :func:`repro.parallel.parallel_map`.
 Per-run streams are derived from the root seed and the run index alone
 (:func:`repro.rng.derive_seed` / :func:`repro.rng.spawn_seeds`), so for
 a fixed root seed the results are **bit-identical for every worker
@@ -140,7 +140,6 @@ from .protocols import (
     VoterModel,
 )
 from .errors import ParallelError, SpecError, SweepError
-from .parallel import map_seeds
 from .rng import derive_seed, make_rng, spawn, spawn_many, spawn_seeds
 from .specs import (
     EnsembleSpec,
@@ -200,8 +199,6 @@ __all__ = [
     "spawn",
     "spawn_many",
     "spawn_seeds",
-    # parallel
-    "map_seeds",
     # specs
     "EnsembleSpec",
     "InitialSpec",

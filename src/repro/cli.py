@@ -1237,19 +1237,14 @@ def _print_query_answer(ask: str, answer: Dict[str, Any]) -> None:
 
 def _manifest_obs_metrics(run_dir: Path) -> Optional[Dict[str, Any]]:
     """The metric snapshot a persisted run's manifest recorded, if any."""
-    import json
+    from .errors import SerializationError
+    from .io.streaming import load_manifest
 
-    manifest = run_dir / "manifest.json"
-    if not manifest.exists():
-        return None
     try:
-        payload = json.loads(manifest.read_text())
-    except (OSError, json.JSONDecodeError):
+        manifest = load_manifest(run_dir)
+    except SerializationError:
         return None
-    if not isinstance(payload, dict):
-        return None
-    summary = payload.get("summary") or {}
-    return summary.get("obs_metrics")
+    return (manifest.get("summary") or {}).get("obs_metrics")
 
 
 def _run_obs_command(args: Any) -> None:

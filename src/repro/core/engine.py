@@ -30,7 +30,6 @@ from ..errors import SimulationError
 from ..obs.runtime import observe_engine_run
 from ..rng import make_rng
 from ..types import SeedLike, StopPredicate, as_int_vector
-from .configuration import Configuration
 from .kernels import get_backend
 from .protocol import PopulationProtocol
 
@@ -62,7 +61,7 @@ class BaseEngine(abc.ABC):
         Initial state-count vector of length ``protocol.num_states``.
         Opinion-level callers should go through
         :func:`repro.core.run.simulate`, which encodes a
-        :class:`Configuration` first.
+        :class:`~repro.core.configuration.Configuration` first.
     seed:
         Seed for the engine's private random stream.
     backend:
@@ -179,14 +178,6 @@ class BaseEngine(abc.ABC):
         that do not delegate to kernels (``uses_kernels = False``).
         """
         return None if self._kernels is None else self._kernels.name
-
-    def as_configuration(self) -> Configuration:
-        """Decode current counts into an opinion-level configuration.
-
-        Only meaningful for protocols that define
-        :meth:`PopulationProtocol.decode_counts`.
-        """
-        return self._protocol.decode_counts(self._counts)
 
     # ------------------------------------------------------------------
     # Execution

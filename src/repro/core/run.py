@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .multibatch_engine import MultiBatchEngine
 from .persistent_recorder import PersistentTrajectoryRecorder
 from .protocol import OpinionProtocol, PopulationProtocol, default_undecided_index
 from .recorder import Trace, TrajectoryRecorder
-
-if TYPE_CHECKING:  # pragma: no cover — annotation-only import
-    from ..specs import RunSpec
 
 __all__ = [
     "ENGINE_NAMES",
@@ -132,18 +129,6 @@ class RunResult:
             return None
         return self.stabilization_interactions / self.trace.n
 
-    def to_document(self, spec: Any = None) -> Dict[str, Any]:
-        """The unified result document of this run.
-
-        The versioned JSON shape shared by the in-process path and the
-        ``repro serve`` wire format — see
-        :func:`repro.specs.document.to_document`.  ``spec`` (optional)
-        embeds the producing :class:`~repro.specs.RunSpec`'s document.
-        """
-        from ..specs.document import to_document
-
-        return to_document(self, spec)
-
     def final_configuration(self) -> Configuration:
         """Opinion-level view of the final counts (USD-layout protocols)."""
         if self.trace.undecided_index != 0:
@@ -203,18 +188,16 @@ def resolve_engine_name(engine: str, n: int) -> str:
 
 
 def simulate(
-    protocol: Union[PopulationProtocol, "RunSpec"],
+    protocol: PopulationProtocol,
     initial: Optional[Union[Configuration, np.ndarray]] = None,
     *,
     engine: str = "auto",
     seed: SeedLike = None,
     backend: Optional[str] = None,
-    fidelity: str = "exact",
     max_interactions: Optional[int] = None,
     max_parallel_time: Optional[float] = None,
     snapshot_every: Optional[int] = None,
     stop: Optional[StopPredicate] = None,
-    stop_when_stable: bool = True,
     persist_to: Optional[Union[str, Path]] = None,
     persist_chunk_snapshots: Optional[int] = None,
     persist_window: Optional[int] = None,
@@ -225,23 +208,15 @@ def simulate(
 ) -> RunResult:
     """Run ``protocol`` from ``initial`` and return a :class:`RunResult`.
 
-    The first argument may instead be a :class:`repro.specs.RunSpec`
-    — ``simulate(spec)`` — in which case no other argument is allowed:
-    the spec *is* the whole configuration.  The keyword form below is a
-    thin normalizer over the same execution path: when its arguments
-    are declaratively representable (registered protocol, integer seed,
-    no callable ``stop``), they are normalised into a ``RunSpec`` whose
-    ``spec_hash`` lands in the result metadata and the persistence
-    manifest; results are bit-identical between the two forms.
-
-    ``fidelity`` selects the answer tier: ``'exact'`` (default) runs
-    the engines below, ``'surrogate'`` resolves the run on the
-    mean-field fluid limit (:mod:`repro.meanfield.surrogate`, failing
-    loudly when the protocol has no surrogate or scipy is missing), and
-    ``'auto'`` answers from the surrogate only when its validity
-    verdict is TRUSTED, escalating to the exact engines otherwise.
-    Non-exact tiers require the declaratively representable form — they
-    dispatch through :func:`repro.specs.run_spec`'s resolver table.
+    ``protocol`` is a protocol object; a declarative
+    :class:`repro.specs.RunSpec` runs through :func:`repro.specs.run_spec`
+    instead, which also serves the surrogate and ``auto`` fidelity
+    tiers (``run_spec(spec.with_fidelity("auto"))``).  When the keyword
+    arguments are declaratively representable (registered protocol,
+    integer seed, no callable ``stop``), they are normalised into a
+    ``RunSpec`` whose ``spec_hash`` lands in the result metadata and the
+    persistence manifest; results are bit-identical to ``run_spec`` of
+    that spec.
 
     Exactly one horizon must be given, either ``max_interactions`` or
     ``max_parallel_time`` (converted as ``round(t * n)``).  The run ends
@@ -277,46 +252,13 @@ def simulate(
     free: instrumentation happens only at chunk boundaries, consumes
     no RNG, and trajectories are bit-identical with obs on or off.
     """
-    from ..specs import FIDELITY_NAMES, RunSpec, normalize_run, run_spec
+    from ..specs import RunSpec, normalize_run
 
     if isinstance(protocol, RunSpec):
-        # the spec IS the whole configuration: every other argument
-        # must stay at its default, or part of the caller's intent
-        # would be silently ignored
-        overridden = [
-            name
-            for name, value, default in (
-                ("initial", initial, None),
-                ("engine", engine, "auto"),
-                ("seed", seed, None),
-                ("backend", backend, None),
-                ("fidelity", fidelity, "exact"),
-                ("max_interactions", max_interactions, None),
-                ("max_parallel_time", max_parallel_time, None),
-                ("snapshot_every", snapshot_every, None),
-                ("stop", stop, None),
-                ("stop_when_stable", stop_when_stable, True),
-                ("persist_to", persist_to, None),
-                ("persist_chunk_snapshots", persist_chunk_snapshots, None),
-                ("persist_window", persist_window, None),
-                ("metadata", metadata, None),
-                ("obs", obs, None),
-            )
-            # identity for None defaults (== on an ndarray initial
-            # would yield an elementwise array), equality otherwise
-            if not (
-                value is default
-                or (default is not None and value == default)
-            )
-        ] + sorted(engine_kwargs)
-        if overridden:
-            raise SimulationError(
-                "simulate(spec) takes no other arguments — the spec carries "
-                f"the whole configuration, but {', '.join(overridden)} "
-                "was passed too; derive a new spec instead "
-                "(dataclasses.replace / spec.with_seed / --set overrides)"
-            )
-        return run_spec(protocol)
+        raise SimulationError(
+            "simulate takes a protocol object; run a RunSpec with "
+            "repro.specs.run_spec(spec)"
+        )
 
     if persist_to is None and (
         persist_chunk_snapshots is not None or persist_window is not None
@@ -327,11 +269,6 @@ def simulate(
             "persist_chunk_snapshots/persist_window tune the spill-to-disk "
             "stream and require persist_to; without a persistence target "
             "they would be silently ignored"
-        )
-
-    if fidelity not in FIDELITY_NAMES:
-        raise SimulationError(
-            f"unknown fidelity {fidelity!r}; choose from {list(FIDELITY_NAMES)}"
         )
 
     if obs is not None and not isinstance(obs, ObsConfig):
@@ -347,12 +284,10 @@ def simulate(
             engine=engine,
             seed=seed,
             backend=backend,
-            fidelity=fidelity,
             max_interactions=max_interactions,
             max_parallel_time=max_parallel_time,
             snapshot_every=snapshot_every,
             stop=stop,
-            stop_when_stable=stop_when_stable,
             persist_to=persist_to,
             persist_chunk_snapshots=persist_chunk_snapshots,
             persist_window=persist_window,
@@ -360,19 +295,6 @@ def simulate(
             engine_kwargs=engine_kwargs,
             obs=obs,
         )
-
-    if fidelity != "exact":
-        # the non-exact tiers resolve through the fidelity table, which
-        # needs a declarative identity to reason about; keyword calls
-        # that cannot normalise (unregistered protocol, callable stop,
-        # generator seed) have no surrogate representation
-        if spec is None:
-            raise SimulationError(
-                f"fidelity {fidelity!r} needs a declaratively representable "
-                "run (registered protocol, integer seed, no callable stop); "
-                "this call only runs at fidelity='exact'"
-            )
-        return run_spec(spec)
 
     eng = make_engine(
         protocol, initial, engine=engine, seed=seed, backend=backend, **engine_kwargs
@@ -385,12 +307,6 @@ def simulate(
         max_interactions = int(round(max_parallel_time * eng.n))
     if max_interactions < 0:
         raise SimulationError(f"horizon must be non-negative, got {max_interactions}")
-
-    predicate = stop
-    if not stop_when_stable and predicate is None:
-        raise SimulationError("stop_when_stable=False requires an explicit stop")
-    # Absorption always halts the loop (nothing can change afterwards);
-    # stop_when_stable only controls whether we *report* it as intended.
 
     undecided_index = default_undecided_index(protocol)
     meta = {
@@ -467,7 +383,7 @@ def simulate(
             try:
                 eng.run(
                     max_interactions,
-                    stop=predicate,
+                    stop=stop,
                     snapshot_every=snapshot_every,
                     recorder=recorder,
                 )

@@ -22,7 +22,6 @@ from .registry import (
     get_experiment,
     get_sweep_experiment,
     list_experiments,
-    run_experiment,
 )
 from .report import render_result
 
@@ -53,6 +52,5 @@ __all__ = [
     "list_experiments",
     "one_parallel_round_agent_stats",
     "render_result",
-    "run_experiment",
     "run_figure1_trace",
 ]

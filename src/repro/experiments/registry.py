@@ -6,10 +6,10 @@ harness, and EXPERIMENTS.md generation all run exactly the same code.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Type
+from typing import Dict, List, Type
 
 from ..errors import ExperimentError
-from .base import Experiment, ExperimentResult, SweepExperiment
+from .base import Experiment, SweepExperiment
 from .exp_bias_threshold import BiasThresholdExperiment
 from .exp_binary_logn import BinaryLogNExperiment
 from .exp_engines import EngineAblationExperiment
@@ -28,7 +28,6 @@ __all__ = [
     "get_experiment",
     "get_sweep_experiment",
     "list_experiments",
-    "run_experiment",
 ]
 
 #: All registered experiments, keyed by id (see DESIGN.md §2).
@@ -83,20 +82,3 @@ def get_sweep_experiment(experiment_id: str) -> Type[SweepExperiment]:
 def list_experiments() -> List[str]:
     """One description line per registered experiment."""
     return [EXPERIMENTS[key].describe() for key in sorted(EXPERIMENTS)]
-
-
-def run_experiment(experiment_id: str, **params: Any) -> ExperimentResult:
-    """Instantiate and run an experiment by id with parameter overrides.
-
-    Besides each experiment's own ``DEFAULTS``, its placement
-    parameters (:attr:`Experiment.GLOBAL_DEFAULTS`) are accepted:
-    ``workers`` (the process-pool size) and ``backend`` (the
-    compute-kernel backend of :mod:`repro.core.kernels`) for every id,
-    the sweep trio ``shard``/``resume``/``out`` for
-    :class:`~repro.experiments.base.SweepExperiment` subclasses, and
-    ``persist`` for ``fig1-ensemble``.  Parameters resolve through the
-    spec layer's merge (:func:`repro.specs.merge_params`): unknown
-    names are rejected, and dotted names descend into nested dict
-    defaults.
-    """
-    return get_experiment(experiment_id)(**params).run()

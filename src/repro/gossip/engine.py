@@ -193,7 +193,10 @@ class GossipEngine:
                     break
         except BaseException as error:
             if observer is not None:
-                observer.finish(self, error=error)
+                try:
+                    observer.finish(self, error=error)
+                except Exception:
+                    pass  # the original error is the one to surface
             raise
         else:
             if observer is not None:

@@ -1,12 +1,11 @@
 """Parallel ensemble execution over ``multiprocessing`` workers.
 
 :func:`parallel_map` maps a picklable task over items in input order;
-:func:`map_seeds` (explicit seed sequences, e.g.
-:func:`repro.rng.spawn_seeds` children) builds seeded ensembles on it.
-Both guarantee results bit-identical to serial execution for the same
-root seed, regardless of worker count or completion order;
-``workers=0`` executes in-process for deterministic, debuggable test
-runs.
+mapped over explicit seeds (e.g. :func:`repro.rng.spawn_seeds`
+children) it builds seeded ensembles.  Results are bit-identical to
+serial execution for the same root seed, regardless of worker count or
+completion order; ``workers=0`` executes in-process for deterministic,
+debuggable test runs.
 
 Seed ensembles of simulation runs execute as a
 :class:`repro.specs.EnsembleSpec` through :func:`repro.specs.run_spec`,
@@ -14,9 +13,10 @@ which fans its members (seeded ``derive_seed(root_seed, i)``) over
 :func:`parallel_map`; :func:`repro.analysis.usd_stabilization_ensemble`
 is built on it, and the ``fig1-ensemble`` experiment runs its members
 on the sweep executor (below).  :func:`repro.theory.estimate_hitting_time`
-and :func:`repro.theory.estimate_drift_empirically` use
-:func:`map_seeds`.  Each accepts a ``workers`` argument, as does every
-registry experiment (CLI: ``repro run <id> --workers N``).
+and :func:`repro.theory.estimate_drift_empirically` map
+:func:`repro.rng.spawn_seeds` children with :func:`parallel_map`.  Each
+accepts a ``workers`` argument, as does every registry experiment
+(CLI: ``repro run <id> --workers N``).
 
 On top of the ensemble pool, :func:`parallel_map_completed` surfaces
 each result the moment it completes (still returning input order) —
@@ -26,7 +26,6 @@ points while the rest of a shard is still running.
 
 from .pool import (
     available_workers,
-    map_seeds,
     parallel_map,
     parallel_map_completed,
     resolve_workers,
@@ -34,7 +33,6 @@ from .pool import (
 
 __all__ = [
     "available_workers",
-    "map_seeds",
     "parallel_map",
     "parallel_map_completed",
     "resolve_workers",

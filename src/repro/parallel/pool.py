@@ -8,8 +8,8 @@ keeping the results **bit-identical to serial execution**:
 
 * every run's stream is derived from the root seed and its index alone
   (:func:`repro.rng.derive_seed` for :class:`repro.specs.EnsembleSpec`
-  members, :func:`repro.rng.spawn_seeds` children for
-  :func:`map_seeds`), never from worker identity or scheduling;
+  members, :func:`repro.rng.spawn_seeds` children mapped with
+  :func:`parallel_map`), never from worker identity or scheduling;
 * results are returned in submission order regardless of completion
   order.
 
@@ -30,7 +30,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import ParallelError
 from ..obs import metrics as obs_metrics
@@ -41,7 +41,6 @@ __all__ = [
     "resolve_workers",
     "parallel_map",
     "parallel_map_completed",
-    "map_seeds",
 ]
 
 
@@ -233,19 +232,3 @@ def parallel_map_completed(
         ) from exc
     obs_runtime.emit("pool.done", workers=pool_size, items=len(items))
     return results
-
-
-def map_seeds(
-    task_fn: Callable[[Any], Any],
-    seeds: Sequence[Any],
-    *,
-    workers: Optional[int] = 0,
-) -> List[Any]:
-    """Run ``task_fn(seed)`` over an explicit seed sequence, in order.
-
-    Convenience for call sites that already own their seed derivation —
-    e.g. :func:`repro.rng.spawn_seeds` children, which reproduce
-    ``spawn_many`` streams exactly.  Same determinism contract as
-    :func:`parallel_map`.
-    """
-    return parallel_map(task_fn, list(seeds), workers=workers)

@@ -3,10 +3,13 @@
 One serializable, hashable object family — :class:`ProtocolSpec`,
 :class:`InitialSpec`, :class:`RecordingSpec`, :class:`RunSpec`,
 :class:`EnsembleSpec`, :class:`SweepSpec` — is the single source of
-truth for run configuration across the library: ``simulate(spec)``,
-:func:`run_spec`, experiment parameter merging, sweep plans, the
-persistence manifests (``spec_hash`` matching) and the CLI
+truth for run configuration across the library: :func:`run_spec`
+(which runs every spec kind), experiment parameter merging, sweep
+plans, the persistence manifests (``spec_hash`` matching) and the CLI
 (``repro run --spec FILE``, ``repro spec show|validate|hash``).
+Keyword :func:`repro.simulate` calls normalise into a :class:`RunSpec`
+too, and :func:`to_document` renders any result as the versioned
+result document.
 
 Scenario files are JSON documents of these specs (see
 ``examples/scenarios/``): shareable, diffable, hashable inputs that

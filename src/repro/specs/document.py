@@ -2,7 +2,7 @@
 
 A *result document* is the versioned JSON form of a finished execution
 — the same shape whether the result came from an in-process
-``simulate(spec)`` call, was rebuilt from a persisted run directory, or
+``run_spec(spec)`` call, was rebuilt from a persisted run directory, or
 crossed the ``repro serve`` wire.  :func:`to_document` flattens any
 result the spec runner can produce; :func:`result_from_document`
 rebuilds a result object from the document; :func:`document_bytes` is

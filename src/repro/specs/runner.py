@@ -92,12 +92,10 @@ def normalize_run(
     engine: str = "auto",
     seed: Any = None,
     backend: Optional[str] = None,
-    fidelity: str = "exact",
     max_interactions: Optional[int] = None,
     max_parallel_time: Optional[float] = None,
     snapshot_every: Optional[int] = None,
     stop: Any = None,
-    stop_when_stable: bool = True,
     persist_to: Any = None,
     persist_chunk_snapshots: Optional[int] = None,
     persist_window: Optional[int] = None,
@@ -109,14 +107,14 @@ def normalize_run(
 
     Returns ``None`` when the call is not declaratively representable:
     an unregistered protocol class, a non-integer seed, a callable stop
-    predicate, ``stop_when_stable=False`` or extra engine kwargs.  The
-    keyword form still runs those — it just cannot hash them.
+    predicate or extra engine kwargs.  The keyword form still runs
+    those — it just cannot hash them.
     """
     from ..core.configuration import Configuration
     from ..obs.config import ObsConfig
     from .model import InitialSpec, ProtocolSpec, RecordingSpec
 
-    if stop is not None or not stop_when_stable or engine_kwargs:
+    if stop is not None or engine_kwargs:
         return None
     if seed is not None:
         # NumPy integer scalars are integers too (seed=np.int64(7) is
@@ -147,11 +145,9 @@ def normalize_run(
             initial=initial_spec,
             engine=engine,
             backend=backend,
-            fidelity=fidelity,
             seed=seed,
             max_interactions=max_interactions,
             max_parallel_time=max_parallel_time,
-            stop_when_stable=stop_when_stable,
             recording=RecordingSpec(
                 snapshot_every=snapshot_every,
                 persist_to=None if persist_to is None else str(persist_to),
@@ -428,7 +424,6 @@ def _resolve_exact(spec: RunSpec):
         max_interactions=spec.max_interactions,
         max_parallel_time=spec.max_parallel_time,
         snapshot_every=recording.snapshot_every,
-        stop_when_stable=spec.stop_when_stable,
         persist_to=recording.persist_to,
         persist_chunk_snapshots=recording.persist_chunk_snapshots,
         persist_window=recording.persist_window,

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.configuration import Configuration
 from ..errors import ConfigurationError
-from ..parallel import map_seeds
+from ..parallel import parallel_map
 from ..rng import spawn_seeds
 from ..types import SeedLike
 
@@ -203,7 +203,7 @@ def estimate_drift_empirically(
     ``'gap'`` (uses ``opinion`` and ``other``).  Each sample runs one
     interaction of a fresh exact engine from ``config``.  Samples are
     independent, so with ``workers > 0`` they fan out over a process
-    pool (:func:`repro.parallel.map_seeds` over
+    pool (:func:`repro.parallel.parallel_map` over
     :func:`repro.rng.spawn_seeds` children) with bit-identical results
     for every worker count.
     """
@@ -223,7 +223,9 @@ def estimate_drift_empirically(
         opinion=opinion,
         other=other,
     )
-    changes = np.asarray(map_seeds(task, spawn_seeds(seed, samples), workers=workers))
+    changes = np.asarray(
+        parallel_map(task, spawn_seeds(seed, samples), workers=workers)
+    )
     mean = float(changes.mean())
     std_error = float(changes.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return DriftEstimate(mean=mean, std_error=std_error, samples=samples)

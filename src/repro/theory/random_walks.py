@@ -22,7 +22,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import RegimeError
-from ..parallel import map_seeds
+from ..parallel import parallel_map
 from ..rng import make_rng, spawn_seeds
 from ..types import SeedLike
 
@@ -276,7 +276,7 @@ def estimate_hitting_time(
     """Monte-Carlo first-hitting-time estimation for ``walk``.
 
     With ``workers > 0`` the independent walks fan out over a process
-    pool via :func:`repro.parallel.map_seeds`; each walk's stream comes
+    pool via :func:`repro.parallel.parallel_map`; each walk's stream comes
     from a :func:`repro.rng.spawn_seeds` child of ``seed``, so results
     are bit-identical for every worker count.  Walks with constant
     ``p``/``q`` are picklable; for callable parameters use module-level
@@ -285,7 +285,7 @@ def estimate_hitting_time(
     if runs < 1:
         raise RegimeError(f"runs must be >= 1, got {runs}")
     task = partial(_hitting_time_task, walk=walk, target=target, max_steps=max_steps)
-    hits = map_seeds(task, spawn_seeds(seed, runs), workers=workers)
+    hits = parallel_map(task, spawn_seeds(seed, runs), workers=workers)
     times = [hit for hit in hits if hit is not None]
     censored = sum(1 for hit in hits if hit is None)
     return HittingTimeEstimate(

@@ -27,7 +27,6 @@ from repro.experiments import (
     list_experiments,
     one_parallel_round_agent_stats,
     render_result,
-    run_experiment,
 )
 from repro.experiments.base import ExperimentResult
 
@@ -228,14 +227,13 @@ class TestOtherExperiments:
         assert all(row["throughput_per_sec"] > 0 for row in result.rows)
 
     def test_run_experiment_by_id(self):
-        result = run_experiment(
-            "engine-throughput",
+        result = get_experiment("engine-throughput")(
             n=600,
             k=3,
             num_seeds=2,
             throughput_interactions=2_000,
             throughput_n=1_000,
-        )
+        ).run()
         assert result.experiment_id == "engine-throughput"
 
 

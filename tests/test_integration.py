@@ -89,7 +89,6 @@ class TestSimulationVsMeanField:
             engine="batch",
             seed=3,
             max_parallel_time=8.0,
-            stop_when_stable=True,
             snapshot_every=n // 10,
         )
         trace = result.trace

@@ -30,14 +30,15 @@ import numpy as np
 import pytest
 
 from repro.core.run import simulate
+from repro.errors import SimulationError
 from repro.gossip import simulate_gossip
 from repro.gossip.dynamics import GossipUSD
 from repro.obs import metrics as obs_metrics
 from repro.obs.config import ObsConfig
 from repro.obs.journal import JOURNAL_NAME, read_journal, summarize_journal
-from repro.obs.runtime import activated
+from repro.obs.runtime import EngineRunObserver, activated
 from repro.protocols.usd import UndecidedStateDynamics
-from repro.specs import RunSpec, load_spec
+from repro.specs import RunSpec, load_spec, run_spec
 from repro.workloads.initial import paper_initial_configuration
 
 FULL_OBS = ObsConfig(metrics=True, journal=True, progress=True, progress_interval=0.0)
@@ -100,8 +101,8 @@ class TestBitIdentity:
     def test_spec_form_run(self, capsys):
         spec_off = load_spec(_run_doc())
         spec_on = load_spec(_run_doc(obs=FULL_OBS.to_dict()))
-        off = simulate(spec_off)
-        on = simulate(spec_on)
+        off = run_spec(spec_off)
+        on = run_spec(spec_on)
         np.testing.assert_array_equal(off.trace.times, on.trace.times)
         np.testing.assert_array_equal(off.trace.counts, on.trace.counts)
         assert off.metadata["spec_hash"] == on.metadata["spec_hash"]
@@ -182,6 +183,48 @@ class TestRunMetadata:
         assert snapshot["counters"]["spill_chunks_total"][""] >= 1
 
 
+class _GrowingGossipUSD(GossipUSD):
+    """A broken dynamics: every round adds one agent."""
+
+    def round_update(self, counts, rng):
+        grown = np.array(super().round_update(counts, rng))
+        grown[0] += 1
+        return grown
+
+
+class TestObserverFailure:
+    """A failing observer never masks the run's own error."""
+
+    @pytest.fixture(autouse=True)
+    def _failing_finish(self, monkeypatch):
+        def finish(self, engine, error=None):
+            raise OSError("journal disk full")
+
+        monkeypatch.setattr(EngineRunObserver, "finish", finish)
+
+    def test_gossip_engine_surfaces_its_own_error(self):
+        with activated(ObsConfig(metrics=True)):
+            with pytest.raises(SimulationError, match="population size"):
+                simulate_gossip(
+                    _GrowingGossipUSD(k=3), [60, 30, 10, 0], seed=4, max_rounds=5
+                )
+
+    def test_counts_engine_surfaces_its_own_error(self):
+        def broken_stop(engine):
+            raise SimulationError("stop predicate failed")
+
+        with activated(ObsConfig(metrics=True)):
+            with pytest.raises(SimulationError, match="stop predicate failed"):
+                simulate(
+                    UndecidedStateDynamics(k=3),
+                    paper_initial_configuration(300, 3),
+                    engine="counts",
+                    seed=4,
+                    max_parallel_time=50,
+                    stop=broken_stop,
+                )
+
+
 class TestEnsembleAggregation:
     def test_pool_children_fold_into_parent(self):
         doc = {
@@ -191,8 +234,6 @@ class TestEnsembleAggregation:
             "num_runs": 4,
             "run": _run_doc(seed=None),
         }
-        from repro.specs import run_spec
-
         spec = load_spec(doc)
         with activated(ObsConfig(metrics=True)):
             pooled = run_spec(spec, workers=2)
@@ -385,6 +426,23 @@ class TestCli:
         text = capsys.readouterr().out
         assert "# TYPE interactions_total counter" in text
         assert "# TYPE kernel_step_seconds histogram" in text
+
+    def test_obs_export_on_torn_manifest_fails(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run_dir = tmp_path / "dir"
+        main([
+            "run", "--spec", str(self._spec_file(tmp_path)),
+            "--persist", str(run_dir), "--obs",
+        ])
+        manifest = run_dir / "manifest.json"
+        text = manifest.read_text()
+        assert "obs_metrics" in text
+        manifest.write_text(text[: len(text) // 2])  # a torn write
+        capsys.readouterr()
+
+        assert main(["obs", "export", str(run_dir)]) == 1
+        assert "no obs_metrics snapshot" in capsys.readouterr().err
 
     def test_obs_summary_on_bare_directory_fails(self, tmp_path, capsys):
         from repro.cli import main

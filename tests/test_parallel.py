@@ -15,7 +15,6 @@ from repro import Configuration, ParallelError
 from repro.analysis import UNDETERMINED_WINNER, usd_stabilization_ensemble
 from repro.parallel import (
     available_workers,
-    map_seeds,
     parallel_map,
     resolve_workers,
 )
@@ -82,8 +81,8 @@ class TestRunEnsemble:
 class TestMapSeeds:
     def test_spawned_sequences_cross_process(self):
         seeds = spawn_seeds(13, 6)
-        serial = map_seeds(seed_entropy_task, seeds, workers=0)
-        pooled = map_seeds(seed_entropy_task, spawn_seeds(13, 6), workers=2)
+        serial = parallel_map(seed_entropy_task, seeds, workers=0)
+        pooled = parallel_map(seed_entropy_task, spawn_seeds(13, 6), workers=2)
         assert pooled == serial
 
     def test_parallel_map_identity(self):
@@ -183,7 +182,7 @@ class TestExperimentWorkersParameter:
         assert args.workers == 2
 
     def test_fig1_ensemble_parallel_matches_serial(self):
-        from repro.experiments import run_experiment
+        from repro.experiments import get_experiment
 
         kwargs = dict(
             n=600,
@@ -194,8 +193,9 @@ class TestExperimentWorkersParameter:
             engine="counts",
             max_parallel_time=4_000.0,
         )
-        serial = run_experiment("fig1-ensemble", workers=0, **kwargs)
-        pooled = run_experiment("fig1-ensemble", workers=2, **kwargs)
+        experiment = get_experiment("fig1-ensemble")
+        serial = experiment(workers=0, **kwargs).run()
+        pooled = experiment(workers=2, **kwargs).run()
         assert np.array_equal(
             serial.series["stab_times"], pooled.series["stab_times"]
         )

@@ -75,11 +75,6 @@ def test_run_document_round_trips_bit_for_bit(run_and_spec):
     assert list(rebuilt.final_counts) == list(result.final_counts)
 
 
-def test_result_method_agrees_with_module_function(run_and_spec):
-    result, spec = run_and_spec
-    assert result.to_document(spec) == to_document(result, spec)
-
-
 def test_document_without_spec_has_null_spec(run_and_spec):
     result, _spec = run_and_spec
     document = to_document(result)

@@ -109,16 +109,6 @@ class TestSimulate:
         assert result.final_counts[0] >= 10
         assert not result.stabilized or result.final_counts[0] >= 10
 
-    def test_stop_when_stable_false_needs_stop(self, usd2):
-        with pytest.raises(SimulationError):
-            simulate(
-                usd2,
-                Configuration([6, 4]),
-                seed=0,
-                max_parallel_time=1.0,
-                stop_when_stable=False,
-            )
-
     def test_metadata_propagates(self, usd2):
         result = simulate(
             usd2,

@@ -7,7 +7,7 @@ Covers the :mod:`repro.specs` contracts:
 * ``spec_hash`` is canonical: key-order invariant, generator-vs-explicit
   invariant, sensitive to every semantic field, insensitive to
   throughput knobs — and pinned, so accidental schema drift fails CI;
-* keyword ``simulate(...)`` and ``simulate(spec)`` are bit-identical;
+* keyword ``simulate(...)`` and ``run_spec(spec)`` are bit-identical;
 * the persistence manifest records ``spec_hash``, resume finds runs by
   it alone, and hash-less run directories still load but never answer;
 * ensembles and sweeps derive seeds by contract and embed their root
@@ -452,7 +452,7 @@ class TestBitIdentity:
             seed=3,
             max_parallel_time=900,
         )
-        declarative = simulate(spec)
+        declarative = run_spec(spec)
         assert keyword.metadata == declarative.metadata
         assert "spec_hash" in keyword.metadata
         assert keyword.interactions == declarative.interactions
@@ -462,22 +462,10 @@ class TestBitIdentity:
         assert np.array_equal(keyword.trace.counts, declarative.trace.counts)
         assert np.array_equal(keyword.final_counts, declarative.final_counts)
 
-    def test_simulate_spec_rejects_extra_arguments(self):
-        spec = usd_run_spec()
-        with pytest.raises(SimulationError, match="initial"):
-            simulate(spec, Configuration([10, 10]))
-        # every keyword that is not at its default is rejected too —
-        # nothing the caller asked for may be silently ignored
-        with pytest.raises(SimulationError, match="seed"):
-            simulate(spec, seed=123)
-        with pytest.raises(SimulationError, match="engine"):
-            simulate(spec, engine="batch")
-        with pytest.raises(SimulationError, match="epsilon"):
-            simulate(spec, epsilon=0.5)
-        # an ndarray initial must hit the same guard, not an ambiguous
-        # elementwise-comparison ValueError from numpy
-        with pytest.raises(SimulationError, match="initial"):
-            simulate(spec, np.array([10, 10, 0]))
+    def test_simulate_rejects_a_spec(self):
+        # simulate takes a protocol; a spec has exactly one door
+        with pytest.raises(SimulationError, match=r"repro\.specs\.run_spec"):
+            simulate(usd_run_spec())
 
     def test_run_spec_rejects_workers_for_single_runs(self):
         with pytest.raises(SpecError, match="workers"):

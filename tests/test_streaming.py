@@ -337,19 +337,18 @@ class TestResume:
             n=800, k=3, bias=80, num_seeds=2, engine="counts",
             max_parallel_time=500.0,
         )
-        from repro.experiments import run_experiment
+        from repro.experiments import get_experiment
 
-        fresh = run_experiment(
-            "fig1-ensemble", persist=tmp_path / "fig1", **experiment_kwargs
-        )
+        experiment = get_experiment("fig1-ensemble")
+        fresh = experiment(persist=tmp_path / "fig1", **experiment_kwargs).run()
 
         def bomb(*args, **kw):  # pragma: no cover - must never run
             raise AssertionError("resume path re-simulated a persisted member")
 
         monkeypatch.setattr("repro.core.run.simulate", bomb)
-        resumed = run_experiment(
-            "fig1-ensemble", persist=tmp_path / "fig1", **experiment_kwargs
-        )
+        resumed = experiment(
+            persist=tmp_path / "fig1", **experiment_kwargs
+        ).run()
         assert len(fresh.rows) == len(resumed.rows)
         for row_a, row_b in zip(fresh.rows, resumed.rows):
             assert set(row_a) == set(row_b)

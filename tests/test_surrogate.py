@@ -5,7 +5,7 @@ Covers the three contracts the fidelity layer makes:
 * validity — the TRUSTED / MARGINAL / ESCALATE verdict follows the
   paper's concentration scale (√(n ln n) fluctuations vs the initial
   gap), with the voter model pinned to ESCALATE (neutral drift);
-* dispatch — ``simulate(spec)`` routes through the resolver table:
+* dispatch — ``run_spec(spec)`` routes through the resolver table:
   ``surrogate`` never instantiates an engine (and answers n = 10⁸ in
   well under 100 ms warm), ``auto`` is *bit-identical* to the exact
   tier whenever it escalates;
@@ -21,7 +21,7 @@ import pytest
 
 import repro.core.run as core_run
 import repro.meanfield.ode as ode
-from repro import SimulationError, simulate
+from repro import SimulationError
 from repro.meanfield import (
     ESCALATE,
     MARGINAL,
@@ -238,30 +238,6 @@ class TestDispatch:
         fidelity = result.metadata["fidelity"]
         assert fidelity["resolved"] == "exact"
         assert fidelity["verdict"] == "UNSUPPORTED"
-
-    def test_keyword_simulate_fidelity(self):
-        from repro import Configuration, UndecidedStateDynamics
-
-        result = simulate(
-            UndecidedStateDynamics(k=3),
-            Configuration.equal_minorities_with_bias(20_000, 3, 1_400),
-            seed=11,
-            max_parallel_time=200.0,
-            fidelity="surrogate",
-        )
-        assert isinstance(result, SurrogateResult)
-        assert result.validity.verdict == TRUSTED
-
-    def test_keyword_simulate_rejects_unknown_fidelity(self):
-        from repro import Configuration, UndecidedStateDynamics
-
-        with pytest.raises(SimulationError, match="unknown fidelity"):
-            simulate(
-                UndecidedStateDynamics(k=2),
-                Configuration.equal_minorities_with_bias(1_000, 2, 100),
-                seed=1,
-                fidelity="psychic",
-            )
 
 
 class TestEnsembleAndSweepFidelity:
