@@ -40,7 +40,6 @@ from repro.core.kernels import (
 from repro.experiments import BinaryLogNExperiment
 from repro.parallel import available_workers
 from repro.protocols import UndecidedStateDynamics
-from repro.sweep import merge_sweep, write_merged_artifact
 from repro.theory.bounds import paper_k_schedule
 from repro.workloads import paper_initial_configuration
 
@@ -152,17 +151,15 @@ def _same_ensemble(serial, pooled) -> bool:
 
 
 def _sharded_sweep():
-    # two shards into one directory, like two hosts would, then merge
+    # two shards into one directory, like two hosts would, then the
+    # full resume run that merges them
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for shard in ("0/2", "1/2"):
             BinaryLogNExperiment(
                 shard=shard, out=out, workers=SWEEP_WORKERS, **SWEEP_PARAMS
             ).run()
-        experiment = BinaryLogNExperiment(**SWEEP_PARAMS)
-        merged = merge_sweep(experiment.build_plan(), out)
-        write_merged_artifact(merged, out)
-    return experiment.finalize(list(merged.rows))
+        return BinaryLogNExperiment(out=out, resume=True, **SWEEP_PARAMS).run()
 
 
 def _same_sweep(serial, pooled) -> bool:

@@ -78,8 +78,8 @@ Grid experiments (``thm35-scaling``, ``bias-threshold``, ``usd2-logn``,
 ``derive_seed(root_seed, grid_index)`` — a function of the root seed
 and the grid index only — so a sweep split into ``m`` shards
 (``repro run <id> --shard i/m --out DIR``), possibly on ``m``
-hosts, merges (``repro sweep merge``) into an artifact bit-identical
-to the serial single-host sweep.  Finished points checkpoint to
+hosts, merges (a full ``repro run <id> --out DIR --resume``) into an
+artifact bit-identical to the serial single-host sweep.  Finished points checkpoint to
 ``DIR/<id>/point-*.json`` as they complete; ``--resume`` skips them on
 re-run.  See the :mod:`repro.sweep` package docstring for the full
 contract and a two-host walkthrough.

@@ -10,12 +10,14 @@ Subcommands
     ``--set`` overrides as its params, executed by
     :func:`repro.specs.run_spec` like any scenario file.  ``--out DIR``
     saves the artifact (``DIR/<id>.json`` plus its series) and, for
-    grid-sweep experiments, checkpoints each point under ``DIR/<id>/``;
+    grid-sweep experiments, checkpoints each point under ``DIR/<id>/``
+    and writes the merged ``DIR/<id>/merged.json`` + ``provenance.json``;
     ``--shard I/M`` runs one shard of a grid sweep (it writes only its
-    checkpoints, for ``repro sweep merge``) and ``--resume`` skips
-    points already checkpointed.  ``--workers`` fans ensembles and grids
-    out over N processes and ``--backend`` picks the compute-kernel
-    backend (bit-identical results either way); ``--persist``
+    checkpoints) and ``--resume`` skips points already checkpointed, so
+    a full ``--resume`` run after the shards is their merge.
+    ``--workers`` fans ensembles and grids out over N processes and
+    ``--backend`` picks the compute-kernel backend (bit-identical
+    results either way); ``--persist``
     (``fig1-ensemble`` only) streams member trajectories to
     spill-to-disk run directories that later invocations resume from.
     A flag the experiment cannot honour fails with an error naming it.
@@ -58,12 +60,9 @@ Subcommands
     columnar scan: ``hitting-quantiles`` (``--unit
     interactions|parallel``), ``undecided-envelope`` (``--grid N``),
     ``winners``, ``throughput``.
-``repro sweep merge <id> --out DIR [...]``
-    Combine the checkpoints of every ``repro run <id> --shard I/M``
-    into the full artifact (``merged.json`` + ``provenance.json``) and
-    print the report.
 ``repro sweep status <id> --out DIR [...]``
-    Show which grid points are done, missing, and who computed them.
+    Show which grid points are done, missing, and who computed them,
+    without computing anything.
 ``repro serve [--host H] [--port P] [--root DIR] [--runs DIR ...] [--jobs N] [--max-jobs N] [--inline]``
     Run the simulation-as-a-service daemon: accept spec documents over
     HTTP, answer repeated submissions from a spec-hash result cache,
@@ -80,12 +79,12 @@ Subcommands
     spec file path, or raw spec hash.
 
 Parameter overrides use ``--set name=value`` with values parsed as
-Python literals, e.g. ``--set n=200000 --set k_values=(8,16)``.  The
-sweep subcommands take the *same* ``--set`` overrides as ``run`` —
-the plan (grid + root seed) is rebuilt from them, so pass identical
-overrides to every shard and to the merge.  ``repro run fig1-left``
-and ``fig1-right`` reproduce Figure 1 (``--set n=1000000`` for the
-paper's scale).
+Python literals, e.g. ``--set n=200000 --set k_values=(8,16)``.
+``sweep status`` takes the *same* ``--set`` overrides as ``run`` — the
+plan (grid + root seed) is rebuilt from them, so pass identical
+overrides to every shard, to the status check and to the merge.
+``repro run fig1-left`` and ``fig1-right`` reproduce Figure 1
+(``--set n=1000000`` for the paper's scale).
 """
 
 from __future__ import annotations
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I/M",
         help=(
             "grid sweeps only: execute shard I of M, checkpointing its "
-            "points under --out (merge with 'repro sweep merge')"
+            "points under --out (merge with a full run and --resume)"
         ),
     )
     run.add_argument(
@@ -170,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "directory for artifacts (an experiment's <id>.json) and "
-            "grid-sweep checkpoints (<out>/<id>/)"
+            "grid-sweep checkpoints plus, for a full run, merged.json "
+            "(<out>/<id>/)"
         ),
     )
     run.add_argument(
@@ -504,35 +504,29 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
-    sweep = commands.add_parser(
-        "sweep", help="sharded sweep checkpoints: merge / status"
-    )
+    sweep = commands.add_parser("sweep", help="sharded sweep checkpoints: status")
     sweep_commands = sweep.add_subparsers(dest="sweep_command", required=True)
-    for name, description in (
-        ("merge", "combine shard checkpoints into the full artifact"),
-        ("status", "show checkpointed vs missing grid points"),
-    ):
-        sub = sweep_commands.add_parser(name, help=description)
-        sub.add_argument(
-            "experiment_id", help="a sweep experiment id from 'repro list'"
-        )
-        sub.add_argument(
-            "--out",
-            type=Path,
-            required=True,
-            help="sweep directory (checkpoints live in <out>/<id>/)",
-        )
-        sub.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help=(
-                "override an experiment parameter; pass the same overrides "
-                "every shard ran with"
-            ),
-        )
+    status = sweep_commands.add_parser(
+        "status", help="show checkpointed vs missing grid points"
+    )
+    status.add_argument("experiment_id", help="a sweep experiment id from 'repro list'")
+    status.add_argument(
+        "--out",
+        type=Path,
+        required=True,
+        help="sweep directory (checkpoints live in <out>/<id>/)",
+    )
+    status.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help=(
+            "override an experiment parameter; pass the same overrides "
+            "every shard ran with"
+        ),
+    )
 
     serve = commands.add_parser(
         "serve",
@@ -1016,36 +1010,26 @@ def _print_backends() -> None:
     )
 
 
-def _run_sweep_command(args: Any) -> None:
+def _run_sweep_status(args: Any) -> None:
     from .experiments import get_sweep_experiment
-    from .sweep import merge_sweep, sweep_status, write_merged_artifact
+    from .sweep import sweep_status
 
     experiment_cls = get_sweep_experiment(args.experiment_id)
-    overrides = parse_overrides(args.overrides)
-    if args.sweep_command == "merge":
-        experiment = experiment_cls(**overrides)
-        merged = merge_sweep(experiment.build_plan(), args.out)
-        # Persist the artifact before finalize(): merged.json must hold the
-        # raw checkpoint rows, the part that is bit-identical per sharding.
-        written = write_merged_artifact(merged, args.out)
-        result = experiment.finalize(list(merged.rows))
-        result.params = dict(experiment.params)
-        print(render_result(result, plots=False))
-        for path in written:
-            print(f"wrote {path}")
-    else:  # status
-        plan = experiment_cls(**overrides).build_plan()
-        status = sweep_status(plan, args.out)
+    plan = experiment_cls(**parse_overrides(args.overrides)).build_plan()
+    status = sweep_status(plan, args.out)
+    print(
+        f"sweep {status.sweep_id}: {len(status.done)}/{status.total} "
+        f"points checkpointed under {args.out}"
+    )
+    if status.shards_seen:
+        print(f"shards seen: {', '.join(status.shards_seen)}")
+    for index in status.missing:
+        print(f"missing: [{index:04d}] {plan.points[index].canonical_label}")
+    if status.complete:
         print(
-            f"sweep {status.sweep_id}: {len(status.done)}/{status.total} "
-            f"points checkpointed under {args.out}"
+            f"complete — merge with 'repro run {status.sweep_id} "
+            f"--out {args.out} --resume' and the same --set overrides"
         )
-        if status.shards_seen:
-            print(f"shards seen: {', '.join(status.shards_seen)}")
-        for index in status.missing:
-            print(f"missing: [{index:04d}] {plan.points[index].canonical_label}")
-        if status.complete:
-            print("complete — ready to 'repro sweep merge'")
 
 
 def _run_trace_command(args: Any) -> None:
@@ -1466,7 +1450,7 @@ def _dispatch(args: Any) -> int:
     elif args.command == "meanfield":
         _run_meanfield_command(args)
     elif args.command == "sweep":
-        _run_sweep_command(args)
+        _run_sweep_status(args)
     elif args.command == "trace":
         _run_trace_command(args)
     elif args.command == "obs":

@@ -22,6 +22,7 @@ from ..io.tables import format_table
 from ..obs.timing import wall_timer
 from ..specs import merge_params
 from ..sweep import SweepPlan, run_sweep
+from ..workloads.sweeps import SweepPoint
 
 __all__ = ["ExperimentResult", "Experiment", "SweepExperiment"]
 
@@ -176,10 +177,11 @@ class SweepExperiment(Experiment):
     Subclasses provide three pieces and inherit sharding, per-point
     checkpointing, resume and merge from :mod:`repro.sweep`:
 
-    * :meth:`build_plan` — the :class:`~repro.sweep.SweepPlan` (grid +
-      root seed) the parameters describe.  Per-point seeds come from the
-      plan's seed-derivation contract (``derive_seed(root_seed,
-      grid_index)``), never from ad-hoc arithmetic on the parameters.
+    * :meth:`grid` — the ordered :class:`~repro.workloads.sweeps.SweepPoint`
+      grid the parameters describe.  :meth:`build_plan` roots it at the
+      ``seed`` parameter; per-point seeds come from the plan's
+      seed-derivation contract (``derive_seed(root_seed, grid_index)``),
+      never from ad-hoc arithmetic on the parameters.
     * :meth:`point_task` — a picklable ``task_fn(point, point_seed) →
       row`` computing one grid point with ``workers=0`` inside (the
       sweep layer parallelises *across* points).
@@ -188,10 +190,11 @@ class SweepExperiment(Experiment):
 
     With ``shard`` set to a proper shard (``'i/m'``, m > 1),
     :meth:`_execute` computes and checkpoints only that shard's points
-    under ``out`` and returns a *partial* result; the full artifact is
-    produced by ``repro sweep merge`` (or
-    :func:`repro.sweep.merge_sweep` + :meth:`finalize`) once every
-    shard has run.
+    under ``out`` and returns a *partial* result.  Once every shard has
+    run, a full run with the same ``out`` and ``resume=True`` (``repro
+    run <id> --out DIR --resume``) is the merge: it restores every
+    point, writes ``merged.json`` and ``provenance.json`` and returns
+    the full result.
     """
 
     GLOBAL_DEFAULTS: Dict[str, Any] = {
@@ -202,8 +205,8 @@ class SweepExperiment(Experiment):
     }
 
     @abc.abstractmethod
-    def build_plan(self) -> SweepPlan:
-        """The sweep grid and root seed these parameters describe."""
+    def grid(self) -> List[SweepPoint]:
+        """The grid points these parameters describe, in grid order."""
 
     @abc.abstractmethod
     def point_task(self):
@@ -212,6 +215,15 @@ class SweepExperiment(Experiment):
     @abc.abstractmethod
     def finalize(self, rows: List[Dict[str, Any]]) -> ExperimentResult:
         """Assemble the result from the full grid's rows (grid order)."""
+
+    def build_plan(self) -> SweepPlan:
+        """The sweep plan: :meth:`grid` rooted at the ``seed`` parameter."""
+        return SweepPlan(
+            sweep_id=self.experiment_id,
+            points=tuple(self.grid()),
+            root_seed=self.params["seed"],
+            meta=self.local_params,
+        )
 
     def partial_row_view(self, row: Dict[str, Any]) -> Dict[str, Any]:
         """How one checkpoint row appears in a *partial-shard* report.
@@ -240,8 +252,8 @@ class SweepExperiment(Experiment):
                     f"partial sweep: shard {run.shard} computed "
                     f"{len(run.outcomes)}/{len(plan)} grid points "
                     f"({run.reused} restored from checkpoints); run the "
-                    "remaining shards and 'repro sweep merge' for the "
-                    "full artifact"
+                    "remaining shards, then re-run unsharded with the same "
+                    "out and resume to merge them"
                 ],
             )
         return self.finalize(run.rows)

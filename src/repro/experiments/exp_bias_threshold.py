@@ -25,7 +25,6 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..analysis.stabilization import usd_stabilization_ensemble
-from ..sweep import SweepPlan
 from ..workloads.initial import paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
 from .base import ExperimentResult, SweepExperiment
@@ -95,9 +94,9 @@ class BiasThresholdExperiment(SweepExperiment):
         "max_parallel_time": 3_000.0,
     }
 
-    def build_plan(self) -> SweepPlan:
+    def grid(self) -> List[SweepPoint]:
         n = self.params["n"]
-        points = [
+        return [
             SweepPoint(
                 n=n,
                 k=k,
@@ -108,12 +107,6 @@ class BiasThresholdExperiment(SweepExperiment):
             for k in self.params["k_values"]
             for label, bias in _bias_grid(n).items()
         ]
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
 
     def point_task(self):
         return partial(

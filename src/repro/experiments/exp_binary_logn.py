@@ -23,7 +23,6 @@ import numpy as np
 
 from ..analysis.stabilization import usd_stabilization_ensemble
 from ..analysis.stats import fit_proportional
-from ..sweep import SweepPlan
 from ..theory.bounds import trivial_lower_bound_parallel_time
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
@@ -78,17 +77,11 @@ class BinaryLogNExperiment(SweepExperiment):
         "max_parallel_time": 2_000.0,
     }
 
-    def build_plan(self) -> SweepPlan:
-        points = [
+    def grid(self) -> List[SweepPoint]:
+        return [
             SweepPoint(n=int(n), k=2, bias=paper_bias(int(n)), label=f"n={n}")
             for n in self.params["n_values"]
         ]
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
 
     def point_task(self):
         return partial(

@@ -18,7 +18,7 @@ and the grid index — the same ``derive_seed(root, i)`` contract the
 previous in-``_execute`` ensemble used, so per-member trajectories are
 unchanged.  Members therefore shard across hosts, checkpoint as they
 finish and resume (``repro run fig1-ensemble --shard I/M --out DIR``,
-then ``repro sweep merge``); each checkpoint row carries the member's
+then ``--out DIR --resume``); each checkpoint row carries the member's
 summary *and* its u(t) polyline (downsampled to ≤
 :data:`MAX_TRACE_SAMPLES` vertices) so :meth:`finalize` can rebuild
 the ensemble band from rows alone.
@@ -45,7 +45,6 @@ from ..analysis.ensembles import ensemble_band_from_series
 from ..analysis.stabilization import UNDETERMINED_WINNER
 from ..analysis.trajectories import doubling_time
 from ..specs import InitialSpec, ProtocolSpec, RecordingSpec, RunSpec, run_spec
-from ..sweep import SweepPlan
 from ..theory.bounds import paper_k_schedule
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
@@ -180,20 +179,14 @@ class Figure1EnsembleExperiment(SweepExperiment):
         bias = self.params["bias"] or paper_bias(n)
         return n, k, bias
 
-    def build_plan(self) -> SweepPlan:
+    def grid(self) -> List[SweepPoint]:
         n, k, bias = self._resolved_nkb()
-        points = [
+        return [
             SweepPoint(
                 n=n, k=k, bias=bias, label=f"member {i}", extras={"member": i}
             )
             for i in range(self.params["num_seeds"])
         ]
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
 
     def point_task(self):
         persist = self.params["persist"]

@@ -29,7 +29,6 @@ from ..core.run import simulate
 from ..errors import ExperimentError
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed
-from ..sweep import SweepPlan
 from ..theory.lemmas import lemma34_alpha_valid, lemma34_min_interactions
 from ..workloads.initial import plateau_gap_configuration
 from ..workloads.sweeps import SweepPoint
@@ -119,9 +118,9 @@ class GapDoublingExperiment(SweepExperiment):
         "horizon_multiple": 12.0,  # horizon = multiple × (k n / 24)
     }
 
-    def build_plan(self) -> SweepPlan:
+    def grid(self) -> List[SweepPoint]:
         n = self.params["n"]
-        points = [
+        return [
             SweepPoint(
                 n=n,
                 k=int(k),
@@ -131,12 +130,6 @@ class GapDoublingExperiment(SweepExperiment):
             )
             for k in self.params["k_values"]
         ]
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
 
     def point_task(self):
         return partial(

@@ -29,7 +29,6 @@ from ..core import stopping
 from ..core.run import simulate
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed
-from ..sweep import SweepPlan
 from ..theory.lemmas import lemma33_min_interactions, lemma33_thresholds
 from ..workloads.initial import plateau_configuration
 from ..workloads.sweeps import SweepPoint
@@ -106,18 +105,12 @@ class OpinionGrowthExperiment(SweepExperiment):
         "horizon_multiple": 12.0,  # horizon = multiple × (k n / 25)
     }
 
-    def build_plan(self) -> SweepPlan:
+    def grid(self) -> List[SweepPoint]:
         n = self.params["n"]
-        points = [
+        return [
             SweepPoint(n=n, k=int(k), bias=0, label=f"k={k}")
             for k in self.params["k_values"]
         ]
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
 
     def point_task(self):
         return partial(

@@ -17,8 +17,8 @@ The k-grid executes through :mod:`repro.sweep`: each k is one
 :class:`~repro.workloads.sweeps.SweepPoint` whose seed derives from the
 experiment's root ``seed`` and the grid index, so the sweep shards
 across processes and hosts (``shard``/``resume``/``out`` parameters,
-``repro run <id> --shard`` then ``repro sweep merge``) without changing
-a single number.
+``repro run <id> --shard`` then ``repro run <id> --resume``) without
+changing a single number.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.scaling import compare_scaling_laws, law_value
 from ..analysis.stabilization import usd_stabilization_ensemble
-from ..sweep import SweepPlan
 from ..theory.bounds import (
     amir_upper_bound_parallel_time,
     lower_bound_parallel_time,
@@ -89,14 +88,8 @@ class ScalingExperiment(SweepExperiment):
         "max_parallel_time": 5_000.0,
     }
 
-    def build_plan(self) -> SweepPlan:
-        points = k_sweep(self.params["n"], self.params["k_values"])
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
+    def grid(self) -> List[SweepPoint]:
+        return k_sweep(self.params["n"], self.params["k_values"])
 
     def point_task(self):
         return partial(

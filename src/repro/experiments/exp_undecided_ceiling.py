@@ -17,7 +17,7 @@ The (n, k) grid executes through :mod:`repro.sweep` — one
 derived from the root seed and the grid index — so it shards,
 checkpoints and resumes like every grid in the repo
 (``shard``/``resume``/``out`` parameters, ``repro run <id> --shard``
-then ``repro sweep merge``).
+then ``repro run <id> --resume``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..analysis.trajectories import undecided_exceedance
 from ..core.run import simulate
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed
-from ..sweep import SweepPlan
 from ..theory.lemmas import LEMMA31_SLACK_MULTIPLIER, lemma31_ceiling, u_tilde
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
@@ -93,20 +92,14 @@ class UndecidedCeilingExperiment(SweepExperiment):
         "max_parallel_time": 1_500.0,
     }
 
-    def build_plan(self) -> SweepPlan:
-        points = [
+    def grid(self) -> List[SweepPoint]:
+        return [
             SweepPoint(
                 n=int(n), k=int(k), bias=paper_bias(int(n)), label=f"n={n}, k={k}"
             )
             for n in self.params["n_values"]
             for k in self.params["k_values"]
         ]
-        return SweepPlan(
-            sweep_id=self.experiment_id,
-            points=tuple(points),
-            root_seed=self.params["seed"],
-            meta=self.local_params,
-        )
 
     def point_task(self):
         return partial(

@@ -73,7 +73,7 @@ def get_sweep_experiment(experiment_id: str) -> Type[SweepExperiment]:
         )
         raise ExperimentError(
             f"experiment {experiment_id!r} is not a sweep experiment; "
-            "shards, resume and 'repro sweep merge|status' apply to grid "
+            "shards, resume and 'repro sweep status' apply to grid "
             f"sweeps only ({', '.join(sweep_ids)})"
         )
     return cls

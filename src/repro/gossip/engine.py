@@ -170,7 +170,12 @@ class GossipEngine:
         snapshot_every: int = 1,
         recorder=None,
     ) -> None:
-        """Advance until ``max_rounds``, absorption, or ``stop`` fires."""
+        """Advance until ``max_rounds``, absorption, or ``stop`` fires.
+
+        As in :meth:`repro.core.engine.BaseEngine.run`, absorption and
+        ``stop`` are checked *before* every chunk, so a run that starts
+        absorbed (or with ``stop`` already true) executes zero rounds.
+        """
         if snapshot_every < 1:
             raise SimulationError(f"snapshot_every must be >= 1, got {snapshot_every}")
         # horizon in the comparable time measure (rounds × n interactions)
@@ -179,6 +184,10 @@ class GossipEngine:
             if recorder is not None and self._rounds == 0:
                 recorder.record(self)
             while self._rounds < max_rounds:
+                if self._absorbed:
+                    break
+                if stop is not None and stop(self):
+                    break
                 if observer is None:
                     self.step(min(snapshot_every, max_rounds - self._rounds))
                 else:
@@ -187,10 +196,6 @@ class GossipEngine:
                     observer.chunk_end(self)
                 if recorder is not None:
                     recorder.record(self)
-                if self._absorbed:
-                    break
-                if stop is not None and stop(self):
-                    break
         except BaseException as error:
             if observer is not None:
                 try:

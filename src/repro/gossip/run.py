@@ -93,7 +93,10 @@ def simulate_gossip(
         metadata=meta,
     )
     winner = None
+    stabilization = None
     if engine.is_absorbed:
+        # a run that started absorbed stabilized at round 0
+        stabilization = engine.last_change_round or 0
         final = engine.counts
         offset = 1 if undecided_index == 0 else 0
         alive = np.flatnonzero(final[offset:] == engine.n)
@@ -104,7 +107,7 @@ def simulate_gossip(
         final_counts=engine.counts,
         rounds=engine.rounds,
         stabilized=bool(engine.is_absorbed),
-        stabilization_rounds=engine.last_change_round if engine.is_absorbed else None,
+        stabilization_rounds=stabilization,
         winner=winner,
         wall_seconds=elapsed,
         metadata=meta,

@@ -667,30 +667,22 @@ def _run_sweep(
 ) -> SweepSpecRun:
     from ..sweep import run_sweep
 
-    plan = spec.plan()
+    # a full run with ``out`` is the merge; its provenance.json embeds
+    # the root spec document and hash via the plan meta
     run = run_sweep(
-        plan,
+        spec.plan(),
         _sweep_point_task,
         shard=shard,
         workers=workers,
         out_dir=out,
         resume=resume,
     )
-    artifacts: Tuple[Path, ...] = ()
-    if out is not None and run.shard.is_full:
-        # a complete checkpointed sweep merges immediately: merged.json
-        # (bit-identical per sharding) + provenance.json embedding the
-        # root spec document and hash via the plan meta
-        from ..sweep import merge_sweep, write_merged_artifact
-
-        merged = merge_sweep(plan, out)
-        artifacts = tuple(write_merged_artifact(merged, out))
     return SweepSpecRun(
         spec_hash=spec.spec_hash(),
         sweep_id=spec.sweep_id,
         rows=tuple(run.rows),
         partial=not run.shard.is_full,
-        artifacts=artifacts,
+        artifacts=run.artifacts,
         escalated=_escalated_labels(spec, run.rows),
     )
 

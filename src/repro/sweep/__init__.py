@@ -26,7 +26,7 @@ to individual runs: any run anywhere is replayable from
 
 Shard / merge workflow (two hosts)
 ----------------------------------
-Host A and host B split a sweep and a third step merges::
+Host A and host B split a sweep and a third run merges::
 
     # host A                                      (owns points 0, 2, 4, …)
     repro run thm35-scaling --shard 0/2 --out results/
@@ -35,19 +35,21 @@ Host A and host B split a sweep and a third step merges::
     repro run thm35-scaling --shard 1/2 --out results/
 
     # anywhere, after copying both hosts' results/thm35-scaling/ together
-    repro sweep merge thm35-scaling --out results/
+    repro sweep status thm35-scaling --out results/
+    repro run thm35-scaling --out results/ --resume
 
 Each finished point is checkpointed to
 ``results/<sweep>/point-<index>-<label>.json`` the moment it completes;
 a killed sweep re-run with ``--resume`` skips every checkpointed point
 and computes only the remainder.  ``repro sweep status`` shows the
-inventory.  The merge writes ``merged.json`` (rows + root seed +
-per-point seeds — byte-identical for every sharding) and
-``provenance.json`` (shard map, repo state, sweep parameters — the
-execution record).
+inventory without computing anything.  A full run with ``--out`` is the
+merge: it writes ``merged.json`` (rows + root seed + per-point seeds —
+byte-identical for every sharding) and ``provenance.json`` (shard map,
+repo state, sweep parameters — the execution record).  After the shards,
+``--resume`` makes that run compute nothing, or only the points no
+shard delivered (recorded under shard ``0/1``).
 """
 
-from .merge import MergedSweep, merge_sweep, write_merged_artifact
 from .plan import ShardSpec, SweepPlan
 from .runner import (
     PointOutcome,
@@ -59,15 +61,12 @@ from .runner import (
 )
 
 __all__ = [
-    "MergedSweep",
     "PointOutcome",
     "ShardRun",
     "ShardSpec",
     "SweepPlan",
     "SweepStatus",
     "load_checkpoint",
-    "merge_sweep",
     "run_sweep",
     "sweep_status",
-    "write_merged_artifact",
 ]

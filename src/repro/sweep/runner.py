@@ -1,4 +1,4 @@
-"""Shard execution with per-point checkpoints and resume.
+"""Shard execution with per-point checkpoints, resume and the merge.
 
 :func:`run_sweep` executes the points a shard owns by fanning them over
 the :mod:`repro.parallel` pool (one grid point per task — the inner
@@ -13,8 +13,14 @@ Re-running with ``resume=True`` loads finished checkpoints (after
 verifying they belong to this exact plan: same root seed, same grid
 point, same per-point seed) and executes only the remainder.
 
+A run over the whole plan with an ``out_dir`` is also the merge: from
+its own outcomes it writes ``merged.json`` (rows, root seed, per-point
+seeds and point labels — byte-identical for every sharding and worker
+count) and ``provenance.json`` (the shard that computed each point, the
+repo state and the plan's ``meta`` — the execution record).
+
 Rows are normalised through a JSON round-trip before they are returned
-*or* checkpointed, so a resumed/merged sweep is byte-identical to an
+*or* checkpointed, so a resumed sweep is byte-identical to an
 uninterrupted one — there is no "fresh row vs loaded row" divergence.
 """
 
@@ -23,16 +29,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import SweepError
 from ..io import atomic_write
-from ..io.serialization import _jsonable
+from ..io.serialization import _jsonable, save_result_rows
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
 from ..parallel import parallel_map_completed
 from ..workloads.sweeps import SweepPoint
 from .plan import ShardSpec, SweepPlan
+from .provenance import repo_state
 
 __all__ = [
     "PointOutcome",
@@ -49,22 +56,32 @@ PointTask = Callable[[SweepPoint, int], Dict[str, Any]]
 
 @dataclass(frozen=True)
 class PointOutcome:
-    """One computed (or checkpoint-restored) grid point."""
+    """One computed (or checkpoint-restored) grid point.
+
+    ``shard`` names the shard that computed the point: the running one,
+    or for a restored point the one its checkpoint records.
+    """
 
     index: int
     point: SweepPoint
     seed: int
     row: Dict[str, Any]
     reused: bool
+    shard: str
 
 
 @dataclass(frozen=True)
 class ShardRun:
-    """Everything one :func:`run_sweep` call produced, in grid order."""
+    """Everything one :func:`run_sweep` call produced, in grid order.
+
+    ``artifacts`` holds the ``merged.json`` and ``provenance.json``
+    paths a full run with an ``out_dir`` wrote; it is empty otherwise.
+    """
 
     sweep_id: str
     shard: ShardSpec
     outcomes: Tuple[PointOutcome, ...]
+    artifacts: Tuple[Path, ...] = ()
 
     @property
     def rows(self) -> List[Dict[str, Any]]:
@@ -170,30 +187,73 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     return payload
 
 
-def _verify_checkpoint(
-    plan: SweepPlan, index: int, payload: Dict[str, Any], path: Path
-) -> None:
-    """A checkpoint may only be reused for the exact plan that wrote it."""
-    point = plan.points[index]
-    expected = {
+def _read_checkpoints(
+    plan: SweepPlan, directory: Path, indices: Iterable[int]
+) -> Dict[int, Dict[str, Any]]:
+    """The checkpoints of ``indices`` present in ``directory``, verified.
+
+    A checkpoint may only be reused for the exact plan that wrote it;
+    one written under any other plan fails the whole read.
+    """
+    found: Dict[int, Dict[str, Any]] = {}
+    meta = _canonical_meta(plan.meta)
+    for index in indices:
+        path = directory / plan.checkpoint_name(index)
+        if not path.exists():
+            continue
+        payload = load_checkpoint(path)
+        expected = {
+            "sweep_id": plan.sweep_id,
+            "point_index": index,
+            "canonical_label": plan.points[index].canonical_label,
+            "seed": plan.point_seed(index),
+            "root_seed": plan.root_seed,
+            # meta carries the computation parameters (num_seeds,
+            # engine, …): a checkpoint computed under different --set
+            # overrides is a different number, not a reusable one.
+            "meta": meta,
+        }
+        for key, value in expected.items():
+            if payload.get(key) != value:
+                raise SweepError(
+                    f"checkpoint {path} does not match the current plan: "
+                    f"{key} is {payload.get(key)!r}, expected {value!r}. "
+                    "The sweep directory belongs to a different plan — "
+                    "use a fresh --out directory (or delete the stale files)."
+                )
+        found[index] = payload
+    return found
+
+
+def _write_merged(
+    plan: SweepPlan, directory: Path, outcomes: Tuple[PointOutcome, ...]
+) -> Tuple[Path, ...]:
+    """Write ``merged.json`` + ``provenance.json`` for a whole-plan run."""
+    point_seeds = plan.point_seeds()
+    merged_path = directory / "merged.json"
+    save_result_rows(
+        [outcome.row for outcome in outcomes],
+        merged_path,
+        extra={
+            "sweep_id": plan.sweep_id,
+            "root_seed": plan.root_seed,
+            "point_seeds": point_seeds,
+            "points": [point.canonical_label for point in plan.points],
+        },
+    )
+    provenance_path = directory / "provenance.json"
+    provenance = {
         "sweep_id": plan.sweep_id,
-        "point_index": index,
-        "canonical_label": point.canonical_label,
-        "seed": plan.point_seed(index),
         "root_seed": plan.root_seed,
-        # meta carries the computation parameters (num_seeds, engine, …):
-        # a checkpoint computed under different --set overrides is a
-        # different number, not a reusable one.
-        "meta": _canonical_meta(plan.meta),
+        "point_seeds": point_seeds,
+        "shard_map": {
+            outcome.point.canonical_label: outcome.shard for outcome in outcomes
+        },
+        "repo_state": repo_state(),
+        "meta": _jsonable(plan.meta),
     }
-    for key, value in expected.items():
-        if payload.get(key) != value:
-            raise SweepError(
-                f"checkpoint {path} does not match the current plan: "
-                f"{key} is {payload.get(key)!r}, expected {value!r}. "
-                "The sweep directory belongs to a different plan — "
-                "use a fresh --out directory (or delete the stale files)."
-            )
+    provenance_path.write_text(json.dumps(provenance, indent=2, sort_keys=True))
+    return merged_path, provenance_path
 
 
 def run_sweep(
@@ -224,9 +284,12 @@ def run_sweep(
         Checkpoint root; points land in ``<out_dir>/<sweep_id>/``.
         ``None`` disables checkpointing (and therefore resume); a
         partial shard requires one, since its points exist only to be
-        merged.
+        merged.  A whole-plan run with one also writes ``merged.json``
+        and ``provenance.json`` there.
     resume:
         Reuse verified checkpoints instead of re-executing their points.
+        After ``m`` shards, a whole-plan ``resume=True`` run is the
+        merge: it restores every point and computes any still missing.
     """
     shard = ShardSpec.parse(shard)
     if not shard.is_full and out_dir is None:
@@ -244,18 +307,17 @@ def run_sweep(
         directory = sweep_directory(plan, out_dir)
         directory.mkdir(parents=True, exist_ok=True)
 
-    restored: Dict[int, Dict[str, Any]] = {}
-    pending: List[Tuple[int, SweepPoint, int]] = []
-    for index, point in plan.items(shard):
-        seed = plan.point_seed(index)
-        if resume and directory is not None:
-            path = directory / plan.checkpoint_name(index)
-            if path.exists():
-                payload = load_checkpoint(path)
-                _verify_checkpoint(plan, index, payload, path)
-                restored[index] = _canonical_row(payload["row"])
-                continue
-        pending.append((index, point, seed))
+    owned = plan.items(shard)
+    restored = (
+        _read_checkpoints(plan, directory, (index for index, _ in owned))
+        if resume
+        else {}
+    )
+    pending: List[Tuple[int, SweepPoint, int]] = [
+        (index, point, plan.point_seed(index))
+        for index, point in owned
+        if index not in restored
+    ]
 
     # telemetry only — rows and checkpoints stay byte-identical with
     # observability off (the CI sweep leg diffs merged.json to prove it)
@@ -296,18 +358,22 @@ def run_sweep(
     }
 
     outcomes = []
-    for index, point in plan.items(shard):
-        reused = index in restored
-        row = restored[index] if reused else computed[index]
+    for index, point in owned:
+        payload = restored.get(index)
+        reused = payload is not None
         outcomes.append(
             PointOutcome(
                 index=index,
                 point=point,
                 seed=plan.point_seed(index),
-                row=row,
+                row=_canonical_row(payload["row"]) if reused else computed[index],
                 reused=reused,
+                shard=str(payload.get("shard", "?")) if reused else str(shard),
             )
         )
+    artifacts: Tuple[Path, ...] = ()
+    if shard.is_full and directory is not None:
+        artifacts = _write_merged(plan, directory, tuple(outcomes))
     obs_runtime.emit(
         "sweep.done",
         sweep_id=plan.sweep_id,
@@ -315,26 +381,24 @@ def run_sweep(
         executed=len(pending),
         reused=len(restored),
     )
-    return ShardRun(sweep_id=plan.sweep_id, shard=shard, outcomes=tuple(outcomes))
+    return ShardRun(
+        sweep_id=plan.sweep_id,
+        shard=shard,
+        outcomes=tuple(outcomes),
+        artifacts=artifacts,
+    )
 
 
 def sweep_status(plan: SweepPlan, out_dir: Union[str, Path]) -> SweepStatus:
     """Which of ``plan``'s points are checkpointed under ``out_dir``."""
-    directory = sweep_directory(plan, out_dir)
-    done, missing, shards = [], [], set()
-    for index in range(len(plan)):
-        path = directory / plan.checkpoint_name(index)
-        if path.exists():
-            payload = load_checkpoint(path)
-            _verify_checkpoint(plan, index, payload, path)
-            done.append(index)
-            shards.add(str(payload.get("shard", "?")))
-        else:
-            missing.append(index)
+    indices = range(len(plan))
+    found = _read_checkpoints(plan, sweep_directory(plan, out_dir), indices)
     return SweepStatus(
         sweep_id=plan.sweep_id,
         total=len(plan),
-        done=tuple(done),
-        missing=tuple(missing),
-        shards_seen=tuple(sorted(shards)),
+        done=tuple(sorted(found)),
+        missing=tuple(index for index in indices if index not in found),
+        shards_seen=tuple(
+            sorted({str(payload.get("shard", "?")) for payload in found.values()})
+        ),
     )

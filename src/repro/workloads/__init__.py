@@ -9,20 +9,12 @@ from .initial import (
     two_block_configuration,
     zipf_configuration,
 )
-from .sweeps import (
-    SweepPoint,
-    bias_sweep,
-    ensure_unique_labels,
-    k_sweep,
-    n_sweep_paper_schedule,
-)
+from .sweeps import SweepPoint, ensure_unique_labels, k_sweep
 
 __all__ = [
     "SweepPoint",
-    "bias_sweep",
     "ensure_unique_labels",
     "k_sweep",
-    "n_sweep_paper_schedule",
     "paper_bias",
     "paper_initial_configuration",
     "plateau_configuration",

@@ -1,10 +1,8 @@
 """Parameter sweep grids for the experiments.
 
-Experiments iterate over :class:`SweepPoint` grids.  The canonical
-grids are the fixed-``n`` k-sweep (Theorem 3.5 shape in ``k``), the
-n-sweep along the paper's ``k(n) = √n/(log n · log log n)`` schedule
-(Figure 1's regime), and bias sweeps around the ``√(n log n)``
-threshold.
+Experiments iterate over :class:`SweepPoint` grids; each sweep
+experiment builds its own, and :func:`k_sweep` is the fixed-``n``
+k-sweep (Theorem 3.5 shape in ``k``).
 
 Every point has a *canonical label* — derived from ``(n, k, bias)``
 **and** the sorted ``extras`` — that uniquely identifies it inside a
@@ -19,15 +17,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import ExperimentError
-from ..theory.bounds import paper_k_schedule
 from .initial import paper_bias
 
 __all__ = [
     "SweepPoint",
     "ensure_unique_labels",
     "k_sweep",
-    "n_sweep_paper_schedule",
-    "bias_sweep",
 ]
 
 
@@ -118,34 +113,5 @@ def k_sweep(
         points.append(SweepPoint(n=n, k=int(k), bias=b, label=f"k={k}"))
     if not points:
         raise ExperimentError("k_sweep needs at least one k value")
-    ensure_unique_labels(points)
-    return points
-
-
-def n_sweep_paper_schedule(n_values: Sequence[int]) -> List[SweepPoint]:
-    """Varying ``n`` with ``k = paper_k_schedule(n)`` and bias ``√(n ln n)``."""
-    if not n_values:
-        raise ExperimentError("n sweep needs at least one population size")
-    points = []
-    for n in n_values:
-        k = paper_k_schedule(n)
-        points.append(
-            SweepPoint(n=int(n), k=k, bias=paper_bias(int(n)), label=f"n={n}")
-        )
-    ensure_unique_labels(points)
-    return points
-
-
-def bias_sweep(
-    n: int,
-    k: int,
-    bias_values: Sequence[int],
-) -> List[SweepPoint]:
-    """Fixed ``(n, k)``, varying bias — the winner-correctness threshold grid."""
-    if not bias_values:
-        raise ExperimentError("bias sweep needs at least one bias value")
-    points = [
-        SweepPoint(n=n, k=k, bias=int(b), label=f"bias={b}") for b in bias_values
-    ]
     ensure_unique_labels(points)
     return points

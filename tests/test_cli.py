@@ -59,7 +59,8 @@ class TestCommands:
 
 
 class TestSweepCommands:
-    """Shards run through ``repro run <id> --shard``; merge/status stay."""
+    """Shards run through ``repro run <id> --shard``; a full ``repro run
+    <id> --out DIR --resume`` merges them; ``repro sweep status`` stays."""
 
     OVERRIDES = [
         "--set", "n_values=(400,600,900)",
@@ -71,14 +72,16 @@ class TestSweepCommands:
     def _run(self, *argv, out):
         return main(["run", *argv, "--out", str(out), *self.OVERRIDES])
 
-    def _sweep(self, *argv, out):
-        return main(["sweep", *argv, "--out", str(out), *self.OVERRIDES])
+    def _status(self, out):
+        return main(
+            ["sweep", "status", "usd2-logn", "--out", str(out), *self.OVERRIDES]
+        )
 
     def test_sharded_run_status_merge(self, capsys, tmp_path):
         assert self._run("usd2-logn", "--shard", "0/2", out=tmp_path) == 0
         capsys.readouterr()
 
-        assert self._sweep("status", "usd2-logn", out=tmp_path) == 0
+        assert self._status(tmp_path) == 0
         out = capsys.readouterr().out
         assert "2/3 points checkpointed" in out and "missing" in out
 
@@ -86,12 +89,43 @@ class TestSweepCommands:
         capsys.readouterr()
         # a partial shard writes only its checkpoints, never the artifact
         assert not (tmp_path / "usd2-logn.json").exists()
+        assert not (tmp_path / "usd2-logn" / "merged.json").exists()
 
-        assert self._sweep("merge", "usd2-logn", out=tmp_path) == 0
+        assert self._status(tmp_path) == 0
+        assert "--resume" in capsys.readouterr().out
+
+        assert self._run("usd2-logn", "--resume", out=tmp_path) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
         assert (tmp_path / "usd2-logn" / "merged.json").exists()
         assert (tmp_path / "usd2-logn" / "provenance.json").exists()
+        provenance = json.loads(
+            (tmp_path / "usd2-logn" / "provenance.json").read_text()
+        )
+        assert set(provenance["shard_map"].values()) == {"0/2", "1/2"}
+
+    def test_full_run_merged_json_matches_shards_plus_resume(self, tmp_path):
+        unsharded, sharded = tmp_path / "unsharded", tmp_path / "sharded"
+        assert self._run("usd2-logn", out=unsharded) == 0
+        for shard in ("0/2", "1/2"):
+            assert self._run("usd2-logn", "--shard", shard, out=sharded) == 0
+        assert self._run("usd2-logn", "--resume", out=sharded) == 0
+        assert (unsharded / "usd2-logn" / "merged.json").read_bytes() == (
+            sharded / "usd2-logn" / "merged.json"
+        ).read_bytes()
+
+    def test_resume_after_one_shard_computes_the_missing_points(self, tmp_path):
+        assert self._run("usd2-logn", "--shard", "0/2", out=tmp_path) == 0
+        assert self._run("usd2-logn", "--resume", out=tmp_path) == 0
+        provenance = json.loads(
+            (tmp_path / "usd2-logn" / "provenance.json").read_text()
+        )
+        # points 0 and 2 came from the shard; the merging run computed 1
+        assert provenance["shard_map"] == {
+            "n=400,k=2,bias=49": "0/2",
+            "n=600,k=2,bias=62": "0/1",
+            "n=900,k=2,bias=79": "0/2",
+        }
 
     def test_empty_shard_is_a_noop_not_a_failure(self, capsys, tmp_path):
         """More shards than grid points: the extra shards own nothing."""
@@ -104,11 +138,10 @@ class TestSweepCommands:
         capsys.readouterr()
         assert self._run("usd2-logn", "--resume", out=tmp_path) == 0
 
-    def test_merge_before_all_shards_fails(self, capsys, tmp_path):
-        assert self._run("usd2-logn", "--shard", "0/2", out=tmp_path) == 0
-        capsys.readouterr()
-        assert self._sweep("merge", "usd2-logn", out=tmp_path) == 1
-        assert "incomplete" in capsys.readouterr().err
+    def test_sweep_merge_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["sweep", "merge", "usd2-logn", "--out", str(tmp_path)])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_non_sweep_experiment_rejected(self, capsys, tmp_path):
         code = main(["run", "fig1-left", "--shard", "0/2", "--out", str(tmp_path)])

@@ -3,9 +3,10 @@
 The two contracts under test, straight from the subsystem's spec:
 
 1. **Sharding determinism** — a sweep executed as m shards (any m ≥ 1,
-   any worker count) and merged is bit-identical to the serial
-   single-host sweep: same rows, same per-point seeds, and the
-   ``merged.json`` artifact is byte-for-byte equal.
+   any worker count) and merged by a full ``resume=True`` run is
+   bit-identical to the serial single-host sweep: same rows, same
+   per-point seeds, and the ``merged.json`` artifact is byte-for-byte
+   equal.
 2. **Resume semantics** — a sweep killed mid-shard and re-run with
    ``resume=True`` completes without re-executing checkpointed points,
    and the merged result is byte-identical to an uninterrupted run.
@@ -18,14 +19,11 @@ import pytest
 from repro.errors import ExperimentError, SweepError
 from repro.rng import derive_seed
 from repro.sweep import (
-    MergedSweep,
     ShardSpec,
     SweepPlan,
     load_checkpoint,
-    merge_sweep,
     run_sweep,
     sweep_status,
-    write_merged_artifact,
 )
 from repro.sweep.runner import sweep_directory
 from repro.workloads.sweeps import SweepPoint
@@ -176,10 +174,11 @@ class TestRunSweep:
 
     def test_checkpoints_written_per_point(self, tmp_path):
         plan = make_plan(4)
-        run_sweep(plan, toy_task, out_dir=tmp_path, shard="1/2")
+        run = run_sweep(plan, toy_task, out_dir=tmp_path, shard="1/2")
         directory = sweep_directory(plan, tmp_path)
-        written = sorted(p.name for p in directory.glob("point-*.json"))
+        written = sorted(p.name for p in directory.iterdir())
         assert written == [plan.checkpoint_name(1), plan.checkpoint_name(3)]
+        assert run.artifacts == ()  # a partial shard merges nothing
         payload = load_checkpoint(directory / plan.checkpoint_name(1))
         assert payload["shard"] == "1/2"
         assert payload["root_seed"] == plan.root_seed
@@ -189,6 +188,7 @@ class TestRunSweep:
         plan = make_plan(3)
         run = run_sweep(plan, toy_task)
         assert len(run.outcomes) == 3
+        assert run.artifacts == ()
 
     def test_resume_requires_out_dir(self):
         plan = make_plan(2)
@@ -216,7 +216,7 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep(imposter, toy_task, out_dir=tmp_path, resume=True)
         with pytest.raises(SweepError):
-            merge_sweep(imposter, tmp_path)
+            sweep_status(imposter, tmp_path)
 
     def test_checkpoint_with_other_meta_rejected(self, tmp_path):
         """Same grid + seed but different computation parameters: not
@@ -229,7 +229,7 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="meta"):
             run_sweep(other, toy_task, out_dir=tmp_path, resume=True)
         with pytest.raises(SweepError, match="meta"):
-            merge_sweep(other, tmp_path)
+            sweep_status(other, tmp_path)
 
     def test_non_dict_row_rejected(self):
         plan = make_plan(1)
@@ -246,8 +246,7 @@ class TestResumeSemantics:
         interrupted_dir = tmp_path / "interrupted"
 
         # the uninterrupted reference run
-        run_sweep(plan, toy_task, out_dir=clean_dir)
-        reference = write_merged_artifact(merge_sweep(plan, clean_dir), clean_dir)
+        reference = run_sweep(plan, toy_task, out_dir=clean_dir).artifacts
 
         # a run killed at grid point p3: p0–p2 are checkpointed, the rest lost
         with pytest.raises(RuntimeError, match="killed at p3"):
@@ -262,9 +261,7 @@ class TestResumeSemantics:
         assert resumed.reused == 3 and resumed.executed == 3
 
         # the merged artifact is byte-identical to the uninterrupted run
-        merged = write_merged_artifact(
-            merge_sweep(plan, interrupted_dir), interrupted_dir
-        )
+        merged = resumed.artifacts
         assert reference[0].read_bytes() == merged[0].read_bytes()
 
     def test_resume_on_complete_sweep_executes_nothing(self, tmp_path):
@@ -278,42 +275,49 @@ class TestResumeSemantics:
 
 
 class TestMergeAndStatus:
+    """A whole-plan run with an out_dir is the merge."""
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_any_sharding_merges_bit_identical(self, tmp_path, m):
         plan = make_plan(7)
         serial_dir = tmp_path / "serial"
         sharded_dir = tmp_path / f"sharded{m}"
-        run_sweep(plan, toy_task, out_dir=serial_dir)
+        serial = run_sweep(plan, toy_task, out_dir=serial_dir).artifacts
         for shard_index in range(m):
             run_sweep(
                 plan, toy_task, out_dir=sharded_dir, shard=f"{shard_index}/{m}"
             )
-        serial = write_merged_artifact(merge_sweep(plan, serial_dir), serial_dir)
-        sharded = write_merged_artifact(
-            merge_sweep(plan, sharded_dir), sharded_dir
-        )
-        assert serial[0].read_bytes() == sharded[0].read_bytes()
+        merge = run_sweep(plan, toy_task, out_dir=sharded_dir, resume=True)
+        assert merge.executed == 0
+        assert serial[0].read_bytes() == merge.artifacts[0].read_bytes()
 
     def test_merged_provenance(self, tmp_path):
         plan = make_plan(4)
         run_sweep(plan, toy_task, out_dir=tmp_path, shard="0/2")
         run_sweep(plan, toy_task, out_dir=tmp_path, shard="1/2")
-        merged = merge_sweep(plan, tmp_path)
-        assert isinstance(merged, MergedSweep)
-        assert merged.root_seed == plan.root_seed
-        assert list(merged.point_seeds) == plan.point_seeds()
-        assert merged.shard_map[plan.points[0].canonical_label] == "0/2"
-        assert merged.shard_map[plan.points[1].canonical_label] == "1/2"
-        assert merged.meta == {"kind": "toy"}
-        provenance = merged.provenance_payload()
+        merge = run_sweep(plan, toy_task, out_dir=tmp_path, resume=True)
+        shards = [outcome.shard for outcome in merge.outcomes]
+        assert shards == ["0/2", "1/2", "0/2", "1/2"]
+        provenance = json.loads(merge.artifacts[1].read_text())
+        assert provenance["root_seed"] == plan.root_seed
+        assert provenance["point_seeds"] == plan.point_seeds()
+        assert provenance["shard_map"][plan.points[0].canonical_label] == "0/2"
+        assert provenance["shard_map"][plan.points[1].canonical_label] == "1/2"
+        assert provenance["meta"] == {"kind": "toy"}
         assert {"shard_map", "repo_state", "point_seeds"} <= set(provenance)
         assert "commit" in provenance["repo_state"]
 
-    def test_merge_incomplete_sweep_lists_missing(self, tmp_path):
+    def test_merge_after_one_shard_computes_only_the_missing(self, tmp_path):
+        """Merging an incomplete sweep computes the rest as shard 0/1."""
         plan = make_plan(5)
         run_sweep(plan, toy_task, out_dir=tmp_path, shard="0/2")
-        with pytest.raises(SweepError, match="incomplete"):
-            merge_sweep(plan, tmp_path)
+        counter = CountingTask()
+        merge = run_sweep(plan, counter, out_dir=tmp_path, resume=True)
+        assert counter.calls == ["p1", "p3"]
+        provenance = json.loads(merge.artifacts[1].read_text())
+        shards = [provenance["shard_map"][p.canonical_label] for p in plan.points]
+        assert shards == ["0/2", "0/1", "0/2", "0/1", "0/2"]
+        assert merge.rows == run_sweep(plan, toy_task).rows
 
     def test_status_tracks_progress(self, tmp_path):
         plan = make_plan(5)
@@ -329,8 +333,12 @@ class TestMergeAndStatus:
 
     def test_artifact_files(self, tmp_path):
         plan = make_plan(2)
-        run_sweep(plan, toy_task, out_dir=tmp_path)
-        written = write_merged_artifact(merge_sweep(plan, tmp_path), tmp_path)
+        written = run_sweep(plan, toy_task, out_dir=tmp_path).artifacts
+        directory = sweep_directory(plan, tmp_path)
+        assert written == (
+            directory / "merged.json",
+            directory / "provenance.json",
+        )
         merged_payload = json.loads(written[0].read_text())
         assert merged_payload["extra"]["root_seed"] == plan.root_seed
         assert merged_payload["extra"]["points"] == [
@@ -382,11 +390,10 @@ class TestSweepExperiments:
         unsharded = BinaryLogNExperiment(**self.COMMON).run()
         for shard in ("0/2", "1/2"):
             BinaryLogNExperiment(shard=shard, out=tmp_path, **self.COMMON).run()
-        experiment = BinaryLogNExperiment(**self.COMMON)
-        merged = merge_sweep(experiment.build_plan(), tmp_path)
-        final = experiment.finalize(list(merged.rows))
+        final = BinaryLogNExperiment(out=tmp_path, resume=True, **self.COMMON).run()
         assert final.rows == unsharded.rows
         assert final.notes == unsharded.notes
+        assert (tmp_path / "usd2-logn" / "merged.json").exists()
 
     def test_resume_skips_finished_experiment_points(self, tmp_path):
         from repro.experiments import BinaryLogNExperiment
@@ -414,9 +421,7 @@ class TestSweepExperiments:
             ScalingExperiment(
                 shard=f"{shard_index}/3", out=tmp_path, **common
             ).run()
-        experiment = ScalingExperiment(**common)
-        merged = merge_sweep(experiment.build_plan(), tmp_path)
-        final = experiment.finalize(list(merged.rows))
+        final = ScalingExperiment(out=tmp_path, resume=True, **common).run()
         assert final.rows == unsharded.rows
 
     @pytest.mark.slow
@@ -434,8 +439,6 @@ class TestSweepExperiments:
         unsharded = BiasThresholdExperiment(**common).run()
         for shard in ("0/2", "1/2"):
             BiasThresholdExperiment(shard=shard, out=tmp_path, **common).run()
-        experiment = BiasThresholdExperiment(**common)
-        merged = merge_sweep(experiment.build_plan(), tmp_path)
-        final = experiment.finalize(list(merged.rows))
+        final = BiasThresholdExperiment(out=tmp_path, resume=True, **common).run()
         assert final.rows == unsharded.rows
         assert len(final.rows) == 12

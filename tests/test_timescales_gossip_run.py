@@ -102,6 +102,20 @@ class TestSimulateGossip:
         assert result.stabilized
         assert result.winner is None
 
+    def test_starting_absorbed_runs_no_round(self):
+        """Like the population engines: 0 rounds, stabilized at round 0."""
+        result = simulate_gossip(GossipUSD(k=2), [0, 100, 0], max_rounds=50)
+        assert result.stabilized
+        assert result.rounds == 0
+        assert result.stabilization_rounds == 0
+        assert len(result.trace) == 1
+
+    def test_live_run_unchanged_by_check_order(self):
+        result = simulate_gossip(GossipUSD(k=2), [10, 60, 30], seed=1, max_rounds=50)
+        assert result.rounds == 8
+        assert result.stabilization_rounds == 8
+        assert len(result.trace) == 9
+
     def test_negative_rounds_rejected(self):
         dynamics = GossipUSD(k=2)
         with pytest.raises(SimulationError):

@@ -8,10 +8,8 @@ from repro import ConfigurationError
 from repro.errors import ExperimentError
 from repro.workloads import (
     SweepPoint,
-    bias_sweep,
     ensure_unique_labels,
     k_sweep,
-    n_sweep_paper_schedule,
     paper_bias,
     paper_initial_configuration,
     plateau_configuration,
@@ -142,21 +140,6 @@ class TestSweeps:
         with pytest.raises(ExperimentError):
             k_sweep(10_000, [])
 
-    def test_n_sweep_uses_paper_schedule(self):
-        points = n_sweep_paper_schedule([10_000, 1_000_000])
-        assert points[1].k in (27, 28)
-        assert points[0].n == 10_000
-
-    def test_n_sweep_empty_rejected(self):
-        with pytest.raises(ExperimentError):
-            n_sweep_paper_schedule([])
-
-    def test_bias_sweep(self):
-        points = bias_sweep(10_000, 4, [0, 10, 100])
-        assert [p.bias for p in points] == [0, 10, 100]
-        with pytest.raises(ExperimentError):
-            bias_sweep(10_000, 4, [])
-
 
 class TestCanonicalLabels:
     def test_extras_included_in_canonical_label(self):
@@ -191,11 +174,3 @@ class TestCanonicalLabels:
     def test_k_sweep_guards_duplicate_ks(self):
         with pytest.raises(ExperimentError, match="duplicate"):
             k_sweep(10_000, [4, 4])
-
-    def test_bias_sweep_guards_duplicate_biases(self):
-        with pytest.raises(ExperimentError, match="duplicate"):
-            bias_sweep(10_000, 4, [10, 10])
-
-    def test_n_sweep_guards_duplicate_ns(self):
-        with pytest.raises(ExperimentError, match="duplicate"):
-            n_sweep_paper_schedule([10_000, 10_000])
