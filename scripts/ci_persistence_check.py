@@ -17,9 +17,10 @@ Four subcommands, composed by the ``persistence`` CI leg:
 ``equivalence``
     Run the same small workload twice — once recorded in memory, once
     with ``persist_to=`` — and assert the streamed trace materializes
-    bit-identically (the ISSUE 4 acceptance property), with the
-    in-memory side of the persisted run bounded to the configured tail
-    window.
+    bit-identically, with the in-memory side of the persisted run
+    bounded to the configured tail window.  Checked for a population
+    run (``usd`` on the counts engine) and a gossip run
+    (``gossip-usd``, one snapshot per round).
 
 ``ensemble``
     Start a persisted ``usd_stabilization_ensemble`` in a child process,
@@ -46,6 +47,7 @@ import numpy as np  # noqa: E402 (path bootstrap above)
 from repro import Configuration, PopulationProtocol, simulate  # noqa: E402
 from repro.analysis import usd_stabilization_ensemble  # noqa: E402
 from repro.errors import SerializationError  # noqa: E402
+from repro.gossip import GossipUSD  # noqa: E402
 from repro.io.streaming import StreamedTrace, load_chunk, load_manifest  # noqa: E402
 from repro.protocols import UndecidedStateDynamics  # noqa: E402
 
@@ -121,9 +123,9 @@ def cmd_verify(run_dir: Path) -> int:
     return 0
 
 
-def cmd_equivalence() -> int:
-    protocol, initial = _workload()
-    kwargs = dict(engine="counts", seed=7, max_parallel_time=30.0, snapshot_every=40)
+def _check_streamed_equals_memory(
+    name, protocol, initial, chunk_snapshots, **kwargs
+) -> None:
     mem = simulate(protocol, initial, **kwargs)
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp) / "run"
@@ -131,17 +133,44 @@ def cmd_equivalence() -> int:
             protocol,
             initial,
             persist_to=run_dir,
-            persist_chunk_snapshots=128,
+            persist_chunk_snapshots=chunk_snapshots,
             persist_window=32,
             **kwargs,
         )
         assert len(per.trace) <= 32, "in-memory trace must be the bounded window"
-        full = StreamedTrace(run_dir).materialize()
+        stream = StreamedTrace(run_dir)
+        assert stream.num_chunks > 1, f"{name}: expected a multi-chunk stream"
+        full = stream.materialize()
         assert np.array_equal(full.times, mem.trace.times), "times differ"
         assert np.array_equal(full.counts, mem.trace.counts), "counts differ"
         assert per.interactions == mem.interactions
         snapshots = len(full)
-    print(f"equivalence ok: {snapshots} snapshots bit-identical, window bounded")
+    print(
+        f"equivalence ok ({name}): {snapshots} snapshots bit-identical, "
+        "window bounded"
+    )
+
+
+def cmd_equivalence() -> int:
+    protocol, initial = _workload()
+    _check_streamed_equals_memory(
+        "usd",
+        protocol,
+        initial,
+        chunk_snapshots=128,
+        engine="counts",
+        seed=7,
+        max_parallel_time=30.0,
+        snapshot_every=40,
+    )
+    _check_streamed_equals_memory(
+        "gossip-usd",
+        GossipUSD(k=3),
+        Configuration.equal_minorities_with_bias(n=3_000, k=3, bias=15),
+        chunk_snapshots=8,
+        seed=7,
+        max_parallel_time=300.0,
+    )
     return 0
 
 

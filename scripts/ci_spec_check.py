@@ -13,7 +13,8 @@ Modes
     ``RunResult``s — same trace arrays (values *and* dtypes), same
     final counts, same scalar outcome, same metadata (including the
     shared ``spec_hash``).  Also re-checks the JSON round-trip and the
-    key-order invariance of the hash on the way.
+    key-order invariance of the hash on the way.  Checked for a
+    population run (``usd``) and a gossip run (``gossip-usd``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import Configuration, UndecidedStateDynamics, simulate
+from repro.gossip import GossipUSD
 from repro.specs import (
     InitialSpec,
     ProtocolSpec,
@@ -52,16 +54,15 @@ def _assert(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def check_bitidentity() -> int:
-    n, k, bias, seed, horizon = 1500, 3, 90, 11, 1500.0
-    protocol = UndecidedStateDynamics(k=k)
+def _check_keyword_matches_spec(protocol, name: str, horizon: float) -> None:
+    n, k, bias, seed = 1500, 3, 90, 11
     initial = Configuration.equal_minorities_with_bias(n=n, k=k, bias=bias)
     keyword = simulate(
         protocol, initial, seed=seed, max_parallel_time=horizon
     )
 
     spec = RunSpec(
-        protocol=ProtocolSpec(name="usd", k=k),
+        protocol=ProtocolSpec(name=name, k=k),
         initial=InitialSpec(
             kind="equal-minorities", n=n, params={"bias": bias}
         ),
@@ -85,7 +86,7 @@ def check_bitidentity() -> int:
         keyword.metadata.get("spec_hash") == spec.spec_hash(),
         "keyword simulate did not normalise to the same spec_hash",
     )
-    for name in (
+    for field in (
         "interactions",
         "parallel_time",
         "stabilized",
@@ -94,31 +95,36 @@ def check_bitidentity() -> int:
         "engine_name",
     ):
         _assert(
-            getattr(keyword, name) == getattr(declarative, name),
-            f"keyword simulate vs run_spec disagree on {name}",
+            getattr(keyword, field) == getattr(declarative, field),
+            f"keyword simulate vs run_spec disagree on {field}",
         )
     _assert(
         keyword.metadata == declarative.metadata,
         "keyword simulate vs run_spec disagree on metadata",
     )
-    for keyword_array, declarative_array, name in (
+    for keyword_array, declarative_array, field in (
         (keyword.final_counts, declarative.final_counts, "final_counts"),
         (keyword.trace.times, declarative.trace.times, "trace.times"),
         (keyword.trace.counts, declarative.trace.counts, "trace.counts"),
     ):
         _assert(
             keyword_array.dtype == declarative_array.dtype,
-            f"{name} dtypes differ",
+            f"{field} dtypes differ",
         )
         _assert(
             np.array_equal(keyword_array, declarative_array),
-            f"{name} values differ",
+            f"{field} values differ",
         )
     print(
-        "keyword simulate and run_spec are bit-identical "
+        f"{name}: keyword simulate and run_spec are bit-identical "
         f"(spec_hash {spec.spec_hash()[:16]}…, "
         f"{keyword.interactions} interactions, winner {keyword.winner})"
     )
+
+
+def check_bitidentity() -> int:
+    _check_keyword_matches_spec(UndecidedStateDynamics(k=3), "usd", 1500.0)
+    _check_keyword_matches_spec(GossipUSD(k=3), "gossip-usd", 300.0)
     return 0
 
 

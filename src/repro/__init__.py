@@ -7,7 +7,8 @@ Population Protocol Model"* (El-Hayek, Elsässer, Schmid — PODC 2025):
 * :mod:`repro.core` — the population-protocol execution substrate
   (configurations, protocols, four simulation engines);
 * :mod:`repro.protocols` — USD plus classic baselines;
-* :mod:`repro.gossip` — the synchronous Gossip model for comparison;
+* :mod:`repro.gossip` — the synchronous Gossip model for comparison,
+  run by the same ``simulate`` and engine loop;
 * :mod:`repro.meanfield` — the fluid-limit ODEs and fixed points;
 * :mod:`repro.theory` — every bound, lemma constant and drift formula
   of the paper in executable form;

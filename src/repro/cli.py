@@ -246,19 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     meanfield = commands.add_parser(
         "meanfield",
         help=(
-            "mean-field surrogate tools for a scenario file: solve / "
-            "fixed-points / timescales"
+            "mean-field tools for a scenario file: fixed-points / "
+            "timescales (run the surrogate tier with repro run --spec F "
+            "--fidelity surrogate)"
         ),
     )
     meanfield_commands = meanfield.add_subparsers(
         dest="meanfield_command", required=True
     )
     for name, description in (
-        (
-            "solve",
-            "resolve the scenario on the surrogate tier and print the "
-            "validity verdict",
-        ),
         (
             "fixed-points",
             "classify the USD fluid-limit fixed points at the scenario's k",
@@ -740,7 +736,11 @@ def _spec_with_cli_overrides(
 
 
 def _print_run_result(result: Any) -> None:
-    """Human summary of a single spec run (population, gossip, surrogate)."""
+    """Human summary of a single spec run (population, gossip, surrogate).
+
+    A surrogate answer also prints its validity report (bias margin,
+    fluctuation scale, horizon coverage) and the ODE timescales.
+    """
     print(f"stabilized       {result.stabilized}")
     print(f"winner           {result.winner}")
     if getattr(result, "rounds", None) is not None:
@@ -750,9 +750,23 @@ def _print_run_result(result: Any) -> None:
         print(f"interactions     {result.interactions}")
         print(f"parallel time    {result.parallel_time:.2f}")
         print(f"stab. time       {result.stabilization_parallel_time}")
-        if getattr(result, "persist_dir", None) is not None:
-            print(f"persisted to     {result.persist_dir}")
+    if getattr(result, "persist_dir", None) is not None:
+        print(f"persisted to     {result.persist_dir}")
     print(f"wall seconds     {result.wall_seconds:.3f}")
+    validity = getattr(result, "validity", None)
+    if validity is not None:
+        print(f"bias margin      {validity.bias_margin:.3f}")
+        print(f"fluct. scale     {validity.fluctuation_fraction:.3g}")
+        coverage = validity.horizon_coverage
+        print(
+            "horizon cover    "
+            + ("not reached" if coverage == float("inf") else f"{coverage:.3f}")
+        )
+        times = result.timescales
+        if times is not None:
+            print(f"plateau entry    {times.plateau_entry}")
+            print(f"maj. doubling    {times.majority_doubling}")
+            print(f"consensus        {times.consensus}")
     fidelity = result.metadata.get("fidelity")
     if fidelity is not None:
         print(
@@ -904,33 +918,12 @@ def _run_meanfield_command(args: Any) -> None:
         classify_fixed_point,
         consensus_fixed_point,
         predict_timescales,
-        resolve_surrogate,
         symmetric_interior_fixed_point,
         undecided_fixed_point_fraction,
         undecided_plateau_fraction,
     )
 
     spec = _meanfield_template_spec(args)
-    if args.meanfield_command == "solve":
-        result = resolve_surrogate(spec)
-        report = result.validity
-        print(f"protocol         {spec.protocol.name} (k={spec.protocol.k})")
-        print(f"n                {spec.n}")
-        print(f"bias margin      {report.bias_margin:.3f}")
-        print(f"fluct. scale     {report.fluctuation_fraction:.3g}")
-        coverage = report.horizon_coverage
-        print(
-            "horizon cover    "
-            + ("not reached" if coverage == float("inf") else f"{coverage:.3f}")
-        )
-        _print_run_result(result)
-        times = result.timescales
-        if times is not None:
-            print(f"plateau entry    {times.plateau_entry}")
-            print(f"maj. doubling    {times.majority_doubling}")
-            print(f"consensus        {times.consensus}")
-        return
-
     k = spec.protocol.k
     if args.meanfield_command == "fixed-points":
         v_star = undecided_fixed_point_fraction(k)

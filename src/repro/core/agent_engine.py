@@ -68,8 +68,8 @@ class AgentEngine(BaseEngine):
         self._states = self._materialise_states()
         # Plain nested lists: Python-level indexing in the hot loop is
         # several times faster than NumPy scalar indexing.
-        self._out_a = self._table.out_initiator.tolist()
-        self._out_b = self._table.out_responder.tolist()
+        self._out_a = protocol.table.out_initiator.tolist()
+        self._out_b = protocol.table.out_responder.tolist()
 
     def _materialise_states(self) -> list:
         """Expand the count vector into a per-agent state list.

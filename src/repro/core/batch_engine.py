@@ -75,7 +75,7 @@ class BatchEngine(BaseEngine):
         self._nominal_batch = max(1, int(round(epsilon * self._n)))
         self._batch = self._nominal_batch
         self._halvings = 0
-        self._inputs = KernelInputs.from_table(self._table, self._n)
+        self._inputs = KernelInputs.from_table(protocol.table, self._n)
 
     @property
     def epsilon(self) -> float:

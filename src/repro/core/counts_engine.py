@@ -57,7 +57,7 @@ class CountsEngine(BaseEngine):
         backend: Optional[str] = None,
     ):
         super().__init__(protocol, counts, seed, backend=backend)
-        self._inputs = KernelInputs.from_table(self._table, self._n)
+        self._inputs = KernelInputs.from_table(protocol.table, self._n)
 
     @property
     def kernel_inputs(self) -> KernelInputs:

@@ -1,10 +1,14 @@
-"""Shared machinery of the four simulation engines.
+"""Shared machinery of the simulation engines: one run loop for both models.
 
-All engines present one API: they are constructed from a protocol and a
-state-count vector, :meth:`BaseEngine.step` advances an exact number of
-*interactions* (null interactions count, as in the paper's time
-measure), and :meth:`BaseEngine.run` drives chunked execution with
-recording and stopping conditions.
+All engines present one API: they are constructed from a protocol (or
+gossip dynamics) and a state-count vector, :meth:`BaseEngine.step`
+advances an exact number of the engine's own *steps*, and
+:meth:`BaseEngine.run` drives chunked execution with recording and
+stopping conditions.  A step is one interaction (null interactions
+count, as in the paper's time measure) for the four population engines
+and one synchronous round of ``n`` interactions for the gossip engine;
+the interaction counter, trace times and stop predicates always speak
+interactions, so ``parallel_time`` means the same in both models.
 
 Engines differ only in *how* they advance:
 
@@ -16,7 +20,9 @@ Engines differ only in *how* they advance:
   counts-level simulation in collision-free epochs of ~0.63·√n
   interactions; what ``engine='auto'`` runs at every ``n``;
 * :class:`repro.core.batch_engine.BatchEngine` — τ-leaping
-  approximation for large populations, run only when asked for.
+  approximation for large populations, run only when asked for;
+* :class:`repro.gossip.engine.GossipEngine` — exact synchronous rounds
+  of the Gossip model, what every gossip dynamics runs on.
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ __all__ = ["BaseEngine", "default_snapshot_every"]
 def default_snapshot_every(n: int) -> int:
     """Default recording / stop-check cadence: half a parallel round.
 
-    The single definition the engine run loop, ``simulate``'s manifest
-    ``run_info`` and the spec layer's ``spec_hash`` identity all share —
-    they must agree, or a resolved spec would claim a different cadence
-    than its run records.
+    In interactions.  The single definition the engine run loop,
+    ``simulate``'s manifest ``run_info`` and the spec layer's
+    ``spec_hash`` identity all share — they must agree, or a resolved
+    spec would claim a different cadence than its run records.
     """
     return max(1, n // 2)
 
@@ -56,7 +62,7 @@ class BaseEngine(abc.ABC):
     Parameters
     ----------
     protocol:
-        The population protocol to execute.
+        The population protocol (or gossip dynamics) to execute.
     counts:
         Initial state-count vector of length ``protocol.num_states``.
         Opinion-level callers should go through
@@ -100,7 +106,6 @@ class BaseEngine(abc.ABC):
         if n < 2:
             raise SimulationError(f"population needs at least 2 agents, got {n}")
         self._protocol = protocol
-        self._table = protocol.table
         self._counts = vec
         self._n = n
         self._kernels = get_backend(backend) if self.uses_kernels else None
@@ -132,6 +137,23 @@ class BaseEngine(abc.ABC):
     def interactions(self) -> int:
         """Total interactions executed so far (null interactions included)."""
         return self._interactions
+
+    @property
+    def step_interactions(self) -> int:
+        """Interactions one unit of :meth:`step` and :meth:`run` advances.
+
+        One for the population engines; the gossip engine steps whole
+        synchronous rounds of ``n`` interactions.
+        """
+        return 1
+
+    @property
+    def default_snapshot_every(self) -> int:
+        """:meth:`run`'s default cadence in steps: half a parallel round.
+
+        At least one step, so a gossip engine records every round.
+        """
+        return max(1, default_snapshot_every(self._n) // self.step_interactions)
 
     @property
     def parallel_time(self) -> float:
@@ -184,35 +206,35 @@ class BaseEngine(abc.ABC):
     # ------------------------------------------------------------------
 
     def step(self, num: int = 1) -> None:
-        """Execute exactly ``num`` further interactions."""
+        """Execute exactly ``num`` further steps (see :attr:`step_interactions`)."""
         if num < 0:
-            raise SimulationError(
-                f"cannot step a negative number ({num}) of interactions"
-            )
+            raise SimulationError(f"cannot step a negative number ({num}) of steps")
         if num == 0:
             return
         if self._absorbed:
-            self._interactions += num
+            self._interactions += num * self.step_interactions
             return
         self._step_impl(num)
 
     @abc.abstractmethod
     def _step_impl(self, num: int) -> None:
-        """Engine-specific advancement of exactly ``num`` interactions."""
+        """Engine-specific advancement of exactly ``num`` steps."""
 
     def run(
         self,
-        max_interactions: int,
+        max_steps: int,
         *,
         stop: Optional[StopPredicate] = None,
         snapshot_every: Optional[int] = None,
         recorder: Optional["TrajectoryRecorder"] = None,
     ) -> None:
-        """Advance until ``max_interactions``, absorption, or ``stop`` fires.
+        """Advance until ``max_steps``, absorption, or ``stop`` fires.
 
-        ``snapshot_every`` controls both the recording cadence and the
-        granularity at which ``stop`` is evaluated; it defaults to half a
-        parallel round (``n // 2`` interactions).
+        ``max_steps`` and ``snapshot_every`` count the engine's own steps
+        (interactions, or rounds for gossip).  ``snapshot_every`` controls
+        both the recording cadence and the granularity at which ``stop``
+        is evaluated; it defaults to half a parallel round (``n // 2``
+        interactions), or every round for gossip.
 
         ``stop`` (and absorption) are evaluated *before* the first chunk
         as well as after every subsequent one, so a predicate that is
@@ -224,34 +246,37 @@ class BaseEngine(abc.ABC):
         ``persist_to=`` to :func:`repro.core.run.simulate`, which
         builds, closes (or abandons) the persistent recorder.
         """
-        if max_interactions < self._interactions:
+        unit = self.step_interactions
+        horizon = max_steps * unit  # in interactions, like the observer's
+        if horizon < self._interactions:
             raise SimulationError(
-                "max_interactions lies in the past "
-                f"({max_interactions} < {self._interactions})"
+                "the horizon lies in the past "
+                f"({horizon} < {self._interactions} interactions)"
             )
         chunk = (
             snapshot_every
             if snapshot_every is not None
-            else default_snapshot_every(self._n)
+            else self.default_snapshot_every
         )
         if chunk < 1:
             raise SimulationError(f"snapshot_every must be >= 1, got {chunk}")
         # the entire off-path observability cost: one call returning
         # None, then an `is None` check per chunk (never per interaction)
-        observer = observe_engine_run(self, max_interactions)
+        observer = observe_engine_run(self, horizon)
         try:
             if recorder is not None and self._interactions == 0:
                 recorder.record(self)
-            while self._interactions < max_interactions:
+            while self._interactions < horizon:
                 if self._absorbed:
                     break
                 if stop is not None and stop(self):
                     break
+                steps = min(chunk, (horizon - self._interactions) // unit)
                 if observer is None:
-                    self.step(min(chunk, max_interactions - self._interactions))
+                    self.step(steps)
                 else:
                     observer.chunk_start()
-                    self.step(min(chunk, max_interactions - self._interactions))
+                    self.step(steps)
                     observer.chunk_end(self)
                 if recorder is not None:
                     recorder.record(self)

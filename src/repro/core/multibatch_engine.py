@@ -73,7 +73,7 @@ class MultiBatchEngine(BaseEngine):
         backend: Optional[str] = None,
     ):
         super().__init__(protocol, counts, seed, backend=backend)
-        self._inputs = EpochInputs.from_table(self._table, self._n)
+        self._inputs = EpochInputs.from_table(protocol.table, self._n)
 
     @property
     def kernel_inputs(self) -> EpochInputs:

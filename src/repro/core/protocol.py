@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,12 @@ from ..errors import ProtocolError
 from ..types import StatePair
 from .configuration import Configuration
 
-__all__ = ["PopulationProtocol", "OpinionProtocol", "default_undecided_index"]
+__all__ = [
+    "OpinionAlphabet",
+    "OpinionProtocol",
+    "PopulationProtocol",
+    "default_undecided_index",
+]
 
 
 class PopulationProtocol(abc.ABC):
@@ -122,14 +127,17 @@ class PopulationProtocol(abc.ABC):
         return f"{type(self).__name__}(states={self.num_states})"
 
 
-class OpinionProtocol(PopulationProtocol):
-    """Base class for protocols whose alphabet is opinion-structured.
+class OpinionAlphabet:
+    """Mixin for an opinion-structured alphabet of ``num_states`` states.
 
     The alphabet layout is ``[⊥?, opinion 1, ..., opinion k]`` — i.e.
     the *last* ``k`` states are the opinions, optionally preceded by
     bookkeeping states (USD has a single ⊥ in front; the voter model has
     none).  This matches :meth:`Configuration.to_state_counts` when the
-    bookkeeping prefix is exactly one undecided state.
+    bookkeeping prefix is exactly one undecided state.  Population
+    protocols (:class:`OpinionProtocol`) and the gossip dynamics share
+    it, so one winner rule and one undecided-index rule serve both
+    models.
     """
 
     def __init__(self, k: int):
@@ -165,14 +173,20 @@ class OpinionProtocol(PopulationProtocol):
         return arr[self.num_bookkeeping_states :]
 
 
-def default_undecided_index(protocol: PopulationProtocol) -> Optional[int]:
+class OpinionProtocol(OpinionAlphabet, PopulationProtocol):
+    """Base class for population protocols whose alphabet is
+    opinion-structured (see :class:`OpinionAlphabet`)."""
+
+
+def default_undecided_index(protocol: Any) -> Optional[int]:
     """Index of the undecided state in ``protocol``'s count vector.
 
-    ``0`` for opinion protocols with the standard ``[⊥, opinions...]``
-    layout (one bookkeeping state), ``None`` otherwise — the rule
-    :func:`repro.core.run.simulate` has always applied when stamping
-    traces, shared here so streamed-trace manifests agree with it.
+    ``0`` for opinion protocols and gossip dynamics with the standard
+    ``[⊥, opinions...]`` layout (one bookkeeping state), ``None``
+    otherwise — the rule :func:`repro.core.run.simulate` applies when
+    stamping traces, shared here so streamed-trace manifests agree
+    with it.
     """
-    if isinstance(protocol, OpinionProtocol) and protocol.num_bookkeeping_states == 1:
+    if isinstance(protocol, OpinionAlphabet) and protocol.num_bookkeeping_states == 1:
         return 0
     return None

@@ -1,9 +1,10 @@
 """High-level simulation front-end.
 
 :func:`simulate` is the main entry point of the library: it wires a
-protocol, an initial configuration, an engine, a recorder and a
-stopping condition together, and returns a :class:`RunResult` carrying
-the trace and the headline quantities (stabilization time, winner, ...).
+protocol (or gossip dynamics), an initial configuration, an engine, a
+recorder and a stopping condition together, and returns a
+:class:`RunResult` carrying the trace and the headline quantities
+(stabilization time, winner, ...).
 
 Example
 -------
@@ -24,6 +25,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from ..errors import SimulationError
+from ..gossip.engine import GossipDynamics, GossipEngine
 from ..obs import runtime as obs_runtime
 from ..obs.config import ObsConfig
 from ..obs.timing import wall_timer
@@ -32,10 +34,10 @@ from .agent_engine import AgentEngine
 from .batch_engine import BatchEngine
 from .configuration import Configuration
 from .counts_engine import CountsEngine
-from .engine import BaseEngine, default_snapshot_every
+from .engine import BaseEngine
 from .multibatch_engine import MultiBatchEngine
 from .persistent_recorder import PersistentTrajectoryRecorder
-from .protocol import OpinionProtocol, PopulationProtocol, default_undecided_index
+from .protocol import OpinionAlphabet, PopulationProtocol, default_undecided_index
 from .recorder import Trace, TrajectoryRecorder
 
 __all__ = [
@@ -93,6 +95,10 @@ class RunResult:
         Provenance (seed, protocol, engine parameters).
     persist_dir:
         Run directory of a ``persist_to=`` run, else ``None``.
+
+    Gossip runs (``engine_name == 'gossip'``) also report
+    :attr:`rounds` and :attr:`stabilization_rounds`; one round is ``n``
+    interactions.
     """
 
     trace: Trace
@@ -129,6 +135,20 @@ class RunResult:
             return None
         return self.stabilization_interactions / self.trace.n
 
+    @property
+    def rounds(self) -> Optional[int]:
+        """Synchronous rounds of a gossip run; ``None`` for population runs."""
+        if self.engine_name != GossipEngine.engine_name:
+            return None
+        return self.interactions // self.trace.n
+
+    @property
+    def stabilization_rounds(self) -> Optional[int]:
+        """Round of a stabilized gossip run's last change, else ``None``."""
+        if self.rounds is None or self.stabilization_interactions is None:
+            return None
+        return self.stabilization_interactions // self.trace.n
+
     def final_configuration(self) -> Configuration:
         """Opinion-level view of the final counts (USD-layout protocols)."""
         if self.trace.undecided_index != 0:
@@ -139,7 +159,7 @@ class RunResult:
 
 
 def make_engine(
-    protocol: PopulationProtocol,
+    protocol: Union[PopulationProtocol, GossipDynamics],
     initial: Union[Configuration, np.ndarray],
     *,
     engine: str = "auto",
@@ -156,20 +176,28 @@ def make_engine(
     when asked for) or ``'auto'`` (the exact ``'multibatch'`` engine at
     every ``n``).  ``backend`` selects the compute-kernel backend
     (:mod:`repro.core.kernels`); backends are bit-identical, so it only
-    affects throughput.
+    affects throughput.  Gossip dynamics always run on the synchronous
+    :class:`~repro.gossip.engine.GossipEngine` (``engine='auto'``).
     """
     if isinstance(initial, Configuration):
         counts = protocol.encode_configuration(initial)
     else:
         counts = np.asarray(initial)
-    n = int(np.sum(counts))
-    engine = resolve_engine_name(engine, n)
-    try:
-        engine_cls = _ENGINES[engine]
-    except KeyError:
-        raise SimulationError(
-            f"unknown engine {engine!r}; choose from {sorted(_ENGINES)} or 'auto'"
-        ) from None
+    if isinstance(protocol, GossipDynamics):
+        if engine != "auto":
+            raise SimulationError(
+                f"gossip dynamics run on the synchronous gossip engine; "
+                f"leave engine='auto', not {engine!r}"
+            )
+        engine_cls = GossipEngine
+    else:
+        engine = resolve_engine_name(engine, int(np.sum(counts)))
+        try:
+            engine_cls = _ENGINES[engine]
+        except KeyError:
+            raise SimulationError(
+                f"unknown engine {engine!r}; choose from {sorted(_ENGINES)} or 'auto'"
+            ) from None
     return engine_cls(protocol, counts, seed=seed, backend=backend, **engine_kwargs)
 
 
@@ -188,7 +216,7 @@ def resolve_engine_name(engine: str, n: int) -> str:
 
 
 def simulate(
-    protocol: PopulationProtocol,
+    protocol: Union[PopulationProtocol, GossipDynamics],
     initial: Optional[Union[Configuration, np.ndarray]] = None,
     *,
     engine: str = "auto",
@@ -208,7 +236,9 @@ def simulate(
 ) -> RunResult:
     """Run ``protocol`` from ``initial`` and return a :class:`RunResult`.
 
-    ``protocol`` is a protocol object; a declarative
+    ``protocol`` is a protocol object or a
+    :class:`~repro.gossip.engine.GossipDynamics` (run in synchronous
+    rounds on the gossip engine); a declarative
     :class:`repro.specs.RunSpec` runs through :func:`repro.specs.run_spec`
     instead, which also serves the surrogate and ``auto`` fidelity
     tiers (``run_spec(spec.with_fidelity("auto"))``).  When the keyword
@@ -219,9 +249,12 @@ def simulate(
     that spec.
 
     Exactly one horizon must be given, either ``max_interactions`` or
-    ``max_parallel_time`` (converted as ``round(t * n)``).  The run ends
-    at the horizon, at absorption (detected automatically), or when the
-    optional extra ``stop`` predicate fires, whichever comes first.
+    ``max_parallel_time`` (converted as ``round(t * n)`` interactions,
+    or ``round(t)`` rounds for gossip dynamics; a gossip
+    ``max_interactions`` keeps the whole rounds within it).  The run
+    ends at the horizon, at absorption (detected automatically), or
+    when the optional extra ``stop`` predicate fires, whichever comes
+    first.
 
     ``engine`` names the engine (see :func:`make_engine`).  The
     default ``'auto'`` runs the exact collision-free batched engine at
@@ -229,7 +262,8 @@ def simulate(
     (τ-leaping) is asked for by name.
 
     ``snapshot_every`` sets the recording / stop-checking cadence in
-    interactions (default: half a parallel round).  ``backend`` picks
+    the engine's steps — interactions, or rounds for gossip (default:
+    half a parallel round, or every round).  ``backend`` picks
     the compute-kernel backend — a pure throughput knob, bit-identical
     across backends.
 
@@ -303,10 +337,17 @@ def simulate(
         raise SimulationError(
             "specify exactly one of max_interactions / max_parallel_time"
         )
+    unit = eng.step_interactions
     if max_interactions is None:
-        max_interactions = int(round(max_parallel_time * eng.n))
-    if max_interactions < 0:
-        raise SimulationError(f"horizon must be non-negative, got {max_interactions}")
+        # n // unit steps per unit of parallel time: n interactions, or
+        # one gossip round — the same rounding as RunSpec.resolved_horizon
+        max_steps = int(round(max_parallel_time * (eng.n // unit)))
+    else:
+        max_steps = max_interactions // unit
+    if max_steps < 0:
+        raise SimulationError(f"horizon must be non-negative, got {max_steps}")
+    if snapshot_every is None:
+        snapshot_every = eng.default_snapshot_every
 
     undecided_index = default_undecided_index(protocol)
     meta = {
@@ -335,10 +376,9 @@ def simulate(
             "seed": _jsonable_seed(seed),
             "engine": eng.engine_name,
             "backend": eng.backend,
-            "snapshot_every": snapshot_every
-            if snapshot_every is not None
-            else default_snapshot_every(eng.n),
-            "max_interactions": max_interactions,
+            # the manifest speaks interactions, whatever the engine's step
+            "snapshot_every": snapshot_every * unit,
+            "max_interactions": max_steps * unit,
             # the engine has not stepped yet: these are the initial
             # state counts, kept with the fields around them for
             # inspection and forensics (resume matches spec_hash only)
@@ -382,7 +422,7 @@ def simulate(
         with wall_timer() as timer:
             try:
                 eng.run(
-                    max_interactions,
+                    max_steps,
                     stop=stop,
                     snapshot_every=snapshot_every,
                     recorder=recorder,
@@ -466,11 +506,9 @@ def _jsonable_seed(seed: SeedLike) -> Union[int, str, None]:
     return repr(seed)
 
 
-def _winner_of(
-    protocol: PopulationProtocol, counts: np.ndarray
-) -> Optional[int]:
+def _winner_of(protocol: Any, counts: np.ndarray) -> Optional[int]:
     """Surviving opinion of a consensus state, if the protocol exposes one."""
-    if not isinstance(protocol, OpinionProtocol):
+    if not isinstance(protocol, OpinionAlphabet):
         return None
     opinions = protocol.opinion_counts_of(counts)
     n = int(np.sum(counts))

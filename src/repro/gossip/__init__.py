@@ -1,4 +1,11 @@
-"""Gossip-model substrate: synchronous engine, dynamics, md(c)."""
+"""Gossip-model substrate: synchronous engine, dynamics, md(c).
+
+Gossip dynamics run through :func:`repro.simulate` like population
+protocols: ``simulate(GossipUSD(k=3), initial, max_parallel_time=T)``
+plays ``round(T)`` synchronous rounds on :class:`GossipEngine` and
+returns a :class:`~repro.core.run.RunResult` (with ``rounds`` and
+``stabilization_rounds``).
+"""
 
 from .dynamics import (
     GossipThreeMajority,
@@ -8,17 +15,14 @@ from .dynamics import (
 )
 from .engine import GossipDynamics, GossipEngine
 from .monochromatic import md_time_bound, monochromatic_distance
-from .run import GossipRunResult, simulate_gossip
 
 __all__ = [
     "GossipDynamics",
     "GossipEngine",
-    "GossipRunResult",
     "GossipThreeMajority",
     "GossipUSD",
     "GossipVoter",
     "md_time_bound",
     "monochromatic_distance",
-    "simulate_gossip",
     "three_majority_distribution",
 ]

@@ -18,8 +18,9 @@ uniform over all ``n`` nodes, self included — the standard analytical
 convention, differing from sampling a strictly-other node by O(1/n).
 
 State layout matches the population-model USD: ``[⊥, opinion 1..k]``
-for :class:`GossipUSD` and ``[opinion 1..k]`` for the others, so the
-same recorders and analysis code apply.
+for :class:`GossipUSD` and ``[opinion 1..k]`` for the others — the
+:class:`~repro.core.protocol.OpinionAlphabet` the population protocols
+use — so the same recorders, winner rule and analysis code apply.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.configuration import Configuration
+from ..core.protocol import OpinionAlphabet
 from ..errors import ProtocolError
 from .engine import GossipDynamics
 
@@ -38,20 +40,10 @@ __all__ = [
 ]
 
 
-class GossipUSD(GossipDynamics):
+class GossipUSD(OpinionAlphabet, GossipDynamics):
     """Undecided State Dynamics under synchronous gossip."""
 
     name = "gossip-usd"
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ProtocolError(f"number of opinions must be >= 1, got {k}")
-        self._k = int(k)
-
-    @property
-    def k(self) -> int:
-        """Number of opinions."""
-        return self._k
 
     @property
     def num_states(self) -> int:
@@ -116,20 +108,10 @@ def three_majority_distribution(fractions: np.ndarray) -> np.ndarray:
     return q
 
 
-class GossipThreeMajority(GossipDynamics):
+class GossipThreeMajority(OpinionAlphabet, GossipDynamics):
     """3-majority dynamics: adopt the majority of three uniform samples."""
 
     name = "gossip-3-majority"
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ProtocolError(f"number of opinions must be >= 1, got {k}")
-        self._k = int(k)
-
-    @property
-    def k(self) -> int:
-        """Number of opinions."""
-        return self._k
 
     @property
     def num_states(self) -> int:
@@ -160,20 +142,10 @@ class GossipThreeMajority(GossipDynamics):
         return bool(np.any(counts == n))
 
 
-class GossipVoter(GossipDynamics):
+class GossipVoter(OpinionAlphabet, GossipDynamics):
     """Pull voter model: every node adopts its sample's opinion."""
 
     name = "gossip-voter"
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ProtocolError(f"number of opinions must be >= 1, got {k}")
-        self._k = int(k)
-
-    @property
-    def k(self) -> int:
-        """Number of opinions."""
-        return self._k
 
     @property
     def num_states(self) -> int:

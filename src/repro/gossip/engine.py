@@ -14,9 +14,13 @@ the previous round, the per-round update factorises into independent
 multinomial draws per current state, which
 :class:`GossipDynamics.round_update` implementations perform.
 
-Time bookkeeping: one round counts as ``n`` interactions, so
-``parallel_time == rounds`` and traces are directly comparable with the
-population-model engines on the paper's axes.
+:class:`GossipEngine` is a :class:`~repro.core.engine.BaseEngine`
+whose step is one round: it runs on the shared run loop, and
+:func:`repro.core.run.simulate` (hence specs, persistence, resume by
+``spec_hash``, journals and the service) drives it exactly like the
+population engines.  One round counts as ``n`` interactions, so
+``parallel_time == rounds`` and traces are directly comparable with
+the population-model engines on the paper's axes.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.engine import BaseEngine
 from ..errors import SimulationError
-from ..obs.runtime import observe_engine_run
-from ..rng import make_rng
-from ..types import SeedLike, StopPredicate, as_int_vector
+from ..types import as_int_vector
 
 __all__ = ["GossipDynamics", "GossipEngine"]
 
@@ -60,155 +63,46 @@ class GossipDynamics(abc.ABC):
         return tuple(f"s{i}" for i in range(self.num_states))
 
 
-class GossipEngine:
+class GossipEngine(BaseEngine):
     """Drives a :class:`GossipDynamics` round by round.
 
-    Mirrors the population-engine API closely enough (``counts``, ``n``,
-    ``interactions``, ``run``) that recorders and stopping conditions
-    work unchanged.
+    :meth:`step` and :meth:`run` count rounds; ``interactions`` is
+    rounds × n, so recorders and stopping conditions work unchanged.
     """
 
     engine_name = "gossip"
-
-    def __init__(
-        self,
-        dynamics: GossipDynamics,
-        counts: np.ndarray,
-        seed: SeedLike = None,
-    ):
-        vec = as_int_vector(counts)
-        if vec.size != dynamics.num_states:
-            raise SimulationError(
-                f"counts length {vec.size} does not match dynamics alphabet "
-                f"size {dynamics.num_states}"
-            )
-        if np.any(vec < 0):
-            raise SimulationError("initial counts must be non-negative")
-        self._dynamics = dynamics
-        self._counts = vec
-        self._n = int(vec.sum())
-        if self._n < 2:
-            raise SimulationError(f"population needs at least 2 agents, got {self._n}")
-        self._rng = make_rng(seed)
-        self._rounds = 0
-        self._last_change_round: Optional[int] = None
-        self._absorbed = dynamics.is_absorbing(vec)
-
-    # ------------------------------------------------------------------
-    # Introspection (SupportsCounts-compatible)
-    # ------------------------------------------------------------------
+    uses_kernels = False
 
     @property
-    def dynamics(self) -> GossipDynamics:
-        """The dynamics being executed."""
-        return self._dynamics
-
-    @property
-    def counts(self) -> np.ndarray:
-        """A copy of the current state-count vector."""
-        return self._counts.copy()
-
-    @property
-    def n(self) -> int:
-        """Population size."""
+    def step_interactions(self) -> int:
+        """One step is a synchronous round of ``n`` interactions."""
         return self._n
 
     @property
     def rounds(self) -> int:
         """Synchronous rounds executed so far."""
-        return self._rounds
-
-    @property
-    def interactions(self) -> int:
-        """Rounds × n — the comparable sequential-time measure."""
-        return self._rounds * self._n
-
-    @property
-    def parallel_time(self) -> float:
-        """Equals :attr:`rounds` in the Gossip model."""
-        return float(self._rounds)
-
-    @property
-    def is_absorbed(self) -> bool:
-        """Whether the configuration can never change again."""
-        return self._absorbed
+        return self._interactions // self._n
 
     @property
     def last_change_round(self) -> Optional[int]:
         """Round index of the most recent configuration change."""
-        return self._last_change_round
+        if self._last_change is None:
+            return None
+        return self._last_change // self._n
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def step(self, num_rounds: int = 1) -> None:
-        """Execute exactly ``num_rounds`` further synchronous rounds."""
-        if num_rounds < 0:
-            raise SimulationError(f"cannot step {num_rounds} rounds")
-        for _ in range(num_rounds):
+    def _step_impl(self, num: int) -> None:
+        dynamics = self._protocol
+        for _ in range(num):
             if self._absorbed:
-                self._rounds += 1
+                self._interactions += self._n
                 continue
-            new_counts = self._dynamics.round_update(self._counts, self._rng)
-            new_counts = as_int_vector(new_counts)
+            new_counts = as_int_vector(dynamics.round_update(self._counts, self._rng))
             if int(new_counts.sum()) != self._n:
                 raise SimulationError(
-                    f"{self._dynamics.name} round update changed the population size"
+                    f"{dynamics.name} round update changed the population size"
                 )
-            self._rounds += 1
+            self._interactions += self._n
             if not np.array_equal(new_counts, self._counts):
                 self._counts = new_counts
-                self._last_change_round = self._rounds
-            self._absorbed = self._dynamics.is_absorbing(self._counts)
-
-    def run(
-        self,
-        max_rounds: int,
-        *,
-        stop: Optional[StopPredicate] = None,
-        snapshot_every: int = 1,
-        recorder=None,
-    ) -> None:
-        """Advance until ``max_rounds``, absorption, or ``stop`` fires.
-
-        As in :meth:`repro.core.engine.BaseEngine.run`, absorption and
-        ``stop`` are checked *before* every chunk, so a run that starts
-        absorbed (or with ``stop`` already true) executes zero rounds.
-        """
-        if snapshot_every < 1:
-            raise SimulationError(f"snapshot_every must be >= 1, got {snapshot_every}")
-        # horizon in the comparable time measure (rounds × n interactions)
-        observer = observe_engine_run(self, max_rounds * self._n)
-        try:
-            if recorder is not None and self._rounds == 0:
-                recorder.record(self)
-            while self._rounds < max_rounds:
-                if self._absorbed:
-                    break
-                if stop is not None and stop(self):
-                    break
-                if observer is None:
-                    self.step(min(snapshot_every, max_rounds - self._rounds))
-                else:
-                    observer.chunk_start()
-                    self.step(min(snapshot_every, max_rounds - self._rounds))
-                    observer.chunk_end(self)
-                if recorder is not None:
-                    recorder.record(self)
-        except BaseException as error:
-            if observer is not None:
-                try:
-                    observer.finish(self, error=error)
-                except Exception:
-                    pass  # the original error is the one to surface
-            raise
-        else:
-            if observer is not None:
-                observer.finish(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"GossipEngine(dynamics={self._dynamics.name!r}, n={self._n}, "
-            f"rounds={self._rounds})"
-        )
+                self._last_change = self._interactions
+            self._absorbed = dynamics.is_absorbing(self._counts)

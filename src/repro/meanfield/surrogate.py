@@ -24,9 +24,8 @@ Three registry protocols resolve today:
   round map :func:`~repro.gossip.dynamics.three_majority_distribution`
   (no scipy needed).
 
-``gossip-usd`` / ``gossip-voter`` round maps are the remaining
-surrogate gap (see ROADMAP); ``four-state`` / ``hysteresis`` carry
-bookkeeping states with no fluid-limit model here.
+``gossip-usd`` / ``gossip-voter`` have no surrogate; ``four-state`` /
+``hysteresis`` carry bookkeeping states with no fluid-limit model here.
 """
 
 from __future__ import annotations

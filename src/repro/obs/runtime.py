@@ -133,7 +133,7 @@ def ensure_worker_metrics() -> None:
 
 
 # ----------------------------------------------------------------------
-# Per-run scope (simulate / simulate_gossip)
+# Per-run scope (simulate, for population and gossip runs alike)
 # ----------------------------------------------------------------------
 
 

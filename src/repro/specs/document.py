@@ -9,12 +9,17 @@ rebuilds a result object from the document; :func:`document_bytes` is
 the canonical byte serialization the service stores and serves
 verbatim, so "cache hit" can mean *byte-identical*.
 
+Gossip runs render as ``"run"`` documents (engine ``"gossip"``,
+interactions = rounds × n, a summary row in rounds).  ``"gossip"``
+documents, the shape gossip runs had before they ran on the shared
+engine loop, still load — as the equivalent ``RunResult``.
+
 Shape (``kind`` is always ``'result'``)::
 
     {
       "schema_version": 1,
       "kind": "result",
-      "result_kind": "run" | "gossip" | "surrogate"
+      "result_kind": "run" | "surrogate"
                    | "ensemble" | "sweep" | "experiment",
       "spec_hash":  <hex digest or null>,
       "spec":       <the spec document or null>,
@@ -122,7 +127,6 @@ def to_document(result: Any, spec: Any = None) -> Dict[str, Any]:
     the result metadata, so a mismatched pairing fails instead of
     producing a lying document.
     """
-    from ..gossip.run import GossipRunResult
     from .runner import (
         EnsembleRun,
         ExperimentSpecRun,
@@ -181,27 +185,8 @@ def to_document(result: Any, spec: Any = None) -> Dict[str, Any]:
             summary={"rows": len(rows), "notes": len(result.notes)},
             wall_seconds=result.wall_seconds,
         )
-    if isinstance(result, GossipRunResult):
-        meta, obs = _split_metadata(result.metadata)
-        spec_hash = meta.get("spec_hash")
-        _check_spec(spec, spec_hash)
-        return _base_document(
-            "gossip",
-            spec_hash=spec_hash,
-            spec=None if spec is None else spec.to_dict(),
-            outcome={
-                "stabilized": bool(result.stabilized),
-                "winner": result.winner,
-                "rounds": int(result.rounds),
-                "stabilization_rounds": result.stabilization_rounds,
-                "final_counts": [int(c) for c in result.final_counts],
-            },
-            summary=summary_row(result),
-            obs_metrics=obs,
-            wall_seconds=result.wall_seconds,
-            metadata=meta,
-        )
-    # the run-shaped results: RunResult and its surrogate duck-type
+    # the run-shaped results: RunResult (population or gossip) and its
+    # surrogate duck-type
     if not hasattr(result, "interactions") or not hasattr(result, "trace"):
         raise SpecError(
             f"to_document does not understand {type(result).__name__} results"
@@ -301,6 +286,7 @@ def _minimal_trace(
     become the single snapshot.  State names come from the embedded
     spec's protocol when one is present.
     """
+    from ..core.protocol import default_undecided_index
     from ..core.recorder import Trace
 
     counts = np.asarray([final_counts], dtype=np.int64)
@@ -317,10 +303,7 @@ def _minimal_trace(
             protocol = run.build_protocol()
             state_names = tuple(protocol.state_names())
             protocol_name = protocol.name
-            if run.protocol.model != "gossip":
-                from ..core.protocol import default_undecided_index
-
-                undecided_index = default_undecided_index(protocol)
+            undecided_index = default_undecided_index(protocol)
         except SpecError:
             pass  # an undecodable spec degrades the trace labels only
     return Trace(
@@ -398,19 +381,21 @@ def result_from_document(document: Mapping[str, Any]) -> Any:
         ) from exc
 
     if result_kind == "gossip":
-        from ..gossip.run import GossipRunResult
-
+        # written before gossip ran on the shared engine loop: the same
+        # run counted in rounds, one round being n interactions
+        n = int(final_counts.sum())
         rounds = int(outcome["rounds"])
-        return GossipRunResult(
-            trace=_minimal_trace(document, final_counts, float(rounds)),
-            final_counts=final_counts,
-            rounds=rounds,
-            stabilized=bool(outcome.get("stabilized")),
-            stabilization_rounds=outcome.get("stabilization_rounds"),
-            winner=outcome.get("winner"),
-            wall_seconds=float(wall_seconds or 0.0),
-            metadata=metadata,
-        )
+        stabilization = outcome.get("stabilization_rounds")
+        outcome = {
+            **outcome,
+            "interactions": rounds * n,
+            "parallel_time": float(rounds),
+            "stabilization_interactions": (
+                None if stabilization is None else int(stabilization) * n
+            ),
+            "engine": "gossip",
+        }
+        result_kind = "run"
 
     interactions = int(outcome["interactions"])
     trace = _minimal_trace(document, final_counts, float(interactions))
@@ -511,22 +496,19 @@ def document_from_persisted_run(
         }
     except (KeyError, TypeError, ValueError):
         return None
-    return _base_document(
+    document = _base_document(
         "run",
         spec_hash=spec_hash,
         spec=run_info.get("spec"),
         outcome=outcome,
-        summary={
-            "stabilized": outcome["stabilized"],
-            "winner": outcome["winner"],
-            "interactions": outcome["interactions"],
-            "parallel_time": outcome["parallel_time"],
-            "stabilization_parallel_time": outcome[
-                "stabilization_parallel_time"
-            ],
-        },
+        summary={},
         obs_metrics=summary.get("obs_metrics"),
         persist_dir=run_dir,
         wall_seconds=summary.get("wall_seconds"),
         metadata=metadata,
     )
+    # the live run's summary row, in rounds for a gossip run
+    from .runner import summary_row
+
+    document["summary"] = canonicalize(summary_row(result_from_document(document)))
+    return document

@@ -100,8 +100,8 @@ class _ProtocolEntry:
 
     A single table per protocol — the class (for normalising live
     objects and deriving aliases from ``cls.name``), the model family
-    (``'population'`` runs on the asynchronous engines via
-    ``simulate``, ``'gossip'`` synchronously via ``simulate_gossip``),
+    (``'population'`` runs on the asynchronous engines, ``'gossip'`` on
+    the synchronous gossip engine, both through ``simulate``),
     the builder, canonical parameter defaults (folded into every
     ``ProtocolSpec`` so differently-written specs of the same protocol
     hash identically), and how to read params back off a live object.
@@ -679,11 +679,6 @@ class RunSpec:
                 self.max_interactions is None,
                 "gossip horizons are synchronous rounds: use "
                 "max_parallel_time (1 round ≈ 1 unit of parallel time)",
-            )
-            _require(
-                self.recording.persist_to is None,
-                "gossip runs record in memory; persistence applies to "
-                "population-protocol runs",
             )
         if self.fidelity == "surrogate" and self.recording.persist_to is not None:
             raise SpecError(

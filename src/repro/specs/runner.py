@@ -231,9 +231,11 @@ def run_spec(
 ):
     """Execute any spec.
 
-    * :class:`RunSpec` → a :class:`~repro.core.run.RunResult` (or a
-      :class:`~repro.gossip.run.GossipRunResult` for gossip protocols);
-      ``workers``/``shard``/``out``/``resume`` do not apply.
+    * :class:`RunSpec` → a :class:`~repro.core.run.RunResult`, for
+      population protocols and gossip dynamics alike (a surrogate-tier
+      answer is its :class:`~repro.meanfield.surrogate.SurrogateResult`
+      duck type); ``workers``/``shard``/``out``/``resume`` do not
+      apply.
     * :class:`EnsembleSpec` → an :class:`EnsembleRun`; ``workers`` fans
       members over the process pool (bit-identical for every count).
     * :class:`SweepSpec` → a :class:`SweepSpecRun`; the grid runs on
@@ -343,7 +345,7 @@ def _resume_persisted(spec: RunSpec):
     caller simulates and overwrites).
     """
     persist_root = spec.recording.persist_to
-    if persist_root is None or spec.protocol.model == "gossip":
+    if persist_root is None:
         return None
     if spec.seed is None:
         # an unseeded run draws fresh OS entropy every time: two
@@ -390,25 +392,7 @@ def _resume_persisted(spec: RunSpec):
 
 
 def _resolve_exact(spec: RunSpec):
-    """The exact tier: dispatch to the population or gossip front-end."""
-    if spec.protocol.model == "gossip":
-        from ..gossip.run import simulate_gossip
-        from ..obs.runtime import run_scope
-
-        # gossip runs never persist, so the spec's journal only writes
-        # when it names an explicit journal_path
-        with run_scope(
-            spec.obs if spec.obs.enabled else None,
-            journal_meta={"protocol": spec.protocol.name, "model": "gossip"},
-        ):
-            return simulate_gossip(
-                spec.build_protocol(),
-                spec.build_initial(),
-                seed=spec.seed,
-                max_rounds=spec.resolved_horizon(),
-                snapshot_every=spec.resolved_snapshot_every(),
-                metadata={**spec.metadata, "spec_hash": spec.spec_hash()},
-            )
+    """The exact tier: one ``simulate`` call, population or gossip."""
     resumed = _resume_persisted(spec)
     if resumed is not None:
         return resumed

@@ -274,8 +274,10 @@ class TestFidelityCommands:
         err = capsys.readouterr().err
         assert "unknown fidelity" in err and "surrogate" in err
 
-    def test_meanfield_solve(self, capsys):
-        assert main(["meanfield", "solve", self.SCENARIO]) == 0
+    def test_surrogate_run_prints_validity(self, capsys):
+        assert main(
+            ["run", "--spec", self.SCENARIO, "--fidelity", "surrogate"]
+        ) == 0
         out = capsys.readouterr().out
         assert "TRUSTED" in out and "bias margin" in out
 

@@ -46,17 +46,6 @@ class TestGossipEngine:
         assert engine.rounds == 10
         assert engine.counts.tolist() == [0, 50, 0]
 
-    def test_run_checks_absorption_before_stepping(self):
-        engine = GossipEngine(GossipUSD(k=2), np.array([0, 100, 0]), seed=0)
-        engine.run(50)
-        assert engine.rounds == 0
-
-    def test_run_checks_stop_before_first_chunk(self):
-        """A stop already true at entry burns no chunk of rounds."""
-        engine = GossipEngine(GossipUSD(k=2), np.array([10, 60, 30]), seed=1)
-        engine.run(50, snapshot_every=7, stop=lambda e: True)
-        assert engine.rounds == 0
-
     def test_recorder_compatible(self):
         dynamics = GossipUSD(k=2)
         engine = GossipEngine(dynamics, np.array([0, 60, 40]), seed=3)

@@ -31,7 +31,6 @@ import pytest
 
 from repro.core.run import simulate
 from repro.errors import SimulationError
-from repro.gossip import simulate_gossip
 from repro.gossip.dynamics import GossipUSD
 from repro.obs import metrics as obs_metrics
 from repro.obs.config import ObsConfig
@@ -90,9 +89,9 @@ class TestBitIdentity:
     def test_gossip_engine(self, capsys):
         dynamics = GossipUSD(k=3)
         counts = [60, 30, 10, 0]  # k opinions + the undecided state
-        off = simulate_gossip(dynamics, counts, seed=4, max_rounds=300)
+        off = simulate(dynamics, counts, seed=4, max_parallel_time=300)
         with activated(FULL_OBS):
-            on = simulate_gossip(dynamics, counts, seed=4, max_rounds=300)
+            on = simulate(dynamics, counts, seed=4, max_parallel_time=300)
         assert off.rounds == on.rounds
         assert off.winner == on.winner
         np.testing.assert_array_equal(off.trace.counts, on.trace.counts)
@@ -205,8 +204,11 @@ class TestObserverFailure:
     def test_gossip_engine_surfaces_its_own_error(self):
         with activated(ObsConfig(metrics=True)):
             with pytest.raises(SimulationError, match="population size"):
-                simulate_gossip(
-                    _GrowingGossipUSD(k=3), [60, 30, 10, 0], seed=4, max_rounds=5
+                simulate(
+                    _GrowingGossipUSD(k=3),
+                    [60, 30, 10, 0],
+                    seed=4,
+                    max_parallel_time=5,
                 )
 
     def test_counts_engine_surfaces_its_own_error(self):

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.run import RunResult
 from repro.errors import SpecError
 from repro.specs import (
     EnsembleSpec,
@@ -23,6 +24,7 @@ from repro.specs import (
     document_from_persisted_run,
     result_from_document,
     run_spec,
+    summary_row,
     to_document,
 )
 
@@ -160,6 +162,81 @@ def test_persisted_run_yields_identical_document(tmp_path):
     # modulo the persist_dir pointer (the live result carries it, the
     # disk document *is* it), the two renderings agree byte for byte
     assert document_bytes(from_disk) == document_bytes(live)
+
+
+GOSSIP_SPEC_PAYLOAD = {
+    "schema_version": 1,
+    "kind": "run",
+    "protocol": {"name": "gossip-usd", "k": 3},
+    "initial": {"kind": "equal-minorities", "n": 1500, "params": {"bias": 90}},
+    "seed": 11,
+    "max_parallel_time": 300.0,
+}
+
+
+def test_gossip_run_document_round_trips_bit_for_bit():
+    spec = RunSpec.from_dict(GOSSIP_SPEC_PAYLOAD)
+    result = run_spec(spec)
+    document = to_document(result, spec)
+    assert document["result_kind"] == "run"
+    assert document["outcome"]["engine"] == "gossip"
+    assert document["outcome"]["interactions"] == result.rounds * spec.n
+    # gossip summary rows keep speaking rounds
+    assert document["summary"] == {
+        "stabilized": True,
+        "winner": result.winner,
+        "rounds": result.rounds,
+        "parallel_time": float(result.rounds),
+        "stabilization_parallel_time": float(result.stabilization_rounds),
+    }
+    rebuilt = result_from_document(json.loads(json.dumps(document)))
+    assert document_bytes(to_document(rebuilt, spec)) == document_bytes(document)
+    assert rebuilt.rounds == result.rounds
+    assert rebuilt.stabilization_rounds == result.stabilization_rounds
+
+
+def test_gossip_document_of_the_old_shape_still_loads():
+    """``result_kind: "gossip"`` documents, written before gossip runs
+    became ``"run"`` documents, load as the equivalent RunResult."""
+    spec_hash = "1838f65948afaa6cefc1d474439084e7c86c640f908bcc7969c46bdc7478ce5e"
+    document = {
+        "schema_version": 1,
+        "kind": "result",
+        "result_kind": "gossip",
+        "spec_hash": spec_hash,
+        "spec": RunSpec.from_dict(GOSSIP_SPEC_PAYLOAD).to_dict(),
+        "outcome": {
+            "stabilized": True,
+            "winner": 1,
+            "rounds": 15,
+            "stabilization_rounds": 15,
+            "final_counts": [0, 1500, 0, 0],
+        },
+        "summary": {
+            "stabilized": True,
+            "winner": 1,
+            "rounds": 15,
+            "parallel_time": 15.0,
+            "stabilization_parallel_time": 15.0,
+        },
+        "obs_metrics": None,
+        "persist_dir": None,
+        "wall_seconds": 0.0011,
+        "metadata": {
+            "engine": "gossip",
+            "dynamics": "gossip-usd",
+            "n": 1500,
+            "spec_hash": spec_hash,
+        },
+    }
+    result = result_from_document(document)
+    assert isinstance(result, RunResult)
+    assert summary_row(result) == document["summary"]
+    assert result.rounds == 15
+    assert result.stabilization_rounds == 15
+    assert result.winner == 1
+    assert list(result.final_counts) == [0, 1500, 0, 0]
+    assert result.interactions == 15 * 1500
 
 
 def test_persisted_scan_skips_incomplete(tmp_path):
