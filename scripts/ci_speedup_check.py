@@ -1,11 +1,8 @@
-"""Speed floors of the compiled kernels and the process pools.
+"""Speed floors of the process pools.
 
-Four floors, each checked only where it can fire; otherwise it prints
+Two floors, each checked only where it can fire; otherwise it prints
 ``skipped: <reason>``:
 
-* numba counts kernel ≥ 3× numpy at n = 10⁶ (needs numba);
-* numba batch kernel ≥ 2× numpy at n = 10⁶ (needs numba, and the batch
-  kernel must be JIT compiled rather than delegated to numpy);
 * a 32-seed ``usd_stabilization_ensemble`` on 8 workers ≥ 3× serial
   (needs ≥ 8 CPUs);
 * the ``usd2-logn`` grid as 2 shards × 4 workers plus merge ≥ 1.5×
@@ -17,7 +14,7 @@ any fails.
 
     PYTHONPATH=src python scripts/ci_speedup_check.py
 
-Without numba on 2 CPUs it takes about 20 s.
+On 2 CPUs it takes about 20 s.
 """
 
 from __future__ import annotations
@@ -26,27 +23,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
-from repro import BatchEngine, CountsEngine
 from repro.analysis import usd_stabilization_ensemble
-from repro.core.kernels import (
-    available_backends,
-    backend_fallback_reason,
-    get_backend,
-)
 from repro.experiments import BinaryLogNExperiment
 from repro.parallel import available_workers
-from repro.protocols import UndecidedStateDynamics
-from repro.theory.bounds import paper_k_schedule
 from repro.workloads import paper_initial_configuration
-
-#: Kernel floors: population and interaction budgets per engine.
-KERNEL_N = 1_000_000
-COUNTS_BUDGET = 1_000_000
-BATCH_BUDGET = 20_000_000
 
 ENSEMBLE_WORKERS = 8
 SWEEP_WORKERS = 4
@@ -70,45 +53,6 @@ def _skip(label: str, reason: str) -> bool:
 
 def _floor(label: str, speedup: float, minimum: float) -> bool:
     return _report(label, speedup >= minimum, f"{speedup:.2f}x (floor {minimum}x)")
-
-
-def _kernel_rate(engine_cls, interactions: int, backend: str) -> float:
-    """Interactions/second of one warmed engine (JIT compiled outside)."""
-    k = paper_k_schedule(KERNEL_N)
-    protocol = UndecidedStateDynamics(k=k)
-    counts = protocol.encode_configuration(paper_initial_configuration(KERNEL_N, k))
-    warm = engine_cls(protocol, counts, seed=1, backend=backend)
-    warm.step(max(1, interactions // 100))
-    engine = engine_cls(protocol, counts, seed=7, backend=backend)
-    started = time.perf_counter()
-    engine.step(interactions)
-    elapsed = time.perf_counter() - started
-    if engine.counts.sum() != KERNEL_N:
-        raise AssertionError(f"{engine_cls.__name__} lost agents on {backend}")
-    return interactions / max(elapsed, 1e-9)
-
-
-def _numba_speedup(engine_cls, interactions: int) -> float:
-    numba = _kernel_rate(engine_cls, interactions, "numba")
-    return numba / _kernel_rate(engine_cls, interactions, "numpy")
-
-
-def check_kernels() -> List[bool]:
-    counts_label = "numba counts kernel at n=10⁶"
-    batch_label = "numba batch kernel at n=10⁶"
-    if "numba" not in available_backends():
-        reason = backend_fallback_reason("numba")
-        return [_skip(counts_label, reason), _skip(batch_label, reason)]
-    speedup = _numba_speedup(CountsEngine, COUNTS_BUDGET)
-    verdicts = [_floor(counts_label, speedup, 3.0)]
-    # a delegated batch kernel would make this a numpy-vs-numpy tie
-    provenance = get_backend("numba").kernel_provenance("batch_step")
-    if provenance == "numba":
-        speedup = _numba_speedup(BatchEngine, BATCH_BUDGET)
-        verdicts.append(_floor(batch_label, speedup, 2.0))
-    else:
-        verdicts.append(_report(batch_label, False, f"not JIT: {provenance}"))
-    return verdicts
 
 
 def _pool_check(label, run_serial, run_pooled, same, workers, minimum):
@@ -167,8 +111,7 @@ def _same_sweep(serial, pooled) -> bool:
 
 
 def main() -> int:
-    verdicts = check_kernels()
-    verdicts += _pool_check(
+    verdicts = _pool_check(
         f"32-seed ensemble on {ENSEMBLE_WORKERS} workers",
         lambda: _ensemble(0),
         lambda: _ensemble(ENSEMBLE_WORKERS),

@@ -118,7 +118,6 @@ from .core import (
     TransitionTable,
     UniformPairScheduler,
     available_backends,
-    default_backend,
     get_backend,
     make_engine,
     simulate,
@@ -185,7 +184,6 @@ __all__ = [
     "TransitionTable",
     "UniformPairScheduler",
     "available_backends",
-    "default_backend",
     "get_backend",
     "make_engine",
     "simulate",

@@ -20,10 +20,10 @@ carrier).
 Three formats share the contract:
 
 * ``arrow`` / ``parquet`` — the fleet-scale formats, gated on
-  ``pyarrow`` exactly like the numba kernels are gated one layer down;
+  ``pyarrow`` (see :mod:`repro.analytics.gate`);
 * ``npz`` — the always-available NumPy reference codec the columnar
   formats must round-trip identically to (and the dataset layer's
-  fallback fragment format), mirroring the numpy reference kernels.
+  fallback fragment format).
 
 Round-trip contract: :func:`read_columnar` returns ``times``/``counts``
 ``int64`` arrays bit-identical to what

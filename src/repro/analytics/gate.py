@@ -1,13 +1,12 @@
 """Optional-dependency gating for the analytics subsystem.
 
-``pyarrow`` is gated exactly like ``numba`` is for the compute kernels:
-a loader that resolves once per process into either the module or a
-recorded unavailability *reason*, so every caller — CLI, dataset
-export, tests — reports the same message instead of a raw
-``ImportError`` from some arbitrary depth.  The always-available
-``npz`` fragment codec plays the role the NumPy kernels play one layer
-down: a reference implementation the columnar formats must agree with,
-so nothing in the query layer *requires* pyarrow to exist.
+``pyarrow`` is gated by a loader that resolves once per process into
+either the module or a recorded unavailability *reason*, so every
+caller — CLI, dataset export, tests — reports the same message instead
+of a raw ``ImportError`` from some arbitrary depth.  The
+always-available ``npz`` fragment codec is the reference
+implementation the columnar formats must agree with, so nothing in the
+query layer *requires* pyarrow to exist.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ Subcommands
     ``--shard I/M`` runs one shard of a grid sweep (it writes only its
     checkpoints) and ``--resume`` skips points already checkpointed, so
     a full ``--resume`` run after the shards is their merge.
-    ``--workers`` fans ensembles and grids out over N processes and
-    ``--backend`` picks the compute-kernel backend (bit-identical
-    results either way); ``--persist``
+    ``--workers`` fans ensembles and grids out over N processes
+    (bit-identical results either way) and ``--backend`` is accepted
+    for compatibility (every name runs the numpy kernels); ``--persist``
     (``fig1-ensemble`` only) streams member trajectories to
     spill-to-disk run directories that later invocations resume from.
     A flag the experiment cannot honour fails with an error naming it.
@@ -32,9 +32,6 @@ Subcommands
 ``repro spec show|validate|hash FILE [--set dotted.key=value ...]``
     Inspect a scenario file: print the normalised document, validate it
     against the spec schema, or print its canonical ``spec_hash``.
-``repro backends``
-    List the registered compute-kernel backends, their availability on
-    this machine and the default.
 ``repro trace info <RUN_DIR>``
     Show a streamed run directory's manifest: provenance, chunk index,
     completeness, post-run summary (plus the run's metric snapshot when
@@ -192,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "compute-kernel backend for the simulation engines "
-            "('numpy', 'numba', ...; see 'repro backends'); results are "
-            "bit-identical for every backend"
+            "compute-kernel backend, accepted for compatibility: every "
+            "name runs the numpy kernels, and the removed 'numba' and "
+            "'cython' warn once"
         ),
     )
     run.add_argument(
@@ -237,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
             "print throttled progress heartbeats (interactions/s, ETA, "
             "undecided fraction) to stderr while engines run"
         ),
-    )
-
-    commands.add_parser(
-        "backends", help="list compute-kernel backends and their availability"
     )
 
     meanfield = commands.add_parser(
@@ -970,39 +963,6 @@ def _run_meanfield_command(args: Any) -> None:
     print(f"doubling/consensus   {None if ratio is None else round(ratio, 4)}")
 
 
-def _print_backends() -> None:
-    from .core.kernels import (
-        backend_fallback_reason,
-        backend_fallbacks,
-        default_backend,
-        get_backend,
-        registered_backends,
-    )
-
-    fallbacks = backend_fallbacks()
-    for name in registered_backends():
-        reason = backend_fallback_reason(name)
-        status = "available" if reason is None else f"unavailable: {reason}"
-        marker = "  (default)" if name == default_backend() else ""
-        count = fallbacks.get(name, 0)
-        fell = f"  [fell back to default x{count} this process]" if count else ""
-        print(f"{name:<8} {status}{marker}{fell}")
-        if reason is None:
-            # which implementation actually serves each kernel — a
-            # backend that delegates a kernel (e.g. a batch kernel
-            # handed to numpy with a reason) is never silent about it
-            backend = get_backend(name)
-            served = ", ".join(
-                f"{kernel}: {served_by}"
-                for kernel, served_by in backend.provenance_map.items()
-            )
-            print(f"         {served}")
-    print(
-        "backends are bit-identical — selection (--backend) only changes "
-        "throughput"
-    )
-
-
 def _run_sweep_status(args: Any) -> None:
     from .experiments import get_sweep_experiment
     from .sweep import sweep_status
@@ -1434,8 +1394,6 @@ def _dispatch(args: Any) -> int:
     if args.command == "list":
         for line in list_experiments():
             print(line)
-    elif args.command == "backends":
-        _print_backends()
     elif args.command == "run":
         _run_command(args)
     elif args.command == "spec":

@@ -23,7 +23,7 @@ the batch size (never biasing the sign of the drift by clamping);
 retry loop always terminates.
 
 The sampling loop itself lives in :mod:`repro.core.kernels` as the
-backend's ``batch_step`` kernel; the engine owns only state (counts,
+numpy ``batch_step`` kernel; the engine owns only state (counts,
 interaction clock, the adaptive batch size) and bookkeeping.
 """
 

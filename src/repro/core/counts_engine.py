@@ -26,8 +26,7 @@ independent of the snapshot cadence.
 
 *How* a step is computed lives in :mod:`repro.core.kernels`: the engine
 builds one frozen :class:`~repro.core.kernels.KernelInputs` and
-delegates stepping to its backend's ``counts_step`` kernel — the NumPy
-reference or the Numba-JIT kernel, bit-identical either way.
+delegates stepping to the numpy ``counts_step`` kernel.
 """
 
 from __future__ import annotations

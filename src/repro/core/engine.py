@@ -71,11 +71,11 @@ class BaseEngine(abc.ABC):
     seed:
         Seed for the engine's private random stream.
     backend:
-        Compute-kernel backend name (see :mod:`repro.core.kernels`);
-        ``None``/``'auto'`` resolve to the default.  Backends are
-        bit-identical by contract, so this is a pure throughput knob.
-        Engines that do not delegate to kernels (the per-agent
-        reference engine) accept and ignore it.
+        Compute-kernel backend name (see :mod:`repro.core.kernels`),
+        accepted for compatibility: every name runs the numpy kernels,
+        and the removed ``'numba'``/``'cython'`` warn once.  Engines
+        that do not delegate to kernels (the per-agent reference
+        engine) accept and ignore it.
     """
 
     #: Engine identifier used in results and the CLI.
@@ -83,8 +83,8 @@ class BaseEngine(abc.ABC):
 
     #: Whether this engine delegates stepping to compute kernels.  The
     #: per-agent reference engine sets this to ``False``: it then never
-    #: resolves a backend (so requesting ``'numba'`` costs nothing and
-    #: warns nothing there) and reports ``backend = None``.
+    #: resolves a backend (so a retired name warns nothing there) and
+    #: reports ``backend = None``.
     uses_kernels: bool = True
 
     def __init__(
@@ -192,12 +192,10 @@ class BaseEngine(abc.ABC):
 
     @property
     def backend(self) -> Optional[str]:
-        """Name of the resolved compute-kernel backend.
+        """Name of the resolved compute-kernel backend: ``'numpy'``.
 
-        This is the backend actually in use: requesting an unavailable
-        backend falls back to the default (with a one-time warning), and
-        the fallback's name is reported here.  ``None`` for engines
-        that do not delegate to kernels (``uses_kernels = False``).
+        ``None`` for engines that do not delegate to kernels
+        (``uses_kernels = False``).
         """
         return None if self._kernels is None else self._kernels.name
 

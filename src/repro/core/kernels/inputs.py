@@ -5,8 +5,8 @@ about a protocol/population pair that does *not* change during a run:
 the effective ordered pairs (as flat ``int64`` arrays), the dense
 per-pair delta matrix, and the ``n (n - 1)`` pair denominator.  Engines
 build it once in their constructor and hand it to every kernel call, so
-kernels stay stateless and a compiled backend can specialise on plain
-arrays instead of protocol objects.  :class:`EpochInputs` adds what the
+kernels stay stateless and work on plain arrays instead of protocol
+objects.  :class:`EpochInputs` adds what the
 collision-free epoch kernel needs on top: the flat transition table and
 the law of the epoch length at this ``n``.
 """

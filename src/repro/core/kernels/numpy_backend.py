@@ -1,4 +1,4 @@
-"""Reference NumPy kernels — the engine hot loops.
+"""The NumPy kernels — the engine hot loops.
 
 ``counts_step`` and ``batch_step`` are pure extractions of the
 pre-kernel ``CountsEngine._step_impl`` (geometric null-skipping) and
@@ -6,11 +6,8 @@ pre-kernel ``CountsEngine._step_impl`` (geometric null-skipping) and
 τ-leaping with rejection halving): they consume the random stream in
 exactly the same order and apply exactly the same integer updates, so
 trajectories are bit-identical to the pre-refactor engines by
-construction.  Every other backend must reproduce this draw sequence —
-:mod:`repro.core.kernels.numba_backend` proves it does with a
-self-check at load time.  ``multibatch_step`` is the collision-free
-epoch loop of the exact batched engine; it is vectorised numpy
-throughout, and the numba backend delegates it here.
+construction.  ``multibatch_step`` is the collision-free epoch loop of
+the exact batched engine, vectorised numpy throughout.
 
 Kernels are stateless: all run state lives in the engine and travels
 through the arguments/returns.  ``counts`` is mutated in place.
@@ -26,9 +23,6 @@ from ...errors import BatchSizeError
 from .inputs import EpochInputs, KernelInputs
 
 __all__ = ["counts_step", "batch_step", "multibatch_step"]
-
-#: Registry name of this backend.
-NAME = "numpy"
 
 
 def counts_step(

@@ -29,15 +29,14 @@ Near absorption almost every interaction is null, and an epoch of
 mostly null interactions costs more than skipping them in closed form.
 Whenever an epoch would hold less than one effective interaction on
 average (``p_effective · E[ℓ] < 1``) the engine therefore runs a
-stretch of its backend's exact ``counts_step`` (geometric
+stretch of the exact ``counts_step`` kernel (geometric
 null-skipping) and then looks again.  Both paths know the exact index
 of every change, so ``last_change_interaction`` has single-interaction
 resolution, and absorption is checked at the end of every step, so
 ``is_absorbed`` is complete as well as sound.
 
-The epoch loop lives in :mod:`repro.core.kernels` as the backend's
-``multibatch_step`` kernel (vectorised numpy; the numba backend
-delegates it with recorded provenance).
+The epoch loop lives in :mod:`repro.core.kernels` as the vectorised
+numpy ``multibatch_step`` kernel.
 """
 
 from __future__ import annotations

@@ -174,9 +174,9 @@ def make_engine(
     one of :data:`ENGINE_NAMES`: ``'agent'``, ``'counts'``,
     ``'multibatch'`` (all three exact), ``'batch'`` (τ-leaping, only
     when asked for) or ``'auto'`` (the exact ``'multibatch'`` engine at
-    every ``n``).  ``backend`` selects the compute-kernel backend
-    (:mod:`repro.core.kernels`); backends are bit-identical, so it only
-    affects throughput.  Gossip dynamics always run on the synchronous
+    every ``n``).  ``backend`` is accepted for compatibility: every
+    name runs the numpy kernels (:mod:`repro.core.kernels`).  Gossip
+    dynamics always run on the synchronous
     :class:`~repro.gossip.engine.GossipEngine` (``engine='auto'``).
     """
     if isinstance(initial, Configuration):
@@ -263,9 +263,8 @@ def simulate(
 
     ``snapshot_every`` sets the recording / stop-checking cadence in
     the engine's steps — interactions, or rounds for gossip (default:
-    half a parallel round, or every round).  ``backend`` picks
-    the compute-kernel backend — a pure throughput knob, bit-identical
-    across backends.
+    half a parallel round, or every round).  ``backend`` is
+    accepted for compatibility: every name runs the numpy kernels.
 
     ``persist_to=DIR`` streams the trajectory to disk while the run is
     in flight: the recorder writes one chunk every

@@ -90,7 +90,7 @@ class BiasThresholdExperiment(SweepExperiment):
         "k_values": (2, 8),
         "num_seeds": 24,
         "seed": 99,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 3_000.0,
     }
 

@@ -73,7 +73,7 @@ class BinaryLogNExperiment(SweepExperiment):
         "n_values": (5_000, 10_000, 20_000, 50_000, 100_000),
         "num_seeds": 5,
         "seed": 17,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 2_000.0,
     }
 

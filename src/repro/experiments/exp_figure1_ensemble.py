@@ -163,7 +163,7 @@ class Figure1EnsembleExperiment(SweepExperiment):
         "bias": None,  # None → √(n ln n)
         "num_seeds": 10,
         "seed": 1848,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 2_000.0,
     }
     #: ``persist`` streams member trajectories to disk: where the runs

@@ -114,7 +114,7 @@ class GapDoublingExperiment(SweepExperiment):
         "k_values": (6, 10, 16),
         "num_seeds": 5,
         "seed": 34,
-        "engine": "batch",
+        "engine": "auto",
         "horizon_multiple": 12.0,  # horizon = multiple × (k n / 24)
     }
 

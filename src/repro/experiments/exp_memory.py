@@ -45,7 +45,7 @@ class MemoryUSDExperiment(Experiment):
         "bias_factor": 1.0,  # bias = factor × √n (below √(n log n))
         "num_seeds": 12,
         "seed": 2718,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 5_000.0,
     }
 

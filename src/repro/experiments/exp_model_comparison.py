@@ -85,7 +85,7 @@ class ModelComparisonExperiment(Experiment):
         "k_values": (4, 8, 16),
         "num_seeds": 3,
         "seed": 77,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 3_000.0,
         "round_stats_n": 4_000,
     }

@@ -101,7 +101,7 @@ class OpinionGrowthExperiment(SweepExperiment):
         "k_values": (8, 16, 32),
         "num_seeds": 5,
         "seed": 33,
-        "engine": "batch",
+        "engine": "auto",
         "horizon_multiple": 12.0,  # horizon = multiple × (k n / 25)
     }
 

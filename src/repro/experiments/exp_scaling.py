@@ -84,7 +84,7 @@ class ScalingExperiment(SweepExperiment):
         "k_values": (4, 8, 12, 16, 24, 32),
         "num_seeds": 3,
         "seed": 35,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 5_000.0,
     }
 

@@ -88,7 +88,7 @@ class UndecidedCeilingExperiment(SweepExperiment):
         "k_values": (8, 16, 32),
         "num_seeds": 5,
         "seed": 7,
-        "engine": "batch",
+        "engine": "auto",
         "max_parallel_time": 1_500.0,
     }
 

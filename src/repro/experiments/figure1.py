@@ -48,7 +48,7 @@ _FIGURE1_DEFAULTS: Dict[str, Any] = {
     # A seed on which the designated majority wins (like the paper's
     # displayed run; the majority wins ~95% of seeds at this scale).
     "seed": 2027,
-    "engine": "batch",
+    "engine": "auto",
     "max_parallel_time": 2_000.0,
     "snapshots_per_parallel_time": 10,
 }

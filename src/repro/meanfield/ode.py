@@ -21,7 +21,7 @@ tests (plateau location, threshold behaviour), by the figure
 experiments as an overlay reference, and by the surrogate fidelity tier
 (:mod:`repro.meanfield.surrogate`).
 
-SciPy is an *optional* dependency, gated like numba/pyarrow: importing
+SciPy is an *optional* dependency, gated like pyarrow: importing
 this module never imports scipy.  :func:`load_solve_ivp` performs the
 lazy import and raises a clear :class:`~repro.errors.SimulationError`
 when scipy is missing, and :func:`scipy_unavailable_reason` lets the
@@ -81,7 +81,7 @@ def scipy_available() -> bool:
 def load_solve_ivp() -> Callable:
     """The lazily-imported ``solve_ivp``, or a loud, actionable error.
 
-    Mirrors the numba/pyarrow gating idiom: a scipy-less install can
+    Mirrors the pyarrow gating idiom: a scipy-less install can
     import and use the whole library — only the code paths that
     genuinely need the integrator (mean-field ``integrate``, the
     surrogate fidelity tier) fail, and they fail with an error that

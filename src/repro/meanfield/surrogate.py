@@ -56,6 +56,7 @@ __all__ = [
     "resolve_surrogate",
     "surrogate_supports",
     "surrogate_unsupported_reason",
+    "untrusted_by_margin",
 ]
 
 #: Validity verdicts, strongest to weakest.  ``TRUSTED`` means the
@@ -499,6 +500,23 @@ def surrogate_unsupported_reason(spec) -> Optional[str]:
 def surrogate_supports(spec) -> bool:
     """Whether :func:`resolve_surrogate` can answer this spec."""
     return surrogate_unsupported_reason(spec) is None
+
+
+def untrusted_by_margin(spec) -> Optional[ValidityReport]:
+    """The USD verdict that needs no ODE solve, or ``None``.
+
+    The bias margin (initial leader gap over
+    :func:`fluctuation_fraction`) is closed-form, and below
+    ``_TRUST_MARGIN`` no solve can make the verdict ``TRUSTED``; the
+    ``auto`` tier then escalates without integrating.  The report has
+    no horizon coverage (``inf``).  ``None`` when the solve decides: a
+    margin that allows ``TRUSTED``, or a protocol other than ``usd``.
+    """
+    if spec.protocol.name != "usd":
+        return None
+    counts = np.asarray(spec.canonical_state_counts(), dtype=np.int64)
+    report = _assess(spec.n, counts[1:] / spec.n, horizon=0.0, consensus_time=None)
+    return None if report.bias_margin >= _TRUST_MARGIN else report
 
 
 def resolve_surrogate(spec, *, requested: str = "surrogate") -> SurrogateResult:

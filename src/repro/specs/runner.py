@@ -451,6 +451,7 @@ def _resolve_auto(spec: RunSpec):
         TRUSTED,
         resolve_surrogate,
         surrogate_unsupported_reason,
+        untrusted_by_margin,
     )
 
     from ..obs import metrics as obs_metrics
@@ -466,21 +467,27 @@ def _resolve_auto(spec: RunSpec):
             reason=reason,
         )
         return _escalated(spec, {"verdict": "UNSUPPORTED", "reasons": [reason]})
-    surrogate = resolve_surrogate(spec, requested="auto")
-    if surrogate.validity.verdict == TRUSTED:
-        return surrogate
+    validity = untrusted_by_margin(spec)
+    if validity is not None:
+        # the margin already rules out TRUSTED: skip the solve
+        obs_metrics.REGISTRY.inc("surrogate_verdicts_total", verdict=validity.verdict)
+    else:
+        surrogate = resolve_surrogate(spec, requested="auto")
+        if surrogate.validity.verdict == TRUSTED:
+            return surrogate
+        validity = surrogate.validity
     obs_emit(
         "fidelity.escalate",
         protocol=spec.protocol.name,
-        verdict=surrogate.validity.verdict,
-        reasons=list(surrogate.validity.reasons),
+        verdict=validity.verdict,
+        reasons=list(validity.reasons),
     )
     return _escalated(
         spec,
         {
-            "verdict": surrogate.validity.verdict,
-            "reasons": list(surrogate.validity.reasons),
-            "report": surrogate.validity.as_dict(),
+            "verdict": validity.verdict,
+            "reasons": list(validity.reasons),
+            "report": validity.as_dict(),
         },
     )
 

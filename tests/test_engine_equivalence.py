@@ -49,9 +49,7 @@ def agent_moments():
     return ensemble_moments(AgentEngine)
 
 
-# Parametrized over every usable kernel backend: with numba installed
-# (the CI numba leg) the whole agreement suite runs on the JIT kernels
-# too; without it only the numpy reference runs.
+# Parametrized over the kernel backends (only numpy).
 @pytest.fixture(scope="module", params=available_backends())
 def counts_moments(request):
     return ensemble_moments(CountsEngine, backend=request.param)

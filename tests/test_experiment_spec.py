@@ -59,19 +59,19 @@ def test_hash_ignores_placement_knobs():
 #: parameters never enter the hash, so moving one between experiments
 #: (or dropping one) must leave every pin where it is.
 PINNED_HASHES = {
-    "bias-threshold": "6a0cf404f831a2f7",
+    "bias-threshold": "41dc15df1946426f",
     "engine-throughput": "8c554ce422265591",
-    "fig1-ensemble": "e31d35ea824c4173",
-    "fig1-left": "cb41113597c79361",
-    "fig1-right": "015e096488bed5be",
+    "fig1-ensemble": "b7bbdccc5cf6ec11",
+    "fig1-left": "c87c55aa9dc1e712",
+    "fig1-right": "04bfef99ca494883",
     "graph-topology": "60e856c994cf21ea",
-    "lem31-ceiling": "f6fa325f1d618c61",
-    "lem33-growth": "be9b0aae0d0e2d64",
-    "lem34-gap": "c2b95b9330491948",
-    "memory-usd": "f5fee608e9873677",
-    "model-comparison": "858f77b51c02d8e4",
-    "thm35-scaling": "e92ad36b4c3cbcd1",
-    "usd2-logn": "23f7fa76701d1544",
+    "lem31-ceiling": "acc4d2dbb3f24662",
+    "lem33-growth": "da96f39c0cd8165f",
+    "lem34-gap": "202987b8c501fdc4",
+    "memory-usd": "294c4699aa605b20",
+    "model-comparison": "e8ca5b00be3938fd",
+    "thm35-scaling": "15bcf9ddade83723",
+    "usd2-logn": "17a42a2058065c3b",
 }
 
 
@@ -82,7 +82,7 @@ def test_default_hashes_are_pinned():
     hashes = {name: ExperimentSpec(name=name).spec_hash()[:16] for name in EXPERIMENTS}
     assert hashes == PINNED_HASHES
     scenario = load_spec_file("examples/scenarios/experiment_fig1.json")
-    assert scenario.spec_hash().startswith("f92779060152cacf")
+    assert scenario.spec_hash().startswith("4fb30cd6af99c3d0")
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_run_spec_rejects_shard_for_non_sweep_experiment(tmp_path):
 def test_hash_matches_spelled_out_defaults():
     implicit = ExperimentSpec(name="fig1-left", params=SMALL)
     explicit = ExperimentSpec(
-        name="fig1-left", params={**SMALL, "seed": 2027, "engine": "batch"}
+        name="fig1-left", params={**SMALL, "seed": 2027, "engine": "auto"}
     )
     assert implicit.spec_hash() == explicit.spec_hash()
 

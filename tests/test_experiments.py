@@ -39,7 +39,7 @@ class TestFramework:
     def test_params_merge(self):
         experiment = Figure1Left(n=5_000)
         assert experiment.params["n"] == 5_000
-        assert experiment.params["engine"] == "batch"
+        assert experiment.params["engine"] == "auto"
 
     def test_registry_contains_all_ids(self):
         expected = {

@@ -293,28 +293,18 @@ class TestSweepCounters:
 
 class TestBackendFallbackCounter:
     def test_fallback_counted_and_reset(self):
-        from repro.core.kernels import (
-            backend_fallbacks,
-            get_backend,
-            register_backend,
-            reset_backend_state,
-        )
+        from repro.core.kernels import get_backend, reset_backend_state
 
-        register_backend("ghost", lambda: (None, "not on this machine"))
+        reset_backend_state()
         try:
             with activated(ObsConfig(metrics=True)):
-                with pytest.warns(RuntimeWarning):
-                    get_backend("ghost")
-                get_backend("ghost")  # second resolution: count, no warning
+                with pytest.warns(RuntimeWarning, match="removed"):
+                    get_backend("numba")
+                get_backend("numba")  # second resolution: count, no warning
                 counters = obs_metrics.REGISTRY.snapshot()["counters"]
-            assert backend_fallbacks()["ghost"] == 2
-            assert counters["backend_fallbacks_total"]["backend=ghost"] == 2.0
+            assert counters["backend_fallbacks_total"]["backend=numba"] == 2.0
         finally:
-            from repro.core.kernels.registry import _LOADERS
-
-            _LOADERS.pop("ghost", None)
             reset_backend_state()
-        assert backend_fallbacks() == {}
 
 
 class TestSurrogateCounter:

@@ -28,6 +28,7 @@ from repro.meanfield import (
     SURROGATE_PROTOCOLS,
     TRUSTED,
     SurrogateResult,
+    USDMeanField,
     resolve_surrogate,
     surrogate_supports,
     surrogate_unsupported_reason,
@@ -187,9 +188,15 @@ class TestDispatch:
         assert fidelity["resolved"] == "surrogate"
         assert fidelity["verdict"] == TRUSTED
 
-    def test_auto_escalation_is_bit_identical_to_exact(self):
+    def test_auto_escalation_is_bit_identical_to_exact(self, monkeypatch):
         n = 2_000
         bias = 2 * math.ceil(math.sqrt(n * math.log(n)))  # MARGINAL → escalate
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("auto solved an ODE whose verdict the margin fixes")
+
+        # the margin alone rules out TRUSTED, so auto must not integrate
+        monkeypatch.setattr(USDMeanField, "integrate", no_solve)
         exact = run_spec(usd_spec(n=n, bias=bias, fidelity="exact"))
         auto = run_spec(usd_spec(n=n, bias=bias, fidelity="auto"))
 
