@@ -2,16 +2,16 @@
 """Reproduce Figure 1 of the paper (both panels).
 
 Default scale is n = 10⁵ (seconds); pass ``--full`` for the paper's
-n = 10⁶ / k = 27 (still well under a minute thanks to the τ-leaping
-engine).  Prints the measured table, the shape-check notes, and ASCII
-renderings of both panels.
+n = 10⁶ / k = 27 (still under a minute on the exact default engine).
+Prints each panel's report: the measured table, the paper's claims with
+their verdicts, and an ASCII rendering of the panel.
 
 Run:  python examples/figure1_reproduction.py [--full]
 """
 
 import argparse
 
-from repro.experiments import Figure1Left, Figure1Right
+from repro.experiments import Figure1Left, Figure1Right, render_result
 
 
 def main() -> None:
@@ -22,20 +22,9 @@ def main() -> None:
     args = parser.parse_args()
     overrides = {"n": 1_000_000} if args.full else {}
 
-    left = Figure1Left(**overrides).run()
-    print(left.table())
-    for note in left.notes:
-        print(f"note: {note}")
-    print()
-    print(Figure1Left.plot(left))
-
-    print()
-    right = Figure1Right(**overrides).run()
-    print(right.table())
-    for note in right.notes:
-        print(f"note: {note}")
-    print()
-    print(Figure1Right.plot(right))
+    for panel in (Figure1Left, Figure1Right):
+        print(render_result(panel(**overrides).run()))
+        print()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from .scaling import (
     CANDIDATE_LAWS,
     ScalingComparison,
     compare_scaling_laws,
-    law_table_rows,
     law_value,
 )
 from .stabilization import (
@@ -21,9 +20,7 @@ from .stabilization import (
 )
 from .stats import (
     LinearFit,
-    OnlineStats,
     Summary,
-    bootstrap_ci,
     fit_linear,
     fit_proportional,
     summarize,
@@ -42,14 +39,12 @@ __all__ = [
     "CANDIDATE_LAWS",
     "EnsembleBand",
     "LinearFit",
-    "OnlineStats",
     "ScalingComparison",
     "StabilizationEnsemble",
     "Summary",
     "UNDETERMINED_WINNER",
     "UndecidedExceedance",
     "align_series",
-    "bootstrap_ci",
     "compare_scaling_laws",
     "doubling_time",
     "ensemble_band",
@@ -57,7 +52,6 @@ __all__ = [
     "trace_quantity",
     "fit_linear",
     "fit_proportional",
-    "law_table_rows",
     "law_value",
     "majority_minority_gap_series",
     "max_gap_series",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "law_value",
     "ScalingComparison",
     "compare_scaling_laws",
-    "law_table_rows",
 ]
 
 
@@ -172,20 +171,3 @@ def compare_scaling_laws(
         upper_shape_ok=upper_ok,
     )
 
-
-def law_table_rows(
-    ns: Sequence[float],
-    ks: Sequence[float],
-    comparison: ScalingComparison,
-    biases: Optional[Sequence[float]] = None,
-) -> List[dict]:
-    """Tabulate fitted predictions per sweep point (for reports)."""
-    if biases is None:
-        biases = [None] * len(list(ns))
-    rows = []
-    for n, k, b in zip(ns, ks, biases):
-        row = {"n": int(n), "k": int(k)}
-        for law, fit in comparison.fits.items():
-            row[f"{law}_pred"] = fit.slope * law_value(law, n, k, b)
-        rows.append(row)
-    return rows

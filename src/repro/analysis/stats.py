@@ -1,27 +1,22 @@
 """Summary statistics for seed ensembles.
 
-Small, dependency-light statistical helpers: summaries with normal and
-bootstrap confidence intervals, an online (Welford) accumulator for
-streaming measurements, and least-squares fits used by the scaling
+Small, dependency-light statistical helpers: summaries with a normal
+confidence interval, and least-squares fits used by the scaling
 analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ReproError
-from ..rng import make_rng
-from ..types import SeedLike
 
 __all__ = [
     "Summary",
     "summarize",
-    "bootstrap_ci",
-    "OnlineStats",
     "LinearFit",
     "fit_linear",
     "fit_proportional",
@@ -68,68 +63,6 @@ def summarize(values: Sequence[float]) -> Summary:
         ci_low=mean - half_width,
         ci_high=mean + half_width,
     )
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    *,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: SeedLike = None,
-) -> Tuple[float, float]:
-    """Percentile bootstrap confidence interval for ``statistic``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ReproError("cannot bootstrap an empty sample")
-    if not 0 < confidence < 1:
-        raise ReproError(f"confidence must be in (0, 1), got {confidence}")
-    rng = make_rng(seed)
-    indices = rng.integers(0, arr.size, size=(resamples, arr.size))
-    stats = np.apply_along_axis(statistic, 1, arr[indices])
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(stats, alpha)),
-        float(np.quantile(stats, 1.0 - alpha)),
-    )
-
-
-class OnlineStats:
-    """Welford's streaming mean/variance accumulator."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, value: float) -> None:
-        """Incorporate one observation."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def count(self) -> int:
-        """Number of observations so far."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Running mean (0.0 before any observation)."""
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two observations)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return float(np.sqrt(self.variance))
 
 
 @dataclass(frozen=True)

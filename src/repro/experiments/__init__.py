@@ -1,7 +1,7 @@
 """Experiments reproducing every figure and quantitative claim."""
 
 from .ascii_plot import ascii_line_plot
-from .base import Experiment, ExperimentResult, SweepExperiment
+from .base import Claim, Experiment, ExperimentResult, SweepExperiment
 from .exp_bias_threshold import BiasThresholdExperiment
 from .exp_binary_logn import BinaryLogNExperiment
 from .exp_engines import EngineAblationExperiment
@@ -30,6 +30,7 @@ __all__ = [
     "TOPOLOGIES",
     "BiasThresholdExperiment",
     "BinaryLogNExperiment",
+    "Claim",
     "EngineAblationExperiment",
     "Experiment",
     "ExperimentResult",

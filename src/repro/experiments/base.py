@@ -3,14 +3,16 @@
 Each paper artifact (figure panel, lemma claim, theorem scaling) is an
 :class:`Experiment` subclass with an id from DESIGN.md's per-experiment
 index.  Running one produces an :class:`ExperimentResult`: tabular rows
-(the paper-style numbers), named series (the plotted curves), notes
-(shape checks passed/failed) and full parameter provenance.
+(the paper-style numbers), named series (the plotted curves), the
+paper claims the rows bear out or refute (:class:`Claim` records), notes
+(observations that are not verdicts) and full parameter provenance.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List
 
@@ -24,7 +26,38 @@ from ..specs import merge_params
 from ..sweep import SweepPlan, run_sweep
 from ..workloads.sweeps import SweepPoint
 
-__all__ = ["ExperimentResult", "Experiment", "SweepExperiment"]
+__all__ = ["Claim", "ExperimentResult", "Experiment", "SweepExperiment"]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim, measured by the experiment that owns it.
+
+    The experiment computes ``holds``; ``bound`` is display text
+    (``"< 5"``, ``"all 6"``) and is never parsed.  A claim whose input
+    is missing (no run stabilized, x₁ never doubled) records ``value``
+    ``None`` and does not hold.  NumPy scalars become Python scalars and
+    a non-finite ``value`` becomes ``None``, so :meth:`as_dict` is plain
+    JSON.
+    """
+
+    name: str
+    value: Any
+    bound: str
+    holds: bool
+
+    def __post_init__(self) -> None:
+        value = self.value
+        if hasattr(value, "item"):
+            value = value.item()
+        if isinstance(value, float) and not math.isfinite(value):
+            value = None
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "holds", bool(self.holds))
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The claim as a JSON-ready dict (``name``/``value``/``bound``/``holds``)."""
+        return asdict(self)
 
 
 @dataclass
@@ -42,8 +75,11 @@ class ExperimentResult:
     series:
         Named 1-D arrays for plotting (e.g. ``'parallel_time'``,
         ``'majority'``).
+    claims:
+        The paper claims this run measured, each with its verdict.  A
+        partial sweep shard states none.
     notes:
-        Free-text observations, including shape-check verdicts.
+        Free-text observations that are not verdicts (fits, context).
     params:
         The exact parameters used (for provenance / EXPERIMENTS.md).
     wall_seconds:
@@ -54,6 +90,7 @@ class ExperimentResult:
     title: str
     rows: List[Dict[str, Any]] = field(default_factory=list)
     series: Dict[str, np.ndarray] = field(default_factory=dict)
+    claims: List[Claim] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     params: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -78,6 +115,7 @@ class ExperimentResult:
             rows_path,
             extra={
                 "title": self.title,
+                "claims": [claim.as_dict() for claim in self.claims],
                 "notes": self.notes,
                 "params": self.params,
                 "wall_seconds": self.wall_seconds,
@@ -186,15 +224,15 @@ class SweepExperiment(Experiment):
       row`` computing one grid point with ``workers=0`` inside (the
       sweep layer parallelises *across* points).
     * :meth:`finalize` — post-processing over the full grid's rows
-      (fits, notes, series) into the :class:`ExperimentResult`.
+      (fits, claims, notes, series) into the :class:`ExperimentResult`.
 
     With ``shard`` set to a proper shard (``'i/m'``, m > 1),
     :meth:`_execute` computes and checkpoints only that shard's points
-    under ``out`` and returns a *partial* result.  Once every shard has
-    run, a full run with the same ``out`` and ``resume=True`` (``repro
-    run <id> --out DIR --resume``) is the merge: it restores every
-    point, writes ``merged.json`` and ``provenance.json`` and returns
-    the full result.
+    under ``out`` and returns a *partial* result, which states no
+    claims.  Once every shard has run, a full run with the same ``out``
+    and ``resume=True`` (``repro run <id> --out DIR --resume``) is the
+    merge: it restores every point, writes ``merged.json`` and
+    ``provenance.json`` and returns the full result.
     """
 
     GLOBAL_DEFAULTS: Dict[str, Any] = {

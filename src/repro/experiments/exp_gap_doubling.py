@@ -32,7 +32,7 @@ from ..rng import derive_seed
 from ..theory.lemmas import lemma34_alpha_valid, lemma34_min_interactions
 from ..workloads.initial import plateau_gap_configuration
 from ..workloads.sweeps import SweepPoint
-from .base import ExperimentResult, SweepExperiment
+from .base import Claim, ExperimentResult, SweepExperiment
 
 __all__ = ["GapDoublingExperiment", "choose_alpha"]
 
@@ -141,10 +141,20 @@ class GapDoublingExperiment(SweepExperiment):
         )
 
     def finalize(self, rows: List[Dict[str, Any]]) -> ExperimentResult:
-        all_ok = all(row["bound_holds"] for row in rows)
-        notes = [
-            "all measured gap-doubling times respect the kn/24 lower bound"
-            if all_ok
-            else "VIOLATION: some gap doubled faster than kn/24",
+        valid = sum(row["alpha_window_valid"] for row in rows)
+        held = sum(row["bound_holds"] for row in rows)
+        claims = [
+            Claim(
+                "k with α inside Lemma 3.4's window",
+                valid,
+                f"all {len(rows)}",
+                valid == len(rows),
+            ),
+            Claim(
+                "k with every α/2 → α gap doubling ≥ kn/24 interactions",
+                held,
+                f"all {len(rows)}",
+                held == len(rows),
+            ),
         ]
-        return self._result(rows=rows, notes=notes)
+        return self._result(rows=rows, claims=claims)

@@ -28,7 +28,7 @@ from ..core.run import simulate
 from ..protocols.hysteresis import HysteresisUSD
 from ..rng import derive_seed
 from ..workloads.initial import paper_initial_configuration
-from .base import Experiment, ExperimentResult
+from .base import Claim, Experiment, ExperimentResult
 
 __all__ = ["MemoryUSDExperiment"]
 
@@ -87,14 +87,27 @@ class MemoryUSDExperiment(Experiment):
                     "censored_runs": censored,
                 }
             )
-        baseline = rows[0]
-        best = max(rows, key=lambda row: row["majority_win_fraction"])
-        notes = [
-            f"at bias {bias} ≈ {self.params['bias_factor']:.1f}·√n "
-            f"(below √(n ln n) = {math.sqrt(n * math.log(n)):.0f}), plain USD "
-            f"(r=1) wins {baseline['majority_win_fraction']:.0%} of runs; "
-            f"r={best['r']} wins {best['majority_win_fraction']:.0%}",
-            "memory buys correctness at sub-threshold bias but pays in time — "
-            "it does not beat the time barrier (§4's open question, explored)",
+        # at sub-threshold bias memory must not hurt correctness (fixed
+        # seeds), and it costs time: it trades time for robustness rather
+        # than beating the barrier (§4's open question, explored)
+        by_r = {row["r"]: row for row in rows}
+        top, plain = by_r[max(by_r)], by_r.get(1)
+        wins, time = top["majority_win_fraction"], top["median_parallel_time"]
+        base_wins = None if plain is None else plain["majority_win_fraction"]
+        base_time = None if plain is None else plain["median_parallel_time"]
+        measured = None not in (time, base_time)
+        claims = [
+            Claim(
+                f"majority win fraction at r={top['r']} minus at r=1",
+                None if base_wins is None else wins - base_wins,
+                "≥ 0",
+                base_wins is not None and wins >= base_wins,
+            ),
+            Claim(
+                f"median T at r={top['r']} / at r=1",
+                time / base_time if measured else None,
+                "> 1",
+                measured and time > base_time,
+            ),
         ]
-        return self._result(rows=rows, notes=notes)
+        return self._result(rows=rows, claims=claims)

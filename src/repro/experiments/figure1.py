@@ -37,7 +37,7 @@ from ..protocols.usd import UndecidedStateDynamics
 from ..theory.bounds import paper_k_schedule
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from .ascii_plot import ascii_line_plot
-from .base import Experiment, ExperimentResult
+from .base import Claim, Experiment, ExperimentResult
 
 __all__ = ["Figure1Left", "Figure1Right", "run_figure1_trace"]
 
@@ -129,7 +129,6 @@ class Figure1Left(Experiment):
         window_end = 0.75 * stab if stab else parallel[-1]
         burn_in = int(np.searchsorted(parallel, 5.0))
         settle_end = int(np.searchsorted(parallel, window_end))
-        notes = []
         band_violation = float("nan")
         if burn_in < settle_end:
             # Amir et al.'s band (quoted in §2): after the first n log n
@@ -141,18 +140,9 @@ class Figure1Left(Experiment):
             above = settled_u - n / 2.0
             below = (n / 2.0 - settled_x1 / 2.0) - settled_u
             band_violation = float(np.maximum(above, below).max() / scale)
-            notes.append(
-                f"u(t) violates the Amir band [n/2 − x₁/2, n/2] by at most "
-                f"{band_violation:.2f}·√(n ln n) over parallel time "
-                f"[5, {window_end:.1f}] (paper §2: u stays in this band)"
-            )
         # One-sided Lemma 3.1 direction: u never substantially *exceeds* the
         # plateau at any time, including ramp-up and collapse.
         peak_exceedance = float((undecided.max() - plateau) / scale)
-        notes.append(
-            f"max_t u(t) exceeds n/2 − n/(4k) by {peak_exceedance:.2f}·√(n ln n) "
-            "(Lemma 3.1: O(1) in these units)"
-        )
         # The paper notes minorities can *increase* for long stretches once
         # u settles; compare against the post-ramp-up level (the initial
         # count drops sharply while u grows, so t=0 is the wrong baseline).
@@ -164,19 +154,6 @@ class Figure1Left(Experiment):
         else:  # pragma: no cover - degenerate horizon
             minority_rose = False
         exceeds_initial = bool(np.any(minorities.max(axis=0) > minorities[0]))
-        surpasses = (
-            " and one even surpasses its initial count" if exceeds_initial else ""
-        )
-        notes.append(
-            f"minorities {'do' if minority_rose else 'do not'} increase after "
-            f"the ramp-up{surpasses} "
-            "(paper: many minorities increase over long periods)"
-        )
-        stab = run.stabilization_parallel_time
-        notes.append(
-            f"stabilized={run.stabilized} winner={run.winner} "
-            f"at parallel time {stab if stab is None else round(stab, 2)}"
-        )
 
         rows = [
             {
@@ -203,7 +180,36 @@ class Figure1Left(Experiment):
             "minority_max_scaled": high.astype(float) * k,
             "plateau_reference": np.full(parallel.shape, plateau),
         }
-        return self._result(rows=rows, series=series, notes=notes)
+        claims = [
+            Claim(
+                "winner of the stabilized run",
+                run.winner if run.stabilized else None,
+                "= 1, the majority",
+                run.stabilized and run.winner == 1,
+            ),
+            # Lemma 3.1: O(1) in these units
+            Claim(
+                "max_t u(t) above n/2 − n/(4k), in √(n ln n)",
+                peak_exceedance,
+                "< 5",
+                peak_exceedance < 5.0,
+            ),
+            # paper §2: u stays in this band over the settled window
+            Claim(
+                "worst violation of Amir et al.'s band [n/2 − x₁/2, n/2], in √(n ln n)",
+                band_violation,
+                "< 5",
+                band_violation < 5.0,
+            ),
+            # paper: many minorities increase over long periods
+            Claim(
+                "some minority rises after the ramp-up",
+                minority_rose,
+                "yes",
+                minority_rose,
+            ),
+        ]
+        return self._result(rows=rows, series=series, claims=claims)
 
     @staticmethod
     def plot(result: ExperimentResult, width: int = 72, height: int = 18) -> str:
@@ -241,17 +247,7 @@ class Figure1Right(Experiment):
         gap = majority_minority_gap_series(trace)
         double_at = doubling_time(trace, opinion=1)
         stab = run.stabilization_parallel_time
-
-        notes = []
-        fraction = None
-        if double_at is not None and stab:
-            fraction = double_at / stab
-            notes.append(
-                f"x₁ doubled at parallel time {double_at:.2f} of {stab:.2f} total "
-                f"({fraction:.0%}; paper's run: ≈70 of ≈90 ≈ 78%)"
-            )
-        else:
-            notes.append("x₁ did not double before the horizon")
+        fraction = double_at / stab if double_at is not None and stab else None
         highlight = _pick_highlight_minority(trace, k)
 
         rows = [
@@ -272,7 +268,16 @@ class Figure1Right(Experiment):
             "minority": trace.opinion_series(highlight).astype(float),
             "max_difference": gap.astype(float),
         }
-        return self._result(rows=rows, series=series, notes=notes)
+        # the paper's run doubles at ≈70 of ≈90 (78 %); a generous band
+        claims = [
+            Claim(
+                "x₁ doubling time / stabilization time",
+                fraction,
+                "> 0.4",
+                fraction is not None and fraction > 0.4,
+            )
+        ]
+        return self._result(rows=rows, series=series, claims=claims)
 
     @staticmethod
     def plot(result: ExperimentResult, width: int = 72, height: int = 18) -> str:

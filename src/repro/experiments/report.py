@@ -1,11 +1,16 @@
-"""Rendering experiment results for terminals and EXPERIMENTS.md."""
+"""Rendering experiment results for terminals and EXPERIMENTS.md.
+
+A report is the table, one ``claim:`` line per paper claim with its
+verdict (``PASS``/``FAIL``), the notes, and for figures an ASCII plot.
+"""
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..io.tables import _format_cell
 from .ascii_plot import ascii_line_plot
-from .base import ExperimentResult
+from .base import Claim, ExperimentResult
 from .figure1 import Figure1Left, Figure1Right
 
 __all__ = ["render_result"]
@@ -14,8 +19,11 @@ __all__ = ["render_result"]
 def render_result(
     result: ExperimentResult, *, plots: bool = True, width: int = 72
 ) -> str:
-    """Full text report: table, notes, and (for figures) ASCII plots."""
+    """Full text report: table, claims, notes, and (for figures) ASCII plots."""
     parts = [result.table()]
+    if result.claims:
+        parts.append("")
+        parts.extend(_format_claim(claim) for claim in result.claims)
     if result.notes:
         parts.append("")
         parts.extend(f"note: {note}" for note in result.notes)
@@ -27,6 +35,13 @@ def render_result(
     parts.append("")
     parts.append(f"(wall time: {result.wall_seconds:.1f}s)")
     return "\n".join(parts)
+
+
+def _format_claim(claim: Claim) -> str:
+    """One report line: ``claim: PASS <name> = <value> (<bound>)``."""
+    verdict = "PASS" if claim.holds else "FAIL"
+    value = _format_cell(claim.value, ".4g")
+    return f"claim: {verdict} {claim.name} = {value} ({claim.bound})"
 
 
 def _plot_for(result: ExperimentResult, width: int) -> Optional[str]:

@@ -3,12 +3,11 @@
 from .atomic import atomic_write
 from .serialization import load_result_rows, load_trace, save_result_rows, save_trace
 from .streaming import StreamedTrace, load_manifest, update_manifest
-from .tables import format_markdown_table, format_table, write_csv
+from .tables import format_table
 
 __all__ = [
     "StreamedTrace",
     "atomic_write",
-    "format_markdown_table",
     "format_table",
     "load_manifest",
     "load_result_rows",
@@ -16,5 +15,4 @@ __all__ = [
     "save_result_rows",
     "save_trace",
     "update_manifest",
-    "write_csv",
 ]

@@ -1,15 +1,12 @@
-"""Plain-text table rendering and CSV output for experiment reports."""
+"""Plain-text table rendering for experiment reports."""
 
 from __future__ import annotations
 
-import csv
-import io
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import SerializationError
 
-__all__ = ["format_table", "format_markdown_table", "write_csv"]
+__all__ = ["format_table"]
 
 
 def _format_cell(value: Any, float_format: str) -> str:
@@ -63,38 +60,3 @@ def format_table(
         parts.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)))
     return "\n".join(parts)
 
-
-def format_markdown_table(
-    rows: Sequence[Dict[str, Any]],
-    *,
-    columns: Optional[Sequence[str]] = None,
-    float_format: str = ".3f",
-) -> str:
-    """Render rows of dicts as a GitHub-flavoured markdown table."""
-    cols = _collect_columns(rows, columns)
-    lines = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
-    for row in rows:
-        cells = [_format_cell(row.get(col), float_format) for col in cols]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def write_csv(
-    rows: Sequence[Dict[str, Any]],
-    path: Optional[Path] = None,
-    *,
-    columns: Optional[Sequence[str]] = None,
-) -> str:
-    """Serialise rows to CSV; write to ``path`` when given, return the text."""
-    cols = _collect_columns(rows, columns)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer, fieldnames=cols, extrasaction="ignore", lineterminator="\n"
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({col: row.get(col, "") for col in cols})
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text

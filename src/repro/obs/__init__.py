@@ -35,7 +35,6 @@ from .journal import (
 from .metrics import (
     REGISTRY,
     MetricsRegistry,
-    merge_snapshots,
     prometheus_text,
     snapshot_delta,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ProgressReporter",
     "REGISTRY",
     "RunJournal",
-    "merge_snapshots",
     "prometheus_text",
     "read_journal",
     "snapshot_delta",

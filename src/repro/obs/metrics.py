@@ -37,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "format_summary",
-    "merge_snapshots",
     "prometheus_text",
     "snapshot_delta",
 ]
@@ -267,16 +266,6 @@ def snapshot_delta(
         "gauges": dict(after.get("gauges", {})),
         "histograms": histograms,
     }
-
-
-def merge_snapshots(
-    base: Mapping[str, Any], other: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Combine two snapshots without touching any registry."""
-    scratch = MetricsRegistry()
-    scratch.merge_snapshot(base)
-    scratch.merge_snapshot(other)
-    return scratch.snapshot()
 
 
 def prometheus_text(snapshot: Mapping[str, Any]) -> str:

@@ -31,6 +31,13 @@ Shape (``kind`` is always ``'result'``)::
       "metadata":   <result metadata, obs_metrics hoisted out>
     }
 
+An experiment's ``outcome`` carries its ``rows``, ``notes``,
+``params``, series names and, when it states any, ``claims``: one
+``{"name", "value", "bound", "holds"}`` record per paper claim, the
+verdict computed by the experiment itself.  Documents without the key
+(a partial sweep shard, or one written before experiments stated
+claims) load with no claims and re-render to the same bytes.
+
 ``obs_metrics`` is hoisted to the top level (out of ``metadata``) so a
 document rebuilt from a persisted manifest — where the metrics live in
 the summary, not the recorded metadata — is byte-identical to the one
@@ -170,18 +177,23 @@ def to_document(result: Any, spec: Any = None) -> Dict[str, Any]:
     if isinstance(result, ExperimentSpecRun):
         _check_spec(spec, result.spec_hash)
         rows = [dict(row) for row in result.rows]
+        outcome = {
+            "experiment_id": result.experiment_id,
+            "title": result.title,
+            "rows": rows,
+            "notes": list(result.notes),
+            "params": dict(result.params),
+            "series": list(result.series),
+        }
+        if result.claims:
+            # absent, not empty, when there are none: documents written
+            # before experiments stated claims keep their exact bytes
+            outcome["claims"] = [dict(claim) for claim in result.claims]
         return _base_document(
             "experiment",
             spec_hash=result.spec_hash,
             spec=None if spec is None else spec.to_dict(),
-            outcome={
-                "experiment_id": result.experiment_id,
-                "title": result.title,
-                "rows": rows,
-                "notes": list(result.notes),
-                "params": dict(result.params),
-                "series": list(result.series),
-            },
+            outcome=outcome,
             summary={"rows": len(rows), "notes": len(result.notes)},
             wall_seconds=result.wall_seconds,
         )
@@ -371,6 +383,7 @@ def result_from_document(document: Mapping[str, Any]) -> Any:
             wall_seconds=float(wall_seconds or 0.0),
             series=tuple(outcome.get("series") or ()),
             result=None,
+            claims=tuple(dict(claim) for claim in outcome.get("claims") or ()),
         )
 
     try:

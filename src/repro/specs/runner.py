@@ -207,7 +207,9 @@ class ExperimentSpecRun:
     ``series`` carries the *names* of the plotted series (the arrays
     themselves live on ``result``, which is ``None`` when the run was
     rebuilt from a wire document — arrays are not part of the portable
-    result-document schema, rows and notes are).
+    result-document schema, rows, notes and claims are).  ``claims``
+    holds each paper claim's :meth:`~repro.experiments.Claim.as_dict`;
+    a partial sweep shard has none.
     """
 
     spec_hash: str
@@ -219,6 +221,7 @@ class ExperimentSpecRun:
     wall_seconds: float
     series: Tuple[str, ...] = ()
     result: Any = None
+    claims: Tuple[Dict[str, Any], ...] = ()
 
 
 def run_spec(
@@ -328,6 +331,7 @@ def _run_experiment(
         wall_seconds=float(result.wall_seconds),
         series=tuple(sorted(result.series)),
         result=result,
+        claims=tuple(claim.as_dict() for claim in result.claims),
     )
 
 

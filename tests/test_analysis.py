@@ -5,8 +5,6 @@ import pytest
 
 from repro import Configuration, ReproError, Trace
 from repro.analysis import (
-    OnlineStats,
-    bootstrap_ci,
     compare_scaling_laws,
     doubling_time,
     fit_linear,
@@ -51,37 +49,6 @@ class TestStats:
     def test_summarize_empty_rejected(self):
         with pytest.raises(ReproError):
             summarize([])
-
-    def test_bootstrap_ci_contains_mean(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(10.0, 2.0, size=200)
-        low, high = bootstrap_ci(values, seed=1)
-        assert low < values.mean() < high
-        assert high - low < 2.0
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ReproError):
-            bootstrap_ci([], seed=0)
-        with pytest.raises(ReproError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-    def test_online_stats_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        values = rng.random(500)
-        stats = OnlineStats()
-        for value in values:
-            stats.push(float(value))
-        assert stats.count == 500
-        assert stats.mean == pytest.approx(values.mean())
-        assert stats.variance == pytest.approx(values.var(ddof=1))
-        assert stats.std == pytest.approx(values.std(ddof=1))
-
-    def test_online_stats_degenerate(self):
-        stats = OnlineStats()
-        assert stats.variance == 0.0
-        stats.push(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
 
     def test_fit_linear_recovers_line(self):
         x = np.arange(20.0)

@@ -70,7 +70,7 @@ PINNED_HASHES = {
     "lem34-gap": "202987b8c501fdc4",
     "memory-usd": "294c4699aa605b20",
     "model-comparison": "e8ca5b00be3938fd",
-    "thm35-scaling": "15bcf9ddade83723",
+    "thm35-scaling": "1701903fd6454bdd",
     "usd2-logn": "17a42a2058065c3b",
 }
 

@@ -1,9 +1,10 @@
 """Unit tests for the experiment framework and scaled-down experiment runs.
 
 Experiments run here with drastically reduced parameters: the goal is to
-exercise every code path (rows, series, notes, persistence), not to
-reproduce the paper's numbers — ``scripts/ci_claims_check.py`` does that
-at full experiment scale.
+exercise every code path (rows, series, claims, notes, persistence), not
+to reproduce the paper's numbers — at toy scale a claim may fail.
+``scripts/ci_claims_check.py`` checks that every claim holds at full
+experiment scale.
 """
 
 import numpy as np
@@ -28,7 +29,17 @@ from repro.experiments import (
     one_parallel_round_agent_stats,
     render_result,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import Claim, ExperimentResult
+from repro.io import load_result_rows
+from repro.specs.hashing import canonicalize
+
+
+def assert_states_claims(result):
+    """The run states at least one claim, each one plain JSON."""
+    assert result.claims
+    for claim in result.claims:
+        assert isinstance(claim, Claim)
+        assert canonicalize(claim.as_dict()) == claim.as_dict()
 
 
 class TestFramework:
@@ -80,12 +91,29 @@ class TestFramework:
             title="demo",
             rows=[{"a": 1}],
             series={"xs": np.array([1.0, 2.0])},
+            claims=[Claim("a", 1, "= 1", True)],
             notes=["fine"],
         )
         written = result.save(tmp_path)
         assert (tmp_path / "demo.json").exists()
         assert (tmp_path / "demo_series.npz").exists()
         assert len(written) == 2
+        _, extra = load_result_rows(tmp_path / "demo.json")
+        assert extra["claims"] == [
+            {"name": "a", "value": 1, "bound": "= 1", "holds": True}
+        ]
+
+    def test_claim_values_are_plain_json(self):
+        """NumPy scalars unwrap; a non-finite value is a missing one."""
+        claim = Claim("x", np.float64(0.5), "< 1", np.bool_(True))
+        assert type(claim.value) is float and claim.holds is True
+        missing = Claim("x", float("nan"), "< 5", float("nan") < 5)
+        assert missing.as_dict() == {
+            "name": "x",
+            "value": None,
+            "bound": "< 5",
+            "holds": False,
+        }
 
 
 class TestFigure1:
@@ -98,6 +126,7 @@ class TestFigure1:
         return Figure1Right(n=4_000, k=5, seed=11, max_parallel_time=500.0).run()
 
     def test_left_rows_and_series(self, left):
+        assert_states_claims(left)
         row = left.rows[0]
         assert row["n"] == 4_000 and row["k"] == 5
         assert row["stabilized"]
@@ -120,6 +149,7 @@ class TestFigure1:
         assert "legend:" in plot and "undecided" in plot
 
     def test_right_rows(self, right):
+        assert_states_claims(right)
         row = right.rows[0]
         assert row["stab_parallel_time"] is not None
         if row["doubling_parallel_time"] is not None:
@@ -128,9 +158,10 @@ class TestFigure1:
     def test_right_plot_renders(self, right):
         assert "max diff" in Figure1Right.plot(right)
 
-    def test_render_result_includes_plot_and_notes(self, left):
+    def test_render_result_includes_plot_and_claims(self, left):
         text = render_result(left)
-        assert "note:" in text
+        claim_lines = [line for line in text.splitlines() if line.startswith("claim:")]
+        assert len(claim_lines) == len(left.claims)
         assert "legend:" in text
         assert "wall time" in text
 
@@ -148,6 +179,7 @@ class TestLemmaExperiments:
             max_parallel_time=200.0,
             engine="counts",
         ).run()
+        assert_states_claims(result)
         row = result.rows[0]
         assert row["within_lemma"]
         assert row["max_exceedance_normalized"] < 2641
@@ -156,6 +188,7 @@ class TestLemmaExperiments:
         result = OpinionGrowthExperiment(
             n=3_000, k_values=(4,), num_seeds=2, engine="counts"
         ).run()
+        assert_states_claims(result)
         row = result.rows[0]
         assert row["bound_interactions"] == pytest.approx(4 * 3_000 / 25)
         assert row["censored_runs"] + (
@@ -167,6 +200,7 @@ class TestLemmaExperiments:
             n=4_000, k_values=(4,), num_seeds=2, engine="counts",
             horizon_multiple=4.0,
         ).run()
+        assert_states_claims(result)
         row = result.rows[0]
         assert row["bound_interactions"] == pytest.approx(4 * 4_000 / 24)
 
@@ -185,6 +219,7 @@ class TestOtherExperiments:
             max_parallel_time=2_000.0,
         ).run()
         assert len(result.rows) == 3
+        assert_states_claims(result)
         assert any("best-fitting law" in note for note in result.notes)
         assert "fit_doubling" in result.rows[0]
 
@@ -195,6 +230,7 @@ class TestOtherExperiments:
             max_parallel_time=2_000.0,
         ).run()
         assert len(result.rows) == 6  # six bias grid points
+        assert_states_claims(result)
         fractions = [row["majority_win_fraction"] for row in result.rows]
         assert fractions[-1] >= fractions[0]  # more bias, more wins
 
@@ -203,6 +239,7 @@ class TestOtherExperiments:
             n=2_000, k_values=(3,), num_seeds=2, engine="counts",
             max_parallel_time=2_000.0, round_stats_n=500,
         ).run()
+        assert_states_claims(result)
         row = result.rows[0]
         assert row["gossip_rounds"] is not None
         assert row["md"] > 1.0
@@ -225,6 +262,7 @@ class TestOtherExperiments:
             "batch",
         }
         assert all(row["throughput_per_sec"] > 0 for row in result.rows)
+        assert_states_claims(result)
 
     def test_run_experiment_by_id(self):
         result = get_experiment("engine-throughput")(

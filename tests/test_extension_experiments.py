@@ -10,6 +10,14 @@ from repro.experiments import (
     TOPOLOGIES,
     build_scheduler,
 )
+from repro.specs.hashing import canonicalize
+
+
+def assert_states_claims(result):
+    """The run states at least one claim, each one plain JSON."""
+    assert result.claims
+    for claim in result.claims:
+        assert canonicalize(claim.as_dict()) == claim.as_dict()
 
 
 class TestBuildScheduler:
@@ -45,6 +53,7 @@ class TestGraphTopologyExperiment:
             topologies=("clique", "star"),
             max_parallel_time=2_000.0,
         ).run()
+        assert_states_claims(result)
         by_name = {row["topology"]: row for row in result.rows}
         assert by_name["clique"]["stabilized_runs"] == 2
         assert by_name["clique"]["slowdown_vs_clique"] == pytest.approx(1.0)
@@ -57,6 +66,7 @@ class TestFigure1Ensemble:
         result = Figure1EnsembleExperiment(
             n=3_000, k=4, num_seeds=4, engine="counts", max_parallel_time=500.0
         ).run()
+        assert_states_claims(result)
         row = result.rows[0]
         assert row["runs"] == 4
         assert 0.0 <= row["majority_win_fraction"] <= 1.0
@@ -91,6 +101,7 @@ class TestFigure1Ensemble:
             assert "trace_parallel_times" not in row
             assert "trace_undecided" not in row
             assert "trace_points" in row
+        assert result.claims == []  # a partial shard skips finalize
 
 
 class TestBinaryLogN:
@@ -103,6 +114,7 @@ class TestBinaryLogN:
             max_parallel_time=1_000.0,
         ).run()
         assert len(result.rows) == 3
+        assert_states_claims(result)
         for row in result.rows:
             assert row["censored_runs"] == 0
             assert row["median_parallel_time"] > 0

@@ -6,6 +6,7 @@ import pytest
 from repro import Configuration, ProtocolError, simulate
 from repro.protocols import HysteresisUSD, UndecidedStateDynamics
 from repro.protocols.hysteresis import UNDECIDED_STATE
+from repro.specs.hashing import canonicalize
 
 
 class TestPacking:
@@ -180,6 +181,9 @@ class TestMemoryExperiment:
             max_parallel_time=2_000.0,
         ).run()
         assert [row["r"] for row in result.rows] == [1, 2]
+        assert result.claims
+        for claim in result.claims:
+            assert canonicalize(claim.as_dict()) == claim.as_dict()
         assert result.rows[0]["states"] == 4
         assert result.rows[1]["states"] == 7
         for row in result.rows:

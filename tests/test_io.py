@@ -6,13 +6,11 @@ import pytest
 from repro import SerializationError, Trace
 from repro.io import (
     atomic_write,
-    format_markdown_table,
     format_table,
     load_result_rows,
     load_trace,
     save_result_rows,
     save_trace,
-    write_csv,
 )
 
 
@@ -41,18 +39,6 @@ class TestTables:
     def test_empty_rows_rejected(self):
         with pytest.raises(SerializationError):
             format_table([])
-
-    def test_markdown_table(self, rows):
-        text = format_markdown_table(rows)
-        assert text.startswith("| k | time | ok |")
-        assert "|---|" in text.splitlines()[1]
-
-    def test_write_csv_roundtrip(self, rows, tmp_path):
-        path = tmp_path / "rows.csv"
-        text = write_csv(rows, path)
-        assert path.read_text() == text
-        header = text.splitlines()[0]
-        assert header == "k,time,ok,extra"
 
     def test_float_format_override(self, rows):
         text = format_table(rows, float_format=".1f")

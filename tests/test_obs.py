@@ -24,7 +24,6 @@ from repro.obs.journal import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
-    merge_snapshots,
     prometheus_text,
     snapshot_delta,
 )
@@ -155,13 +154,6 @@ class TestMetricsRegistry:
         assert snapshot["counters"]["only_child"][""] == 1.0
         assert snapshot["gauges"]["depth"] == 5.0  # max wins
         assert snapshot["histograms"]["h"]["count"] == 3
-
-    def test_merge_snapshots_pure_function(self):
-        a = {"counters": {"c": {"": 1.0}}, "gauges": {}, "histograms": {}}
-        b = {"counters": {"c": {"": 2.0}}, "gauges": {}, "histograms": {}}
-        merged = merge_snapshots(a, b)
-        assert merged["counters"]["c"][""] == 3.0
-        assert a["counters"]["c"][""] == 1.0  # inputs untouched
 
     def test_prometheus_text(self):
         registry = MetricsRegistry()

@@ -129,10 +129,45 @@ def test_experiment_document_round_trips():
     spec = ExperimentSpec(
         name="fig1-left", params={"n": 1500, "max_parallel_time": 200.0}
     )
-    document = to_document(run_spec(spec), spec)
+    result = run_spec(spec)
+    document = to_document(result, spec)
     assert document["result_kind"] == "experiment"
     assert document["outcome"]["experiment_id"] == "fig1-left"
+    claims = document["outcome"]["claims"]
+    assert claims == [claim.as_dict() for claim in result.result.claims]
+    assert {tuple(claim) for claim in claims} == {("name", "value", "bound", "holds")}
+    rebuilt = result_from_document(json.loads(json.dumps(document)))
+    assert rebuilt.claims == tuple(claims)
+    assert document_bytes(to_document(rebuilt, spec)) == document_bytes(document)
+
+
+def test_experiment_document_without_claims_round_trips_bit_for_bit():
+    """An experiment document written before experiments stated claims
+    has no ``outcome.claims``; it loads with none and re-renders to the
+    same bytes."""
+    spec = ExperimentSpec(name="lem33-growth", params={"n": 3000, "k_values": [4]})
+    document = {
+        "schema_version": 1,
+        "kind": "result",
+        "result_kind": "experiment",
+        "spec_hash": spec.spec_hash(),
+        "spec": spec.to_dict(),
+        "outcome": {
+            "experiment_id": "lem33-growth",
+            "title": "Lemma 3.3: growing 3n/2k → 2n/k takes ≥ kn/25 interactions",
+            "rows": [{"n": 3000, "k": 4, "bound_holds": True, "censored_runs": 5}],
+            "notes": ["all measured growth times respect the kn/25 lower bound"],
+            "params": {"n": 3000, "k_values": [4], "seed": 33, "workers": 0},
+            "series": [],
+        },
+        "summary": {"rows": 1, "notes": 1},
+        "obs_metrics": None,
+        "persist_dir": None,
+        "wall_seconds": 0.25,
+        "metadata": {},
+    }
     rebuilt = result_from_document(document)
+    assert rebuilt.claims == ()
     assert document_bytes(to_document(rebuilt, spec)) == document_bytes(document)
 
 
