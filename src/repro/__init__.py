@@ -60,16 +60,13 @@ times, Figure 1 bands) averages independent seeded runs, and those runs
 fan out over ``multiprocessing`` workers (:mod:`repro.parallel`).  Seed
 ensembles of simulation runs have one executor, an
 :class:`repro.specs.EnsembleSpec` run by :func:`repro.specs.run_spec`
-(:func:`repro.analysis.usd_stabilization_ensemble` is built on it); the
-theory estimators map seeds with :func:`repro.parallel.parallel_map`.
+(:func:`repro.analysis.usd_stabilization_ensemble` is built on it).
 Per-run streams are derived from the root seed and the run index alone
 (:func:`repro.rng.derive_seed` / :func:`repro.rng.spawn_seeds`), so for
 a fixed root seed the results are **bit-identical for every worker
 count** — parallelism is purely a throughput knob.  The ``workers``
-argument appears on :func:`repro.analysis.usd_stabilization_ensemble`,
-:func:`repro.theory.estimate_hitting_time`,
-:func:`repro.theory.estimate_drift_empirically` and every registry
-experiment (CLI: ``repro run <id> --workers N``).
+argument appears on :func:`repro.analysis.usd_stabilization_ensemble`
+and every registry experiment (CLI: ``repro run <id> --workers N``).
 
 Sharded sweeps
 --------------

@@ -60,9 +60,9 @@ class RegimeError(ReproError):
     """Paper parameters fall outside the regime a formula assumes.
 
     The theorems of the paper require e.g. ``k = o(sqrt(n)/log n)``; the
-    :mod:`repro.theory` helpers raise this error (or warn, depending on
-    the ``strict`` flag) when asked to evaluate a bound far outside its
-    regime of validity.
+    :mod:`repro.theory` helpers raise this error when asked to evaluate a
+    formula outside the inputs it is defined for (too small an ``n``,
+    ``k < 2``, a non-positive bias or gap scale).
     """
 
 

@@ -8,7 +8,9 @@ interactions.
 Setup: a plateau configuration whose maximum gap is exactly ``α/2``
 (opinion 1 half a gap above the common level, opinion k half below).
 We measure the first time the maximum pairwise gap reaches ``α``; the
-minimum over seeds must exceed ``k·n/24``.
+minimum over seeds must exceed ``k·n/24``.  A closed-form claim checks
+Lemma 3.2's premise at the same start: the exact step probabilities of
+the gap ``x_1 − x_k`` stay within the proof's ``(p, q) = (9/k, 6α/(nk))``.
 
 The k-grid executes through :mod:`repro.sweep`; each point carries its
 gap scale ``α`` in ``extras`` (part of the canonical label), and seeds
@@ -29,7 +31,12 @@ from ..core.run import simulate
 from ..errors import ExperimentError
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed
-from ..theory.lemmas import lemma34_alpha_valid, lemma34_min_interactions
+from ..theory.drift import gap_step_probabilities
+from ..theory.lemmas import (
+    lemma34_alpha_valid,
+    lemma34_min_interactions,
+    lemma34_walk_parameters,
+)
 from ..workloads.initial import plateau_gap_configuration
 from ..workloads.sweeps import SweepPoint
 from .base import Claim, ExperimentResult, SweepExperiment
@@ -50,6 +57,14 @@ def choose_alpha(n: int, k: int) -> int:
             f"no admissible α at (n={n}, k={k}): need 2√(n ln n) < α < n/k"
         )
     return alpha
+
+
+def _walk_premise_holds(n: int, k: int, alpha: int) -> bool:
+    """Lemma 3.2's premise for x_1 − x_k at the start: P(move) ≤ p, drift ≤ q."""
+    config = plateau_gap_configuration(n, k, gap=alpha // 2)
+    p_up, p_down = gap_step_probabilities(config, 1, k)
+    walk = lemma34_walk_parameters(n, k, alpha)
+    return p_up + p_down <= walk.p and p_up - p_down <= walk.q
 
 
 def _gap_point(
@@ -143,6 +158,9 @@ class GapDoublingExperiment(SweepExperiment):
     def finalize(self, rows: List[Dict[str, Any]]) -> ExperimentResult:
         valid = sum(row["alpha_window_valid"] for row in rows)
         held = sum(row["bound_holds"] for row in rows)
+        premise = sum(
+            _walk_premise_holds(row["n"], row["k"], row["alpha"]) for row in rows
+        )
         claims = [
             Claim(
                 "k with α inside Lemma 3.4's window",
@@ -155,6 +173,13 @@ class GapDoublingExperiment(SweepExperiment):
                 held,
                 f"all {len(rows)}",
                 held == len(rows),
+            ),
+            Claim(
+                "k where the gap's exact steps at the start fit Lemma 3.2's "
+                "p = 9/k, q = 6α/(nk)",
+                premise,
+                f"all {len(rows)}",
+                premise == len(rows),
             ),
         ]
         return self._result(rows=rows, claims=claims)

@@ -9,7 +9,10 @@ Setup: start from a *plateau configuration* — ``u`` already at
 lemma permits), the rest equal — and measure the first time opinion 1's
 support reaches ``⌈2n/k⌉``, over several seeds.  The measured minimum
 must exceed ``k·n/25``; runs that never reach the target within the
-horizon only reinforce the bound and are reported as censored.
+horizon only reinforce the bound and are reported as censored.  A
+closed-form claim checks Lemma 3.2's premise at the same start: the
+exact step probabilities of ``x_1`` stay within the proof's
+``(p, q) = (5/k, 6.25/k²)``.
 
 The k-grid executes through :mod:`repro.sweep` (one
 :class:`~repro.workloads.sweeps.SweepPoint` per k, seeds derived from
@@ -29,7 +32,12 @@ from ..core import stopping
 from ..core.run import simulate
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed
-from ..theory.lemmas import lemma33_min_interactions, lemma33_thresholds
+from ..theory.drift import opinion_step_probabilities
+from ..theory.lemmas import (
+    lemma33_min_interactions,
+    lemma33_thresholds,
+    lemma33_walk_parameters,
+)
 from ..workloads.initial import plateau_configuration
 from ..workloads.sweeps import SweepPoint
 from .base import Claim, ExperimentResult, SweepExperiment
@@ -91,6 +99,14 @@ def _growth_point(
     }
 
 
+def _walk_premise_holds(n: int, k: int, start_support: int) -> bool:
+    """Lemma 3.2's premise for x_1 at the start: P(move) ≤ p, drift ≤ q."""
+    config = plateau_configuration(n, k, target_opinion_support=start_support)
+    p_up, p_down = opinion_step_probabilities(config, 1)
+    walk = lemma33_walk_parameters(n, k)
+    return p_up + p_down <= walk.p and p_up - p_down <= walk.q
+
+
 class OpinionGrowthExperiment(SweepExperiment):
     """Measured 3n/2k → 2n/k growth times versus the k·n/25 bound."""
 
@@ -124,12 +140,23 @@ class OpinionGrowthExperiment(SweepExperiment):
     def finalize(self, rows: List[Dict[str, Any]]) -> ExperimentResult:
         # a censored run never reached 2n/k, so it cannot break the bound
         held = sum(row["bound_holds"] for row in rows)
+        premise = sum(
+            _walk_premise_holds(row["n"], row["k"], row["start_support"])
+            for row in rows
+        )
         claims = [
             Claim(
                 "k with every 3n/2k → 2n/k growth ≥ kn/25 interactions",
                 held,
                 f"all {len(rows)}",
                 held == len(rows),
-            )
+            ),
+            Claim(
+                "k where x₁'s exact steps at the start fit Lemma 3.2's "
+                "p = 5/k, q = 6.25/k²",
+                premise,
+                f"all {len(rows)}",
+                premise == len(rows),
+            ),
         ]
         return self._result(rows=rows, claims=claims)

@@ -12,6 +12,13 @@ exceedance ``(max_t u(t) − ũ)/√(n log n)``: the lemma says it is below
 grid of ``(n, k)`` with several seeds from the paper's initial
 configuration and reports the worst normalized exceedance per point.
 
+Two closed-form claims check the proof's premises at the same grid:
+the exact drift ``E[Δu]`` is at most ``−√(ln n / n)`` on the line
+``u = ũ + √(n ln n)`` (evaluated with the decided agents split evenly,
+which maximises cancellations and so bounds every configuration on the
+line), and the Oliveto–Witt instance the proof feeds it to meets its
+conditions and survives ``n⁴`` steps.
+
 The (n, k) grid executes through :mod:`repro.sweep` — one
 :class:`~repro.workloads.sweeps.SweepPoint` per cell, per-point seeds
 derived from the root seed and the grid index — so it shards,
@@ -27,10 +34,19 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..analysis.trajectories import undecided_exceedance
+from ..core.configuration import Configuration
 from ..core.run import simulate
+from ..errors import RegimeError
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed
-from ..theory.lemmas import LEMMA31_SLACK_MULTIPLIER, lemma31_ceiling, u_tilde
+from ..theory.drift import expected_undecided_change
+from ..theory.hitting_time import lemma31_oliveto_witt_instance
+from ..theory.lemmas import (
+    LEMMA31_SLACK_MULTIPLIER,
+    lemma31_ceiling,
+    lemma31_drift_margin,
+    u_tilde,
+)
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
 from .base import Claim, ExperimentResult, SweepExperiment
@@ -78,6 +94,30 @@ def _ceiling_point(
     }
 
 
+def _drift_on_line(n: int, k: int) -> Optional[float]:
+    """Exact ``E[Δu]`` at ``u = ⌈ũ + √(n ln n)⌉``, decided agents split evenly.
+
+    ``None`` when ``ũ + √(n ln n) ≥ n``: no configuration lies above
+    the line, so the drift premise holds vacuously.
+    """
+    line = u_tilde(n, k) + math.sqrt(n * math.log(n))
+    if line >= n:
+        return None
+    undecided = math.ceil(line)
+    base, extra = divmod(n - undecided, k)
+    counts = [base + 1] * extra + [base] * (k - extra)
+    return expected_undecided_change(Configuration(counts, undecided=undecided))
+
+
+def _oliveto_witt_holds(n: int) -> bool:
+    """Whether Lemma 3.1's Oliveto–Witt instance applies and survives n⁴."""
+    try:
+        bound = lemma31_oliveto_witt_instance(n)
+    except RegimeError:
+        return False
+    return bound.conditions_hold and bound.survives_at_least(float(n) ** 4)
+
+
 class UndecidedCeilingExperiment(SweepExperiment):
     """Grid validation of the Lemma 3.1 undecided-count ceiling."""
 
@@ -114,6 +154,18 @@ class UndecidedCeilingExperiment(SweepExperiment):
         # u(t) ≤ ũ + (20·132+1)·√(n log n), and in fact O(1)·√(n log n)
         within = sum(row["within_lemma"] for row in rows)
         worst = max(row["max_exceedance_normalized"] for row in rows)
+        # Lemma 3.1's premise: E[Δu] ≤ −√(ln n/n) above ũ + √(n ln n)
+        drifts = [_drift_on_line(row["n"], row["k"]) for row in rows]
+        vacuous = sum(drift is None for drift in drifts)
+        drift_held = sum(
+            drift is None or drift <= -lemma31_drift_margin(row["n"])
+            for row, drift in zip(rows, drifts)
+        )
+        drift_bound = f"all {len(rows)}"
+        if vacuous:
+            drift_bound += f" ({vacuous} vacuous: ũ + √(n ln n) ≥ n)"
+        grid_n = sorted({row["n"] for row in rows})
+        survived = sum(_oliveto_witt_holds(n) for n in grid_n)
         claims = [
             Claim(
                 f"grid points under ũ + {LEMMA31_SLACK_MULTIPLIER}·√(n log n)",
@@ -126,6 +178,19 @@ class UndecidedCeilingExperiment(SweepExperiment):
                 worst,
                 "< 5",
                 worst < 5.0,
+            ),
+            Claim(
+                "grid points with exact E[Δu] ≤ −√(ln n/n) at u = ũ + √(n ln n)",
+                drift_held,
+                drift_bound,
+                drift_held == len(rows),
+            ),
+            Claim(
+                "grid n where the Oliveto–Witt instance meets its conditions "
+                "and survives n⁴ steps",
+                survived,
+                f"all {len(grid_n)}",
+                survived == len(grid_n),
             ),
         ]
         return self._result(rows=rows, claims=claims)

@@ -12,11 +12,8 @@ Seed ensembles of simulation runs execute as a
 which fans its members (seeded ``derive_seed(root_seed, i)``) over
 :func:`parallel_map`; :func:`repro.analysis.usd_stabilization_ensemble`
 is built on it, and the ``fig1-ensemble`` experiment runs its members
-on the sweep executor (below).  :func:`repro.theory.estimate_hitting_time`
-and :func:`repro.theory.estimate_drift_empirically` map
-:func:`repro.rng.spawn_seeds` children with :func:`parallel_map`.  Each
-accepts a ``workers`` argument, as does every registry experiment
-(CLI: ``repro run <id> --workers N``).
+on the sweep executor (below).  Each accepts a ``workers`` argument, as
+does every registry experiment (CLI: ``repro run <id> --workers N``).
 
 On top of the ensemble pool, :func:`parallel_map_completed` surfaces
 each result the moment it completes (still returning input order) —

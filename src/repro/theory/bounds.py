@@ -9,10 +9,8 @@ curves on measured data:
   epoch constant from Theorem 3.5;
 * the Amir et al. (PODC'23) upper bound ``O(k log n)`` parallel time;
 * the trivial ``Ω(log n)`` coupon-collector lower bound;
-* the large-``k`` corollary obtained by plugging in
-  ``k₀ = √n/(log n · log log n)``;
-* the regime predicates (``k = o(√n / log n)``, the bias cap
-  ``O(f(n)·√(n log n))`` with ``f(n) = (√n/(k log n))^(1/4)``).
+* the regime ratio for ``k = o(√n / log n)`` and the bias cap
+  ``O(f(n)·√(n log n))`` with ``f(n) = (√n/(k log n))^(1/4)``.
 
 Logarithms: asymptotic statements use the natural log (constant-factor
 equivalent); the epoch count of Theorem 3.5 counts *doublings* of the
@@ -22,7 +20,6 @@ gap, hence uses log₂ where the proof does.
 from __future__ import annotations
 
 import math
-import warnings
 
 from ..errors import RegimeError
 
@@ -30,7 +27,6 @@ __all__ = [
     "f_n",
     "max_initial_bias",
     "regime_ratio",
-    "check_regime",
     "theorem35_epoch_interactions",
     "theorem35_num_epochs",
     "lower_bound_interactions",
@@ -38,7 +34,6 @@ __all__ = [
     "amir_upper_bound_parallel_time",
     "trivial_lower_bound_parallel_time",
     "paper_k_schedule",
-    "corollary_large_k_parallel_time",
 ]
 
 #: Epoch-length constant of Lemma 3.3 / Theorem 3.5 (τ = k·n / 25).
@@ -82,25 +77,6 @@ def regime_ratio(n: float, k: float) -> float:
     """
     _require_valid(n, k)
     return k * math.log(n) / math.sqrt(n)
-
-
-def check_regime(n: float, k: float, *, strict: bool = False) -> float:
-    """Validate ``(n, k)`` against ``k = o(√n/log n)``; return the ratio.
-
-    Ratios ``>= 1`` are outside the regime: ``strict=True`` raises
-    :class:`repro.errors.RegimeError`, otherwise a warning is emitted
-    (the formulas still evaluate, as finite-n extrapolations).
-    """
-    ratio = regime_ratio(n, k)
-    if ratio >= 1.0:
-        message = (
-            f"(n={n}, k={k}) lies outside the regime k = o(√n/log n) "
-            f"(ratio {ratio:.3f} >= 1); the paper's bounds do not apply"
-        )
-        if strict:
-            raise RegimeError(message)
-        warnings.warn(message, stacklevel=2)
-    return ratio
 
 
 def theorem35_epoch_interactions(n: float, k: float) -> float:
@@ -169,19 +145,3 @@ def paper_k_schedule(n: float) -> int:
         raise RegimeError(f"k schedule needs n >= 16, got {n}")
     value = math.sqrt(n) / (math.log(n) * math.log(math.log(n)))
     return max(2, int(value))
-
-
-def corollary_large_k_parallel_time(n: float) -> float:
-    """The ``k ≥ k₀`` corollary: ``Ω(√n·log log log n / (log n·log log n))``.
-
-    Obtained by plugging ``k₀ = √n/(log n log log n)`` into the main
-    bound (§1.3): valid configurations for ``k₀`` are valid for any
-    larger ``k``.
-    """
-    if n < 5000:
-        raise RegimeError(
-            f"the large-k corollary needs log log log n > 0, i.e. n > exp(e), "
-            f"comfortably; got {n}"
-        )
-    log_n = math.log(n)
-    return math.sqrt(n) * math.log(math.log(log_n)) / (log_n * math.log(log_n))

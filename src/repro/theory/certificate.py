@@ -81,7 +81,8 @@ class LowerBoundCertificate:
     regime_ratio:
         ``k·log n/√n`` — must be ≪ 1.
     u_ceiling:
-        Lemma 3.1's ceiling on u(t) (centre + slack).
+        Lemma 3.1's centre ``ũ``; the ceiling on u(t) adds
+        ``lemma31_slack(n)``.
     lemma33_condition:
         Lemma 3.2's threshold condition for the opinion-growth walk.
     epochs:

@@ -10,7 +10,8 @@ the interval.
 This module evaluates the bound, checks its three conditions, and
 instantiates it with the paper's exact Lemma 3.1 parameters
 (``ℓ = 20·132·√(n log n)``, ``ε = √(log n/n)``, ``r = √5``), verifying
-the claim ``P[T* ≤ n⁴] ≤ O(n⁻⁴)``.
+the claim ``P[T* ≤ n⁴] ≤ O(n⁻⁴)``; ``lem31-ceiling`` states that claim
+at every grid ``n``.
 """
 
 from __future__ import annotations
@@ -53,25 +54,6 @@ class OlivetoWittBound:
     step_scale: float
     exponent: float
     conditions_hold: bool
-
-    @property
-    def survival_time(self) -> float:
-        """The w.h.p. hitting-time lower bound ``exp(exponent)``.
-
-        Returns ``inf`` when the exponent overflows ``float``.
-        """
-        try:
-            return math.exp(self.exponent)
-        except OverflowError:  # pragma: no cover - astronomically large n
-            return math.inf
-
-    @property
-    def failure_probability_scale(self) -> float:
-        """The ``O(exp(−exponent))`` failure-probability scale."""
-        try:
-            return math.exp(-self.exponent)
-        except OverflowError:  # pragma: no cover
-            return 0.0
 
     def survives_at_least(self, steps: float) -> bool:
         """Whether the bound certifies survival beyond ``steps``.

@@ -1,10 +1,10 @@
-"""Quantitative content of Lemmas 3.1, 3.3, 3.4 and Theorem 3.5.
+"""Quantitative content of Lemmas 3.1, 3.3 and 3.4.
 
 Each lemma's thresholds, constants and walk parameters are exposed as
 plain functions/dataclasses so the validation experiments
 (``lem31-ceiling``, ``lem33-growth``, ``lem34-gap``) can compare
 measured trajectories against exactly what the paper proves — not a
-paraphrase of it.
+paraphrase of it — and the Theorem 3.5 certificate can chain them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import RegimeError
-from .bounds import EPOCH_CONSTANT, f_n, max_initial_bias, theorem35_num_epochs
+from .bounds import EPOCH_CONSTANT
 
 __all__ = [
     "u_tilde",
@@ -27,8 +27,6 @@ __all__ = [
     "lemma34_walk_parameters",
     "lemma34_min_interactions",
     "lemma34_alpha_valid",
-    "Theorem35Parameters",
-    "theorem35_parameters",
 ]
 
 #: The Oliveto–Witt constant appearing in Theorem A.1 (exp(εℓ/(132 r²))).
@@ -166,57 +164,3 @@ def lemma34_min_interactions(n: float, k: float) -> float:
     """
     _require(n, k)
     return k * n / 24.0
-
-
-@dataclass(frozen=True)
-class Theorem35Parameters:
-    """All quantities of the Theorem 3.5 induction for concrete ``(n, k)``.
-
-    Attributes
-    ----------
-    n, k:
-        Problem size.
-    f:
-        The bias-headroom factor ``f(n)``.
-    bias_cap:
-        Largest admissible initial bias ``O(f(n)·√(n log n))``.
-    epoch_interactions:
-        Induction epoch length ``τ = k·n/25``.
-    num_epochs:
-        Number of sustained epochs ``ℓ_max``.
-    total_interactions:
-        The lower bound ``τ · ℓ_max``.
-    """
-
-    n: float
-    k: float
-    f: float
-    bias_cap: float
-    epoch_interactions: float
-    num_epochs: float
-    total_interactions: float
-
-    @property
-    def parallel_time(self) -> float:
-        """The lower bound expressed in parallel time."""
-        return self.total_interactions / self.n
-
-
-def theorem35_parameters(
-    n: float, k: float, bias: float | None = None
-) -> Theorem35Parameters:
-    """Evaluate every ingredient of Theorem 3.5 at concrete ``(n, k)``."""
-    _require(n, k)
-    f_value = f_n(n, k)
-    cap = max_initial_bias(n, k)
-    epoch = k * n / EPOCH_CONSTANT
-    epochs = theorem35_num_epochs(n, k, bias)
-    return Theorem35Parameters(
-        n=float(n),
-        k=float(k),
-        f=f_value,
-        bias_cap=cap,
-        epoch_interactions=epoch,
-        num_epochs=epochs,
-        total_interactions=epoch * epochs,
-    )

@@ -1,20 +1,28 @@
 """Unit tests for repro.theory.drift — the proof algebra vs the simulator."""
 
+import numpy as np
 import pytest
 
-from repro import Configuration
+from repro import Configuration, CountsEngine
 from repro.errors import ConfigurationError
+from repro.protocols import UndecidedStateDynamics
+from repro.rng import spawn_seeds
 from repro.theory import (
-    drift_field,
-    estimate_drift_empirically,
-    expected_gap_change,
-    expected_opinion_change,
     expected_undecided_change,
     gap_step_probabilities,
     opinion_step_probabilities,
     undecided_step_probabilities,
 )
-from repro.theory.drift import DriftEstimate
+
+
+def opinion_drift(config, opinion):
+    p_up, p_down = opinion_step_probabilities(config, opinion)
+    return p_up - p_down
+
+
+def gap_drift(config, i, j):
+    p_up, p_down = gap_step_probabilities(config, i, j)
+    return p_up - p_down
 
 
 class TestClosedForms:
@@ -43,10 +51,10 @@ class TestClosedForms:
         threshold = (n - x_i) / 2  # 400
         above = Configuration([x_i, n - x_i - 500], undecided=500)
         below = Configuration([x_i, n - x_i - 300], undecided=300)
-        assert expected_opinion_change(above, 1) > 0
-        assert expected_opinion_change(below, 1) < 0
+        assert opinion_drift(above, 1) > 0
+        assert opinion_drift(below, 1) < 0
         at = Configuration([x_i, n - x_i - int(threshold)], undecided=int(threshold))
-        assert expected_opinion_change(at, 1) == pytest.approx(0.0)
+        assert opinion_drift(at, 1) == pytest.approx(0.0)
 
     def test_gap_drift_proportional_to_gap(self):
         """E[ΔΔ_ij] = 2·Δ_ij·(2u − n + x_i + x_j)/(n(n−1)) — Lemma 3.4's
@@ -56,13 +64,11 @@ class TestClosedForms:
         expected = (
             2.0 * (300 - 200) * (2 * 400 - n + 300 + 200) / (n * (n - 1))
         )
-        assert expected_gap_change(config, 1, 2) == pytest.approx(expected)
+        assert gap_drift(config, 1, 2) == pytest.approx(expected)
 
     def test_gap_antisymmetric(self):
         config = Configuration([300, 200, 100], undecided=400)
-        assert expected_gap_change(config, 1, 2) == pytest.approx(
-            -expected_gap_change(config, 2, 1)
-        )
+        assert gap_drift(config, 1, 2) == pytest.approx(-gap_drift(config, 2, 1))
 
     def test_gap_needs_distinct_opinions(self):
         with pytest.raises(ConfigurationError):
@@ -70,55 +76,72 @@ class TestClosedForms:
 
     def test_equal_supports_have_zero_gap_drift(self):
         config = Configuration([250, 250], undecided=500)
-        assert expected_gap_change(config, 1, 2) == pytest.approx(0.0)
+        assert gap_drift(config, 1, 2) == pytest.approx(0.0)
 
-    def test_drift_field_consistency(self):
+    def test_opinion_drift_closed_form(self):
+        """P(+1) − P(−1) for x_i is 2·x_i·(2u − n + x_i)/(n(n−1))."""
         config = Configuration([40, 30, 20], undecided=10)
-        field = drift_field(config)
-        assert field[0] == pytest.approx(expected_undecided_change(config))
-        for opinion in (1, 2, 3):
-            assert field[opinion] == pytest.approx(
-                expected_opinion_change(config, opinion)
+        n = config.n
+        for opinion, x_i in ((1, 40), (2, 30), (3, 20)):
+            assert opinion_drift(config, opinion) == pytest.approx(
+                2.0 * x_i * (2 * 10 - n + x_i) / (n * (n - 1))
             )
 
     def test_drift_field_conserves_mass(self):
         """E[Δu] + Σ E[Δx_i] = 0: every interaction conserves agents."""
         config = Configuration([40, 30, 20], undecided=10)
-        assert drift_field(config).sum() == pytest.approx(0.0, abs=1e-15)
+        total = expected_undecided_change(config) + sum(
+            opinion_drift(config, opinion) for opinion in (1, 2, 3)
+        )
+        assert total == pytest.approx(0.0, abs=1e-15)
 
 
 class TestEmpiricalCrossValidation:
-    """Monte-Carlo one-step sampling must agree with the closed forms."""
+    """One-interaction samples of the exact engine must agree with the
+    closed forms (within 4 standard errors of the sample mean)."""
 
     @pytest.fixture(scope="class")
     def config(self):
         return Configuration.equal_minorities_with_bias(n=600, k=4, bias=80)
 
+    @staticmethod
+    def one_step_changes(config, read, samples, seed):
+        protocol = UndecidedStateDynamics(k=config.k)
+        base = protocol.encode_configuration(config)
+        changes = []
+        for child in spawn_seeds(seed, samples):
+            engine = CountsEngine(protocol, base, seed=child)
+            before = read(engine.counts)
+            engine.step(1)
+            changes.append(read(engine.counts) - before)
+        return np.asarray(changes, dtype=float)
+
+    @classmethod
+    def assert_consistent(cls, config, read, value, seed, samples=2500):
+        changes = cls.one_step_changes(config, read, samples, seed)
+        std_error = changes.std(ddof=1) / np.sqrt(samples)
+        assert abs(changes.mean() - value) <= 4.0 * max(std_error, 1e-15)
+
     def test_undecided_drift(self, config):
-        estimate = estimate_drift_empirically(
-            config, "undecided", samples=2500, seed=1
+        self.assert_consistent(
+            config,
+            lambda counts: int(counts[0]),
+            expected_undecided_change(config),
+            seed=1,
         )
-        assert estimate.consistent_with(expected_undecided_change(config))
 
     def test_opinion_drift(self, config):
-        estimate = estimate_drift_empirically(
-            config, "opinion", samples=2500, seed=2, opinion=1
+        self.assert_consistent(
+            config,
+            lambda counts: int(counts[1]),
+            opinion_drift(config, 1),
+            seed=2,
         )
-        assert estimate.consistent_with(expected_opinion_change(config, 1))
 
     def test_gap_drift(self, config):
-        estimate = estimate_drift_empirically(
-            config, "gap", samples=2500, seed=3, opinion=1, other=2
+        self.assert_consistent(
+            config,
+            lambda counts: int(counts[1]) - int(counts[2]),
+            gap_drift(config, 1, 2),
+            seed=3,
         )
-        assert estimate.consistent_with(expected_gap_change(config, 1, 2))
-
-    def test_unknown_quantity_rejected(self, config):
-        with pytest.raises(ConfigurationError):
-            estimate_drift_empirically(config, "entropy")
-
-
-class TestDriftEstimate:
-    def test_consistency_band(self):
-        estimate = DriftEstimate(mean=1.0, std_error=0.1, samples=100)
-        assert estimate.consistent_with(1.2, sigmas=3)
-        assert not estimate.consistent_with(2.0, sigmas=3)

@@ -170,6 +170,12 @@ class TestFigure1:
         assert left.wall_seconds > 0
 
 
+def claim_named(result, words):
+    """The one claim whose name contains ``words``."""
+    (claim,) = [claim for claim in result.claims if words in claim.name]
+    return claim
+
+
 class TestLemmaExperiments:
     def test_undecided_ceiling_small(self):
         result = UndecidedCeilingExperiment(
@@ -183,12 +189,29 @@ class TestLemmaExperiments:
         row = result.rows[0]
         assert row["within_lemma"]
         assert row["max_exceedance_normalized"] < 2641
+        # at k = 4, ũ ≈ 1.55·n: no configuration lies above the drift line
+        drift = claim_named(result, "exact E[Δu]")
+        assert drift.holds and drift.value == 1
+        assert "1 vacuous" in drift.bound
+        oliveto_witt = claim_named(result, "Oliveto–Witt")
+        assert oliveto_witt.holds and oliveto_witt.value == 1
+
+    def test_undecided_ceiling_drift_claim_off_the_vacuous_case(self):
+        """At k = 8 the line ũ + √(n ln n) lies below n, and the exact
+        drift there is negative enough: the claim holds on real values."""
+        experiment = UndecidedCeilingExperiment(n_values=(20_000,), k_values=(8,))
+        row = {"n": 20_000, "k": 8, "within_lemma": True}
+        result = experiment.finalize([{**row, "max_exceedance_normalized": 0.5}])
+        drift = claim_named(result, "exact E[Δu]")
+        assert drift.holds and drift.bound == "all 1"
 
     def test_opinion_growth_small(self):
         result = OpinionGrowthExperiment(
             n=3_000, k_values=(4,), num_seeds=2, engine="counts"
         ).run()
         assert_states_claims(result)
+        premise = claim_named(result, "p = 5/k, q = 6.25/k²")
+        assert premise.holds and premise.value == 1
         row = result.rows[0]
         assert row["bound_interactions"] == pytest.approx(4 * 3_000 / 25)
         assert row["censored_runs"] + (
@@ -201,6 +224,8 @@ class TestLemmaExperiments:
             horizon_multiple=4.0,
         ).run()
         assert_states_claims(result)
+        premise = claim_named(result, "p = 9/k, q = 6α/(nk)")
+        assert premise.holds and premise.value == 1
         row = result.rows[0]
         assert row["bound_interactions"] == pytest.approx(4 * 4_000 / 24)
 

@@ -1,88 +1,17 @@
-"""Unit tests for repro.theory.inequalities and repro.theory.hitting_time."""
+"""Unit tests for repro.theory.hitting_time (the Oliveto–Witt bound)."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro import RegimeError
-from repro.theory import (
-    bernstein_tail,
-    chernoff_lower_tail,
-    chernoff_upper_tail,
-    hoeffding_tail,
-    lemma31_oliveto_witt_instance,
-    negative_drift_bound,
-    union_bound,
-    whp_probability,
-)
-
-
-class TestBernstein:
-    def test_formula(self):
-        t, var, magnitude = 10.0, 50.0, 2.0
-        expected = math.exp(-0.5 * 100 / (50 + 2 * 10 / 3))
-        assert bernstein_tail(t, var, magnitude) == pytest.approx(expected)
-
-    def test_capped_at_one(self):
-        assert bernstein_tail(0.0, 10.0, 1.0) == 1.0
-
-    def test_degenerate_variance(self):
-        assert bernstein_tail(1.0, 0.0, 0.0) == 0.0
-        assert bernstein_tail(0.0, 0.0, 0.0) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(RegimeError):
-            bernstein_tail(-1.0, 1.0, 1.0)
-
-    def test_empirically_valid_for_bernoulli_sums(self):
-        """The bound must dominate the empirical tail of a centered
-        Bernoulli sum."""
-        rng = np.random.default_rng(0)
-        count, p_success, t = 400, 0.3, 30.0
-        sums = rng.binomial(count, p_success, size=4000) - count * p_success
-        empirical = float(np.mean(sums >= t))
-        bound = bernstein_tail(t, count * p_success * (1 - p_success), 1.0)
-        assert empirical <= bound + 0.01
-
-
-class TestOtherInequalities:
-    def test_hoeffding(self):
-        assert hoeffding_tail(10.0, 100, 1.0) == pytest.approx(
-            math.exp(-2 * 100 / 100)
-        )
-        with pytest.raises(RegimeError):
-            hoeffding_tail(1.0, 0, 1.0)
-
-    def test_chernoff_upper(self):
-        assert chernoff_upper_tail(100.0, 0.5) == pytest.approx(
-            math.exp(-0.25 * 100 / 2.5)
-        )
-        assert chernoff_upper_tail(0.0, 0.0) == 1.0
-
-    def test_chernoff_lower(self):
-        assert chernoff_lower_tail(100.0, 0.5) == pytest.approx(
-            math.exp(-0.25 * 100 / 2)
-        )
-        with pytest.raises(RegimeError):
-            chernoff_lower_tail(100.0, 1.5)
-
-    def test_whp(self):
-        assert whp_probability(100, 2) == pytest.approx(1 - 1e-4)
-        with pytest.raises(RegimeError):
-            whp_probability(1, 1)
-
-    def test_union_bound(self):
-        assert union_bound(0.001, 50) == pytest.approx(0.05)
-        assert union_bound(0.5, 10) == 1.0
+from repro.theory import lemma31_oliveto_witt_instance, negative_drift_bound
 
 
 class TestOlivetoWitt:
     def test_exponent_formula(self):
         bound = negative_drift_bound(interval_length=1320.0, drift=0.1, step_scale=1.0)
         assert bound.exponent == pytest.approx(0.1 * 1320 / 132)
-        assert bound.survival_time == pytest.approx(math.exp(1.0))
-        assert bound.failure_probability_scale == pytest.approx(math.exp(-1.0))
 
     def test_validation(self):
         with pytest.raises(RegimeError):

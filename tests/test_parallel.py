@@ -6,8 +6,6 @@ for every worker count — ``workers=0`` (in-process), ``workers=1`` and
 order regardless of completion order.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -19,8 +17,6 @@ from repro.parallel import (
     resolve_workers,
 )
 from repro.rng import derive_seed, make_rng, spawn_seeds
-from repro.theory.drift import estimate_drift_empirically
-from repro.theory.random_walks import LazyRandomWalk, estimate_hitting_time
 
 
 def echo_task(item):
@@ -129,35 +125,6 @@ class TestStabilizationEnsembleParallel:
         )
         assert ensemble.num_undetermined == 0
         assert ensemble.decided_winners.size == ensemble.times.size
-
-
-class TestTheoryEstimatorsParallel:
-    def test_hitting_time_workers_bit_identical(self):
-        walk = LazyRandomWalk(0.5, 0.1)
-        serial = estimate_hitting_time(
-            walk, 20, runs=8, max_steps=2_000, seed=3, workers=0
-        )
-        pooled = estimate_hitting_time(
-            walk, 20, runs=8, max_steps=2_000, seed=3, workers=2
-        )
-        assert np.array_equal(serial.times, pooled.times)
-        assert serial.censored == pooled.censored
-
-    def test_constant_parameter_walk_is_picklable(self):
-        walk = LazyRandomWalk(0.5, 0.1)
-        clone = pickle.loads(pickle.dumps(walk))
-        assert clone.probabilities(0) == walk.probabilities(0)
-
-    def test_drift_workers_bit_identical(self):
-        config = Configuration([40, 30], undecided=30)
-        serial = estimate_drift_empirically(
-            config, "undecided", samples=40, seed=7, workers=0
-        )
-        pooled = estimate_drift_empirically(
-            config, "undecided", samples=40, seed=7, workers=2
-        )
-        assert serial.mean == pooled.mean
-        assert serial.std_error == pooled.std_error
 
 
 class TestExperimentWorkersParameter:

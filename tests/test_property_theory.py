@@ -9,11 +9,21 @@ from hypothesis import strategies as st
 from repro import Configuration
 from repro.gossip import monochromatic_distance, three_majority_distribution
 from repro.theory import (
-    drift_field,
-    expected_gap_change,
-    lemma32_tail_bound,
-    simulate_coupled_walks,
+    expected_undecided_change,
+    gap_step_probabilities,
+    opinion_step_probabilities,
 )
+
+
+def opinion_drift(config, opinion):
+    p_up, p_down = opinion_step_probabilities(config, opinion)
+    return p_up - p_down
+
+
+def gap_drift(config, i, j):
+    p_up, p_down = gap_step_probabilities(config, i, j)
+    return p_up - p_down
+
 
 config_strategy = st.builds(
     Configuration,
@@ -26,13 +36,14 @@ class TestDriftProperties:
     @given(config_strategy)
     @settings(max_examples=200)
     def test_drift_conserves_mass(self, config):
-        assert abs(drift_field(config).sum()) < 1e-12
+        drifts = [opinion_drift(config, i) for i in range(1, config.k + 1)]
+        assert abs(expected_undecided_change(config) + sum(drifts)) < 1e-12
 
     @given(config_strategy, st.data())
     def test_gap_drift_sign_tracks_gap_sign(self, config, data):
         i = data.draw(st.integers(1, config.k))
         j = data.draw(st.integers(1, config.k).filter(lambda v: v != i))
-        drift = expected_gap_change(config, i, j)
+        drift = gap_drift(config, i, j)
         gap = config.gap(i, j)
         factor = 2 * config.undecided - config.n + config.x(i) + config.x(j)
         # drift = 2·gap·factor/(n(n−1)): sign must multiply out.
@@ -44,36 +55,7 @@ class TestDriftProperties:
     def test_gap_drift_antisymmetry(self, config, data):
         i = data.draw(st.integers(1, config.k))
         j = data.draw(st.integers(1, config.k).filter(lambda v: v != i))
-        assert expected_gap_change(config, i, j) == -expected_gap_change(
-            config, j, i
-        )
-
-
-class TestWalkProperties:
-    @given(
-        st.floats(0.05, 1.0),
-        st.floats(0.0, 0.04),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_coupling_domination(self, p, q_cap, seed):
-        walk, majorant = simulate_coupled_walks(
-            p=p, q=lambda t: q_cap * math.sin(t), q_cap=q_cap, steps=300, seed=seed
-        )
-        assert np.all(majorant >= walk)
-        assert abs(int(walk[-1])) <= 300
-
-    @given(
-        st.floats(10.0, 1000.0),
-        st.floats(0.2, 1.0),
-        st.floats(0.001, 0.1),
-        st.floats(0.0, 10_000.0),
-    )
-    def test_tail_bound_is_probability(self, target, p, q, steps):
-        if q > p:
-            return
-        value = lemma32_tail_bound(target, p, q, steps)
-        assert 0.0 <= value <= 1.0
+        assert gap_drift(config, i, j) == -gap_drift(config, j, i)
 
 
 class TestGossipProperties:

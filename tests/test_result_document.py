@@ -141,6 +141,42 @@ def test_experiment_document_round_trips():
     assert document_bytes(to_document(rebuilt, spec)) == document_bytes(document)
 
 
+@pytest.mark.parametrize(
+    "name, params, field, claim_name",
+    [
+        (
+            "fig1-left",
+            {"n": 1000, "max_parallel_time": 3.0},
+            "amir_band_violation_in_sqrt_nlogn",
+            "Amir et al.'s band",
+        ),
+        (
+            "fig1-ensemble",
+            {"n": 400, "k": 2, "bias": 300, "num_seeds": 2},
+            "mean_u_plateau_dev_in_sqrt_nlogn",
+            "settled window",
+        ),
+    ],
+)
+def test_experiment_with_empty_settled_window_round_trips(
+    name, params, field, claim_name
+):
+    """A run too short to have a settled window records its band
+    measurement as ``None`` (not NaN), so its document builds; the
+    claim on it reads ``null`` and fails."""
+    spec = ExperimentSpec(name=name, params=params)
+    result = run_spec(spec)
+    assert result.result.rows[0][field] is None
+    document = to_document(result, spec)
+    (claim,) = [
+        claim for claim in document["outcome"]["claims"] if claim_name in claim["name"]
+    ]
+    assert claim["value"] is None and claim["holds"] is False
+    rebuilt = result_from_document(json.loads(json.dumps(document)))
+    assert rebuilt.rows[0][field] is None
+    assert document_bytes(to_document(rebuilt, spec)) == document_bytes(document)
+
+
 def test_experiment_document_without_claims_round_trips_bit_for_bit():
     """An experiment document written before experiments stated claims
     has no ``outcome.claims``; it loads with none and re-renders to the

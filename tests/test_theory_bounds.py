@@ -1,15 +1,12 @@
 """Unit tests for repro.theory.bounds."""
 
 import math
-import warnings
 
 import pytest
 
 from repro import RegimeError
 from repro.theory import (
     amir_upper_bound_parallel_time,
-    check_regime,
-    corollary_large_k_parallel_time,
     f_n,
     lower_bound_interactions,
     lower_bound_parallel_time,
@@ -50,20 +47,6 @@ class TestRegime:
     def test_ratio_definition(self):
         n, k = 1e6, 27
         assert regime_ratio(n, k) == pytest.approx(k * math.log(n) / math.sqrt(n))
-
-    def test_check_inside_regime_is_quiet(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ratio = check_regime(1e6, 10)
-        assert ratio < 1
-
-    def test_check_outside_regime_warns(self):
-        with pytest.warns(UserWarning):
-            check_regime(10_000, 80)
-
-    def test_check_outside_regime_strict_raises(self):
-        with pytest.raises(RegimeError):
-            check_regime(10_000, 80, strict=True)
 
 
 class TestTheorem35:
@@ -132,13 +115,3 @@ class TestContextBounds:
     def test_paper_k_schedule_monotone(self):
         values = [paper_k_schedule(n) for n in (1e4, 1e5, 1e6, 1e7, 1e8)]
         assert values == sorted(values)
-
-    def test_corollary_positive_and_growing(self):
-        assert corollary_large_k_parallel_time(1e6) > 0
-        assert corollary_large_k_parallel_time(1e10) > corollary_large_k_parallel_time(
-            1e6
-        )
-
-    def test_corollary_rejects_small_n(self):
-        with pytest.raises(RegimeError):
-            corollary_large_k_parallel_time(100)

@@ -18,7 +18,6 @@ from repro.theory import (
     lemma34_alpha_valid,
     lemma34_min_interactions,
     lemma34_walk_parameters,
-    theorem35_parameters,
     u_tilde,
 )
 
@@ -124,20 +123,3 @@ class TestLemma34:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(RegimeError):
             lemma34_walk_parameters(1e6, 27, 0)
-
-
-class TestTheorem35Parameters:
-    def test_bundle_consistency(self):
-        params = theorem35_parameters(1e8, 30)
-        assert params.total_interactions == pytest.approx(
-            params.epoch_interactions * params.num_epochs
-        )
-        assert params.parallel_time == pytest.approx(
-            params.total_interactions / params.n
-        )
-        assert params.epoch_interactions == pytest.approx(30 * 1e8 / 25)
-
-    def test_explicit_bias_reduces_epochs(self):
-        default = theorem35_parameters(1e8, 30)
-        small_bias = theorem35_parameters(1e8, 30, bias=1000)
-        assert small_bias.num_epochs > default.num_epochs
