@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro import Configuration, UndecidedStateDynamics, simulate
 from repro.experiments import ascii_line_plot
+from repro.theory import undecided_plateau
 from repro.workloads import paper_bias
 
 
@@ -39,7 +40,7 @@ def main() -> None:
     print(f"engine:     {result.engine_name} ({result.wall_seconds:.2f}s wall)")
 
     trace = result.trace
-    plateau = n / 2 - n / (4 * k)
+    plateau = undecided_plateau(n, k)
     print()
     print(
         ascii_line_plot(

@@ -137,7 +137,7 @@ from .protocols import (
     VoterModel,
 )
 from .errors import ParallelError, SpecError, SweepError
-from .rng import derive_seed, make_rng, spawn, spawn_many, spawn_seeds
+from .rng import derive_seed, make_rng, spawn_seeds
 from .specs import (
     EnsembleSpec,
     InitialSpec,
@@ -192,8 +192,6 @@ __all__ = [
     # rng
     "derive_seed",
     "make_rng",
-    "spawn",
-    "spawn_many",
     "spawn_seeds",
     # specs
     "EnsembleSpec",

@@ -1,12 +1,6 @@
 """Analysis: ensemble statistics, trajectory post-processing, scaling fits."""
 
-from .ensembles import (
-    EnsembleBand,
-    align_series,
-    ensemble_band,
-    ensemble_band_from_series,
-    trace_quantity,
-)
+from .ensembles import EnsembleBand, ensemble_band_from_series
 from .scaling import (
     CANDIDATE_LAWS,
     ScalingComparison,
@@ -29,7 +23,6 @@ from .trajectories import (
     UndecidedExceedance,
     doubling_time,
     majority_minority_gap_series,
-    max_gap_series,
     minority_band,
     threshold_crossing_time,
     undecided_exceedance,
@@ -44,17 +37,13 @@ __all__ = [
     "Summary",
     "UNDETERMINED_WINNER",
     "UndecidedExceedance",
-    "align_series",
     "compare_scaling_laws",
     "doubling_time",
-    "ensemble_band",
     "ensemble_band_from_series",
-    "trace_quantity",
     "fit_linear",
     "fit_proportional",
     "law_value",
     "majority_minority_gap_series",
-    "max_gap_series",
     "minority_band",
     "summarize",
     "threshold_crossing_time",

@@ -3,9 +3,8 @@
 Figure 1 of the paper is a single run; its observations (the u-plateau,
 the slow gap growth, the late surge) are *distributional*.  This module
 aggregates many independent runs onto a common parallel-time grid and
-produces per-quantity mean/band curves, so the `fig1-ensemble`
-experiment can state those observations with error bars instead of one
-sample path.
+produces a mean/band curve, so the `fig1-ensemble` experiment can state
+those observations with error bars instead of one sample path.
 
 Alignment: runs stabilize at different times, so each trajectory is
 interpolated onto a shared grid; after a run's own final snapshot its
@@ -16,65 +15,13 @@ exact, not an approximation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.recorder import Trace
 from ..errors import ExperimentError
 
-__all__ = [
-    "EnsembleBand",
-    "align_series",
-    "ensemble_band",
-    "ensemble_band_from_series",
-    "trace_quantity",
-]
-
-#: Extractors for the standard Figure-1 quantities.
-_QUANTITIES: Dict[str, Callable[[Trace], np.ndarray]] = {
-    "undecided": lambda trace: trace.undecided_series().astype(float),
-    "majority": lambda trace: trace.opinion_series(1).astype(float),
-    "max_gap": lambda trace: (
-        trace.opinion_matrix().max(axis=1) - trace.opinion_matrix().min(axis=1)
-    ).astype(float),
-}
-
-
-def trace_quantity(trace: Trace, quantity: str) -> np.ndarray:
-    """Extract a named standard quantity (``undecided``/``majority``/``max_gap``)."""
-    try:
-        extractor = _QUANTITIES[quantity]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown ensemble quantity {quantity!r}; "
-            f"choose from {sorted(_QUANTITIES)}"
-        ) from None
-    return extractor(trace)
-
-
-def align_series(
-    traces: Sequence[Trace],
-    quantity: str,
-    grid: np.ndarray,
-) -> np.ndarray:
-    """Interpolate one quantity of every trace onto ``grid`` (parallel time).
-
-    Returns a ``(runs, len(grid))`` matrix.  Beyond a run's last
-    snapshot the final value is held (absorbed configurations cannot
-    change), and before its first snapshot the initial value is held.
-    """
-    if not traces:
-        raise ExperimentError("need at least one trace to align")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) < 0):
-        raise ExperimentError("grid must be a non-empty non-decreasing 1-D array")
-    rows = []
-    for trace in traces:
-        times = trace.parallel_times
-        values = trace_quantity(trace, quantity)
-        rows.append(np.interp(grid, times, values))
-    return np.vstack(rows)
+__all__ = ["EnsembleBand", "ensemble_band_from_series"]
 
 
 @dataclass(frozen=True)
@@ -99,10 +46,6 @@ class EnsembleBand:
     upper: np.ndarray
     runs: int
 
-    def max_band_width(self) -> float:
-        """Largest vertical extent of the band — a dispersion summary."""
-        return float((self.upper - self.lower).max())
-
 
 def ensemble_band_from_series(
     series: Sequence[Sequence[Sequence[float]]],
@@ -112,12 +55,14 @@ def ensemble_band_from_series(
 ) -> EnsembleBand:
     """Aggregate raw ``(times, values)`` pairs into a mean ± quantile band.
 
-    The series-level core of :func:`ensemble_band`, for callers whose
-    trajectories are no longer :class:`~repro.core.recorder.Trace`
-    objects (e.g. sweep-checkpoint rows holding downsampled polylines).
-    The grid spans [0, max last time across runs]; outside a run's own
-    time range its boundary value is held, matching
-    :func:`align_series`'s absorbed-run semantics.
+    Each pair is one run's trajectory (for a
+    :class:`~repro.core.recorder.Trace`, e.g.
+    ``(trace.parallel_times, trace.undecided_series())``; for a
+    sweep-checkpoint row, its downsampled polyline).  The grid spans
+    [0, max last time across runs]; outside a run's own time range its
+    boundary value is held (an absorbed run cannot change).  The band
+    runs from the ``quantile`` to the ``1 − quantile`` ensemble quantile
+    at each grid point.
     """
     if not series:
         raise ExperimentError("need at least one series to aggregate")
@@ -138,29 +83,4 @@ def ensemble_band_from_series(
         lower=np.quantile(matrix, quantile, axis=0),
         upper=np.quantile(matrix, 1.0 - quantile, axis=0),
         runs=matrix.shape[0],
-    )
-
-
-def ensemble_band(
-    traces: Sequence[Trace],
-    quantity: str,
-    *,
-    grid_points: int = 200,
-    quantile: float = 0.1,
-) -> EnsembleBand:
-    """Aggregate ``quantity`` over traces into a mean ± quantile band.
-
-    The grid spans [0, max stabilized parallel time across runs]; the
-    band runs from the ``quantile`` to the ``1 − quantile`` ensemble
-    quantile at each grid point.
-    """
-    if not traces:
-        raise ExperimentError("need at least one trace to align")
-    return ensemble_band_from_series(
-        [
-            (trace.parallel_times, trace_quantity(trace, quantity))
-            for trace in traces
-        ],
-        grid_points=grid_points,
-        quantile=quantile,
     )

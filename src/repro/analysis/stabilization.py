@@ -90,11 +90,6 @@ class StabilizationEnsemble:
         return self.num_undetermined / self.runs
 
     @property
-    def decided_winners(self) -> np.ndarray:
-        """Winners of the runs that ended in a real consensus (sentinel-free)."""
-        return self.winners[self.winners != UNDETERMINED_WINNER]
-
-    @property
     def majority_win_fraction(self) -> float:
         """Fraction of *all* runs in which opinion 1 won."""
         if self.runs == 0:

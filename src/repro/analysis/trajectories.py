@@ -25,7 +25,6 @@ from ..theory.lemmas import u_tilde
 __all__ = [
     "threshold_crossing_time",
     "doubling_time",
-    "max_gap_series",
     "majority_minority_gap_series",
     "minority_band",
     "UndecidedExceedance",
@@ -60,12 +59,6 @@ def doubling_time(trace: Trace, opinion: int = 1) -> Optional[float]:
         raise ReproError(f"opinion {opinion} starts with no support")
     crossing = threshold_crossing_time(trace.times, series, 2 * initial)
     return None if crossing is None else crossing / trace.n
-
-
-def max_gap_series(trace: Trace) -> np.ndarray:
-    """``max_{i,j}(x_i − x_j)`` per snapshot — Lemma 3.4's quantity."""
-    opinions = trace.opinion_matrix()
-    return opinions.max(axis=1) - opinions.min(axis=1)
 
 
 def majority_minority_gap_series(trace: Trace) -> np.ndarray:

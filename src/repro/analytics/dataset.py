@@ -113,10 +113,6 @@ class ExportReport:
     rows: int = 0
     skipped: List[Tuple[str, str]] = field(default_factory=list)
 
-    @property
-    def total_runs(self) -> int:
-        return self.exported + self.unchanged + self.summary_only
-
 
 def _record_skip(report: ExportReport, path: Any, reason: str, on_skip) -> None:
     obs_metrics.REGISTRY.inc("analytics_scan_skipped_total")
@@ -488,11 +484,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self._manifest.get("runs", {}))
-
-    @property
-    def export_skips(self) -> List[Tuple[str, str]]:
-        """Skips recorded by the last export (from the manifest)."""
-        return [tuple(item) for item in self._manifest.get("skipped", [])]
 
     def _skip(self, record: Dict[str, Any], reason: str) -> None:
         path = str(record.get("fragment") or record.get("run_key"))

@@ -239,54 +239,27 @@ def build_parser() -> argparse.ArgumentParser:
     meanfield = commands.add_parser(
         "meanfield",
         help=(
-            "mean-field tools for a scenario file: fixed-points / "
-            "timescales (run the surrogate tier with repro run --spec F "
+            "mean-field tools for a scenario file: fixed-points (for ODE "
+            "timescales run the surrogate tier: repro run --spec F "
             "--fidelity surrogate)"
         ),
     )
     meanfield_commands = meanfield.add_subparsers(
         dest="meanfield_command", required=True
     )
-    for name, description in (
-        (
-            "fixed-points",
-            "classify the USD fluid-limit fixed points at the scenario's k",
-        ),
-        (
-            "timescales",
-            "print the ODE-predicted plateau/doubling/consensus times",
-        ),
-    ):
-        sub = meanfield_commands.add_parser(name, help=description)
-        sub.add_argument(
-            "spec_file", type=Path, help="a JSON scenario file (see --spec)"
-        )
-        sub.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="apply a dotted override before resolving",
-        )
-        if name == "timescales":
-            sub.add_argument(
-                "--horizon",
-                type=float,
-                default=None,
-                metavar="T",
-                help=(
-                    "integration horizon in parallel time (default: the "
-                    "scenario's own horizon)"
-                ),
-            )
-            sub.add_argument(
-                "--tolerance",
-                type=float,
-                default=1e-3,
-                metavar="EPS",
-                help="event tolerance in fraction units (default 1e-3)",
-            )
+    sub = meanfield_commands.add_parser(
+        "fixed-points",
+        help="classify the USD fluid-limit fixed points at the scenario's k",
+    )
+    sub.add_argument("spec_file", type=Path, help="a JSON scenario file (see --spec)")
+    sub.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="apply a dotted override before resolving",
+    )
 
     spec = commands.add_parser(
         "spec", help="inspect scenario files: show / validate / hash"
@@ -910,57 +883,29 @@ def _run_meanfield_command(args: Any) -> None:
     from .meanfield import (
         classify_fixed_point,
         consensus_fixed_point,
-        predict_timescales,
         symmetric_interior_fixed_point,
         undecided_fixed_point_fraction,
         undecided_plateau_fraction,
     )
 
-    spec = _meanfield_template_spec(args)
-    k = spec.protocol.k
-    if args.meanfield_command == "fixed-points":
-        v_star = undecided_fixed_point_fraction(k)
-        print(f"k                    {k}")
-        print(f"undecided v*         {v_star:.6f}  ((k-1)/(2k-1))")
+    k = _meanfield_template_spec(args).protocol.k
+    v_star = undecided_fixed_point_fraction(k)
+    print(f"k                    {k}")
+    print(f"undecided v*         {v_star:.6f}  ((k-1)/(2k-1))")
+    print(
+        f"paper plateau        {undecided_plateau_fraction(k):.6f}"
+        "  (1/2 - 1/(4k))"
+    )
+    for label, point in (
+        ("symmetric interior", symmetric_interior_fixed_point(k)),
+        ("consensus (winner 1)", consensus_fixed_point(k)),
+    ):
+        cls = classify_fixed_point(point)
+        status = "stable" if cls.stable else "unstable"
         print(
-            f"paper plateau        {undecided_plateau_fraction(k):.6f}"
-            "  (1/2 - 1/(4k))"
+            f"{label:<20} {status} "
+            f"({cls.unstable_directions} unstable directions)"
         )
-        for label, point in (
-            ("symmetric interior", symmetric_interior_fixed_point(k)),
-            ("consensus (winner 1)", consensus_fixed_point(k)),
-        ):
-            cls = classify_fixed_point(point)
-            status = "stable" if cls.stable else "unstable"
-            print(
-                f"{label:<20} {status} "
-                f"({cls.unstable_directions} unstable directions)"
-            )
-        return
-
-    # timescales
-    from .core.configuration import Configuration
-
-    if spec.protocol.name != "usd":
-        raise ReproError(
-            "meanfield timescales integrate the USD fluid limit; the "
-            f"scenario's protocol is {spec.protocol.name!r}"
-        )
-    horizon = args.horizon
-    if horizon is None:
-        horizon = spec.resolved_horizon() / spec.n
-    initial = Configuration.from_state_counts(
-        list(spec.canonical_state_counts())
-    )
-    times = predict_timescales(
-        initial, horizon=horizon, tolerance=args.tolerance
-    )
-    print(f"horizon              {times.horizon:g} parallel time")
-    print(f"plateau entry        {times.plateau_entry}")
-    print(f"majority doubling    {times.majority_doubling}")
-    print(f"consensus            {times.consensus}")
-    ratio = times.doubling_fraction_of_consensus
-    print(f"doubling/consensus   {None if ratio is None else round(ratio, 4)}")
 
 
 def _run_sweep_status(args: Any) -> None:

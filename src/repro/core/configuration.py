@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -128,42 +128,6 @@ class Configuration:
             counts[1 + offset % (k - 1)] += 1
         return cls(counts)
 
-    @classmethod
-    def single_opinion(cls, n: int, k: int, winner: int = 1) -> "Configuration":
-        """A consensus configuration: everyone holds opinion ``winner``."""
-        if not 1 <= winner <= k:
-            raise ConfigurationError(f"winner must be in 1..{k}, got {winner}")
-        counts = np.zeros(k, dtype=np.int64)
-        counts[winner - 1] = n
-        return cls(counts)
-
-    @classmethod
-    def all_undecided(cls, n: int, k: int) -> "Configuration":
-        """The absorbing failure configuration: every agent undecided."""
-        return cls(np.zeros(k, dtype=np.int64), undecided=n)
-
-    @classmethod
-    def from_fractions(
-        cls, n: int, fractions: Sequence[float], undecided_fraction: float = 0.0
-    ) -> "Configuration":
-        """Build from opinion *fractions*, rounding to integer counts.
-
-        The fractions (plus ``undecided_fraction``) must sum to 1 within
-        a small tolerance.  Rounding residue goes to the largest
-        fraction, so the total is exactly ``n``.
-        """
-        frac = np.asarray(fractions, dtype=float)
-        total = float(frac.sum()) + undecided_fraction
-        if not np.isclose(total, 1.0, atol=1e-9):
-            raise ConfigurationError(f"fractions must sum to 1, got {total}")
-        if np.any(frac < 0) or undecided_fraction < 0:
-            raise ConfigurationError("fractions must be non-negative")
-        counts = np.floor(frac * n).astype(np.int64)
-        undecided = int(np.floor(undecided_fraction * n))
-        residue = n - int(counts.sum()) - undecided
-        counts[int(np.argmax(frac))] += residue
-        return cls(counts, undecided=undecided)
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -234,16 +198,6 @@ class Configuration:
         """``max_{i,j} (x_i - x_j)`` = (largest support) − (smallest support)."""
         return int(self._x.max() - self._x.min())
 
-    def majority_minority_gap(self) -> int:
-        """Figure 1 (right)'s ``max_{j>=2} (x_1 - x_j)`` with opinion 1 fixed.
-
-        Measures how far the designated majority has pulled ahead of the
-        weakest other opinion.  Requires ``k >= 2``.
-        """
-        if self.k < 2:
-            raise ConfigurationError("majority/minority gap needs k >= 2")
-        return int(self._x[0] - self._x[1:].min())
-
     def plurality_winner(self) -> Optional[int]:
         """The unique opinion with the largest support (1-based), or ``None`` on a tie."""
         top = self._x.max()
@@ -251,10 +205,6 @@ class Configuration:
         if top == 0 or winners.size != 1:
             return None
         return int(winners[0]) + 1
-
-    def alive_opinions(self) -> Tuple[int, ...]:
-        """1-based indices of opinions with non-zero support."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self._x > 0))
 
     def is_consensus(self) -> bool:
         """True when every agent holds the same opinion (and none undecided)."""
@@ -286,30 +236,9 @@ class Configuration:
     # Functional modifiers
     # ------------------------------------------------------------------
 
-    def with_opinion_count(self, i: int, value: int) -> "Configuration":
-        """Return a copy with opinion ``i`` (1-based) set to ``value``."""
-        if not 1 <= i <= self.k:
-            raise ConfigurationError(f"opinion index must be in 1..{self.k}, got {i}")
-        counts = self._x.copy()
-        counts[i - 1] = value
-        return Configuration(counts, undecided=self._u)
-
-    def with_undecided(self, value: int) -> "Configuration":
-        """Return a copy with the undecided count set to ``value``."""
-        return Configuration(self._x.copy(), undecided=value)
-
     def sorted(self) -> "Configuration":
         """Return a copy with opinions relabelled into non-increasing support order."""
         return Configuration(self.support_sorted(), undecided=self._u)
-
-    def merge_opinions(self, into: int, frm: int) -> "Configuration":
-        """Move all support of opinion ``frm`` onto opinion ``into`` (both 1-based)."""
-        if into == frm:
-            return self
-        counts = self._x.copy()
-        counts[into - 1] += counts[frm - 1]
-        counts[frm - 1] = 0
-        return Configuration(counts, undecided=self._u)
 
     # ------------------------------------------------------------------
     # Dunder plumbing

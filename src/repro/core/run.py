@@ -165,7 +165,6 @@ def make_engine(
     engine: str = "auto",
     seed: SeedLike = None,
     backend: Optional[str] = None,
-    **engine_kwargs: Any,
 ) -> BaseEngine:
     """Construct an engine from a protocol and an initial condition.
 
@@ -198,7 +197,7 @@ def make_engine(
             raise SimulationError(
                 f"unknown engine {engine!r}; choose from {sorted(_ENGINES)} or 'auto'"
             ) from None
-    return engine_cls(protocol, counts, seed=seed, backend=backend, **engine_kwargs)
+    return engine_cls(protocol, counts, seed=seed, backend=backend)
 
 
 def resolve_engine_name(engine: str, n: int) -> str:
@@ -232,7 +231,6 @@ def simulate(
     metadata: Optional[Dict[str, Any]] = None,
     obs: Optional[ObsConfig] = None,
     _spec: Any = None,
-    **engine_kwargs: Any,
 ) -> RunResult:
     """Run ``protocol`` from ``initial`` and return a :class:`RunResult`.
 
@@ -325,13 +323,10 @@ def simulate(
             persist_chunk_snapshots=persist_chunk_snapshots,
             persist_window=persist_window,
             metadata=metadata,
-            engine_kwargs=engine_kwargs,
             obs=obs,
         )
 
-    eng = make_engine(
-        protocol, initial, engine=engine, seed=seed, backend=backend, **engine_kwargs
-    )
+    eng = make_engine(protocol, initial, engine=engine, seed=seed, backend=backend)
     if (max_interactions is None) == (max_parallel_time is None):
         raise SimulationError(
             "specify exactly one of max_interactions / max_parallel_time"

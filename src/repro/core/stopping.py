@@ -2,62 +2,22 @@
 
 A stopping condition is any callable taking an engine (anything
 satisfying :class:`repro.types.SupportsCounts`) and returning ``True``
-to halt.  This module provides the conditions the experiments need —
-stabilization, output consensus, the opinion-growth and gap-doubling
-targets of Lemmas 3.3 and 3.4 — plus boolean combinators.
+to halt.  This module provides the targets the experiments need: the
+opinion-growth and gap-doubling events of Lemmas 3.3 and 3.4 and the
+undecided-count threshold of Lemma 3.1.  Absorption needs no predicate
+(every run loop stops at it), and conditions combine with a plain
+``lambda engine: p(engine) or q(engine)``.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from ..errors import ProtocolError
 from ..types import StopPredicate, SupportsCounts
-from .protocol import OpinionProtocol, PopulationProtocol
+from .protocol import OpinionProtocol
 
-__all__ = [
-    "stabilized",
-    "output_consensus",
-    "opinion_reached",
-    "gap_reached",
-    "undecided_reached",
-    "any_of",
-    "all_of",
-]
-
-
-def stabilized(engine: SupportsCounts) -> bool:
-    """True once the configuration can never change again.
-
-    Uses the engine's cheap ``is_absorbed`` flag when available, falling
-    back to the protocol-level absorbing check.
-    """
-    flag = getattr(engine, "is_absorbed", None)
-    if flag is not None:
-        return bool(flag)
-    protocol = getattr(engine, "protocol", None)  # pragma: no cover - fallback
-    if protocol is None:
-        raise ProtocolError("engine exposes neither is_absorbed nor protocol")
-    return protocol.is_absorbing(engine.counts)  # pragma: no cover
-
-
-def output_consensus(protocol: PopulationProtocol) -> StopPredicate:
-    """All *present* states map to the same output under γ.
-
-    This is weaker than stabilization: a USD configuration with one
-    opinion plus undecided agents is not yet output-consensual (⊥ has
-    its own output), while a voter-model configuration is consensual
-    exactly when one state remains.
-    """
-    outputs = np.array([protocol.output(s) for s in range(protocol.num_states)])
-
-    def predicate(engine: SupportsCounts) -> bool:
-        present = outputs[np.asarray(engine.counts) > 0]
-        return present.size > 0 and bool(np.all(present == present[0]))
-
-    return predicate
+__all__ = ["opinion_reached", "gap_reached", "undecided_reached"]
 
 
 def opinion_reached(
@@ -97,30 +57,3 @@ def undecided_reached(protocol: OpinionProtocol, threshold: int) -> StopPredicat
         return int(engine.counts[0]) >= threshold
 
     return predicate
-
-
-def any_of(*predicates: StopPredicate) -> StopPredicate:
-    """Stop when any of the given conditions fires."""
-    preds = _flatten(predicates)
-
-    def predicate(engine: SupportsCounts) -> bool:
-        return any(p(engine) for p in preds)
-
-    return predicate
-
-
-def all_of(*predicates: StopPredicate) -> StopPredicate:
-    """Stop only when all of the given conditions hold simultaneously."""
-    preds = _flatten(predicates)
-
-    def predicate(engine: SupportsCounts) -> bool:
-        return all(p(engine) for p in preds)
-
-    return predicate
-
-
-def _flatten(predicates: Iterable[StopPredicate]) -> tuple:
-    preds = tuple(predicates)
-    if not preds:
-        raise ValueError("at least one stopping condition is required")
-    return preds

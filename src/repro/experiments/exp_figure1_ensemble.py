@@ -46,6 +46,7 @@ from ..analysis.stabilization import UNDETERMINED_WINNER
 from ..analysis.trajectories import doubling_time
 from ..specs import InitialSpec, ProtocolSpec, RecordingSpec, RunSpec, run_spec
 from ..theory.bounds import paper_k_schedule
+from ..theory.lemmas import undecided_plateau
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
 from .base import Claim, ExperimentResult, SweepExperiment
@@ -152,6 +153,11 @@ def _figure1_member(
     return row
 
 
+def _stat(reduce, values) -> Optional[float]:
+    """``reduce(values)`` as a float, or ``None`` when no member stabilized."""
+    return float(reduce(values)) if values else None
+
+
 class Figure1EnsembleExperiment(SweepExperiment):
     """Seed-ensemble version of the Figure 1 reproduction."""
 
@@ -208,41 +214,22 @@ class Figure1EnsembleExperiment(SweepExperiment):
     def finalize(self, rows: List[Dict[str, Any]]) -> ExperimentResult:
         n, k, bias = self._resolved_nkb()
         done = [row for row in rows if row["stabilized"]]
-        if not done:
-            raise RuntimeError("no run stabilized — raise max_parallel_time")
-
         stab_times = [row["stab_parallel_time"] for row in done]
         winners = [row["winner"] for row in done]
-        double_times = [
-            (row["doubling_parallel_time"], row["stab_parallel_time"])
+        ratios = [
+            row["doubling_parallel_time"] / row["stab_parallel_time"]
             for row in done
             if row["doubling_parallel_time"] is not None
         ]
-
-        # Ensemble band of u(t) on a common parallel-time grid, rebuilt
-        # from the checkpointed polylines (beyond a member's last
-        # snapshot its final value is held: the run is absorbed).
-        band = ensemble_band_from_series(
-            [(row["trace_parallel_times"], row["trace_undecided"]) for row in done]
-        )
-        grid, mean, lower, upper = band.grid, band.mean, band.lower, band.upper
-
-        plateau = n / 2.0 - n / (4.0 * k)
-        scale = math.sqrt(n * math.log(n))
-        # Measure the band against the plateau over the settled window
-        # (after ramp-up, before the earliest finisher starts collapsing).
-        settle_start = np.searchsorted(grid, 5.0)
-        settle_end = np.searchsorted(grid, 0.6 * float(np.min(stab_times)))
-        if settle_end > settle_start:
-            mean_dev = float(
-                np.abs(mean[settle_start:settle_end] - plateau).max()
-            ) / scale
+        if done:
+            series, mean_dev, notes = self._band(done, n, k, bias, stab_times)
         else:
-            mean_dev = None  # the settled window is empty
+            # every statistic below is missing, so the claims on them fail
+            series, mean_dev = {}, None
+            notes = ["no member stabilized within max_parallel_time"]
 
-        ratios = [d / s for d, s in double_times]
-        win_fraction = float(np.mean([w == 1 for w in winners]))
-        doubling_median = None if not ratios else float(np.median(ratios))
+        win_fraction = _stat(np.mean, [w == 1 for w in winners])
+        doubling_median = _stat(np.median, ratios)
         summary_rows = [
             {
                 "n": n,
@@ -250,15 +237,20 @@ class Figure1EnsembleExperiment(SweepExperiment):
                 "bias": bias,
                 "runs": len(done),
                 "majority_win_fraction": win_fraction,
-                "stab_time_median": float(np.median(stab_times)),
-                "stab_time_min": float(np.min(stab_times)),
-                "stab_time_max": float(np.max(stab_times)),
+                "stab_time_median": _stat(np.median, stab_times),
+                "stab_time_min": _stat(np.min, stab_times),
+                "stab_time_max": _stat(np.max, stab_times),
                 "doubling_fraction_median": doubling_median,
                 "mean_u_plateau_dev_in_sqrt_nlogn": mean_dev,
             }
         ]
         claims = [
-            Claim("majority win fraction", win_fraction, "≥ 0.7", win_fraction >= 0.7),
+            Claim(
+                "majority win fraction",
+                win_fraction,
+                "≥ 0.7",
+                win_fraction is not None and win_fraction >= 0.7,
+            ),
             Claim(
                 "mean u(t) off n/2 − n/(4k) over the settled window, in √(n ln n)",
                 mean_dev,
@@ -274,6 +266,37 @@ class Figure1EnsembleExperiment(SweepExperiment):
                 doubling_median is None or doubling_median > 0.4,
             ),
         ]
+        return self._result(
+            rows=summary_rows, series=series, claims=claims, notes=notes
+        )
+
+    def _band(self, done, n, k, bias, stab_times):
+        """The u(t) band of the stabilized members, and its plateau distance.
+
+        Returns ``(series, mean_dev, notes)``; ``mean_dev`` is ``None``
+        when the settled window is empty.
+        """
+        # Ensemble band of u(t) on a common parallel-time grid, rebuilt
+        # from the checkpointed polylines (beyond a member's last
+        # snapshot its final value is held: the run is absorbed).
+        band = ensemble_band_from_series(
+            [(row["trace_parallel_times"], row["trace_undecided"]) for row in done]
+        )
+        grid, mean, lower, upper = band.grid, band.mean, band.lower, band.upper
+
+        plateau = undecided_plateau(n, k)
+        scale = math.sqrt(n * math.log(n))
+        # Measure the band against the plateau over the settled window
+        # (after ramp-up, before the earliest finisher starts collapsing).
+        settle_start = np.searchsorted(grid, 5.0)
+        settle_end = np.searchsorted(grid, 0.6 * float(np.min(stab_times)))
+        if settle_end > settle_start:
+            mean_dev = float(
+                np.abs(mean[settle_start:settle_end] - plateau).max()
+            ) / scale
+        else:
+            mean_dev = None  # the settled window is empty
+
         notes = []
         series = {
             "grid": grid,
@@ -313,6 +336,4 @@ class Figure1EnsembleExperiment(SweepExperiment):
                 "mean-field overlay skipped: scipy unavailable "
                 "(series 'undecided_meanfield' omitted)"
             )
-        return self._result(
-            rows=summary_rows, series=series, claims=claims, notes=notes
-        )
+        return series, mean_dev, notes

@@ -28,7 +28,7 @@ from ..analysis.stabilization import usd_stabilization_ensemble
 from ..core.scheduler import UniformPairScheduler
 from ..gossip.dynamics import GossipUSD
 from ..gossip.engine import GossipEngine
-from ..gossip.monochromatic import monochromatic_distance
+from ..gossip.monochromatic import md_time_bound, monochromatic_distance
 from ..protocols.usd import UndecidedStateDynamics
 from ..rng import derive_seed, make_rng
 from ..types import SeedLike
@@ -119,6 +119,7 @@ class ModelComparisonExperiment(Experiment):
                     gossip_rounds.append(engine.last_change_round)
                     gossip_stabilized += 1
             md = monochromatic_distance(config)
+            md_log_n = md_time_bound(config, n)
             pop_median = float(population.summary().median)
             gossip_median = float(np.median(gossip_rounds)) if gossip_rounds else None
             rows.append(
@@ -131,10 +132,10 @@ class ModelComparisonExperiment(Experiment):
                     if gossip_median is None
                     else pop_median / gossip_median,
                     "md": md,
-                    "md_log_n": md * math.log(n),
+                    "md_log_n": md_log_n,
                     "gossip_over_md_log_n": None
                     if gossip_median is None
-                    else gossip_median / (md * math.log(n)),
+                    else gossip_median / md_log_n,
                 }
             )
 

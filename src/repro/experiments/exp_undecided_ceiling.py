@@ -46,6 +46,7 @@ from ..theory.lemmas import (
     lemma31_ceiling,
     lemma31_drift_margin,
     u_tilde,
+    undecided_plateau,
 )
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from ..workloads.sweeps import SweepPoint
@@ -85,7 +86,7 @@ def _ceiling_point(
         "k": k,
         "point_seed": point_seed,
         "u_tilde": u_tilde(n, k),
-        "plateau": n / 2 - n / (4 * k),
+        "plateau": undecided_plateau(n, k),
         "max_exceedance_normalized": worst,
         "paper_slack_multiplier": LEMMA31_SLACK_MULTIPLIER,
         "lemma_ceiling": lemma31_ceiling(n, k),

@@ -35,6 +35,7 @@ from ..core.run import RunResult, simulate
 from ..errors import ExperimentError
 from ..protocols.usd import UndecidedStateDynamics
 from ..theory.bounds import paper_k_schedule
+from ..theory.lemmas import undecided_plateau
 from ..workloads.initial import paper_bias, paper_initial_configuration
 from .ascii_plot import ascii_line_plot
 from .base import Claim, Experiment, ExperimentResult
@@ -118,7 +119,7 @@ class Figure1Left(Experiment):
         highlight = _pick_highlight_minority(trace, k)
         highlight_series = trace.opinion_series(highlight)
         low, mean, high = minority_band(trace)
-        plateau = n / 2.0 - n / (4.0 * k)
+        plateau = undecided_plateau(n, k)
 
         # Shape checks corresponding to the paper's §2 observations.
         # The plateau claim concerns the long middle of the run: after the

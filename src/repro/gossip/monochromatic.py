@@ -19,6 +19,7 @@ Experiment ``model-comparison`` uses this to check the
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -59,4 +60,4 @@ def md_time_bound(config: Union[Configuration, np.ndarray], n: int) -> float:
     """
     if n < 2:
         raise ConfigurationError(f"population must have at least 2 agents, got {n}")
-    return monochromatic_distance(config) * float(np.log(n))
+    return monochromatic_distance(config) * math.log(n)

@@ -25,7 +25,6 @@ from .surrogate import (
     SurrogateResult,
     ValidityReport,
     resolve_surrogate,
-    surrogate_supports,
     surrogate_unsupported_reason,
 )
 from .timescales import (
@@ -52,7 +51,6 @@ __all__ = [
     "resolve_surrogate",
     "scipy_available",
     "scipy_unavailable_reason",
-    "surrogate_supports",
     "surrogate_unsupported_reason",
     "classify_fixed_point",
     "consensus_fixed_point",

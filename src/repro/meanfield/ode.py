@@ -123,10 +123,6 @@ class MeanFieldSolution:
             opinions=self.opinions * n,
         )
 
-    def final_opinions(self) -> np.ndarray:
-        """Opinion fractions at the last time point."""
-        return self.opinions[-1].copy()
-
 
 class USDMeanField:
     """The k-opinion USD fluid limit."""

@@ -54,7 +54,6 @@ __all__ = [
     "ValidityReport",
     "SurrogateResult",
     "resolve_surrogate",
-    "surrogate_supports",
     "surrogate_unsupported_reason",
     "untrusted_by_margin",
 ]
@@ -495,11 +494,6 @@ def surrogate_unsupported_reason(spec) -> Optional[str]:
                 f"and needs scipy: {reason}"
             )
     return None
-
-
-def surrogate_supports(spec) -> bool:
-    """Whether :func:`resolve_surrogate` can answer this spec."""
-    return surrogate_unsupported_reason(spec) is None
 
 
 def untrusted_by_margin(spec) -> Optional[ValidityReport]:

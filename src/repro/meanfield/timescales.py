@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.configuration import Configuration
 from ..errors import SimulationError
+from .fixed_points import undecided_fixed_point_fraction
 from .ode import MeanFieldSolution, USDMeanField
 
 __all__ = [
@@ -112,7 +113,7 @@ def timescales_from_solution(
     k = solution.opinions.shape[1]
     horizon = float(solution.times[-1])
 
-    v_star = (k - 1.0) / (2.0 * k - 1.0)
+    v_star = undecided_fixed_point_fraction(k)
     plateau = _first_crossing(
         solution.times,
         solution.undecided,

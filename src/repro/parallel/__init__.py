@@ -12,25 +12,16 @@ Seed ensembles of simulation runs execute as a
 which fans its members (seeded ``derive_seed(root_seed, i)``) over
 :func:`parallel_map`; :func:`repro.analysis.usd_stabilization_ensemble`
 is built on it, and the ``fig1-ensemble`` experiment runs its members
-on the sweep executor (below).  Each accepts a ``workers`` argument, as
+as grid points of :mod:`repro.sweep`, whose runner maps them with the
+same :func:`parallel_map`.  Each accepts a ``workers`` argument, as
 does every registry experiment (CLI: ``repro run <id> --workers N``).
 
-On top of the ensemble pool, :func:`parallel_map_completed` surfaces
-each result the moment it completes (still returning input order) —
-the primitive :mod:`repro.sweep` uses to checkpoint finished grid
-points while the rest of a shard is still running.
+``parallel_map``'s optional ``on_result(index, result)`` callback sees
+each result the moment it completes (the list still comes back in
+input order) — what :mod:`repro.sweep` uses to checkpoint finished
+grid points while the rest of a shard is still running.
 """
 
-from .pool import (
-    available_workers,
-    parallel_map,
-    parallel_map_completed,
-    resolve_workers,
-)
+from .pool import available_workers, parallel_map, resolve_workers
 
-__all__ = [
-    "available_workers",
-    "parallel_map",
-    "parallel_map_completed",
-    "resolve_workers",
-]
+__all__ = ["available_workers", "parallel_map", "resolve_workers"]

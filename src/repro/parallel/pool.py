@@ -40,7 +40,6 @@ __all__ = [
     "available_workers",
     "resolve_workers",
     "parallel_map",
-    "parallel_map_completed",
 ]
 
 
@@ -135,63 +134,20 @@ def parallel_map(
     items: Iterable[Any],
     *,
     workers: Optional[int] = 0,
+    on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Apply ``fn`` to each item, optionally over a process pool.
 
     Results come back in input order.  ``workers=0`` runs in-process;
     otherwise a :class:`~concurrent.futures.ProcessPoolExecutor` of
-    ``min(workers, len(items))`` processes executes the items in chunks
-    sized for ~4 rounds per worker, balancing dispatch overhead against
-    load balance.
-    """
-    items = list(items)
-    pool_size = min(resolve_workers(workers), len(items))
-    if pool_size <= 0:
-        return [fn(item) for item in items]
-    chunk_size = max(1, len(items) // (pool_size * 4))
-    _ensure_picklable(fn)
-    task: Callable[[Any], Any] = fn
-    if obs_metrics.REGISTRY.enabled:
-        task = _ObsTask(fn)
-        obs_metrics.REGISTRY.inc("pool_worker_spawned", value=pool_size)
-    obs_runtime.emit("pool.start", workers=pool_size, items=len(items))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=multiprocessing.get_context()
-        ) as executor:
-            results = [
-                _absorb_obs(value)
-                for value in executor.map(task, items, chunksize=chunk_size)
-            ]
-    except BrokenProcessPool as exc:
-        obs_metrics.REGISTRY.inc("pool_worker_failed")
-        raise ParallelError(
-            "a worker process died while executing the ensemble; rerun with "
-            "workers=0 to reproduce the failure in-process"
-        ) from exc
-    obs_runtime.emit("pool.done", workers=pool_size, items=len(items))
-    return results
-
-
-def parallel_map_completed(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    workers: Optional[int] = 0,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-) -> List[Any]:
-    """Like :func:`parallel_map`, but surfaces results as they complete.
+    ``min(workers, len(items))`` processes runs one item per task.
 
     ``on_result(index, result)`` is invoked once per item as soon as its
     result is available — in input order for ``workers=0``, in
     *completion* order on a pool — which lets callers checkpoint
     incrementally instead of waiting for the whole map (the sweep
-    runner's resume granularity depends on this).  The returned list is
-    still in input order, so determinism contracts are unaffected: only
-    the callback observes scheduling.
-
-    One item per task (no chunking): callers checkpoint per item, so a
-    chunk lost to an interruption would forfeit finished work.
+    runner's resume granularity depends on this).  Only the callback
+    observes scheduling; the returned list does not.
     """
     items = list(items)
     pool_size = min(resolve_workers(workers), len(items))
@@ -227,8 +183,8 @@ def parallel_map_completed(
     except BrokenProcessPool as exc:
         obs_metrics.REGISTRY.inc("pool_worker_failed")
         raise ParallelError(
-            "a worker process died while executing the sweep; rerun with "
-            "workers=0 to reproduce the failure in-process"
+            "a worker process died mid-task; rerun with workers=0 to "
+            "reproduce the failure in-process"
         ) from exc
     obs_runtime.emit("pool.done", workers=pool_size, items=len(items))
     return results

@@ -80,31 +80,3 @@ class UndecidedStateDynamics(OpinionProtocol):
 
     def decode_counts(self, counts: np.ndarray) -> Configuration:
         return Configuration.from_state_counts(counts)
-
-    # ------------------------------------------------------------------
-    # USD-specific structure used by the paper's analysis
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def undecided_threshold(x_i: float, n: float) -> float:
-        """The threshold ``u_i`` of §2: ``x_i`` grows in expectation iff ``u > u_i``.
-
-        Per interaction, ``E[Δx_i] ∝ u − (n − u − x_i)``, so the
-        threshold is ``u_i = (n − x_i) / 2`` — decreasing in ``x_i`` as
-        the paper notes.
-        """
-        return (n - x_i) / 2.0
-
-    @staticmethod
-    def undecided_plateau(n: float, k: float) -> float:
-        """Where ``u(t)`` settles: ``n/2 − n/(4k)`` (paper §2, Figure 1).
-
-        The exact mean-field fixed point with equal opinions is
-        ``n (k−1) / (2k−1)``; the plateau is its large-``k`` expansion.
-        """
-        return n / 2.0 - n / (4.0 * k)
-
-    @staticmethod
-    def undecided_fixed_point(n: float, k: float) -> float:
-        """Exact mean-field fixed point ``n (k−1) / (2k−1)`` of ``u``."""
-        return n * (k - 1.0) / (2.0 * k - 1.0)

@@ -2,28 +2,21 @@
 
 Every stochastic component of the library accepts a ``seed`` argument of
 type :data:`repro.types.SeedLike` and normalises it through
-:func:`make_rng`.  Ensembles of independent runs derive child generators
-with :func:`spawn` / :func:`spawn_many`, which use NumPy's
-``SeedSequence`` spawning so streams are statistically independent and
-reproducible regardless of execution order.
+:func:`make_rng`.  Ensembles of independent runs derive child seeds
+with :func:`spawn_seeds` (NumPy ``SeedSequence`` spawning, so streams
+are statistically independent and reproducible regardless of execution
+order) or plain integer seeds with :func:`derive_seed`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
 from .types import SeedLike
 
-__all__ = [
-    "make_rng",
-    "spawn",
-    "spawn_many",
-    "spawn_seeds",
-    "seed_stream",
-    "derive_seed",
-]
+__all__ = ["make_rng", "spawn_seeds", "derive_seed"]
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -41,33 +34,16 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def spawn(rng: np.random.Generator) -> np.random.Generator:
-    """Derive one statistically independent child generator from ``rng``."""
-    return spawn_many(rng, 1)[0]
-
-
-def spawn_many(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    The children are produced by spawning the underlying bit generator's
-    ``SeedSequence``; when the generator was built without one (e.g. a
-    caller handed us a raw ``Generator``), fresh entropy from ``rng``
-    itself seeds the children, which keeps determinism for seeded runs.
-    """
-    return [
-        np.random.Generator(np.random.PCG64(child))
-        for child in spawn_seeds(rng, count)
-    ]
-
-
 def spawn_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
     """Derive ``count`` child ``SeedSequence`` objects from ``seed``.
 
-    This is the *picklable* form of :func:`spawn_many`: a ``SeedSequence``
-    crosses process boundaries, so :mod:`repro.parallel` can fan the
-    children out over workers while ``make_rng(child)`` reconstructs in
-    each worker exactly the generator ``spawn_many`` would have built
-    in-process — the streams are bit-identical either way.
+    A ``SeedSequence`` crosses process boundaries, so
+    :mod:`repro.parallel` can fan the children out over workers while
+    ``make_rng(child)`` reconstructs in each worker exactly the
+    generator it would have built in-process — the streams are
+    bit-identical either way.  A ``Generator`` built without a
+    ``SeedSequence`` seeds the children from its own stream, which keeps
+    seeded runs deterministic.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -86,32 +62,10 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
     return list(seed_seq.spawn(count))
 
 
-def seed_stream(seed: SeedLike = None) -> Iterator[np.random.Generator]:
-    """Yield an unbounded stream of independent generators.
-
-    Useful for open-ended seed ensembles::
-
-        for rng, _ in zip(seed_stream(7), range(30)):
-            run_one(rng)
-    """
-    root = np.random.SeedSequence(seed) if not isinstance(
-        seed, (np.random.Generator, np.random.SeedSequence)
-    ) else (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else getattr(seed.bit_generator, "seed_seq", np.random.SeedSequence())
-    )
-    counter = 0
-    while True:
-        (child,) = root.spawn(1)
-        counter += 1
-        yield np.random.Generator(np.random.PCG64(child))
-
-
 def derive_seed(seed: SeedLike, index: int) -> int:
     """Return a stable 63-bit integer seed for run ``index`` of an ensemble.
 
-    Unlike :func:`spawn_many` this produces a *plain integer*, which is
+    Unlike :func:`spawn_seeds` this produces a *plain integer*, which is
     convenient to store in result files so any individual ensemble
     member can be replayed in isolation.
     """

@@ -13,8 +13,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from ..errors import ServeError
 
@@ -93,14 +92,6 @@ class ServeClient:
     def submit(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """``POST /runs``: returns the cached/accepted/coalesced response."""
         return self._json("POST", "/runs", payload)
-
-    def submit_file(self, path: Union[str, Path]) -> Dict[str, Any]:
-        """Submit a scenario file from disk."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ServeError(f"could not read spec file {path}: {exc}") from exc
-        return self.submit(payload)
 
     def job(self, job_id: str) -> Dict[str, Any]:
         """``GET /runs/{id}``."""

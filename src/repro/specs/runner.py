@@ -100,21 +100,20 @@ def normalize_run(
     persist_chunk_snapshots: Optional[int] = None,
     persist_window: Optional[int] = None,
     metadata: Optional[Mapping[str, Any]] = None,
-    engine_kwargs: Optional[Mapping[str, Any]] = None,
     obs: Any = None,
 ) -> Optional[RunSpec]:
     """Normalise keyword ``simulate`` arguments into a :class:`RunSpec`.
 
     Returns ``None`` when the call is not declaratively representable:
-    an unregistered protocol class, a non-integer seed, a callable stop
-    predicate or extra engine kwargs.  The keyword form still runs
-    those — it just cannot hash them.
+    an unregistered protocol class, a non-integer seed or a callable
+    stop predicate.  The keyword form still runs those — it just cannot
+    hash them.
     """
     from ..core.configuration import Configuration
     from ..obs.config import ObsConfig
     from .model import InitialSpec, ProtocolSpec, RecordingSpec
 
-    if stop is not None or engine_kwargs:
+    if stop is not None:
         return None
     if seed is not None:
         # NumPy integer scalars are integers too (seed=np.int64(7) is

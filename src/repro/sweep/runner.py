@@ -7,8 +7,9 @@ ensembles run serially inside the worker, so worker parallelism moves
 
 Each finished point is checkpointed immediately to
 ``<out>/<sweep_id>/point-<index>-<label>.json`` — written atomically, in
-completion order, via :func:`repro.parallel.parallel_map_completed` —
-so an interrupted sweep loses at most the points that were mid-flight.
+completion order, by :func:`repro.parallel.parallel_map`'s ``on_result``
+callback — so an interrupted sweep loses at most the points that were
+mid-flight.
 Re-running with ``resume=True`` loads finished checkpoints (after
 verifying they belong to this exact plan: same root seed, same grid
 point, same per-point seed) and executes only the remainder.
@@ -36,7 +37,7 @@ from ..io import atomic_write
 from ..io.serialization import _jsonable, save_result_rows
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
-from ..parallel import parallel_map_completed
+from ..parallel import parallel_map
 from ..workloads.sweeps import SweepPoint
 from .plan import ShardSpec, SweepPlan
 from .provenance import repo_state
@@ -350,7 +351,7 @@ def run_sweep(
             label=plan.points[index].canonical_label,
         )
 
-    computed_rows = parallel_map_completed(
+    computed_rows = parallel_map(
         _PointTask(task_fn), pending, workers=workers, on_result=_checkpoint
     )
     computed = {

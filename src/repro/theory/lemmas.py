@@ -16,6 +16,7 @@ from ..errors import RegimeError
 from .bounds import EPOCH_CONSTANT
 
 __all__ = [
+    "undecided_plateau",
     "u_tilde",
     "lemma31_slack",
     "lemma31_ceiling",
@@ -43,10 +44,19 @@ def _require(n: float, k: float) -> None:
         raise RegimeError(f"the lemmas need at least 2 opinions, got {k}")
 
 
+def undecided_plateau(n: float, k: float) -> float:
+    """Where ``u(t)`` settles: ``n/2 − n/(4k)`` (paper §2, Figure 1).
+
+    The large-``k`` expansion of the mean-field fixed point
+    ``n (k−1)/(2k−1)`` (:func:`repro.meanfield.undecided_fixed_point_fraction`).
+    """
+    return n / 2.0 - n / (4.0 * k)
+
+
 def u_tilde(n: float, k: float) -> float:
     """Lemma 3.1's centre ``ũ = n/2 − n/(4k) + 10n/(k−1)²``."""
     _require(n, k)
-    return n / 2.0 - n / (4.0 * k) + 10.0 * n / (k - 1.0) ** 2
+    return undecided_plateau(n, k) + 10.0 * n / (k - 1.0) ** 2
 
 
 def lemma31_slack(n: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 from ..core.configuration import Configuration
 from ..errors import ConfigurationError
 from ..rng import make_rng
+from ..theory.lemmas import undecided_plateau
 from ..types import SeedLike
 
 __all__ = [
@@ -64,7 +65,7 @@ def plateau_configuration(
     """
     if k < 2:
         raise ConfigurationError("plateau configurations need k >= 2")
-    undecided = int(round(n / 2.0 - n / (4.0 * k)))
+    undecided = int(round(undecided_plateau(n, k)))
     decided = n - undecided
     if target_opinion_support is None:
         target_opinion_support = int(round(1.5 * n / k))
@@ -92,7 +93,7 @@ def plateau_gap_configuration(n: int, k: int, gap: int) -> Configuration:
         raise ConfigurationError("gap configurations need k >= 2")
     if gap < 0:
         raise ConfigurationError(f"gap must be non-negative, got {gap}")
-    undecided = int(round(n / 2.0 - n / (4.0 * k)))
+    undecided = int(round(undecided_plateau(n, k)))
     decided = n - undecided
     base, extra = divmod(decided, k)
     # Rounding leftovers go to the undecided pool (a ≤ k−1 perturbation of

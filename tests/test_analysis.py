@@ -11,7 +11,6 @@ from repro.analysis import (
     fit_proportional,
     law_value,
     majority_minority_gap_series,
-    max_gap_series,
     minority_band,
     summarize,
     threshold_crossing_time,
@@ -103,7 +102,6 @@ class TestTrajectories:
 
     def test_gap_series(self):
         trace = make_trace([0, 1], [[10, 50, 40], [10, 60, 30]])
-        assert list(max_gap_series(trace)) == [10, 30]
         assert list(majority_minority_gap_series(trace)) == [10, 30]
 
     def test_minority_band(self):

@@ -354,8 +354,10 @@ class TestCorruptInputs:
             for path, reason in report.skipped
         )
         # the skip reasons survive into the dataset manifest
-        ds = analytics.dataset(tmp_path / "ds")
-        assert any("summary" in reason for _, reason in ds.export_skips)
+        manifest = json.loads(
+            (tmp_path / "ds" / analytics.DATASET_MANIFEST_NAME).read_text()
+        )
+        assert any("summary" in reason for _, reason in manifest["skipped"])
 
     def test_corrupt_run_manifest_skipped_not_fatal(self, tmp_path):
         _persist_run(tmp_path / "runs" / "good")

@@ -137,21 +137,19 @@ class TestRunLoop(EngineAgnosticRunLoop):
         assert engine.counts[0] == 30
 
 
-class TestSimulateWithScheduler:
-    def test_graph_scheduler_through_simulate(self):
-        """Engine kwargs (like a custom scheduler) flow through simulate."""
+class TestRunWithScheduler:
+    def test_graph_scheduler_through_run_loop(self):
+        """A custom scheduler is an engine argument; ``BaseEngine.run``
+        plays it to the horizon (the ``graph-topology`` experiment's path)."""
         import networkx as nx
 
-        from repro import GraphPairScheduler, simulate
+        from repro import AgentEngine, GraphPairScheduler
 
         protocol = UndecidedStateDynamics(k=2)
         scheduler = GraphPairScheduler(nx.cycle_graph(30))
-        result = simulate(
-            protocol,
-            np.array([0, 20, 10]),
-            engine="agent",
-            seed=3,
-            max_parallel_time=50.0,
-            scheduler=scheduler,
+        engine = AgentEngine(
+            protocol, np.array([0, 20, 10]), seed=3, scheduler=scheduler
         )
-        assert result.final_counts.sum() == 30
+        engine.run(50 * 30)
+        assert engine.counts.sum() == 30
+        assert engine.interactions == 50 * 30 or engine.is_absorbed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Trace
-from repro.analysis import align_series, ensemble_band, trace_quantity
+from repro.analysis import ensemble_band_from_series
 from repro.errors import ExperimentError
 
 
@@ -28,52 +28,50 @@ def traces():
     return [first, second]
 
 
-class TestTraceQuantity:
-    def test_standard_quantities(self, traces):
-        trace = traces[0]
-        assert list(trace_quantity(trace, "undecided")) == [0, 40, 0]
-        assert list(trace_quantity(trace, "majority")) == [60, 40, 100]
-        assert list(trace_quantity(trace, "max_gap")) == [20, 20, 100]
+def undecided(traces):
+    return [(trace.parallel_times, trace.undecided_series()) for trace in traces]
 
-    def test_unknown_quantity(self, traces):
-        with pytest.raises(ExperimentError):
-            trace_quantity(traces[0], "entropy")
+
+def majority(traces):
+    return [(trace.parallel_times, trace.opinion_series(1)) for trace in traces]
 
 
 class TestAlign:
     def test_interpolation_and_holding(self, traces):
-        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-        matrix = align_series(traces, "undecided", grid)
-        assert matrix.shape == (2, 5)
-        # first trace: interpolate 0→40 over [0,1], 40→0 over [1,2]
-        assert matrix[0].tolist() == [0, 20, 40, 20, 0]
-        # second trace ends at parallel time 1: value held at 20 after
-        assert matrix[1].tolist() == [0, 10, 20, 20, 20]
+        band = ensemble_band_from_series(
+            undecided(traces), grid_points=5, quantile=0.0
+        )
+        assert band.grid.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        # first trace: interpolate 0→40 over [0,1], 40→0 over [1,2] —
+        # [0, 20, 40, 20, 0]; the second ends at parallel time 1 and its
+        # value is held at 20 after — [0, 10, 20, 20, 20]
+        assert band.lower.tolist() == [0, 10, 20, 20, 0]
+        assert band.upper.tolist() == [0, 20, 40, 20, 20]
+        assert band.mean.tolist() == [0, 15, 30, 20, 10]
 
-    def test_validation(self, traces):
+    def test_validation(self):
         with pytest.raises(ExperimentError):
-            align_series([], "undecided", np.array([0.0]))
-        with pytest.raises(ExperimentError):
-            align_series(traces, "undecided", np.array([1.0, 0.0]))
+            ensemble_band_from_series([])
 
 
 class TestEnsembleBand:
     def test_band_contains_mean(self, traces):
-        band = ensemble_band(traces, "undecided", grid_points=10, quantile=0.0)
+        band = ensemble_band_from_series(
+            undecided(traces), grid_points=10, quantile=0.0
+        )
         assert band.runs == 2
         assert band.grid[0] == 0.0
         assert band.grid[-1] == pytest.approx(2.0)
         assert np.all(band.lower <= band.mean + 1e-12)
         assert np.all(band.mean <= band.upper + 1e-12)
-        assert band.max_band_width() >= 0.0
 
     def test_single_trace_band_is_degenerate(self, traces):
-        band = ensemble_band(traces[:1], "majority", grid_points=5)
+        band = ensemble_band_from_series(majority(traces[:1]), grid_points=5)
         assert np.allclose(band.lower, band.upper)
         assert np.allclose(band.mean, band.lower)
 
     def test_validation(self, traces):
         with pytest.raises(ExperimentError):
-            ensemble_band(traces, "undecided", quantile=0.7)
+            ensemble_band_from_series(undecided(traces), quantile=0.7)
         with pytest.raises(ExperimentError):
-            ensemble_band(traces, "undecided", grid_points=1)
+            ensemble_band_from_series(undecided(traces), grid_points=1)

@@ -103,6 +103,19 @@ class TestFigure1Ensemble:
             assert "trace_points" in row
         assert result.claims == []  # a partial shard skips finalize
 
+    def test_no_member_stabilized_reports_failing_claims(self):
+        result = Figure1EnsembleExperiment(
+            n=400, num_seeds=2, max_parallel_time=1.0
+        ).run()
+        row = result.rows[0]
+        assert row["runs"] == 0
+        assert row["majority_win_fraction"] is None
+        assert row["stab_time_median"] is None
+        claims = {claim.name: claim for claim in result.claims}
+        win = claims["majority win fraction"]
+        assert win.value is None and not win.holds
+        assert result.notes == ["no member stabilized within max_parallel_time"]
+
 
 class TestBinaryLogN:
     @pytest.mark.slow

@@ -71,8 +71,7 @@ class TestDynamics:
         model = USDMeanField(k=4)
         config = Configuration.equal_minorities_with_bias(10_000, 4, 800)
         solution = model.integrate(config, t_end=60.0)
-        final = solution.final_opinions()
-        assert final[0] == pytest.approx(1.0, abs=1e-3)
+        assert solution.opinions[-1][0] == pytest.approx(1.0, abs=1e-3)
         assert solution.undecided[-1] == pytest.approx(0.0, abs=1e-3)
 
     def test_undecided_visits_plateau(self):

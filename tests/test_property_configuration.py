@@ -54,17 +54,6 @@ class TestInvariants:
             config.decided
         ) or abs(config.fractions().sum() - config.decided / config.n) < 1e-9
 
-    @given(config_strategy, st.data())
-    def test_merge_conserves_population(self, config, data):
-        if config.k < 2:
-            return
-        i = data.draw(st.integers(1, config.k))
-        j = data.draw(st.integers(1, config.k).filter(lambda v: v != i))
-        merged = config.merge_opinions(into=i, frm=j)
-        assert merged.n == config.n
-        assert merged.x(j) == 0
-        assert merged.x(i) == config.x(i) + config.x(j)
-
     @given(config_strategy)
     def test_stability_matches_definition(self, config):
         by_definition = config.is_consensus() or config.is_all_undecided()

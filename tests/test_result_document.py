@@ -156,6 +156,13 @@ def test_experiment_document_round_trips():
             "mean_u_plateau_dev_in_sqrt_nlogn",
             "settled window",
         ),
+        # no member stabilizes: every statistic is None, not an exception
+        (
+            "fig1-ensemble",
+            {"n": 400, "num_seeds": 2, "max_parallel_time": 1.0},
+            "mean_u_plateau_dev_in_sqrt_nlogn",
+            "settled window",
+        ),
     ],
 )
 def test_experiment_with_empty_settled_window_round_trips(

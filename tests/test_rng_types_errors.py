@@ -11,10 +11,8 @@ from repro import (
     SimulationError,
     derive_seed,
     make_rng,
-    spawn,
-    spawn_many,
+    spawn_seeds,
 )
-from repro.rng import seed_stream
 from repro.types import UNDECIDED, as_int_vector
 
 
@@ -40,30 +38,20 @@ class TestMakeRng:
 
 class TestSpawning:
     def test_spawned_children_are_independent(self):
-        root = make_rng(3)
-        children = spawn_many(root, 3)
+        children = [make_rng(s) for s in spawn_seeds(make_rng(3), 3)]
         streams = [child.random(4) for child in children]
         assert not np.array_equal(streams[0], streams[1])
         assert not np.array_equal(streams[1], streams[2])
 
     def test_spawning_is_deterministic(self):
-        a = [child.random(3) for child in spawn_many(make_rng(3), 2)]
-        b = [child.random(3) for child in spawn_many(make_rng(3), 2)]
+        a = [make_rng(s).random(3) for s in spawn_seeds(make_rng(3), 2)]
+        b = [make_rng(s).random(3) for s in spawn_seeds(make_rng(3), 2)]
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
-    def test_spawn_single(self):
-        assert isinstance(spawn(make_rng(1)), np.random.Generator)
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            spawn_many(make_rng(0), -1)
-
-    def test_seed_stream_yields_generators(self):
-        stream = seed_stream(5)
-        first = next(stream)
-        second = next(stream)
-        assert not np.array_equal(first.random(3), second.random(3))
+            spawn_seeds(make_rng(0), -1)
 
 
 class TestDeriveSeed:

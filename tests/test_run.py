@@ -50,12 +50,6 @@ class TestMakeEngine:
         engine = make_engine(usd2, np.array([1, 5, 4]), engine="counts")
         assert engine.n == 10
 
-    def test_engine_kwargs_forwarded(self, usd2):
-        engine = make_engine(
-            usd2, Configuration([600, 400]), engine="batch", epsilon=0.05
-        )
-        assert engine.epsilon == 0.05
-
 
 class TestSimulate:
     def test_requires_exactly_one_horizon(self, usd2):

@@ -6,45 +6,12 @@ import pytest
 from repro import CountsEngine
 from repro.core import stopping
 from repro.errors import ProtocolError
-from repro.protocols import FourStateExactMajority, UndecidedStateDynamics, VoterModel
+from repro.protocols import UndecidedStateDynamics, VoterModel
 
 
 def engine_with(counts, k=3, seed=0):
     protocol = UndecidedStateDynamics(k=k)
     return protocol, CountsEngine(protocol, np.array(counts), seed=seed)
-
-
-class TestStabilized:
-    def test_consensus_is_stable(self):
-        _, engine = engine_with([0, 10, 0, 0])
-        assert stopping.stabilized(engine)
-
-    def test_mixed_is_not_stable(self):
-        _, engine = engine_with([0, 5, 5, 0])
-        assert not stopping.stabilized(engine)
-
-    def test_all_undecided_is_stable(self):
-        _, engine = engine_with([10, 0, 0, 0])
-        assert stopping.stabilized(engine)
-
-
-class TestOutputConsensus:
-    def test_usd_with_undecided_not_consensual(self):
-        protocol, engine = engine_with([3, 7, 0, 0])
-        predicate = stopping.output_consensus(protocol)
-        assert not predicate(engine)
-
-    def test_usd_pure_consensus(self):
-        protocol, engine = engine_with([0, 10, 0, 0])
-        assert stopping.output_consensus(protocol)(engine)
-
-    def test_four_state_sides(self):
-        protocol = FourStateExactMajority()
-        predicate = stopping.output_consensus(protocol)
-        engine = CountsEngine(protocol, np.array([3, 0, 7, 0]), seed=0)
-        assert predicate(engine)  # A and a share output 1
-        engine2 = CountsEngine(protocol, np.array([3, 1, 7, 0]), seed=0)
-        assert not predicate(engine2)
 
 
 class TestThresholdPredicates:
@@ -70,32 +37,3 @@ class TestThresholdPredicates:
     def test_undecided_reached_needs_usd_layout(self):
         with pytest.raises(ProtocolError):
             stopping.undecided_reached(VoterModel(k=2), 1)
-
-
-class TestCombinators:
-    def test_any_of(self):
-        protocol, engine = engine_with([0, 6, 3, 1])
-        predicate = stopping.any_of(
-            stopping.opinion_reached(protocol, 1, 99),
-            stopping.gap_reached(protocol, 5),
-        )
-        assert predicate(engine)
-
-    def test_all_of(self):
-        protocol, engine = engine_with([0, 6, 3, 1])
-        predicate = stopping.all_of(
-            stopping.opinion_reached(protocol, 1, 6),
-            stopping.gap_reached(protocol, 5),
-        )
-        assert predicate(engine)
-        predicate = stopping.all_of(
-            stopping.opinion_reached(protocol, 1, 7),
-            stopping.gap_reached(protocol, 5),
-        )
-        assert not predicate(engine)
-
-    def test_empty_combinators_rejected(self):
-        with pytest.raises(ValueError):
-            stopping.any_of()
-        with pytest.raises(ValueError):
-            stopping.all_of()

@@ -30,7 +30,6 @@ from repro.meanfield import (
     SurrogateResult,
     USDMeanField,
     resolve_surrogate,
-    surrogate_supports,
     surrogate_unsupported_reason,
 )
 from repro.meanfield.surrogate import fluctuation_fraction
@@ -146,7 +145,6 @@ class TestSupport:
             seed=1,
             max_parallel_time=100.0,
         )
-        assert not surrogate_supports(spec)
         reason = surrogate_unsupported_reason(spec)
         assert "four-state" in reason and "usd" in reason
         with pytest.raises(SimulationError, match="cannot resolve"):
@@ -296,7 +294,6 @@ class TestScipyGating:
 
     def test_usd_surrogate_unsupported_without_scipy(self, no_scipy):
         spec = usd_spec()
-        assert not surrogate_supports(spec)
         assert "scipy" in surrogate_unsupported_reason(spec)
         with pytest.raises(SimulationError, match="scipy"):
             resolve_surrogate(spec)
@@ -318,5 +315,5 @@ class TestScipyGating:
             seed=3,
             max_parallel_time=200,
         )
-        assert surrogate_supports(spec)
+        assert surrogate_unsupported_reason(spec) is None
         assert resolve_surrogate(spec).validity.verdict == TRUSTED

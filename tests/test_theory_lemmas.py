@@ -19,7 +19,9 @@ from repro.theory import (
     lemma34_min_interactions,
     lemma34_walk_parameters,
     u_tilde,
+    undecided_plateau,
 )
+from repro.meanfield import undecided_fixed_point_fraction
 
 
 class TestLemma31:
@@ -31,6 +33,13 @@ class TestLemma31:
         n, k = 1e6, 100
         expected = n / 2 - n / (4 * k) + 10 * n / (k - 1) ** 2
         assert u_tilde(n, k) == pytest.approx(expected)
+
+    def test_undecided_plateau_approximates_fixed_point(self):
+        """n/2 − n/(4k) is the large-k expansion of n(k−1)/(2k−1)."""
+        n = 1e6
+        for k in (50, 100, 500):
+            exact = n * undecided_fixed_point_fraction(k)
+            assert abs(undecided_plateau(n, k) - exact) / n < 1.0 / k**2 * 2
 
     def test_u_tilde_approaches_half_for_large_k(self):
         assert u_tilde(1e6, 10_000) == pytest.approx(5e5, rel=1e-3)

@@ -82,28 +82,3 @@ class TestAbsorbingStates:
 
     def test_two_opinions_live(self, usd):
         assert not usd.is_absorbing(np.array([0, 5, 5, 0]))
-
-
-class TestAnalyticHelpers:
-    def test_threshold_formula(self):
-        assert UndecidedStateDynamics.undecided_threshold(0, 100) == 50
-        assert UndecidedStateDynamics.undecided_threshold(40, 100) == 30
-
-    def test_threshold_decreasing_in_support(self):
-        previous = float("inf")
-        for x in range(0, 100, 10):
-            value = UndecidedStateDynamics.undecided_threshold(x, 100)
-            assert value < previous
-            previous = value
-
-    def test_plateau_approximates_fixed_point(self):
-        """n/2 − n/(4k) is the large-k expansion of n(k−1)/(2k−1)."""
-        n = 1e6
-        for k in (50, 100, 500):
-            plateau = UndecidedStateDynamics.undecided_plateau(n, k)
-            exact = UndecidedStateDynamics.undecided_fixed_point(n, k)
-            assert abs(plateau - exact) / n < 1.0 / k**2 * 2
-
-    def test_fixed_point_special_cases(self):
-        # k=1: nobody can cancel, fixed point u*=0.
-        assert UndecidedStateDynamics.undecided_fixed_point(100, 1) == 0.0
