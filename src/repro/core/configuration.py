@@ -174,10 +174,6 @@ class Configuration:
     # Derived quantities used throughout the paper
     # ------------------------------------------------------------------
 
-    def support_sorted(self) -> np.ndarray:
-        """Opinion counts sorted in non-increasing order."""
-        return np.sort(self._x)[::-1]
-
     def bias(self) -> int:
         """Advantage of the strongest opinion over the runner-up.
 
@@ -231,14 +227,6 @@ class Configuration:
     def sum_of_squares(self) -> int:
         """``Σ_i x_i²`` — appears in the drift of ``u`` (proof of Lemma 3.1)."""
         return int(np.dot(self._x, self._x))
-
-    # ------------------------------------------------------------------
-    # Functional modifiers
-    # ------------------------------------------------------------------
-
-    def sorted(self) -> "Configuration":
-        """Return a copy with opinions relabelled into non-increasing support order."""
-        return Configuration(self.support_sorted(), undecided=self._u)
 
     # ------------------------------------------------------------------
     # Dunder plumbing

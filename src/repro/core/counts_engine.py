@@ -20,6 +20,15 @@ have *exactly* the law of the agent-level model (see
 half of all interactions are effective (mid-run USD) and dramatic near
 absorption, where almost every interaction is null.
 
+Each effective interaction costs two random draws and O(S) work on
+Python ints, for S states, rather than numpy work over all E effective
+pairs: the kernel finds the initiator ``a`` by the blocks' weights
+``c_a Σ_{b ∈ B(a)} (c_b - [a = b])`` and then the responder within
+``a``'s block.  That is exactly the pair a search of all E pairs'
+running weights picks, so the draws are those of the flat search
+(``tests/test_counts_kernel_differential.py`` keeps it as the
+reference).
+
 The engine also knows the exact interaction index of every change, so
 stabilization times are measured with single-interaction resolution,
 independent of the snapshot cadence.
@@ -63,16 +72,10 @@ class CountsEngine(BaseEngine):
         """The frozen per-run kernel inputs (shared by every step)."""
         return self._inputs
 
-    def _effective_weights(self) -> np.ndarray:
-        """Weight ``c_a (c_b - [a = b])`` of each effective ordered pair."""
-        inputs = self._inputs
-        counts = self._counts
-        return counts[inputs.eff_a] * (counts[inputs.eff_b] - inputs.eff_same)
-
     def effective_probability(self) -> float:
         """Probability that the *next* interaction changes the configuration."""
-        weights = self._effective_weights()
-        return float(weights.sum()) / self._inputs.pair_denominator
+        inputs = self._inputs
+        return inputs.effective_weight(self._counts) / inputs.pair_denominator
 
     def _step_impl(self, num: int) -> None:
         interactions, last_change, absorbed = self._kernels.counts_step(

@@ -3,10 +3,11 @@
 A :class:`KernelInputs` is everything a compute kernel needs to know
 about a protocol/population pair that does *not* change during a run:
 the effective ordered pairs (as flat ``int64`` arrays), the dense
-per-pair delta matrix, and the ``n (n - 1)`` pair denominator.  Engines
-build it once in their constructor and hand it to every kernel call, so
-kernels stay stateless and work on plain arrays instead of protocol
-objects.  :class:`EpochInputs` adds what the
+per-pair delta matrix, the ``n (n - 1)`` pair denominator, and the
+effective pairs regrouped by initiator for the exact counts kernel.
+Engines build it once in their constructor and hand it to every kernel
+call, so kernels stay stateless and work on plain arrays instead of
+protocol objects.  :class:`EpochInputs` adds what the
 collision-free epoch kernel needs on top: the flat transition table and
 the law of the epoch length at this ``n``.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -49,6 +52,18 @@ class KernelInputs:
         Alphabet size ``S``.
     n:
         Population size.
+
+    ``counts_step`` also reads the pairs grouped by initiator: the
+    cached properties :attr:`responder_matrix`, :attr:`block_self`,
+    :attr:`block_pairs`, :attr:`pair_count_change` and
+    :attr:`pair_partner_change`, built at its first call (so an engine
+    that never runs it never builds them).  Block ``a`` holds the
+    effective pairs whose initiator is ``a``; with ``B(a)`` its
+    responders, ``R = responder_matrix @ counts`` gives
+    ``R_a = Σ_{b ∈ B(a)} c_b``, and ``partners_a = R_a - block_self_a``
+    counts the agents an ``a``-agent meets in one of the block's pairs,
+    so the block weighs ``W_a = c_a · partners_a``, the sum of its
+    pairs' weights.
     """
 
     eff_a: np.ndarray
@@ -73,6 +88,57 @@ class KernelInputs:
         """Number of effective ordered pairs ``E``."""
         return int(self.eff_a.shape[0])
 
+    def effective_weight(self, counts: np.ndarray) -> int:
+        """``Σ c_a (c_b - [a = b])`` over the effective pairs.
+
+        The number of ordered pairs of distinct agents whose interaction
+        is effective; over :attr:`pair_denominator` it is the probability
+        that the next interaction changes the configuration.
+        """
+        return int((counts[self.eff_a] * (counts[self.eff_b] - self.eff_same)).sum())
+
+    @cached_property
+    def responder_matrix(self) -> np.ndarray:
+        """``M[a, b]``, the number of effective pairs ``(a, b)`` (0 or 1
+        for a compiled table), shape ``(S, S)`` ``int64``."""
+        matrix = np.zeros((self.num_states, self.num_states), dtype=np.int64)
+        np.add.at(matrix, (self.eff_a, self.eff_b), 1)
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def block_self(self) -> np.ndarray:
+        """The number of effective pairs ``(a, a)`` in block ``a``, shape
+        ``(S,)`` ``int64``."""
+        self_pairs = np.zeros(self.num_states, dtype=np.int64)
+        np.add.at(self_pairs, self.eff_a, self.eff_same)
+        self_pairs.setflags(write=False)
+        return self_pairs
+
+    @cached_property
+    def block_pairs(self) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+        """For each initiator ``a``, its pairs in pair order as
+        ``(b, [a = b], pair_index)`` tuples of Python ints."""
+        blocks = [[] for _ in range(self.num_states)]
+        for pair, (a, b, same) in enumerate(
+            zip(self.eff_a.tolist(), self.eff_b.tolist(), self.eff_same.tolist())
+        ):
+            blocks[a].append((b, same, pair))
+        return tuple(map(tuple, blocks))
+
+    @cached_property
+    def pair_count_change(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """For each pair, its nonzero entries of ``eff_delta`` as
+        ``(state, change)`` tuples."""
+        return _nonzero_rows(self.eff_delta)
+
+    @cached_property
+    def pair_partner_change(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """For each pair, the nonzero entries of ``M @ eff_delta[pair]``,
+        the change it makes to ``R`` and so to ``partners``, as
+        ``(initiator, change)`` tuples."""
+        return _nonzero_rows(self.eff_delta @ self.responder_matrix.T)
+
     @classmethod
     def from_table(cls, table, n: int) -> "KernelInputs":
         """Build the struct from a compiled transition table and ``n``."""
@@ -91,6 +157,17 @@ class KernelInputs:
             num_states=int(table.num_states),
             n=int(n),
         )
+
+
+def _nonzero_rows(matrix: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Each row's nonzero entries as ``(column, value)`` Python-int tuples."""
+    rows, columns = np.nonzero(matrix)
+    grouped = [[] for _ in range(matrix.shape[0])]
+    for row, column, value in zip(
+        rows.tolist(), columns.tolist(), matrix[rows, columns].tolist()
+    ):
+        grouped[row].append((column, value))
+    return tuple(map(tuple, grouped))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,25 @@
-"""The NumPy kernels — the engine hot loops.
+"""The numpy backend's kernels — the engine hot loops.
 
-``counts_step`` and ``batch_step`` are pure extractions of the
-pre-kernel ``CountsEngine._step_impl`` (geometric null-skipping) and
-``BatchEngine._step_impl``/``_attempt_batch`` (binomial/multinomial
-τ-leaping with rejection halving): they consume the random stream in
-exactly the same order and apply exactly the same integer updates, so
-trajectories are bit-identical to the pre-refactor engines by
-construction.  ``multibatch_step`` is the collision-free epoch loop of
-the exact batched engine, vectorised numpy throughout.
+``counts_step`` plays the exact counts dynamics one effective
+interaction at a time: a geometric gap over the null interactions, then
+the effective pair, drawn with probability proportional to its weight
+``c_a (c_b - [a = b])``.  It draws exactly what a flat search of the
+pair weights would: ``rng.geometric(W / (n (n - 1)))`` with ``W`` the
+total weight, then ``r = rng.integers(0, W)`` and the first pair, in
+``TransitionTable.effective_pairs`` order, whose running weight exceeds
+``r``.  That order is sorted by initiator, so the search runs in two
+steps over the blocks of :class:`KernelInputs`: the initiator ``a`` is
+the first whose running block weight ``Σ W`` exceeds ``r``, and, with
+``r'`` what is left of ``r`` below block ``a``, the responder is the
+first ``b`` of block ``a`` whose running ``Σ (c_b - [a = b])`` exceeds
+``r' // c_a``.  That is the same pair, so seeded trajectories are the
+same draw for draw, and each effective interaction costs O(S) work on
+Python ints (the counts and each block's ``partners``, updated by the
+pair's sparse changes) instead of numpy calls over all E pairs.
+
+``batch_step`` is the binomial/multinomial τ-leaping loop with
+rejection halving, and ``multibatch_step`` is the collision-free epoch
+loop of the exact batched engine, vectorised numpy throughout.
 
 Kernels are stateless: all run state lives in the engine and travels
 through the arguments/returns.  ``counts`` is mutated in place.
@@ -15,6 +27,7 @@ through the arguments/returns.  ``counts`` is mutated in place.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional, Tuple
 
 import numpy as np
@@ -38,34 +51,49 @@ def counts_step(
     ``last_change`` is the interaction index of the latest configuration
     change *within this call* (``None`` if nothing changed) and
     ``absorbed`` reports whether the configuration can never change
-    again.  ``counts`` is updated in place.
+    again.  ``counts`` is updated in place on every return.
     """
     interactions = start
     last_change: Optional[int] = None
-    eff_a, eff_b = inputs.eff_a, inputs.eff_b
-    eff_same, eff_delta = inputs.eff_same, inputs.eff_delta
-    while interactions < target:
-        weights = counts[eff_a] * (counts[eff_b] - eff_same)
-        total = int(weights.sum())
-        if total == 0:
-            # Every remaining interaction is null: the configuration is
-            # absorbing and time just rolls forward.
-            return target, last_change, True
-        p_effective = total / inputs.pair_denominator
-        gap = int(rng.geometric(p_effective))
-        if interactions + gap > target:
-            # No effective interaction inside this call; by memorylessness
-            # of the geometric the truncation is exact.
-            return target, last_change, False
-        interactions += gap
-        pick = int(
-            np.searchsorted(
-                np.cumsum(weights), rng.integers(0, total), side="right"
-            )
-        )
-        counts += eff_delta[pick]
-        last_change = interactions
-    return interactions, last_change, False
+    block_pairs = inputs.block_pairs
+    count_change = inputs.pair_count_change
+    partner_change = inputs.pair_partner_change
+    denominator = inputs.pair_denominator
+    geometric, integers = rng.geometric, rng.integers
+    c = counts.tolist()
+    partners = (inputs.responder_matrix @ counts - inputs.block_self).tolist()
+    try:
+        while interactions < target:
+            total = sum(map(mul, c, partners))
+            if total == 0:
+                # Every remaining interaction is null: the configuration
+                # is absorbing and time just rolls forward.
+                return target, last_change, True
+            gap = int(geometric(total / denominator))
+            if interactions + gap > target:
+                # No effective interaction inside this call; by
+                # memorylessness of the geometric the truncation is exact.
+                return target, last_change, False
+            interactions += gap
+            r = int(integers(0, total))
+            for a, weight in enumerate(map(mul, c, partners)):
+                if r < weight:
+                    break
+                r -= weight
+            # c_a > 0: block a's weight c_a · partners_a exceeds r >= 0
+            r //= c[a]
+            for b, same, pick in block_pairs[a]:
+                r -= c[b] - same
+                if r < 0:
+                    break
+            for state, change in count_change[pick]:
+                c[state] += change
+            for initiator, change in partner_change[pick]:
+                partners[initiator] += change
+            last_change = interactions
+        return interactions, last_change, False
+    finally:
+        counts[:] = c
 
 
 def batch_step(

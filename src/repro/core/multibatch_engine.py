@@ -82,9 +82,7 @@ class MultiBatchEngine(BaseEngine):
     def effective_probability(self) -> float:
         """Probability that the *next* interaction changes the configuration."""
         pairs = self._inputs.pairs
-        counts = self._counts
-        weights = counts[pairs.eff_a] * (counts[pairs.eff_b] - pairs.eff_same)
-        return float(weights.sum()) / pairs.pair_denominator
+        return pairs.effective_weight(self._counts) / pairs.pair_denominator
 
     def _step_impl(self, num: int) -> None:
         target = self._interactions + num

@@ -94,10 +94,6 @@ class PopulationProtocol(abc.ABC):
         """True iff ``f(a, b) = (c, d)`` implies ``f(b, a) = (d, c)``."""
         return self.table.is_symmetric
 
-    def is_null(self, initiator: int, responder: int) -> bool:
-        """True iff the interaction leaves both agents unchanged."""
-        return bool(self.table.null_mask[initiator, responder])
-
     def is_absorbing(self, counts: np.ndarray) -> bool:
         """True iff no realisable interaction can change these counts.
 
@@ -160,12 +156,6 @@ class OpinionAlphabet:
         if not 1 <= opinion <= self._k:
             raise ProtocolError(f"opinion must be in 1..{self._k}, got {opinion}")
         return self.num_bookkeeping_states + opinion - 1
-
-    def state_opinion(self, state: int) -> Optional[int]:
-        """1-based opinion of ``state``, or ``None`` for bookkeeping states."""
-        if state < self.num_bookkeeping_states:
-            return None
-        return state - self.num_bookkeeping_states + 1
 
     def opinion_counts_of(self, counts: Sequence[int] | np.ndarray) -> np.ndarray:
         """Slice per-opinion counts out of a raw state-count vector."""

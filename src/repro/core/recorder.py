@@ -80,10 +80,6 @@ class Trace:
         """Snapshot times divided by ``n`` — the paper's x-axis."""
         return self.times / self.n
 
-    def state_series(self, state: int) -> np.ndarray:
-        """Count of ``state`` over time."""
-        return self.counts[:, state]
-
     def undecided_series(self) -> np.ndarray:
         """The paper's ``u(t)`` over the snapshots."""
         if self.undecided_index is None:

@@ -115,14 +115,6 @@ class MeanFieldSolution:
     undecided: np.ndarray
     opinions: np.ndarray
 
-    def scaled(self, n: int) -> "MeanFieldSolution":
-        """Return a copy with fractions scaled to agent counts for size ``n``."""
-        return MeanFieldSolution(
-            times=self.times.copy(),
-            undecided=self.undecided * n,
-            opinions=self.opinions * n,
-        )
-
 
 class USDMeanField:
     """The k-opinion USD fluid limit."""

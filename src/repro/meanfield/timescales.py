@@ -58,13 +58,6 @@ class MeanFieldTimescales:
     consensus: Optional[float]
     horizon: float
 
-    @property
-    def doubling_fraction_of_consensus(self) -> Optional[float]:
-        """The Figure-1-right ratio, deterministically predicted."""
-        if self.majority_doubling is None or not self.consensus:
-            return None
-        return self.majority_doubling / self.consensus
-
 
 def _first_crossing(
     times: np.ndarray, series: np.ndarray, predicate: np.ndarray

@@ -903,10 +903,6 @@ class RunSpec:
         """A copy of this spec with the fidelity tier replaced."""
         return replace(self, fidelity=fidelity)
 
-    def with_obs(self, obs: ObsConfig) -> "RunSpec":
-        """A copy of this spec with the observability config replaced."""
-        return replace(self, obs=obs)
-
     def __hash__(self) -> int:
         return hash(content_hash(self.to_dict()))
 

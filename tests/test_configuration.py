@@ -121,10 +121,6 @@ class TestAccessors:
         config = Configuration([1, 2, 3], undecided=4)
         assert list(config.to_state_counts()) == [4, 1, 2, 3]
 
-    def test_support_sorted(self):
-        config = Configuration([10, 30, 20])
-        assert list(config.support_sorted()) == [30, 20, 10]
-
     def test_fractions(self, small_config):
         assert small_config.fractions().sum() == pytest.approx(1.0)
 
@@ -175,14 +171,6 @@ class TestDerivedQuantities:
 
     def test_consensus_requires_no_undecided(self):
         assert not Configuration([10, 0], undecided=1).is_consensus()
-
-
-class TestModifiers:
-    def test_sorted_relabels(self):
-        config = Configuration([10, 30, 20], undecided=5)
-        sorted_config = config.sorted()
-        assert list(sorted_config.opinion_counts) == [30, 20, 10]
-        assert sorted_config.undecided == 5
 
 
 class TestEquality:

@@ -101,12 +101,6 @@ class TestDynamics:
         with pytest.raises(SimulationError):
             model.integrate(Configuration([5, 5]), t_end=0.0)
 
-    def test_scaled_solution(self):
-        model = USDMeanField(k=2)
-        solution = model.integrate(Configuration([6, 4]), t_end=1.0)
-        scaled = solution.scaled(1000)
-        assert scaled.opinions[0].sum() + scaled.undecided[0] == pytest.approx(1000)
-
 
 class TestLinearization:
     def test_jacobian_matches_finite_differences(self):

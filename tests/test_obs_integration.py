@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestSpecHashInvariance:
 
     def test_with_obs(self):
         spec = load_spec(_run_doc())
-        observed = spec.with_obs(ObsConfig(metrics=True))
+        observed = replace(spec, obs=ObsConfig(metrics=True))
         assert observed.obs.metrics
         assert observed.spec_hash() == spec.spec_hash()
 
@@ -135,7 +136,7 @@ class TestSpecHashInvariance:
         from repro.errors import SpecError
 
         with pytest.raises(SpecError):
-            load_spec(_run_doc()).with_obs({"metrics": True})
+            replace(load_spec(_run_doc()), obs={"metrics": True})
 
 
 class TestRunMetadata:

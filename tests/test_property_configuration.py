@@ -41,14 +41,6 @@ class TestInvariants:
             assert gap >= config.bias()  # max−min ≥ top−second
 
     @given(config_strategy)
-    def test_sorted_preserves_multiset(self, config):
-        sorted_config = config.sorted()
-        assert sorted(config.opinion_counts) == sorted(sorted_config.opinion_counts)
-        assert sorted_config.undecided == config.undecided
-        counts = sorted_config.opinion_counts
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-    @given(config_strategy)
     def test_fractions_sum_to_decided_share(self, config):
         assert config.fractions().sum() * config.n == np.float64(
             config.decided

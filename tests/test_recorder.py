@@ -33,7 +33,6 @@ class TestTrace:
         assert len(trace) == 2
         assert trace.num_states == 3
         assert list(trace.parallel_times) == [0.0, 1.0]
-        assert list(trace.state_series(0)) == [2, 4]
 
     def test_undecided_and_opinion_series(self):
         trace = make_trace([0, 10], [[2, 5, 3], [4, 4, 2]])
