@@ -2,8 +2,8 @@
 
 Runs the ``zipf_robustness`` demo scenario (a 100-point sweep, every
 point streaming its trajectory to disk), exports the resulting fleet
-into one partitioned columnar dataset, and holds the subsystem to the
-PR-10 acceptance promises:
+into one partitioned dataset of npz fragments, and holds the subsystem
+to its acceptance promises:
 
 0. **The whole fleet is exported and counted.**  The first export
    writes every run directory and skips none, and both the
@@ -20,9 +20,6 @@ PR-10 acceptance promises:
 3. **The trajectory scan degrades, never dies.**  A deliberately
    truncated fragment is skipped with a recorded reason while the
    envelope query still answers from the surviving runs.
-
-Run with pyarrow installed (the leg's main pass, parquet fragments) or
-without (npz reference fragments) — the contracts are format-agnostic.
 """
 
 import json
@@ -63,8 +60,6 @@ def run_cli(args, cwd):
 
 
 def main() -> int:
-    fragment_format = "parquet" if analytics.pyarrow_available() else "npz"
-    print(f"analytics check: fragment format {fragment_format}")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         print(f"1/4 running demo fleet ({SCENARIO.name}) ...", flush=True)
@@ -87,8 +82,6 @@ def main() -> int:
                 str(dataset_dir),
                 "--runs",
                 str(runs_root),
-                "--format",
-                fragment_format,
             ],
             workdir,
         )
@@ -159,8 +152,7 @@ def main() -> int:
         assert len(envelope["grid"]) == 40
 
         print("4/4 incremental re-export + torn-fragment resilience ...", flush=True)
-        suffix = f"*.{fragment_format}"
-        stats = {path: path.stat().st_mtime_ns for path in dataset_dir.rglob(suffix)}
+        stats = {path: path.stat().st_mtime_ns for path in dataset_dir.rglob("*.npz")}
         assert len(stats) >= MIN_FLEET
         out = run_cli(
             [

@@ -2,9 +2,8 @@
 
 The subsystem has three layers (PR 10):
 
-* :mod:`repro.analytics.codec` — one run as a columnar file
-  (``arrow`` / ``parquet`` gated on pyarrow, ``npz`` as the
-  always-available NumPy reference format);
+* :mod:`repro.analytics.codec` — one run as one npz file of columns
+  (``times``, ``counts``, ``undecided``, plus the run identity);
 * :mod:`repro.analytics.dataset` — many runs as one partitioned
   dataset with an incremental manifest (``export_dataset`` /
   ``Dataset``);
@@ -16,39 +15,23 @@ Typical flow::
 
     from repro import analytics
 
-    report = analytics.export_dataset(
-        "fleet/", runs_roots=["results/sweep"], format="parquet")
+    report = analytics.export_dataset("fleet/", runs_roots=["results/sweep"])
     q = analytics.dataset("fleet/").query(protocol="usd", n=2000)
     q.hitting_time_quantiles((0.5, 0.9, 0.99), unit="parallel")
 
 Escape hatch: the fragments under ``<dataset>/fragments/**`` are plain
-parquet/arrow files with hive-style partition directories — point
-DuckDB (``read_parquet('fleet/fragments/**/*.parquet',
-hive_partitioning=true)``) or polars (``pl.scan_parquet``) at them
-directly when this library's canned questions run out.
+npz archives in hive-style partition directories — ``np.load`` one
+(``times``, ``counts``, ``undecided`` and a JSON ``meta`` with the run
+identity) when this library's canned questions run out.
 """
 
-from .codec import (
-    COLUMNAR_FORMATS,
-    FRAGMENT_FORMATS,
-    TRACE_EXPORT_FORMATS,
-    check_format,
-    read_columnar,
-    run_identity,
-    write_columnar,
-)
+from .codec import read_columnar, run_identity, write_columnar
 from .dataset import (
     DATASET_MANIFEST_NAME,
     Dataset,
     ExportReport,
     dataset,
     export_dataset,
-)
-from .gate import (
-    load_pyarrow,
-    pyarrow_available,
-    pyarrow_unavailable_reason,
-    require_pyarrow,
 )
 from .query import (
     FleetQuery,
@@ -58,22 +41,14 @@ from .query import (
 )
 
 __all__ = [
-    "COLUMNAR_FORMATS",
     "DATASET_MANIFEST_NAME",
     "Dataset",
     "ExportReport",
-    "FRAGMENT_FORMATS",
     "FleetQuery",
-    "TRACE_EXPORT_FORMATS",
-    "check_format",
     "dataset",
     "export_dataset",
-    "load_pyarrow",
-    "pyarrow_available",
-    "pyarrow_unavailable_reason",
     "quantiles_exact",
     "read_columnar",
-    "require_pyarrow",
     "run_identity",
     "sample_step_function",
     "time_grid",

@@ -1,11 +1,11 @@
 """Fleet datasets: many persisted runs as one partitioned columnar set.
 
-A *dataset* directory holds one columnar fragment per exported run,
+A *dataset* directory holds one npz fragment per exported run,
 partitioned hive-style by run identity::
 
     <dest>/
       dataset.json                                   # the manifest
-      fragments/protocol=usd/n=2000/spec_hash=<h>/<run_key>.parquet
+      fragments/protocol=usd/n=2000/spec_hash=<h>/<run_key>.npz
       ...
 
 plus ``dataset.json``, the incremental manifest: per-run records (the
@@ -27,10 +27,16 @@ are skipped with recorded reasons (the ``analytics_scan_skipped_total``
 / ``analytics_fragment_skipped_total`` counters, journal events, and
 the manifest's ``skipped`` list), never fatal to an export or a query.
 
-The manifest is also the documented escape hatch: DuckDB and polars can
-scan ``<dest>/fragments/**/*.parquet`` directly — the partition keys
-and the constant identity columns inside each fragment make the
-dataset self-describing without this library in the loop.
+The manifest is also the documented escape hatch: each fragment is a
+plain ``np.load``-able archive (see :mod:`repro.analytics.codec`), and
+the partition keys in its path plus the identity in its ``meta`` make
+the dataset self-describing without this library in the loop.
+
+A manifest that records another fragment format (``arrow`` or
+``parquet``, which older versions wrote with pyarrow, or no format at
+all, which those versions read as ``parquet``) raises an
+:class:`~repro.errors.AnalyticsError` naming the npz re-export, both on
+opening and on exporting into it.
 """
 
 from __future__ import annotations
@@ -71,6 +77,9 @@ PathLike = Union[str, Path]
 DATASET_MANIFEST_NAME = "dataset.json"
 DATASET_FORMAT_VERSION = 1
 _FRAGMENTS = "fragments"
+#: The one fragment format, still recorded in every manifest: readers
+#: before it was the only one take a missing key to mean ``parquet``.
+_FRAGMENT_FORMAT = "npz"
 
 #: Summary fields copied into a run record (obs_metrics stays behind —
 #: only its kernel-time total travels, as ``kernel_seconds``).
@@ -106,7 +115,7 @@ class ExportReport:
     """What one :func:`export_dataset` call did."""
 
     dest: Path
-    fragment_format: str
+    fragment_format: str = _FRAGMENT_FORMAT
     exported: int = 0
     unchanged: int = 0
     summary_only: int = 0
@@ -149,14 +158,14 @@ def _partition_value(value: Any) -> str:
     return _SAFE_PART.sub("_", text) or "unknown"
 
 
-def _fragment_relpath(identity: Dict[str, Any], fmt: str) -> str:
+def _fragment_relpath(identity: Dict[str, Any]) -> str:
     return "/".join(
         (
             _FRAGMENTS,
             f"protocol={_partition_value(identity.get('protocol'))}",
             f"n={_partition_value(identity.get('n'))}",
             f"spec_hash={_partition_value(identity.get('spec_hash'))}",
-            f"{_partition_value(identity.get('run_key'))}{codec.format_suffix(fmt)}",
+            f"{_partition_value(identity.get('run_key'))}.npz",
         )
     )
 
@@ -193,73 +202,39 @@ def export_dataset(
     *,
     runs_roots: Iterable[PathLike] = (),
     store: Any = None,
-    format: Optional[str] = None,
     on_skip=None,
 ) -> ExportReport:
     """Export (or incrementally refresh) a fleet dataset under ``dest``.
 
     ``runs_roots`` are scanned for streamed run directories;
     ``store`` (a :class:`~repro.serve.store.ResultStore` or its root
-    path) contributes summary-only records.  ``format`` picks the
-    fragment codec on first export (default: ``parquet`` when pyarrow
-    is importable, the ``npz`` reference codec otherwise); a later
-    export must match the dataset's recorded format.  Returns an
-    :class:`ExportReport`; unreadable sources are skipped with recorded
-    reasons, never raised.
+    path) contributes summary-only records.  Fragments are npz files;
+    exporting into a dataset of a retired format raises an
+    :class:`AnalyticsError`.  Returns an :class:`ExportReport`;
+    unreadable sources are skipped with recorded reasons, never raised.
     """
     from ..io.streaming import iter_persisted_manifests
 
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    existing = (
-        _load_manifest(dest) if (dest / DATASET_MANIFEST_NAME).is_file() else None
+    runs: Dict[str, Dict[str, Any]] = (
+        dict(_load_manifest(dest).get("runs", {}))
+        if (dest / DATASET_MANIFEST_NAME).is_file()
+        else {}
     )
-    if existing is not None:
-        recorded = existing.get("fragment_format", "parquet")
-        if format is not None:
-            fmt = codec.check_format(
-                format, codec.FRAGMENT_FORMATS, what="fragment format"
-            )
-            if fmt != recorded:
-                raise AnalyticsError(
-                    f"dataset {dest} already uses fragment format "
-                    f"{recorded!r}; export into a fresh directory to "
-                    f"switch to {fmt!r}"
-                )
-        fmt = recorded
-        runs: Dict[str, Dict[str, Any]] = dict(existing.get("runs", {}))
-    else:
-        if format is None:
-            # best available by default: columnar when pyarrow is
-            # importable, the npz reference codec otherwise — only an
-            # *explicit* parquet/arrow request fails loudly without it
-            from .gate import pyarrow_available
-
-            format = "parquet" if pyarrow_available() else "npz"
-        fmt = codec.check_format(
-            format, codec.FRAGMENT_FORMATS, what="fragment format"
-        )
-        runs = {}
-    if fmt in codec.COLUMNAR_FORMATS:
-        # fail up front, with the gate's message, rather than after a
-        # half-finished scan
-        from .gate import require_pyarrow
-
-        require_pyarrow(f"exporting {fmt!r} dataset fragments")
-
-    report = ExportReport(dest=dest, fragment_format=fmt)
-    with _journal_span("analytics.export", dest=str(dest), format=fmt):
+    report = ExportReport(dest=dest)
+    with _journal_span("analytics.export", dest=str(dest)):
         for root in runs_roots:
             for run_dir, manifest in iter_persisted_manifests(
                 root, on_skip=lambda p, r: _record_skip(report, p, r, on_skip)
             ):
-                _export_run(report, runs, run_dir, manifest, fmt, on_skip)
+                _export_run(report, runs, run_dir, manifest, on_skip)
         if store is not None:
             _ingest_store(report, runs, store, on_skip)
         manifest_payload = {
             "format_version": DATASET_FORMAT_VERSION,
             "kind": "analytics-dataset",
-            "fragment_format": fmt,
+            "fragment_format": _FRAGMENT_FORMAT,
             "runs": runs,
             "skipped": [list(item) for item in report.skipped],
         }
@@ -277,7 +252,6 @@ def _export_run(
     runs: Dict[str, Dict[str, Any]],
     run_dir: Path,
     manifest: Dict[str, Any],
-    fmt: str,
     on_skip,
 ) -> None:
     from ..io.streaming import StreamedTrace
@@ -302,7 +276,7 @@ def _export_run(
         return
     run_info = dict(manifest.get("run_info") or {})
     identity = codec.run_identity(run_info, run_key=run_key)
-    relpath = _fragment_relpath(identity, fmt)
+    relpath = _fragment_relpath(identity)
     undecided_index = run_info.get("undecided_index")
     try:
         stream = StreamedTrace(run_dir)
@@ -312,7 +286,6 @@ def _export_run(
             identity=identity,
             run_info={**run_info, "summary": _summary_record(summary)},
             undecided_index=(None if undecided_index is None else int(undecided_index)),
-            format=fmt,
         )
     except (SerializationError, OSError) as exc:
         _record_skip(report, run_dir, f"unreadable chunks: {exc}", on_skip)
@@ -453,6 +426,14 @@ def _load_manifest(root: Path) -> Dict[str, Any]:
             f"dataset manifest {path} uses format version {version!r}; "
             f"this library reads up to {DATASET_FORMAT_VERSION}"
         )
+    recorded = payload.get("fragment_format", "parquet")
+    if recorded != _FRAGMENT_FORMAT:
+        raise AnalyticsError(
+            f"dataset {root} records fragment format {recorded!r}; the arrow "
+            "and parquet formats were retired and npz is the only fragment "
+            "format. Re-export its runs into a new dataset: "
+            "repro trace dataset NEW --runs ROOT"
+        )
     return payload
 
 
@@ -475,7 +456,7 @@ class Dataset:
 
     @property
     def fragment_format(self) -> str:
-        return str(self._manifest.get("fragment_format", "parquet"))
+        return _FRAGMENT_FORMAT
 
     @property
     def runs(self) -> List[Dict[str, Any]]:
@@ -492,33 +473,23 @@ class Dataset:
         self.skipped.append((path, reason))
 
     def iter_series(
-        self,
-        *,
-        columns: Optional[Tuple[str, ...]] = ("time", "undecided"),
-        records: Optional[Iterable[Dict[str, Any]]] = None,
+        self, *, records: Optional[Iterable[Dict[str, Any]]] = None
     ) -> Iterator[Tuple[Dict[str, Any], Dict[str, Any]]]:
         """Yield ``(record, arrays)`` per trajectory-bearing run.
 
         ``arrays`` is the codec's ``{"times", "counts", "undecided",
-        "meta"}`` dict with unrequested columns pruned where the format
-        supports projection.  Summary-only records (no fragment) are
-        not yielded; unreadable fragments are skipped with a recorded
+        "meta"}`` dict.  Summary-only records (no fragment) are not
+        yielded; unreadable fragments are skipped with a recorded
         reason.
         """
         for record in self.runs if records is None else records:
             relpath = record.get("fragment")
             if relpath is None:
                 continue
-            path = self.root / relpath
             try:
-                arrays = codec.read_columnar(
-                    path, format=self.fragment_format, columns=columns
-                )
+                arrays = codec.read_columnar(self.root / relpath)
             except (SerializationError, AnalyticsError, OSError) as exc:
                 self._skip(record, str(exc))
-                continue
-            if arrays.get("times") is None:
-                self._skip(record, "fragment has no time column")
                 continue
             yield record, arrays
 

@@ -242,9 +242,7 @@ class FleetQuery:
         series: List[Tuple[np.ndarray, np.ndarray]] = []
         no_undecided = 0
         skipped_before = len(self.dataset.skipped)
-        for record, arrays in self.dataset.iter_series(
-            columns=("time", "undecided"), records=self.records
-        ):
+        for record, arrays in self.dataset.iter_series(records=self.records):
             undecided = arrays.get("undecided")
             if undecided is None:
                 no_undecided += 1

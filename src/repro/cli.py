@@ -43,14 +43,13 @@ Subcommands
     events, ``export`` renders the metric snapshot in the Prometheus
     text format.  Journals and metric snapshots are written by runs
     executed with ``--obs`` (or an ``ObsConfig`` on the spec).
-``repro trace export <RUN_DIR> --to FILE [--format npz|arrow|parquet] [--every N] [--start T] [--stop T]``
+``repro trace export <RUN_DIR> --to FILE.npz [--every N] [--start T] [--stop T]``
     Materialize a streamed run (optionally windowed / downsampled) into
-    a single trace file: ``.npz`` readable with ``repro.io.load_trace``
-    (the default), or a columnar arrow/parquet file (needs pyarrow).
-``repro trace dataset <DEST> --runs DIR [--runs DIR ...] [--store DIR] [--format FMT]``
+    a single ``.npz`` trace file readable with ``repro.io.load_trace``.
+``repro trace dataset <DEST> --runs DIR [--runs DIR ...] [--store DIR]``
     Export every persisted run under the given roots (plus a serve
-    result store's run documents) into one partitioned columnar
-    dataset.  Incremental: re-running skips unchanged runs without
+    result store's run documents) into one partitioned dataset of npz
+    fragments.  Incremental: re-running skips unchanged runs without
     rewriting their fragments.
 ``repro trace query <DATASET> --ask QUESTION [--protocol P] [--n N] [--json] [...]``
     Answer a fleet-scale question over an exported dataset in one
@@ -292,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     info.add_argument("run_dir", type=Path, help="run directory with manifest.json")
     export = trace_commands.add_parser(
-        "export",
-        help=(
-            "materialize a streamed run into a single trace file "
-            "(.npz, or columnar arrow/parquet)"
-        ),
+        "export", help="materialize a streamed run into a single .npz trace file"
     )
     export.add_argument("run_dir", type=Path, help="run directory with manifest.json")
     export.add_argument(
@@ -304,19 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         required=True,
         metavar="FILE",
-        help=(
-            "output path (.npz readable with repro.io.load_trace; "
-            "arrow/parquet with repro.analytics.read_columnar)"
-        ),
-    )
-    export.add_argument(
-        "--format",
-        default="npz",
-        metavar="FMT",
-        help=(
-            "output format: npz (default), arrow or parquet "
-            "(columnar formats need pyarrow)"
-        ),
+        help="output path ending in .npz (readable with repro.io.load_trace)",
     )
     export.add_argument(
         "--every",
@@ -342,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_dataset = trace_commands.add_parser(
         "dataset",
         help=(
-            "export many persisted runs into one partitioned columnar "
-            "dataset (incremental: unchanged runs are not rewritten)"
+            "export many persisted runs into one partitioned dataset of "
+            "npz fragments (incremental: unchanged runs are not rewritten)"
         ),
     )
     trace_dataset.add_argument(
@@ -368,16 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "a 'repro serve' result-store root; its run documents "
             "join the dataset as summary-only records"
-        ),
-    )
-    trace_dataset.add_argument(
-        "--format",
-        default=None,
-        metavar="FMT",
-        help=(
-            "fragment format: parquet, arrow or npz (default: parquet "
-            "with pyarrow installed, npz otherwise); an existing "
-            "dataset keeps its recorded format"
         ),
     )
     trace_query = trace_commands.add_parser(
@@ -976,41 +949,21 @@ def _run_trace_command(args: Any) -> None:
                 print("  where the time went (obs metrics):")
                 print(format_summary(obs_snapshot, indent="    "))
     else:  # export
-        from .analytics import codec as trace_codec
+        from .io.serialization import save_trace
 
-        fmt = trace_codec.check_format(args.format)
+        if args.to.suffix != ".npz":
+            raise ReproError(
+                f"--to must name a .npz file, got {str(args.to)!r}; npz is "
+                "the only trace export format (arrow and parquet were retired)"
+            )
         if args.every < 1:
             raise ReproError(f"--every must be >= 1, got {args.every}")
         start = float("-inf") if args.start is None else args.start
         stop = float("inf") if args.stop is None else args.stop
         trace = stream.time_slice(start, stop, every=args.every)
-        if fmt == "npz":
-            from .io.serialization import save_trace
-
-            save_trace(trace, args.to)
-        else:
-            run_info = dict(stream.run_info)
-            run_info["summary"] = stream.summary
-            spec_hash = run_info.get("spec_hash")
-            identity = trace_codec.run_identity(
-                run_info, run_key=spec_hash or str(args.run_dir.name)
-            )
-            whole = args.every == 1 and args.start is None and args.stop is None
-            chunks = (
-                stream.iter_chunks()
-                if whole
-                else iter([(trace.times, trace.counts)])
-            )
-            trace_codec.write_columnar(
-                args.to,
-                chunks,
-                identity=identity,
-                run_info=run_info,
-                undecided_index=stream.undecided_index,
-                format=fmt,
-            )
+        save_trace(trace, args.to)
         print(
-            f"wrote {args.to} [{fmt}] ({len(trace)} of {len(stream)} "
+            f"wrote {args.to} [npz] ({len(trace)} of {len(stream)} "
             f"snapshots, every {args.every})"
         )
 
@@ -1027,7 +980,6 @@ def _run_trace_dataset(args: Any) -> None:
         args.dest,
         runs_roots=args.runs,
         store=args.store,
-        format=args.format,
         on_skip=lambda path, reason: skips.append((path, reason)),
     )
     print(

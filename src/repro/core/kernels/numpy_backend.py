@@ -188,7 +188,6 @@ def multibatch_step(
     every return, and an absorbed call returns ``target``.
     """
     pairs = inputs.pairs
-    eff_a, eff_b, eff_same = pairs.eff_a, pairs.eff_b, pairs.eff_same
     num_states, n = pairs.num_states, pairs.n
     handover = pairs.pair_denominator / inputs.expected_epoch
     out_a, out_b = inputs.out_initiator, inputs.out_responder
@@ -198,7 +197,7 @@ def multibatch_step(
     interactions = start
     last_change: Optional[int] = None
     while True:
-        total = int((counts[eff_a] * (counts[eff_b] - eff_same)).sum())
+        total = pairs.effective_weight(counts)
         if total == 0:
             return target, last_change, True
         if interactions >= target or total < handover:

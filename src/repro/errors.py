@@ -104,10 +104,11 @@ class ServeError(ReproError):
 class AnalyticsError(ReproError):
     """The columnar analytics layer (``repro.analytics``) failed.
 
-    Raised e.g. when a columnar export format needs ``pyarrow`` and it
-    is not installed, when a dataset directory holds no (or a
-    newer-versioned) dataset manifest, or when an export would mix
-    fragment formats inside one dataset.  *Not* raised for corrupt
+    Raised e.g. when a dataset directory holds no (or a
+    newer-versioned) dataset manifest, and for artifacts of the retired
+    arrow/parquet formats — a dataset manifest recording one (on opening
+    or exporting into it) or a ``.arrow``/``.parquet`` trace — with a
+    message naming the npz re-export.  *Not* raised for corrupt
     individual inputs — unreadable run directories and truncated
     fragments are skipped with recorded reasons, never fatal to a scan.
     """

@@ -46,8 +46,10 @@ _FIGURE1_DEFAULTS: Dict[str, Any] = {
     "n": 100_000,
     "k": None,  # None → the paper's schedule √n/(ln n · ln ln n)
     "bias": None,  # None → the paper's √(n ln n)
-    # A seed on which the designated majority wins (like the paper's
-    # displayed run; the majority wins ~95% of seeds at this scale).
+    # A seed on which the designated majority wins, like the paper's
+    # displayed run.  At these defaults (n = 10^5, k = 11, bias 1073)
+    # the majority won 55 of 60 seeds (0.92) on the exact auto engine,
+    # in a 60-seed scan at commit 016e858.
     "seed": 2027,
     "engine": "auto",
     "max_parallel_time": 2_000.0,

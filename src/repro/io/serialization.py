@@ -23,7 +23,7 @@ PathLike = Union[str, Path]
 
 
 def save_trace(trace: Trace, path: PathLike) -> None:
-    """Write a :class:`Trace` to ``path`` (``.npz``)."""
+    """Write a :class:`Trace` as an npz archive to exactly ``path``."""
     path = Path(path)
     header = {
         "n": trace.n,
@@ -33,12 +33,16 @@ def save_trace(trace: Trace, path: PathLike) -> None:
         "metadata": _jsonable(trace.metadata),
     }
     try:
-        np.savez_compressed(
-            path,
-            times=trace.times,
-            counts=trace.counts,
-            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        )
+        # through a handle: given a path, savez would append ".npz" to it
+        with open(path, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                times=trace.times,
+                counts=trace.counts,
+                header=np.frombuffer(
+                    json.dumps(header).encode("utf-8"), dtype=np.uint8
+                ),
+            )
     except OSError as exc:
         raise SerializationError(f"could not write trace to {path}: {exc}") from exc
 

@@ -21,7 +21,7 @@ tests (plateau location, threshold behaviour), by the figure
 experiments as an overlay reference, and by the surrogate fidelity tier
 (:mod:`repro.meanfield.surrogate`).
 
-SciPy is an *optional* dependency, gated like pyarrow: importing
+SciPy is an *optional* dependency, gated at first use: importing
 this module never imports scipy.  :func:`load_solve_ivp` performs the
 lazy import and raises a clear :class:`~repro.errors.SimulationError`
 when scipy is missing, and :func:`scipy_unavailable_reason` lets the
@@ -81,11 +81,11 @@ def scipy_available() -> bool:
 def load_solve_ivp() -> Callable:
     """The lazily-imported ``solve_ivp``, or a loud, actionable error.
 
-    Mirrors the pyarrow gating idiom: a scipy-less install can
-    import and use the whole library — only the code paths that
-    genuinely need the integrator (mean-field ``integrate``, the
-    surrogate fidelity tier) fail, and they fail with an error that
-    names the missing dependency instead of an ImportError mid-flight.
+    A scipy-less install can import and use the whole library — only
+    the code paths that genuinely need the integrator (mean-field
+    ``integrate``, the surrogate fidelity tier) fail, and they fail
+    with an error that names the missing dependency instead of an
+    ImportError mid-flight.
     """
     _probe_scipy()
     if _SOLVE_IVP is None:

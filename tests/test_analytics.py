@@ -2,14 +2,13 @@
 
 Contracts under test, layer by layer:
 
-* codec — the npz reference codec round-trips a streamed run
-  bit-identically to ``StreamedTrace.materialize()``; unknown format
-  names raise a :class:`SpecError` *listing* the supported formats
-  (CLI included); the arrow/parquet formats round-trip identically to
-  npz when pyarrow is present and gate with a recorded reason when not;
+* codec — the npz codec round-trips a streamed run bit-identically to
+  ``StreamedTrace.materialize()``; ``repro trace export`` writes only a
+  ``.npz`` destination;
 * dataset — export partitions by protocol/n/spec_hash, re-export of an
   unchanged fleet rewrites nothing (incremental manifest), changed runs
-  are re-exported, serve result stores contribute summary-only records;
+  are re-exported, serve result stores contribute summary-only records,
+  and a manifest of a retired format is an error naming the re-export;
 * corrupt/partial inputs — incomplete manifests (``complete: false``),
   runs missing summaries, truncated fragments: skipped with recorded
   reasons, never fatal to an export or a query;
@@ -31,14 +30,9 @@ from repro import analytics
 from repro.analytics import codec
 from repro.analytics.query import quantiles_exact, sample_step_function, time_grid
 from repro.cli import main
-from repro.errors import AnalyticsError, SpecError
+from repro.errors import AnalyticsError
 from repro.io.streaming import StreamedTrace, iter_persisted_manifests
 from repro.protocols import UndecidedStateDynamics
-
-HAS_PYARROW = analytics.pyarrow_available()
-needs_pyarrow = pytest.mark.skipif(
-    not HAS_PYARROW, reason="pyarrow not installed (npz reference path only)"
-)
 
 
 def _persist_run(run_dir, *, n=300, k=2, seed=11, snapshot_every=17):
@@ -71,34 +65,6 @@ def fleet(tmp_path_factory):
 
 
 class TestCodec:
-    def test_unknown_format_lists_supported_formats(self):
-        with pytest.raises(SpecError) as err:
-            codec.check_format("csv")
-        message = str(err.value)
-        assert "'csv'" in message
-        for name in codec.TRACE_EXPORT_FORMATS:
-            assert repr(name) in message
-
-    def test_cli_export_unknown_format_is_a_clean_error(self, tmp_path, capsys):
-        _persist_run(tmp_path / "run")
-        assert (
-            main(
-                [
-                    "trace",
-                    "export",
-                    str(tmp_path / "run"),
-                    "--to",
-                    str(tmp_path / "out.csv"),
-                    "--format",
-                    "csv",
-                ]
-            )
-            == 1
-        )
-        err = capsys.readouterr().err
-        assert "unknown trace export format 'csv'" in err
-        assert "'npz'" in err and "'arrow'" in err and "'parquet'" in err
-
     def test_npz_round_trip_is_bit_identical(self, tmp_path):
         _persist_run(tmp_path / "run")
         stream = StreamedTrace(tmp_path / "run")
@@ -113,7 +79,6 @@ class TestCodec:
             identity=identity,
             run_info=stream.run_info,
             undecided_index=stream.undecided_index,
-            format="npz",
         )
         data = codec.read_columnar(dest)
         assert rows == len(reference)
@@ -134,48 +99,6 @@ class TestCodec:
         assert run_info["seed"] == 7
         assert run_info["spec"]["seed"] == 7
         assert codec.run_identity(run_info, run_key="r")["seed"] == 7
-
-    @needs_pyarrow
-    @pytest.mark.parametrize("fmt", ["arrow", "parquet"])
-    def test_columnar_round_trip_matches_npz_reference(self, tmp_path, fmt):
-        _persist_run(tmp_path / "run")
-        stream = StreamedTrace(tmp_path / "run")
-        reference = stream.materialize()
-        identity = codec.run_identity(
-            stream.run_info, run_key=stream.run_info["spec_hash"]
-        )
-        dest = tmp_path / f"trace.{fmt}"
-        codec.write_columnar(
-            dest,
-            stream.iter_chunks(),
-            identity=identity,
-            run_info=stream.run_info,
-            undecided_index=stream.undecided_index,
-            format=fmt,
-        )
-        data = codec.read_columnar(dest)
-        assert np.array_equal(data["times"], reference.times)
-        assert np.array_equal(data["counts"], reference.counts)
-        assert np.array_equal(
-            data["undecided"], reference.counts[:, stream.undecided_index]
-        )
-        assert data["meta"]["identity"] == identity
-        # column projection prunes what the envelope scan never reads
-        slim = codec.read_columnar(dest, columns=("time", "undecided"))
-        assert np.array_equal(slim["times"], reference.times)
-        assert slim["counts"] is None
-
-    @pytest.mark.skipif(HAS_PYARROW, reason="pyarrow installed")
-    def test_columnar_formats_gate_with_recorded_reason(self, tmp_path):
-        reason = analytics.pyarrow_unavailable_reason()
-        assert reason is not None and "pyarrow" in reason
-        with pytest.raises(AnalyticsError, match="requires pyarrow"):
-            codec.write_columnar(
-                tmp_path / "t.parquet",
-                iter(()),
-                identity={"run_key": "x"},
-                format="parquet",
-            )
 
     def test_cli_export_npz_default_unchanged(self, tmp_path, capsys):
         _persist_run(tmp_path / "run")
@@ -198,19 +121,28 @@ class TestCodec:
         assert np.array_equal(trace.times, reference.times)
         assert np.array_equal(trace.counts, reference.counts)
 
+    def test_cli_export_rejects_a_non_npz_destination(self, tmp_path, capsys):
+        _persist_run(tmp_path / "run")
+        dest = tmp_path / "out.parquet"
+        assert main(["trace", "export", str(tmp_path / "run"), "--to", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ".npz" in err
+        assert list(tmp_path.glob("out.*")) == []
+
 
 # --------------------------------------------------------------- dataset
 
 
 class TestDataset:
     def test_export_partitions_and_manifest(self, fleet, tmp_path):
-        report = analytics.export_dataset(
-            tmp_path / "ds", runs_roots=[fleet], format="npz"
-        )
+        report = analytics.export_dataset(tmp_path / "ds", runs_roots=[fleet])
         assert report.exported == 6 and report.unchanged == 0
         assert report.rows > 0 and not report.skipped
         ds = analytics.dataset(tmp_path / "ds")
         assert len(ds) == 6
+        # still recorded: older readers take a missing key for parquet
+        manifest = json.loads((tmp_path / "ds" / "dataset.json").read_text())
+        assert manifest["fragment_format"] == "npz"
         for record in ds.runs:
             fragment = tmp_path / "ds" / record["fragment"]
             assert fragment.is_file()
@@ -223,7 +155,7 @@ class TestDataset:
 
     def test_reexport_unchanged_fleet_rewrites_nothing(self, fleet, tmp_path):
         dest = tmp_path / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
+        analytics.export_dataset(dest, runs_roots=[fleet])
         stats = {path: path.stat().st_mtime_ns for path in dest.rglob("*.npz")}
         assert stats
         report = analytics.export_dataset(dest, runs_roots=[fleet])
@@ -235,17 +167,35 @@ class TestDataset:
         import os
 
         dest = tmp_path / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
+        analytics.export_dataset(dest, runs_roots=[fleet])
         manifest = sorted(fleet.glob("*/manifest.json"))[0]
         os.utime(manifest, ns=(1, 1))  # a re-run rewrites the manifest
         report = analytics.export_dataset(dest, runs_roots=[fleet])
         assert report.exported == 1 and report.unchanged == 5
 
     def test_fragment_format_mismatch_is_an_error(self, fleet, tmp_path):
+        # a manifest recording a retired format (or none, which older
+        # readers took for parquet) is refused on opening and on export
         dest = tmp_path / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
-        with pytest.raises(AnalyticsError, match="already uses fragment format"):
-            analytics.export_dataset(dest, runs_roots=[fleet], format="arrow")
+        analytics.export_dataset(dest, runs_roots=[fleet])
+        manifest_path = dest / analytics.DATASET_MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        for recorded in ("arrow", None):
+            if recorded is None:
+                manifest.pop("fragment_format")
+            else:
+                manifest["fragment_format"] = recorded
+            manifest_path.write_text(json.dumps(manifest))
+            retired = "parquet" if recorded is None else recorded
+            for attempt in (
+                lambda: analytics.dataset(dest),
+                lambda: analytics.export_dataset(dest, runs_roots=[fleet]),
+            ):
+                with pytest.raises(AnalyticsError) as err:
+                    attempt()
+                assert f"fragment format {retired!r}" in str(err.value)
+                assert "repro trace dataset NEW --runs ROOT" in str(err.value)
+        assert json.loads(manifest_path.read_text()) == manifest
 
     def test_store_documents_become_summary_only_records(self, fleet, tmp_path):
         store_root = tmp_path / "store"
@@ -286,7 +236,6 @@ class TestDataset:
             tmp_path / "ds",
             runs_roots=[fleet],
             store=store_root,
-            format="npz",
         )
         assert report.summary_only == 1
         assert any("sweep" in reason for _, reason in report.skipped)
@@ -330,7 +279,7 @@ class TestCorruptInputs:
         manifest["complete"] = False
         manifest_path.write_text(json.dumps(manifest))
         report = analytics.export_dataset(
-            tmp_path / "ds", runs_roots=[tmp_path / "runs"], format="npz"
+            tmp_path / "ds", runs_roots=[tmp_path / "runs"]
         )
         assert report.exported == 1
         assert any(
@@ -346,7 +295,7 @@ class TestCorruptInputs:
         manifest.pop("summary", None)
         manifest_path.write_text(json.dumps(manifest))
         report = analytics.export_dataset(
-            tmp_path / "ds", runs_roots=[tmp_path / "runs"], format="npz"
+            tmp_path / "ds", runs_roots=[tmp_path / "runs"]
         )
         assert report.exported == 1
         assert any(
@@ -365,13 +314,13 @@ class TestCorruptInputs:
         bad.mkdir(parents=True)
         (bad / "manifest.json").write_text("{not json")
         report = analytics.export_dataset(
-            tmp_path / "ds", runs_roots=[tmp_path / "runs"], format="npz"
+            tmp_path / "ds", runs_roots=[tmp_path / "runs"]
         )
         assert report.exported == 1 and report.skipped
 
     def test_truncated_fragment_never_crashes_a_query(self, fleet, tmp_path):
         dest = tmp_path / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
+        analytics.export_dataset(dest, runs_roots=[fleet])
         victim = sorted(dest.rglob("*.npz"))[0]
         victim.write_bytes(victim.read_bytes()[:40])  # torn mid-header
         ds = analytics.dataset(dest)
@@ -386,7 +335,7 @@ class TestCorruptInputs:
 
     def test_vanished_fragment_skipped_with_reason(self, fleet, tmp_path):
         dest = tmp_path / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
+        analytics.export_dataset(dest, runs_roots=[fleet])
         sorted(dest.rglob("*.npz"))[0].unlink()
         ds = analytics.dataset(dest)
         answer = ds.query().undecided_envelope(grid_points=8)
@@ -400,7 +349,7 @@ class TestQuery:
     @pytest.fixture(scope="class")
     def ds(self, fleet, tmp_path_factory):
         dest = tmp_path_factory.mktemp("dataset") / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
+        analytics.export_dataset(dest, runs_roots=[fleet])
         return analytics.dataset(dest)
 
     def test_hitting_time_quantiles_bit_match_numpy_reference(self, fleet, ds):
@@ -484,8 +433,6 @@ class TestQuery:
                     str(dest),
                     "--runs",
                     str(fleet),
-                    "--format",
-                    "npz",
                 ]
             )
             == 0
@@ -511,6 +458,6 @@ class TestQuery:
 
     def test_cli_query_unknown_ask_is_a_clean_error(self, fleet, tmp_path, capsys):
         dest = tmp_path / "ds"
-        analytics.export_dataset(dest, runs_roots=[fleet], format="npz")
+        analytics.export_dataset(dest, runs_roots=[fleet])
         assert main(["trace", "query", str(dest), "--ask", "nonsense"]) == 1
         assert "unknown query 'nonsense'" in capsys.readouterr().err

@@ -59,16 +59,20 @@ class TestTraceSerialization:
         )
 
     def test_roundtrip(self, trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.times, trace.times)
-        assert np.array_equal(loaded.counts, trace.counts)
-        assert loaded.n == trace.n
-        assert loaded.state_names == trace.state_names
-        assert loaded.protocol_name == trace.protocol_name
-        assert loaded.undecided_index == 0
-        assert loaded.metadata["seed"] == 7
+        # a path without the .npz suffix is written as given, not as
+        # "plain.npz"
+        for name in ("trace.npz", "plain"):
+            path = tmp_path / name
+            save_trace(trace, path)
+            loaded = load_trace(path)
+            assert np.array_equal(loaded.times, trace.times)
+            assert np.array_equal(loaded.counts, trace.counts)
+            assert loaded.n == trace.n
+            assert loaded.state_names == trace.state_names
+            assert loaded.protocol_name == trace.protocol_name
+            assert loaded.undecided_index == 0
+            assert loaded.metadata["seed"] == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "trace.npz"]
 
     def test_none_undecided_index_roundtrip(self, trace, tmp_path):
         voter_trace = Trace(
