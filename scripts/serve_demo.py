@@ -7,6 +7,12 @@ answered from the content-addressed result store — byte-identical on
 the wire, no RNG consumed — while ``/metrics`` exposes the hit/miss
 counters live.
 
+Its job runs in a worker forked from the daemon's forkserver, like
+every job.  This script reaches ``repro`` through a ``sys.path`` edit,
+which the forkserver's preload does not see (CPython 3.11–3.13 start
+it without the daemon's ``sys.path``), so that worker starts cold and
+``serve_worker_cold_starts_total`` counts it.
+
 Run it from the repo root::
 
     python scripts/serve_demo.py
@@ -46,9 +52,7 @@ def main(tmp_root=None) -> int:
     import tempfile
 
     root = Path(tmp_root or tempfile.mkdtemp(prefix="repro-serve-demo-"))
-    httpd = make_server(
-        ServeConfig(port=0, root=root, job_mode="thread", max_jobs=2)
-    )
+    httpd = make_server(ServeConfig(port=0, root=root, max_jobs=2))
     port = httpd.server_address[1]
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -79,7 +83,9 @@ def main(tmp_root=None) -> int:
 
         metrics = client.metrics_text()
         for line in metrics.splitlines():
-            if line.startswith(("serve_cache", "serve_jobs_total")):
+            if line.startswith(
+                ("serve_cache", "serve_jobs_total", "serve_worker_cold")
+            ):
                 print(f"  /metrics: {line}")
         assert "serve_cache_hits_total 1" in metrics
         assert "serve_cache_misses_total 1" in metrics

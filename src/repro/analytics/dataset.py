@@ -315,8 +315,7 @@ def _ingest_store(
     """Summary-only records from a serve result store.
 
     Accepts a :class:`~repro.serve.store.ResultStore` or a store root
-    directory (its ``documents/`` are read directly, index not
-    required).  Only single-run documents (``result_kind`` ``run`` /
+    directory (its ``documents/`` are read directly).  Only single-run documents (``result_kind`` ``run`` /
     ``surrogate``) have a per-run summary to contribute; other kinds
     are skipped with a recorded reason.  A run already exported from
     its run directory wins over its store document — the directory

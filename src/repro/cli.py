@@ -59,12 +59,13 @@ Subcommands
 ``repro sweep status <id> --out DIR [...]``
     Show which grid points are done, missing, and who computed them,
     without computing anything.
-``repro serve [--host H] [--port P] [--root DIR] [--runs DIR ...] [--jobs N] [--max-jobs N] [--inline]``
+``repro serve [--host H] [--port P] [--root DIR] [--runs DIR ...] [--jobs N] [--max-jobs N]``
     Run the simulation-as-a-service daemon: accept spec documents over
     HTTP, answer repeated submissions from a spec-hash result cache,
     schedule the rest on a bounded pool of worker processes, each forked
     from a ``forkserver`` that imported ``repro`` once.
-    ``--runs`` seeds the cache from persisted run directories;
+    ``--runs`` seeds the cache from persisted run directories, rescanned
+    at every start;
     ``--port 0`` picks an ephemeral port; ``--max-jobs`` bounds how
     many settled jobs (and their directories) are retained.
 ``repro submit FILE --server URL [--set dotted.key=value ...] [--wait]``
@@ -519,16 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
             "settled (done/failed) jobs to retain; older ones are "
             "evicted — dropped from the status endpoint, their job "
             "directories deleted (default: keep everything)"
-        ),
-    )
-    serve.add_argument(
-        "--inline",
-        action="store_true",
-        help=(
-            "run jobs on daemon threads instead of worker processes "
-            "forked from a preloaded forkserver (no helper processes; a "
-            "crashing simulation then takes the daemon with it — meant "
-            "for tests and demos)"
         ),
     )
     serve.add_argument(
@@ -1154,7 +1145,6 @@ def _run_serve_command(args: Any) -> None:
             root=args.root,
             runs_roots=tuple(args.runs),
             max_jobs=args.jobs,
-            job_mode="thread" if args.inline else "process",
             progress_interval=args.progress_interval,
             max_retained_jobs=args.max_jobs,
         )

@@ -1,19 +1,19 @@
-"""Progress heartbeats: throttled stderr/callback reporting.
+"""Progress heartbeats: throttled stderr reporting.
 
 A :class:`ProgressReporter` is fed at chunk boundaries by the engine
 observer (:mod:`repro.obs.runtime`) and emits at most one heartbeat
 per ``interval`` seconds — interactions done vs. the horizon, the
 recent interactions/s rate, an ETA extrapolated from it, and the
 undecided fraction when the protocol exposes one.  Lines go to stderr
-by default (stdout stays parseable); pass ``callback`` to consume
-heartbeats programmatically (the service layer's streaming hook).
+(stdout stays parseable); :meth:`ProgressReporter.maybe_report` also
+returns each heartbeat, which the observer mirrors into the journal.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Callable, Dict, Optional, TextIO
+from typing import Any, Dict, Optional
 
 __all__ = ["ProgressReporter"]
 
@@ -21,18 +21,9 @@ __all__ = ["ProgressReporter"]
 class ProgressReporter:
     """Rate-limited progress heartbeats for one run."""
 
-    def __init__(
-        self,
-        *,
-        interval: float = 1.0,
-        label: str = "",
-        callback: Optional[Callable[[Dict[str, Any]], None]] = None,
-        stream: Optional[TextIO] = None,
-    ) -> None:
+    def __init__(self, *, interval: float = 1.0, label: str = "") -> None:
         self._interval = max(0.0, float(interval))
         self._label = label
-        self._callback = callback
-        self._stream = stream
         self._started = time.monotonic()
         self._last_emit: Optional[float] = None
         self._last_interactions = 0
@@ -79,10 +70,6 @@ class ProgressReporter:
         return payload
 
     def _deliver(self, payload: Dict[str, Any]) -> None:
-        if self._callback is not None:
-            self._callback(payload)
-            return
-        stream = self._stream if self._stream is not None else sys.stderr
         parts = [f"[obs] {payload['label']}" if payload["label"] else "[obs]"]
         done = payload["interactions"]
         if "horizon" in payload:
@@ -96,4 +83,4 @@ class ProgressReporter:
             parts.append(f"eta {payload['eta_seconds']:.0f}s")
         if "undecided_fraction" in payload:
             parts.append(f"undecided {payload['undecided_fraction']:.3f}")
-        print("  ".join(parts), file=stream)
+        print("  ".join(parts), file=sys.stderr)

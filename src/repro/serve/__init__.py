@@ -9,7 +9,9 @@ keyed by ``spec_hash``, answered from a content-addressed
 ever done before, and otherwise scheduled on a bounded job pool whose
 jobs each run in their own process, forked from a ``forkserver`` that
 imported ``repro`` once (a killed simulation never takes the daemon
-down — its job journal records the crash signature instead).
+down — its job journal records the crash signature, and its job error
+names the signal).  The store is its ``documents/`` directory, scanned
+with every ``--runs`` root at each start.
 
 Everything is standard library: ``http.server`` on the daemon side,
 ``urllib`` in the client.

@@ -2,25 +2,28 @@
 
 A :class:`JobManager` owns a bounded pool of concurrently running jobs.
 Each job gets a directory under ``<root>/jobs/<id>`` (spec, journal,
-result, error — everything the status and progress endpoints serve) and
-runs either in a child process of its own (``mode='process'``, the
-daemon default: a crashed or killed simulation never takes the server
-down, and the kill signature lands in the job journal) or inline on the
-scheduler thread (``mode='thread'``, for tests and the in-process demo).
+result, error, the worker's stderr — everything the status and
+progress endpoints serve) and runs in a child process of its own: a
+crashed or killed simulation never takes the server down, and the kill
+signature lands in the job journal.
 
 Duplicate submissions coalesce: while a job for some ``spec_hash`` is
 queued or running, submitting the same hash returns that job instead of
 scheduling a second simulation — combined with the result store this
 closes the "never compute the same answer twice" loop end to end.
 
-Process-mode jobs are forked from a ``forkserver``: one helper process,
-launched by the first job, that imports :data:`PRELOAD` once and never
-runs a job itself.  A job therefore starts in tens of milliseconds
-instead of paying a fresh interpreter and a ``repro`` import each time.
-Plain ``fork`` of the daemon is deliberately not used: the daemon's
-HTTP handler threads may hold locks (the metrics registry, the store)
-at any moment, and a ``fork`` child would inherit those locks
-mid-flight.  The forkserver runs none of those threads.
+Jobs are forked from a ``forkserver``: one helper process, launched by
+the first job, that imports :data:`PRELOAD` once and never runs a job
+itself.  A job therefore starts in tens of milliseconds instead of
+paying a fresh interpreter and a ``repro`` import each time.  Plain
+``fork`` of the daemon is deliberately not used: the daemon's HTTP
+handler threads may hold locks (the metrics registry, the store) at
+any moment, and a ``fork`` child would inherit those locks mid-flight.
+The forkserver runs none of those threads.
+
+A worker that dies without writing ``error.json`` fails its job with
+the signal or exit code, followed by the tail of the worker's
+``stderr.log`` (a fatal signal's stack, from :mod:`faulthandler`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 import shutil
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,6 +54,9 @@ STATUSES = ("queued", "running", "done", "failed")
 #: entry point, and the CLI that a daemon started through the ``repro``
 #: console script re-runs (as ``__mp_main__``) in every child.
 PRELOAD = ("repro.serve.worker", "repro.cli")
+
+#: How much of a dead worker's ``stderr.log`` its job error quotes.
+STDERR_TAIL_BYTES = 4096
 
 
 @dataclass
@@ -95,14 +103,9 @@ class JobManager:
         root: Union[str, Path],
         *,
         max_workers: int = 2,
-        mode: str = "process",
         progress_interval: float = 2.0,
         max_retained_jobs: Optional[int] = None,
     ) -> None:
-        if mode not in ("process", "thread"):
-            raise ServeError(
-                f"job mode must be 'process' or 'thread', got {mode!r}"
-            )
         if max_workers < 1:
             raise ServeError(
                 f"max_workers must be at least 1, got {max_workers}"
@@ -111,23 +114,20 @@ class JobManager:
             raise ServeError(
                 f"max_retained_jobs must be at least 1, got {max_retained_jobs}"
             )
-        self._context = None
-        if mode == "process":
-            try:
-                self._context = multiprocessing.get_context("forkserver")
-            except ValueError as exc:
-                raise ServeError(
-                    "process mode needs the 'forkserver' start method, "
-                    "which this platform lacks; run jobs on threads "
-                    "with --inline"
-                ) from exc
-            # read only when the first job launches the server
-            self._context.set_forkserver_preload(list(PRELOAD))
+        try:
+            self._context = multiprocessing.get_context("forkserver")
+        except ValueError as exc:
+            raise ServeError(
+                "repro serve runs every job in a worker forked from the "
+                "'forkserver' start method, which this platform lacks "
+                "(it needs a POSIX system such as Linux)"
+            ) from exc
+        # read only when the first job launches the server
+        self._context.set_forkserver_preload(list(PRELOAD))
         self.store = store
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        self.mode = mode
         self.progress_interval = float(progress_interval)
         self.max_retained_jobs = max_retained_jobs
         self._slots = threading.BoundedSemaphore(max_workers)
@@ -214,14 +214,7 @@ class JobManager:
             )
             status = "failed"
             try:
-                if self.mode == "process":
-                    document = self._run_in_process(job, payload)
-                else:
-                    document = worker.execute_job(
-                        payload,
-                        job.dir,
-                        progress_interval=self.progress_interval,
-                    )
+                document = self._run_in_process(job, payload)
                 if job.cacheable:
                     self.store.put(job.spec_hash, document)
                 status = "done"
@@ -320,11 +313,7 @@ class JobManager:
                 pass  # metrics are best-effort provenance, never fatal
             return document
         raise ServeError(
-            self._read_error(job)
-            or (
-                f"worker exited with code {process.exitcode}"
-                + (" (killed)" if (process.exitcode or 0) < 0 else "")
-            )
+            self._read_error(job) or _death_reason(job, process.exitcode)
         )
 
     def _journal_opened(self, job: Job) -> Optional[float]:
@@ -358,3 +347,25 @@ class JobManager:
         deadline = time.time() + timeout
         for thread in threads:
             thread.join(max(0.0, deadline - time.time()))
+
+
+def _death_reason(job: Job, exitcode: Optional[int]) -> str:
+    """Why a worker that wrote no ``error.json`` ended, with its stderr tail."""
+    if exitcode is not None and exitcode < 0:
+        try:
+            name = signal.Signals(-exitcode).name
+        except ValueError:
+            name = f"signal {-exitcode}"
+        reason = f"worker killed by {name}"
+    elif exitcode == 255:  # multiprocessing's code for a missing status
+        reason = "the forkserver reported no exit status for the worker (255)"
+    else:
+        reason = f"worker exited with code {exitcode}"
+    try:
+        with open(job.dir / worker.STDERR_NAME, "rb") as fh:
+            fh.seek(0, os.SEEK_END)
+            fh.seek(max(0, fh.tell() - STDERR_TAIL_BYTES))
+            tail = fh.read().decode("utf-8", "replace").strip()
+    except OSError:
+        tail = ""
+    return f"{reason}; stderr tail:\n{tail}" if tail else reason

@@ -2,8 +2,9 @@
 
 A :class:`ServeApp` wires the three layers the service composes — the
 spec layer (validation + ``spec_hash`` identity), the result store
-(content-addressed cache) and the job manager (bounded concurrent
-execution) — behind a :class:`ThreadingHTTPServer`.  No dependency
+(content-addressed cache, rescanned at every start) and the job
+manager (bounded concurrent execution, each job in a forked worker
+process) — behind a :class:`ThreadingHTTPServer`.  No dependency
 beyond the standard library.
 
 Endpoints
@@ -59,7 +60,6 @@ class ServeConfig:
     root: Path = Path("serve-data")
     runs_roots: Tuple[Path, ...] = field(default_factory=tuple)
     max_jobs: int = 2
-    job_mode: str = "process"
     progress_interval: float = 2.0
     #: Settled (done/failed) jobs retained for the status endpoint;
     #: ``None`` keeps everything (the pre-eviction behavior).
@@ -90,8 +90,7 @@ def _cacheable(spec: Any) -> bool:
 class ServeApp:
     """The daemon's state and request semantics, HTTP-free.
 
-    Keeping the logic off the handler class makes it directly testable
-    and reusable by the in-process demo.
+    Keeping the logic off the handler class makes it directly testable.
     """
 
     def __init__(self, config: ServeConfig) -> None:
@@ -104,7 +103,6 @@ class ServeApp:
             self.store,
             root,
             max_workers=config.max_jobs,
-            mode=config.job_mode,
             progress_interval=config.progress_interval,
             max_retained_jobs=config.max_retained_jobs,
         )

@@ -23,6 +23,7 @@ counted in ``serve_worker_cold_starts_total`` and journals a
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import os
 from pathlib import Path
@@ -42,14 +43,17 @@ __all__ = [
     "METRICS_NAME",
     "RESULT_NAME",
     "SPEC_NAME",
+    "STDERR_NAME",
     "execute_job",
 ]
 
-#: Files a job directory may contain, all written atomically.
+#: Files a job directory may contain.  All but ``stderr.log`` (the
+#: worker's fd 2, written as it goes) are written atomically.
 SPEC_NAME = "spec.json"
 RESULT_NAME = "result.json"
 ERROR_NAME = "error.json"
 METRICS_NAME = "metrics.json"
+STDERR_NAME = "stderr.log"
 
 #: The process that imported this module: the forkserver when its
 #: preload worked, otherwise the job's own process (a cold start).
@@ -111,6 +115,9 @@ def _job_entry(
 ) -> None:
     """Worker-process entry point: execute, or leave an ``error.json``."""
     directory = Path(job_dir)
+    with open(directory / STDERR_NAME, "wb") as log:
+        os.dup2(log.fileno(), 2)
+    faulthandler.enable(2)
     try:
         execute_job(
             payload,

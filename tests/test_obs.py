@@ -242,26 +242,26 @@ class TestRunJournal:
 
 class TestProgressReporter:
     def test_callback_payload(self):
-        seen = []
-        reporter = ProgressReporter(interval=0.0, callback=seen.append, label="counts")
+        reporter = ProgressReporter(interval=0.0, label="counts")
         payload = reporter.maybe_report(
             interactions=500, horizon=1000, undecided_fraction=0.25
         )
         assert payload is not None
-        assert seen == [payload]
+        assert reporter.emitted == 1
         assert payload["label"] == "counts"
         assert payload["fraction_done"] == pytest.approx(0.5)
         assert payload["undecided_fraction"] == pytest.approx(0.25)
         assert payload["eta_seconds"] >= 0.0
 
     def test_throttled_by_interval(self):
-        seen = []
-        reporter = ProgressReporter(interval=3600.0, callback=seen.append)
-        for interactions in (10, 20, 30):
+        reporter = ProgressReporter(interval=3600.0)
+        payloads = [
             reporter.maybe_report(interactions=interactions, horizon=100)
+            for interactions in (10, 20, 30)
+        ]
         # the first heartbeat fires immediately; the rest sit inside
         # the (huge) interval and are swallowed
-        assert len(seen) == 1
+        assert payloads[0] is not None and payloads[1:] == [None, None]
         assert reporter.emitted == 1
 
     def test_stderr_line(self, capsys):

@@ -3,24 +3,29 @@
 The contracts under test, layer by layer:
 
 * ``ResultStore`` — content-addressed byte identity, refusal of
-  mis-keyed documents, index rebuild from the documents directory and
-  from plain persisted run directories (skipping unseeded runs, whose
-  outcomes must never answer for a fresh random draw), corrupt-entry
-  skips with recorded reasons;
+  mis-keyed documents, the startup scan of the documents directory and
+  of plain persisted run directories at every start (skipping unseeded
+  runs, whose outcomes must never answer for a fresh random draw),
+  corrupt-entry skips with recorded reasons, and no ``index.json``;
 * ``JobManager`` — duplicate submissions of an active ``spec_hash``
-  coalesce onto one job instead of simulating twice;
-* the HTTP daemon end to end — submit/miss/hit, byte-identical result
+  coalesce onto one job instead of simulating twice, and settled jobs
+  are evicted beyond the retention bound (both with
+  ``JobManager._run_in_process`` replaced, so no worker is forked);
+* the HTTP daemon end to end, every job in a worker forked from the
+  preloaded forkserver — submit/miss/hit, byte-identical result
   fetches, live ``/metrics``, job status and journal progress, 400 on
-  invalid specs, 404 on unknown routes; plus a process-mode smoke
-  test (the production configuration: jobs forked from a preloaded
-  forkserver), a stress test of forked workers, and a cold-start
-  check for a daemon whose forkserver could not preload ``repro``.
+  invalid specs, 404 on unknown routes; plus a stress test of forked
+  workers, concurrent ensemble jobs that each journal only their own
+  runs, workers killed by SIGKILL and SIGSEGV whose job errors say so,
+  and a cold-start check for a daemon whose forkserver could not
+  preload ``repro``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -33,6 +38,7 @@ import repro
 from repro.errors import ServeError
 from repro.io.streaming import find_persisted_by_hash
 from repro.obs import metrics as obs_metrics
+from repro.obs.journal import read_journal
 from repro.serve import (
     JobManager,
     ResultStore,
@@ -41,7 +47,7 @@ from repro.serve import (
     make_server,
     shutdown_server,
 )
-from repro.specs import RunSpec, run_spec, to_document
+from repro.specs import RunSpec, load_spec, run_spec, to_document
 
 FAST_PAYLOAD = {
     "schema_version": 1,
@@ -90,12 +96,31 @@ class TestResultStore:
         first = ResultStore(root)
         first.put(spec_hash, document)
         reference = first.get_bytes(spec_hash)
-        (root / "index.json").unlink()
-        # a fresh store (daemon restart) rebuilds the index from the
-        # document files and serves the identical bytes
+        # a fresh store (daemon restart) scans the document files and
+        # serves the identical bytes; the directory is the whole store
         rebuilt = ResultStore(root)
         assert spec_hash in rebuilt
         assert rebuilt.get_bytes(spec_hash) == reference
+        assert not (root / "index.json").exists()
+
+    def test_runs_root_rescanned_at_every_start(self, tmp_path):
+        runs_root = tmp_path / "runs"
+        runs_root.mkdir()
+        root = tmp_path / "store"
+        ResultStore(root, runs_roots=[runs_root]).put(*fast_document())
+        spec = RunSpec.from_dict(
+            {
+                **FAST_PAYLOAD,
+                "seed": 32,
+                "recording": {"persist_to": str(runs_root / "later")},
+            }
+        )
+        result = run_spec(spec)
+        # persisted after the first start: the restart's scan finds it
+        restarted = ResultStore(root, runs_roots=[runs_root])
+        assert spec.spec_hash() in restarted and len(restarted) == 2
+        stored = restarted.get(spec.spec_hash())
+        assert stored["outcome"]["winner"] == result.winner
 
     def test_rebuild_from_persisted_runs(self, tmp_path):
         runs_root = tmp_path / "runs"
@@ -154,18 +179,16 @@ def test_find_persisted_by_hash_skips_corrupt_with_reason(tmp_path):
 
 
 def test_concurrent_duplicate_submissions_coalesce(tmp_path, monkeypatch):
-    from repro.serve import worker
-
     release = threading.Event()
     spec_hash = "ab" * 32
 
-    def slow_execute(payload, job_dir, *, progress_interval=2.0):
+    def slow_run(self, job, payload):
         release.wait(timeout=30.0)
         return {"spec_hash": spec_hash, "kind": "result"}
 
-    monkeypatch.setattr(worker, "execute_job", slow_execute)
+    monkeypatch.setattr(JobManager, "_run_in_process", slow_run)
     store = ResultStore(tmp_path / "store")
-    jobs = JobManager(store, tmp_path, max_workers=2, mode="thread")
+    jobs = JobManager(store, tmp_path, max_workers=2)
     try:
         first, coalesced_first = jobs.submit(
             {}, spec_hash=spec_hash, kind="run", cacheable=True
@@ -195,19 +218,17 @@ def test_concurrent_duplicate_submissions_coalesce(tmp_path, monkeypatch):
 
 
 def test_non_cacheable_submissions_never_coalesce(tmp_path, monkeypatch):
-    from repro.serve import worker
-
     release = threading.Event()
     monkeypatch.setattr(
-        worker,
-        "execute_job",
-        lambda payload, job_dir, *, progress_interval=2.0: (
+        JobManager,
+        "_run_in_process",
+        lambda self, job, payload: (
             release.wait(timeout=30.0),
             {"spec_hash": "cd" * 32, "kind": "result"},
         )[1],
     )
     store = ResultStore(tmp_path / "store")
-    jobs = JobManager(store, tmp_path, max_workers=2, mode="thread")
+    jobs = JobManager(store, tmp_path, max_workers=2)
     try:
         first, _ = jobs.submit(
             {}, spec_hash="cd" * 32, kind="run", cacheable=False
@@ -231,20 +252,13 @@ def _wait_settled(job, *, timeout=10.0):
 
 
 def test_settled_jobs_evicted_beyond_retention_bound(tmp_path, monkeypatch):
-    from repro.serve import worker
-
     monkeypatch.setattr(
-        worker,
-        "execute_job",
-        lambda payload, job_dir, *, progress_interval=2.0: {
-            "spec_hash": "ee" * 32,
-            "kind": "result",
-        },
+        JobManager,
+        "_run_in_process",
+        lambda self, job, payload: {"spec_hash": "ee" * 32, "kind": "result"},
     )
     store = ResultStore(tmp_path / "store")
-    jobs = JobManager(
-        store, tmp_path, max_workers=1, mode="thread", max_retained_jobs=2
-    )
+    jobs = JobManager(store, tmp_path, max_workers=1, max_retained_jobs=2)
     try:
         settled = []
         for index in range(5):
@@ -279,17 +293,12 @@ def test_settled_jobs_evicted_beyond_retention_bound(tmp_path, monkeypatch):
 
 
 def test_eviction_counts_failed_jobs_and_records_metric(tmp_path, monkeypatch):
-    from repro.obs import metrics as obs_metrics
-    from repro.serve import worker
-
-    def failing_execute(payload, job_dir, *, progress_interval=2.0):
+    def failing_run(self, job, payload):
         raise ServeError("synthetic job failure")
 
-    monkeypatch.setattr(worker, "execute_job", failing_execute)
+    monkeypatch.setattr(JobManager, "_run_in_process", failing_run)
     store = ResultStore(tmp_path / "store")
-    jobs = JobManager(
-        store, tmp_path, max_workers=1, mode="thread", max_retained_jobs=1
-    )
+    jobs = JobManager(store, tmp_path, max_workers=1, max_retained_jobs=1)
     obs_metrics.REGISTRY.activate()
     try:
         first, _ = jobs.submit({}, spec_hash="aa" * 32, kind="run", cacheable=False)
@@ -312,18 +321,13 @@ def test_eviction_counts_failed_jobs_and_records_metric(tmp_path, monkeypatch):
 
 
 def test_unbounded_retention_keeps_every_settled_job(tmp_path, monkeypatch):
-    from repro.serve import worker
-
     monkeypatch.setattr(
-        worker,
-        "execute_job",
-        lambda payload, job_dir, *, progress_interval=2.0: {
-            "spec_hash": "ff" * 32,
-            "kind": "result",
-        },
+        JobManager,
+        "_run_in_process",
+        lambda self, job, payload: {"spec_hash": "ff" * 32, "kind": "result"},
     )
     store = ResultStore(tmp_path / "store")
-    jobs = JobManager(store, tmp_path, max_workers=1, mode="thread")
+    jobs = JobManager(store, tmp_path, max_workers=1)
     try:
         for index in range(4):
             job, _ = jobs.submit(
@@ -338,7 +342,7 @@ def test_unbounded_retention_keeps_every_settled_job(tmp_path, monkeypatch):
 def test_retention_bound_must_be_positive(tmp_path):
     store = ResultStore(tmp_path / "store")
     with pytest.raises(ServeError, match="max_retained_jobs"):
-        JobManager(store, tmp_path, mode="thread", max_retained_jobs=0)
+        JobManager(store, tmp_path, max_retained_jobs=0)
 
 
 # ------------------------------------------------------------ HTTP daemon
@@ -347,11 +351,7 @@ def test_retention_bound_must_be_positive(tmp_path):
 @pytest.fixture()
 def daemon(tmp_path):
     obs_metrics.REGISTRY.reset()
-    httpd = make_server(
-        ServeConfig(
-            port=0, root=tmp_path / "serve", job_mode="thread", max_jobs=2
-        )
-    )
+    httpd = make_server(ServeConfig(port=0, root=tmp_path / "serve", max_jobs=2))
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     client = ServeClient(f"http://127.0.0.1:{httpd.server_address[1]}")
@@ -380,10 +380,10 @@ class TestDaemon:
         metrics = client.metrics_text()
         assert "serve_cache_hits_total 1" in metrics
         assert "serve_cache_misses_total 1" in metrics
-        # one miss, one observation; a thread job has no worker to start
+        # one miss, one observation of each stage, the worker start too
         assert "serve_queue_wait_seconds_count 1" in metrics
         assert "serve_job_seconds_count 1" in metrics
-        assert "serve_worker_start_seconds" not in metrics
+        assert "serve_worker_start_seconds_count 1" in metrics
 
     def test_unseeded_specs_are_never_cached(self, daemon):
         client, _httpd = daemon
@@ -431,13 +431,9 @@ class TestDaemon:
 
 
 def test_process_mode_smoke(tmp_path):
-    """The production configuration: jobs in forked worker processes."""
+    """One job slot: every stage of a miss is timed, and the start is warm."""
     obs_metrics.REGISTRY.reset()
-    httpd = make_server(
-        ServeConfig(
-            port=0, root=tmp_path / "serve", job_mode="process", max_jobs=1
-        )
-    )
+    httpd = make_server(ServeConfig(port=0, root=tmp_path / "serve", max_jobs=1))
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
@@ -471,7 +467,7 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
     in the forkserver would be copied into every job it forks.
     """
     store = ResultStore(tmp_path / "store")
-    jobs = JobManager(store, tmp_path, max_workers=3, mode="process")
+    jobs = JobManager(store, tmp_path, max_workers=3)
     payloads = [{**FAST_PAYLOAD, "seed": 100 + i} for i in range(6)]
     specs = [RunSpec.from_dict(payload) for payload in payloads]
     submitted = [None] * len(payloads)
@@ -523,6 +519,103 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
         jobs.shutdown()
 
 
+def _ensemble_payload(n, root_seed):
+    initial = {"kind": "equal-minorities", "n": n, "params": {"bias": 150}}
+    return {
+        "schema_version": 1,
+        "kind": "ensemble",
+        "run": {**FAST_PAYLOAD, "seed": None, "initial": initial},
+        "num_runs": 6,
+        "root_seed": root_seed,
+    }
+
+
+def _engine_runs(job):
+    """The ``n`` of every ``engine.run`` span the job's journal opened."""
+    journal = job.dir / "journal.jsonl"
+    if not journal.is_file():
+        return []
+    return [
+        record["n"]
+        for record in read_journal(journal)
+        if record.get("event") == "span_begin" and record.get("span") == "engine.run"
+    ]
+
+
+def test_concurrent_ensemble_jobs_journal_only_their_own_runs(tmp_path):
+    """Two ensembles at once: each job's journal holds its six member runs.
+
+    Journals are kept per process, so jobs that shared one would record
+    each other's runs.  The two ensembles differ in ``n``, which every
+    ``engine.run`` span records.
+    """
+    store = ResultStore(tmp_path / "store")
+    jobs = JobManager(store, tmp_path, max_workers=2)
+    submitted = []
+    try:
+        for n, root_seed in ((2000, 41), (2400, 42)):
+            payload = _ensemble_payload(n, root_seed)
+            job, _ = jobs.submit(
+                payload,
+                spec_hash=load_spec(payload).spec_hash(),
+                kind="ensemble",
+                cacheable=True,
+            )
+            submitted.append((n, job))
+        for n, job in submitted:
+            _wait_settled(job, timeout=120.0)
+            assert job.status == "done", job.error
+            assert _engine_runs(job) == [n] * 6
+    finally:
+        jobs.shutdown()
+
+
+#: Runs until it is killed: voter dynamics with a bias of one agent.
+SLOW_PAYLOAD = {
+    "schema_version": 1,
+    "kind": "run",
+    "protocol": {"name": "voter", "k": 2},
+    "initial": {"kind": "equal-minorities", "n": 400_000, "params": {"bias": 1}},
+    "engine": "counts",
+    "seed": 7,
+    "max_parallel_time": 1_000_000.0,
+}
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGKILL, signal.SIGSEGV], ids=lambda signum: signum.name
+)
+def test_killed_worker_error_names_the_signal(tmp_path, signum):
+    """A worker killed mid-run fails its job with the signal's name.
+
+    SIGSEGV runs :mod:`faulthandler`, whose stack lands in the job's
+    ``stderr.log`` and in the tail the error quotes.
+    """
+    store = ResultStore(tmp_path / "store")
+    jobs = JobManager(store, tmp_path, max_workers=1)
+    try:
+        job, _ = jobs.submit(
+            SLOW_PAYLOAD,
+            spec_hash=load_spec(SLOW_PAYLOAD).spec_hash(),
+            kind="run",
+            cacheable=True,
+        )
+        deadline = time.monotonic() + 60.0
+        while job.pid is None or not _engine_runs(job):
+            assert time.monotonic() < deadline, "worker never entered engine.run"
+            time.sleep(0.05)
+        os.kill(job.pid, signum)
+        _wait_settled(job, timeout=30.0)
+        assert job.status == "failed"
+        assert job.error.startswith(f"worker killed by {signum.name}"), job.error
+        if signum == signal.SIGSEGV:
+            assert "Fatal Python error" in job.error, job.error
+            assert "Fatal Python error" in (job.dir / "stderr.log").read_text()
+        assert job.spec_hash not in store
+    finally:
+        jobs.shutdown()
+
+
 #: A daemon that reaches ``repro`` only through a runtime ``sys.path``
 #: edit: its forkserver cannot preload ``repro``, so jobs start cold.
 COLD_START_SCRIPT = """\
@@ -541,7 +634,7 @@ from repro.specs import RunSpec
 def main():
     metrics.REGISTRY.activate()
     payload = json.loads(Path("payload.json").read_text())
-    jobs = JobManager(ResultStore(Path("store")), Path.cwd(), mode="process")
+    jobs = JobManager(ResultStore(Path("store")), Path.cwd())
     job, _ = jobs.submit(
         payload,
         spec_hash=RunSpec.from_dict(payload).spec_hash(),
@@ -603,8 +696,8 @@ def test_process_mode_needs_forkserver(tmp_path, monkeypatch):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_forkserver)
-    with pytest.raises(ServeError, match="--inline"):
-        JobManager(ResultStore(tmp_path / "store"), tmp_path, mode="process")
+    with pytest.raises(ServeError, match="'forkserver' start method"):
+        JobManager(ResultStore(tmp_path / "store"), tmp_path)
 
 
 def test_client_reports_unreachable_server():
