@@ -256,15 +256,16 @@ def check_warm_workers(root: Path, client) -> None:
 
 
 def main() -> int:
-    root = Path(tempfile.mkdtemp(prefix="repro-serve-ci-"))
-    proc, client = _start_daemon(root)
-    try:
-        reference = check_cache_contract(client)
-        check_kill_legibility(root, client)
-        check_warm_workers(root, client)
-    finally:
-        _stop_daemon(proc)
-    check_store_survives_restart(root, reference)
+    with tempfile.TemporaryDirectory(prefix="repro-serve-ci-") as tmp:
+        root = Path(tmp)
+        proc, client = _start_daemon(root)
+        try:
+            reference = check_cache_contract(client)
+            check_kill_legibility(root, client)
+            check_warm_workers(root, client)
+        finally:
+            _stop_daemon(proc)
+        check_store_survives_restart(root, reference)
     print("serve leg ok")
     return 0
 

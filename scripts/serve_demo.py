@@ -22,6 +22,7 @@ see ``demo/Dockerfile``.
 """
 
 import json
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -51,6 +52,8 @@ SPEC = {
 def main(tmp_root=None) -> int:
     import tempfile
 
+    # a root the caller names is theirs to keep; one made here is removed
+    made_root = tmp_root is None
     root = Path(tmp_root or tempfile.mkdtemp(prefix="repro-serve-demo-"))
     httpd = make_server(ServeConfig(port=0, root=root, max_jobs=2))
     port = httpd.server_address[1]
@@ -94,6 +97,8 @@ def main(tmp_root=None) -> int:
     finally:
         shutdown_server(httpd)
         thread.join(timeout=5.0)
+        if made_root:
+            shutil.rmtree(root, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -116,8 +116,6 @@ def compare_scaling_laws(
     ks: Sequence[float],
     times: Sequence[float],
     biases: Optional[Sequence[float]] = None,
-    *,
-    laws: Optional[Sequence[str]] = None,
 ) -> ScalingComparison:
     """Fit the candidate laws to measured parallel times.
 
@@ -138,12 +136,11 @@ def compare_scaling_laws(
         if len(bias_arr) != n_arr.size:
             raise ExperimentError("biases must match the sweep length")
 
-    if laws is None:
-        laws = [
-            name
-            for name in CANDIDATE_LAWS
-            if name != "doubling" or biases is not None
-        ]
+    laws = [
+        name
+        for name in CANDIDATE_LAWS
+        if name != "doubling" or biases is not None
+    ]
 
     fits: Dict[str, LinearFit] = {}
     for law in laws:

@@ -111,10 +111,8 @@ def usd_stabilization_ensemble(
     engine: str = "auto",
     backend: Optional[str] = None,
     max_parallel_time: float = 10_000.0,
-    snapshot_every: Optional[int] = None,
     workers: Optional[int] = 0,
     persist_to: Optional[Union[str, Path]] = None,
-    extra_params: Optional[Dict[str, Any]] = None,
 ) -> StabilizationEnsemble:
     """Run USD from ``initial`` under ``num_seeds`` independent seeds.
 
@@ -145,8 +143,7 @@ def usd_stabilization_ensemble(
             backend=backend,
             max_parallel_time=max_parallel_time,
             recording=RecordingSpec(
-                snapshot_every=snapshot_every,
-                persist_to=None if persist_to is None else str(persist_to),
+                persist_to=None if persist_to is None else str(persist_to)
             ),
         ),
         num_runs=num_seeds,
@@ -170,7 +167,6 @@ def usd_stabilization_ensemble(
         "root_seed": ensemble.root_seed,
         "workers": workers,
         "persist_to": None if persist_to is None else str(persist_to),
-        **(extra_params or {}),
     }
     return StabilizationEnsemble(
         times=np.asarray(times, dtype=float),

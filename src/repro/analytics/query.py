@@ -228,16 +228,16 @@ class FleetQuery:
         *,
         grid_points: int = 50,
         quantiles: Sequence[float] = (0.1, 0.5, 0.9),
-        fraction: bool = True,
     ) -> Dict[str, Any]:
         """Quantile envelope of the undecided population over time.
 
         One columnar scan: every fragment's ``(time, undecided)``
         columns are sampled (as step functions) onto a shared grid of
         ``grid_points`` times spanning ``[0, max final time]``, then
-        per-grid-point quantiles are taken across runs.  ``fraction``
-        divides each run by its own ``n``.  Runs without an undecided
-        state, and unreadable fragments, are excluded and counted.
+        per-grid-point quantiles are taken across runs.  Each run is
+        divided by its own ``n`` (the answer's ``fraction`` is always
+        true).  Runs without an undecided state or an ``n``, and
+        unreadable fragments, are excluded and counted.
         """
         series: List[Tuple[np.ndarray, np.ndarray]] = []
         no_undecided = 0
@@ -251,13 +251,11 @@ class FleetQuery:
             if times.size == 0:
                 no_undecided += 1
                 continue
-            values = undecided.astype(np.float64)
-            if fraction:
-                n = record.get("n")
-                if not n:
-                    no_undecided += 1
-                    continue
-                values = values / np.float64(n)
+            n = record.get("n")
+            if not n:
+                no_undecided += 1
+                continue
+            values = undecided.astype(np.float64) / np.float64(n)
             series.append((times.astype(np.float64), values))
         skipped = len(self.dataset.skipped) - skipped_before
         if not series:
@@ -281,7 +279,7 @@ class FleetQuery:
             "runs": len(series),
             "excluded": no_undecided,
             "skipped": skipped,
-            "fraction": bool(fraction),
+            "fraction": True,
             "grid": [float(t) for t in grid],
             "quantiles": {
                 repr(float(q)): [float(v) for v in band]

@@ -849,15 +849,15 @@ def _run_meanfield_command(args: Any) -> None:
         consensus_fixed_point,
         symmetric_interior_fixed_point,
         undecided_fixed_point_fraction,
-        undecided_plateau_fraction,
     )
+    from .theory import undecided_plateau
 
     k = _meanfield_template_spec(args).protocol.k
     v_star = undecided_fixed_point_fraction(k)
     print(f"k                    {k}")
     print(f"undecided v*         {v_star:.6f}  ((k-1)/(2k-1))")
     print(
-        f"paper plateau        {undecided_plateau_fraction(k):.6f}"
+        f"paper plateau        {undecided_plateau(1, k):.6f}"
         "  (1/2 - 1/(4k))"
     )
     for label, point in (
@@ -1178,20 +1178,17 @@ def _run_fetch_command(args: Any) -> None:
     if target.startswith("job-"):
         import json
 
-        from .errors import ServeError
+        from .specs import document_bytes
 
         status = client.job(target)
         document = status.pop("result", None)
         if document is None:
             print(json.dumps(status, indent=2, sort_keys=True))
             return
-        try:
-            # prefer the stored bytes verbatim (byte-identical across
-            # fetches); non-cacheable jobs only exist in the job dir
-            data = client.result_bytes(status["spec_hash"])
-            sys.stdout.write(data.decode("utf-8"))
-        except ServeError:
-            print(json.dumps(document, indent=2, sort_keys=True))
+        # the job's own answer in canonical bytes: for a cacheable job,
+        # the bytes the store serves; the store's document for a
+        # non-cacheable job's hash may be another tier's answer
+        sys.stdout.write(document_bytes(document).decode("utf-8"))
         return
     if Path(target).is_file():
         from .specs import load_spec_file

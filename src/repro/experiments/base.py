@@ -95,11 +95,11 @@ class ExperimentResult:
     params: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
-    def table(self, **format_kwargs: Any) -> str:
+    def table(self) -> str:
         """Render the rows as an aligned text table."""
         if not self.rows:
             raise ExperimentError(f"experiment {self.experiment_id} produced no rows")
-        return format_table(self.rows, title=self.title, **format_kwargs)
+        return format_table(self.rows, title=self.title)
 
     def save(self, directory: Path) -> List[Path]:
         """Persist rows (JSON) and series (NPZ) under ``directory``.

@@ -309,31 +309,22 @@ class Figure1EnsembleExperiment(SweepExperiment):
 
         # Surrogate overlay: the fluid-limit u(τ) on the same grid, the
         # zero-noise skeleton the ensemble band should hug to within
-        # O(√(n ln n)).  Optional-dependency gated like everything else
-        # that touches the integrator.
-        from ..meanfield import USDMeanField, scipy_available
+        # O(√(n ln n)).
+        from ..meanfield import USDMeanField
 
-        if scipy_available() and grid.size:
-            solution = USDMeanField(k=k).integrate(
-                paper_initial_configuration(n, k, bias),
-                t_end=float(grid[-1]),
-                t_eval=grid.astype(float),
-            )
-            overlay = solution.undecided * n
-            series["undecided_meanfield"] = overlay
-            if settle_end > settle_start:
-                window = slice(settle_start, settle_end)
-                overlay_dev = (
-                    float(np.abs(mean[window] - overlay[window]).max()) / scale
-                )
-                notes.append(
-                    f"ensemble mean u(t) tracks the mean-field surrogate "
-                    f"within {overlay_dev:.2f}·√(n ln n) over the settled "
-                    "window (series 'undecided_meanfield')"
-                )
-        else:
+        solution = USDMeanField(k=k).integrate(
+            paper_initial_configuration(n, k, bias),
+            t_end=float(grid[-1]),
+            t_eval=grid.astype(float),
+        )
+        overlay = solution.undecided * n
+        series["undecided_meanfield"] = overlay
+        if settle_end > settle_start:
+            window = slice(settle_start, settle_end)
+            overlay_dev = float(np.abs(mean[window] - overlay[window]).max()) / scale
             notes.append(
-                "mean-field overlay skipped: scipy unavailable "
-                "(series 'undecided_meanfield' omitted)"
+                f"ensemble mean u(t) tracks the mean-field surrogate "
+                f"within {overlay_dev:.2f}·√(n ln n) over the settled "
+                "window (series 'undecided_meanfield')"
             )
         return series, mean_dev, notes

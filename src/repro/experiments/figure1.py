@@ -215,8 +215,8 @@ class Figure1Left(Experiment):
         return self._result(rows=rows, series=series, claims=claims)
 
     @staticmethod
-    def plot(result: ExperimentResult, width: int = 72, height: int = 18) -> str:
-        """ASCII rendering of the left panel."""
+    def plot(result: ExperimentResult) -> str:
+        """ASCII rendering of the left panel, 72 × 18 characters."""
         t = result.series["parallel_time"]
         return ascii_line_plot(
             {
@@ -225,8 +225,8 @@ class Figure1Left(Experiment):
                 "minority×k": (t, result.series["highlight_minority_scaled"]),
                 "n/2−n/4k": (t, result.series["plateau_reference"]),
             },
-            width=width,
-            height=height,
+            width=72,
+            height=18,
             title=result.title,
             x_label="parallel time",
             y_label="agents",
@@ -283,7 +283,7 @@ class Figure1Right(Experiment):
         return self._result(rows=rows, series=series, claims=claims)
 
     @staticmethod
-    def plot(result: ExperimentResult, width: int = 72, height: int = 18) -> str:
+    def plot(result: ExperimentResult) -> str:
         """ASCII rendering of the right panel (zoomed to the doubling window)."""
         t = result.series["parallel_time"]
         double_at = result.rows[0]["doubling_parallel_time"]
@@ -296,8 +296,8 @@ class Figure1Right(Experiment):
                 "minority": (t[:cutoff], result.series["minority"][:cutoff]),
                 "max diff": (t[:cutoff], result.series["max_difference"][:cutoff]),
             },
-            width=width,
-            height=height,
+            width=72,
+            height=18,
             title=result.title,
             x_label="parallel time",
             y_label="agents",

@@ -16,9 +16,7 @@ from .figure1 import Figure1Left, Figure1Right
 __all__ = ["render_result"]
 
 
-def render_result(
-    result: ExperimentResult, *, plots: bool = True, width: int = 72
-) -> str:
+def render_result(result: ExperimentResult, *, plots: bool = True) -> str:
     """Full text report: table, claims, notes, and (for figures) ASCII plots."""
     parts = [result.table()]
     if result.claims:
@@ -28,7 +26,7 @@ def render_result(
         parts.append("")
         parts.extend(f"note: {note}" for note in result.notes)
     if plots:
-        plot = _plot_for(result, width)
+        plot = _plot_for(result)
         if plot is not None:
             parts.append("")
             parts.append(plot)
@@ -44,11 +42,11 @@ def _format_claim(claim: Claim) -> str:
     return f"claim: {verdict} {claim.name} = {value} ({claim.bound})"
 
 
-def _plot_for(result: ExperimentResult, width: int) -> Optional[str]:
+def _plot_for(result: ExperimentResult) -> Optional[str]:
     if result.experiment_id == Figure1Left.experiment_id:
-        return Figure1Left.plot(result, width=width)
+        return Figure1Left.plot(result)
     if result.experiment_id == Figure1Right.experiment_id:
-        return Figure1Right.plot(result, width=width)
+        return Figure1Right.plot(result)
     if (
         "k" in result.series
         and "population_parallel_time" in result.series
@@ -62,7 +60,7 @@ def _plot_for(result: ExperimentResult, width: int) -> Optional[str]:
                 ),
                 "gossip": (result.series["k"], result.series["gossip_rounds"]),
             },
-            width=width,
+            width=72,
             height=12,
             title=result.title,
             x_label="k",

@@ -19,13 +19,10 @@ def _format_cell(value: Any, float_format: str) -> str:
     return str(value)
 
 
-def _collect_columns(
-    rows: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]]
-) -> List[str]:
+def _collect_columns(rows: Sequence[Dict[str, Any]]) -> List[str]:
+    """Every key of every row, in order of first appearance."""
     if not rows:
         raise SerializationError("cannot format an empty table")
-    if columns is not None:
-        return list(columns)
     seen: List[str] = []
     for row in rows:
         for key in row:
@@ -35,17 +32,11 @@ def _collect_columns(
 
 
 def format_table(
-    rows: Sequence[Dict[str, Any]],
-    *,
-    columns: Optional[Sequence[str]] = None,
-    float_format: str = ".3f",
-    title: Optional[str] = None,
+    rows: Sequence[Dict[str, Any]], *, title: Optional[str] = None
 ) -> str:
-    """Render rows of dicts as an aligned ASCII table."""
-    cols = _collect_columns(rows, columns)
-    rendered = [
-        [_format_cell(row.get(col), float_format) for col in cols] for row in rows
-    ]
+    """Render rows of dicts as an aligned ASCII table (floats to 3 places)."""
+    cols = _collect_columns(rows)
+    rendered = [[_format_cell(row.get(col), ".3f") for col in cols] for row in rows]
     widths = [
         max(len(col), *(len(line[i]) for line in rendered))
         for i, col in enumerate(cols)

@@ -7,15 +7,8 @@ from .fixed_points import (
     jacobian,
     symmetric_interior_fixed_point,
     undecided_fixed_point_fraction,
-    undecided_plateau_fraction,
 )
-from .ode import (
-    MeanFieldSolution,
-    USDMeanField,
-    load_solve_ivp,
-    scipy_available,
-    scipy_unavailable_reason,
-)
+from .ode import MeanFieldSolution, USDMeanField
 from .surrogate import (
     ESCALATE,
     MARGINAL,
@@ -45,17 +38,13 @@ __all__ = [
     "SurrogateResult",
     "USDMeanField",
     "ValidityReport",
-    "load_solve_ivp",
     "predict_timescales",
     "timescales_from_solution",
     "resolve_surrogate",
-    "scipy_available",
-    "scipy_unavailable_reason",
     "surrogate_unsupported_reason",
     "classify_fixed_point",
     "consensus_fixed_point",
     "jacobian",
     "symmetric_interior_fixed_point",
     "undecided_fixed_point_fraction",
-    "undecided_plateau_fraction",
 ]

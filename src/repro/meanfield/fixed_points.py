@@ -4,8 +4,9 @@ The paper's Section 2 observation that ``u(t)`` "settles around
 ``n/2 − n/(4k)``" is, in the fluid limit, a statement about the
 symmetric interior fixed point of the ODE system of
 :mod:`repro.meanfield.ode`.  This module computes the fixed points
-exactly, provides the paper's large-``k`` expansion, and classifies
-stability through the Jacobian.
+exactly and classifies stability through the Jacobian; the paper's
+large-``k`` expansion ``1/2 − 1/(4k)`` is
+:func:`repro.theory.undecided_plateau` at ``n = 1``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ..errors import SimulationError
 
 __all__ = [
     "undecided_fixed_point_fraction",
-    "undecided_plateau_fraction",
     "symmetric_interior_fixed_point",
     "consensus_fixed_point",
     "jacobian",
@@ -38,13 +38,6 @@ def undecided_fixed_point_fraction(k: int) -> float:
     return (k - 1.0) / (2.0 * k - 1.0)
 
 
-def undecided_plateau_fraction(k: int) -> float:
-    """The paper's plateau ``1/2 − 1/(4k)`` (large-k expansion of the above)."""
-    if k < 1:
-        raise SimulationError(f"k must be >= 1, got {k}")
-    return 0.5 - 1.0 / (4.0 * k)
-
-
 def symmetric_interior_fixed_point(k: int) -> np.ndarray:
     """The packed state ``[v*, a*..a*]`` with all opinions equal.
 
@@ -57,12 +50,12 @@ def symmetric_interior_fixed_point(k: int) -> np.ndarray:
     return out
 
 
-def consensus_fixed_point(k: int, winner: int = 1) -> np.ndarray:
-    """The packed state with opinion ``winner`` (1-based) holding everything."""
-    if not 1 <= winner <= k:
-        raise SimulationError(f"winner must be in 1..{k}, got {winner}")
+def consensus_fixed_point(k: int) -> np.ndarray:
+    """The packed state with opinion 1 holding everything."""
+    if k < 1:
+        raise SimulationError(f"k must be >= 1, got {k}")
     out = np.zeros(k + 1)
-    out[winner] = 1.0
+    out[1] = 1.0
     return out
 
 
@@ -122,12 +115,14 @@ def _simplex_tangent_basis(dim: int) -> np.ndarray:
     return q[:, 1:dim]
 
 
-def classify_fixed_point(y: np.ndarray, tol: float = 1e-9) -> FixedPointClassification:
+def classify_fixed_point(y: np.ndarray) -> FixedPointClassification:
     """Classify a fixed point of the USD fluid limit by linearization.
 
     The Jacobian is projected onto the mass-conserving subspace before
-    taking eigenvalues.
+    taking eigenvalues; a real part within ``1e-9`` of zero counts as
+    neither stable nor unstable.
     """
+    tol = 1e-9
     full = jacobian(y)
     basis = _simplex_tangent_basis(full.shape[0])
     projected = basis.T @ full @ basis

@@ -19,82 +19,22 @@ paper's drift analysis bounds.
 This module integrates the system with SciPy and is used by the theory
 tests (plateau location, threshold behaviour), by the figure
 experiments as an overlay reference, and by the surrogate fidelity tier
-(:mod:`repro.meanfield.surrogate`).
-
-SciPy is an *optional* dependency, gated at first use: importing
-this module never imports scipy.  :func:`load_solve_ivp` performs the
-lazy import and raises a clear :class:`~repro.errors.SimulationError`
-when scipy is missing, and :func:`scipy_unavailable_reason` lets the
-fidelity layer decide up front (``fidelity='surrogate'`` fails loudly,
-``fidelity='auto'`` falls back to the exact engines).
+(:mod:`repro.meanfield.surrogate`).  scipy is imported inside
+:meth:`USDMeanField.integrate`, so importing :mod:`repro` loads none of
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.configuration import Configuration
 from ..errors import SimulationError
 
-__all__ = [
-    "USDMeanField",
-    "MeanFieldSolution",
-    "load_solve_ivp",
-    "scipy_available",
-    "scipy_unavailable_reason",
-]
-
-#: Lazily-resolved ``scipy.integrate.solve_ivp`` (or the import error
-#: message), cached after the first attempt.
-_SOLVE_IVP: Optional[Callable] = None
-_SCIPY_REASON: Optional[str] = None
-_SCIPY_PROBED = False
-
-
-def _probe_scipy() -> None:
-    global _SOLVE_IVP, _SCIPY_REASON, _SCIPY_PROBED
-    if _SCIPY_PROBED:
-        return
-    _SCIPY_PROBED = True
-    try:
-        from scipy.integrate import solve_ivp
-    except ImportError as exc:  # pragma: no cover - scipy-less installs
-        _SCIPY_REASON = f"scipy is not installed ({exc})"
-    else:
-        _SOLVE_IVP = solve_ivp
-
-
-def scipy_unavailable_reason() -> Optional[str]:
-    """Why the ODE integrator cannot run, or ``None`` when it can."""
-    _probe_scipy()
-    return _SCIPY_REASON
-
-
-def scipy_available() -> bool:
-    """Whether ``scipy.integrate.solve_ivp`` is importable."""
-    return scipy_unavailable_reason() is None
-
-
-def load_solve_ivp() -> Callable:
-    """The lazily-imported ``solve_ivp``, or a loud, actionable error.
-
-    A scipy-less install can import and use the whole library — only
-    the code paths that genuinely need the integrator (mean-field
-    ``integrate``, the surrogate fidelity tier) fail, and they fail
-    with an error that names the missing dependency instead of an
-    ImportError mid-flight.
-    """
-    _probe_scipy()
-    if _SOLVE_IVP is None:
-        raise SimulationError(
-            "mean-field ODE integration needs scipy (scipy.integrate."
-            f"solve_ivp): {_SCIPY_REASON}; install scipy, or use "
-            "fidelity='exact' runs which never touch the integrator"
-        )
-    return _SOLVE_IVP
+__all__ = ["USDMeanField", "MeanFieldSolution"]
 
 
 @dataclass(frozen=True)
@@ -168,23 +108,22 @@ class USDMeanField:
         t_end: float,
         *,
         t_eval: Optional[np.ndarray] = None,
-        rtol: float = 1e-8,
-        atol: float = 1e-10,
     ) -> MeanFieldSolution:
         """Integrate the fluid limit up to parallel time ``t_end``."""
+        from scipy.integrate import solve_ivp
+
         if t_end <= 0:
             raise SimulationError(f"t_end must be positive, got {t_end}")
         y0 = self.initial_state(initial)
         if t_eval is None:
             t_eval = np.linspace(0.0, t_end, 500)
-        solve_ivp = load_solve_ivp()
         solution = solve_ivp(
             self.rhs,
             (0.0, float(t_end)),
             y0,
             t_eval=np.asarray(t_eval, dtype=float),
-            rtol=rtol,
-            atol=atol,
+            rtol=1e-8,
+            atol=1e-10,
             method="RK45",
         )
         if not solution.success:  # pragma: no cover - scipy failure path

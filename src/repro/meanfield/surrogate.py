@@ -15,14 +15,12 @@ fidelity tier in :mod:`repro.specs.runner`.
 
 Three registry protocols resolve today:
 
-* ``usd`` — the fluid-limit ODE of :mod:`repro.meanfield.ode`
-  (needs scipy; gated through :func:`~repro.meanfield.ode.load_solve_ivp`);
+* ``usd`` — the fluid-limit ODE of :mod:`repro.meanfield.ode`;
 * ``voter`` — the voter fluid limit is *constant* (zero drift: the
   stochastic outcome is a martingale draw), so the surrogate reports
   the honest trajectory and always votes ``ESCALATE``;
 * ``gossip-3-majority`` — deterministic iteration of the synchronous
-  round map :func:`~repro.gossip.dynamics.three_majority_distribution`
-  (no scipy needed).
+  round map :func:`~repro.gossip.dynamics.three_majority_distribution`.
 
 ``gossip-usd`` / ``gossip-voter`` have no surrogate; ``four-state`` /
 ``hysteresis`` carry bookkeeping states with no fluid-limit model here.
@@ -42,7 +40,7 @@ from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
 from ..obs.timing import wall_timer
-from .ode import USDMeanField, scipy_unavailable_reason
+from .ode import USDMeanField
 from .timescales import MeanFieldTimescales, timescales_from_solution
 
 __all__ = [
@@ -464,9 +462,6 @@ _SOLVERS: Dict[str, Callable[..., SurrogateResult]] = {
 #: Registry protocols the surrogate tier can resolve.
 SURROGATE_PROTOCOLS = tuple(sorted(_SOLVERS))
 
-#: Solvers that integrate the ODE (and therefore need scipy).
-_ODE_PROTOCOLS = ("usd",)
-
 
 # ----------------------------------------------------------------------
 # Entry points
@@ -477,8 +472,7 @@ def surrogate_unsupported_reason(spec) -> Optional[str]:
     """Why this spec cannot resolve on the surrogate tier, or ``None``.
 
     The ``auto`` tier calls this before attempting a surrogate answer:
-    an unsupported protocol (or a missing scipy for the ODE-backed
-    solvers) is an escalation reason, not an error.
+    an unsupported protocol is an escalation reason, not an error.
     """
     name = spec.protocol.name
     if name not in _SOLVERS:
@@ -486,13 +480,6 @@ def surrogate_unsupported_reason(spec) -> Optional[str]:
             f"protocol {name!r} has no mean-field surrogate; supported "
             f"protocols: {list(SURROGATE_PROTOCOLS)}"
         )
-    if name in _ODE_PROTOCOLS:
-        reason = scipy_unavailable_reason()
-        if reason is not None:
-            return (
-                f"the {name!r} surrogate integrates the fluid-limit ODE "
-                f"and needs scipy: {reason}"
-            )
     return None
 
 
@@ -517,10 +504,9 @@ def resolve_surrogate(spec, *, requested: str = "surrogate") -> SurrogateResult:
     """Resolve a RunSpec on the mean-field surrogate tier.
 
     Raises :class:`~repro.errors.SimulationError` when the spec's
-    protocol has no surrogate (or scipy is missing for the ODE-backed
-    ones) — ``fidelity='surrogate'`` fails loudly; the graceful
-    fallback lives in the ``auto`` tier.  ``requested`` records which
-    fidelity the caller asked for in the result metadata.
+    protocol has no surrogate — ``fidelity='surrogate'`` fails loudly;
+    the graceful fallback lives in the ``auto`` tier.  ``requested``
+    records which fidelity the caller asked for in the result metadata.
     """
     reason = surrogate_unsupported_reason(spec)
     if reason is not None:

@@ -71,20 +71,20 @@ def predict_timescales(
     *,
     horizon: float = 500.0,
     tolerance: float = 1e-3,
-    grid_points: int = 4000,
 ) -> MeanFieldTimescales:
     """Integrate the fluid limit from ``initial`` and extract event times.
 
     ``tolerance`` is in *fraction* units: plateau entry means
     ``|v − v*| < tolerance`` and consensus means the majority fraction
-    exceeds ``1 − tolerance``.
+    exceeds ``1 − tolerance``.  The solution is read on a 4000-point
+    grid over ``[0, horizon]``.
     """
     if horizon <= 0:
         raise SimulationError(f"horizon must be positive, got {horizon}")
     if not 0 < tolerance < 0.5:
         raise SimulationError(f"tolerance must be in (0, 0.5), got {tolerance}")
     model = USDMeanField(k=initial.k)
-    grid = np.linspace(0.0, horizon, grid_points)
+    grid = np.linspace(0.0, horizon, 4000)
     solution = model.integrate(initial, t_end=horizon, t_eval=grid)
     return timescales_from_solution(solution, tolerance=tolerance)
 

@@ -4,8 +4,8 @@ Three pillars, all hanging off one :class:`ObsConfig` (carried on
 ``RunSpec`` like ``backend`` — excluded from ``spec_hash``, because
 telemetry never changes the answer):
 
-* :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges and fixed-bucket histograms with ``snapshot()`` /
+* :mod:`repro.obs.metrics` — a process-local registry of counters
+  and fixed-bucket histograms with ``snapshot()`` /
   ``merge_snapshot()`` semantics (child-process deltas fold into the
   parent through the ``repro.parallel`` result plumbing) and
   Prometheus text exposition.

@@ -133,12 +133,12 @@ class RunJournal:
 # ----------------------------------------------------------------------
 
 
-def read_journal(path: Union[str, Path], *, strict: bool = False) -> List[Dict[str, Any]]:
+def read_journal(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Parse a journal file into its event records.
 
     A torn final line (the signature a SIGKILL leaves) is dropped
-    silently; with ``strict=True`` any unparseable line raises.  A torn
-    line anywhere *except* the end is corruption and always raises.
+    silently.  A torn line anywhere *except* the end is corruption and
+    raises.
     """
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -151,7 +151,7 @@ def read_journal(path: Union[str, Path], *, strict: bool = False) -> List[Dict[s
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            if strict or position != len(lines) - 1:
+            if position != len(lines) - 1:
                 raise ValueError(
                     f"{path}: unparseable journal line {position + 1}: {line[:80]!r}"
                 ) from None

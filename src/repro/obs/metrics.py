@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, fixed-bucket histograms.
+"""Process-local metrics: counters and fixed-bucket histograms.
 
 One module-level :data:`REGISTRY` serves the whole process.  It is
 *refcount-gated*: instrumentation sites call :meth:`MetricsRegistry.inc`
@@ -12,7 +12,6 @@ Snapshots are plain JSON-able dicts::
     {
       "counters": {"interactions_total": {"": 12345.0},
                    "surrogate_verdicts_total": {"verdict=TRUSTED": 3.0}},
-      "gauges": {},
       "histograms": {"kernel_step_seconds": {
           "buckets": [0.001, ...], "counts": [4, ...], "sum": 1.2,
           "count": 9}},
@@ -21,16 +20,17 @@ Snapshots are plain JSON-able dicts::
 with algebra for the multiprocessing plumbing: a pool worker takes a
 baseline snapshot, runs the task, and ships
 ``snapshot_delta(baseline, snapshot())`` home, where the parent
-:meth:`merge_snapshot`\\ s it — counters and histograms add, gauges
-take the max (a high-water mark is the only merge that makes sense
-for e.g. queue depth across processes).  :func:`prometheus_text`
-renders a snapshot in the Prometheus text exposition format.
+:meth:`merge_snapshot`\\ s it — counters and histograms add.
+:func:`prometheus_text` renders a snapshot in the Prometheus text
+exposition format.  Snapshots that older versions wrote may carry a
+``"gauges"`` map (always empty: no site ever set one); every reader
+here ignores it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
@@ -65,13 +65,12 @@ def _label_key(labels: Mapping[str, Any]) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe counters, gauges and fixed-bucket histograms."""
+    """Thread-safe counters and fixed-bucket histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         # counter name -> label key -> value
         self._counters: Dict[str, Dict[str, float]] = {}
-        self._gauges: Dict[str, float] = {}
         # histogram name -> {"buckets": tuple, "counts": list, "sum", "count"}
         self._histograms: Dict[str, Dict[str, Any]] = {}
         # refcount of activated() scopes holding the registry on; the
@@ -117,18 +116,8 @@ class MetricsRegistry:
             series = self._counters.setdefault(name, {})
             series[key] = series.get(key, 0.0) + float(value)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        if self._active == 0:
-            return
-        with self._lock:
-            self._gauges[name] = float(value)
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ) -> None:
+    def observe(self, name: str, value: float) -> None:
+        """Count ``value`` into histogram ``name`` (:data:`DEFAULT_TIME_BUCKETS`)."""
         if self._active == 0:
             return
         value = float(value)
@@ -136,9 +125,9 @@ class MetricsRegistry:
             hist = self._histograms.get(name)
             if hist is None:
                 hist = {
-                    "buckets": list(buckets),
+                    "buckets": list(DEFAULT_TIME_BUCKETS),
                     # one cumulative-style slot per bucket plus +Inf
-                    "counts": [0] * (len(buckets) + 1),
+                    "counts": [0] * (len(DEFAULT_TIME_BUCKETS) + 1),
                     "sum": 0.0,
                     "count": 0,
                 }
@@ -164,7 +153,6 @@ class MetricsRegistry:
                 "counters": {
                     name: dict(series) for name, series in self._counters.items()
                 },
-                "gauges": dict(self._gauges),
                 "histograms": {
                     name: {
                         "buckets": list(hist["buckets"]),
@@ -179,9 +167,9 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: Optional[Mapping[str, Any]]) -> None:
         """Fold a snapshot (e.g. a child-process delta) into this registry.
 
-        Counters and histograms add; gauges keep the max.  Merging is
-        allowed even while disabled — the parent may have left its
-        activation scope by the time a straggler result arrives.
+        Counters and histograms add.  Merging is allowed even while
+        disabled — the parent may have left its activation scope by the
+        time a straggler result arrives.
         """
         if not snapshot:
             return
@@ -190,8 +178,6 @@ class MetricsRegistry:
                 mine = self._counters.setdefault(name, {})
                 for key, value in series.items():
                     mine[key] = mine.get(key, 0.0) + float(value)
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges[name] = max(self._gauges.get(name, float(value)), float(value))
             for name, hist in snapshot.get("histograms", {}).items():
                 mine_hist = self._histograms.get(name)
                 if mine_hist is None:
@@ -212,7 +198,6 @@ class MetricsRegistry:
         """Drop every recorded value (test hook; keeps the refcount)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
@@ -225,10 +210,10 @@ def snapshot_delta(
 ) -> Dict[str, Any]:
     """What happened between two snapshots of the *same* registry.
 
-    Counters and histogram counts subtract (zero series are dropped);
-    gauges report the ``after`` value.  The result is what a pool
-    worker ships back so pre-existing process state (a forked parent's
-    counts, a reused worker's earlier tasks) is never double-counted.
+    Counters and histogram counts subtract (zero series are dropped).
+    The result is what a pool worker ships back so pre-existing process
+    state (a forked parent's counts, a reused worker's earlier tasks) is
+    never double-counted.
     """
     counters: Dict[str, Dict[str, float]] = {}
     for name, series in after.get("counters", {}).items():
@@ -261,11 +246,7 @@ def snapshot_delta(
                 "sum": hist["sum"] - base["sum"],
                 "count": count,
             }
-    return {
-        "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
-        "histograms": histograms,
-    }
+    return {"counters": counters, "histograms": histograms}
 
 
 def prometheus_text(snapshot: Mapping[str, Any]) -> str:
@@ -282,9 +263,6 @@ def prometheus_text(snapshot: Mapping[str, Any]) -> str:
                 lines.append(f"{name}{{{labels}}} {_num(series[key])}")
             else:
                 lines.append(f"{name} {_num(series[key])}")
-    for name in sorted(snapshot.get("gauges", {})):
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_num(snapshot['gauges'][name])}")
     for name in sorted(snapshot.get("histograms", {})):
         hist = snapshot["histograms"][name]
         lines.append(f"# TYPE {name} histogram")
@@ -311,11 +289,6 @@ def format_summary(snapshot: Mapping[str, Any], indent: str = "") -> str:
                 lines.append(
                     f"{indent}  {name}{label} = {_num(counters[name][key])}"
                 )
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        lines.append(f"{indent}gauges:")
-        for name in sorted(gauges):
-            lines.append(f"{indent}  {name} = {_num(gauges[name])}")
     histograms = snapshot.get("histograms", {})
     if histograms:
         lines.append(f"{indent}histograms:")

@@ -335,8 +335,8 @@ class JobManager:
 
     # -- shutdown ------------------------------------------------------
 
-    def shutdown(self, *, timeout: float = 5.0) -> None:
-        """Stop accepting jobs and terminate what is still running."""
+    def shutdown(self) -> None:
+        """Stop accepting jobs, terminate what still runs, wait up to 5 s."""
         with self._lock:
             self._closed = True
             processes = list(self._processes.values())
@@ -344,7 +344,7 @@ class JobManager:
         for process in processes:
             if process.is_alive():
                 process.terminate()
-        deadline = time.time() + timeout
+        deadline = time.time() + 5.0
         for thread in threads:
             thread.join(max(0.0, deadline - time.time()))
 

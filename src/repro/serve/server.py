@@ -11,7 +11,8 @@ Endpoints
 ---------
 ``POST /runs``
     Submit a spec document (run/ensemble/sweep/experiment JSON).  A
-    cacheable spec whose hash is already stored is answered immediately
+    cacheable spec (seeded and exact-tier: see :func:`_cacheable`) whose
+    hash is already stored is answered immediately
     (``200``, ``status: "cached"``) without consuming any RNG; otherwise
     the job is scheduled (``202``, ``status: "accepted"``) or coalesced
     onto an already-active job of the same hash (``202``,
@@ -46,7 +47,7 @@ from ..obs.journal import read_journal
 from ..specs import load_spec
 from . import worker
 from .jobs import JobManager
-from .store import ResultStore
+from .store import ResultStore, non_exact_reason
 
 __all__ = ["ServeConfig", "ServeApp", "make_server", "run_server"]
 
@@ -67,16 +68,20 @@ class ServeConfig:
 
 
 def _cacheable(spec: Any) -> bool:
-    """Whether two executions of ``spec`` are guaranteed identical.
+    """Whether the store may answer for ``spec`` and keep its answer.
 
-    Only deterministic work may be answered from the store.  A seedless
-    ``RunSpec`` draws fresh OS entropy per execution; ensembles and
-    sweeps derive every member/point seed from a required root seed; an
-    experiment is cacheable unless it declares a ``seed`` parameter and
-    that parameter resolved to null.
+    Only deterministic, exact-tier work is stored.  ``fidelity`` stays
+    out of ``spec_hash``, so a surrogate or ``auto`` answer would stand
+    under the exact answer's hash (:func:`~repro.serve.store.non_exact_reason`).
+    A seedless ``RunSpec`` draws fresh OS entropy per execution;
+    ensembles and sweeps derive every member/point seed from a required
+    root seed; an experiment is cacheable unless it declares a ``seed``
+    parameter and that parameter resolved to null.
     """
     from ..specs import EnsembleSpec, ExperimentSpec, RunSpec, SweepSpec
 
+    if non_exact_reason(spec.to_dict()) is not None:
+        return False
     if isinstance(spec, RunSpec):
         return spec.seed is not None
     if isinstance(spec, (EnsembleSpec, SweepSpec)):
@@ -153,7 +158,7 @@ class ServeApp:
             return 404, {"error": f"unknown job {job_id!r}"}
         payload = job.to_dict()
         if job.status == "done":
-            document = self.store.get(job.spec_hash)
+            document = self.store.get(job.spec_hash) if job.cacheable else None
             if document is None:
                 # non-cacheable jobs keep their result in the job dir only
                 try:

@@ -10,6 +10,13 @@ run persisted under a runs root after one start is served after the
 next.  Stores written before this layout also hold an ``index.json``;
 it is left in place and never read.
 
+The store holds exact answers only.  ``fidelity`` stays out of
+``spec_hash``, so a document whose spec asked for the ``surrogate`` or
+``auto`` tier (older daemons stored those) would answer an exact
+request for the same hash: the scan skips it with a recorded reason
+and leaves it on disk, and the first exact job for the hash replaces
+it.
+
 Byte-identity contract: :meth:`get_bytes` returns exactly the bytes
 :meth:`put` stored — the serve layer sends them verbatim, so two cache
 hits (or a hit and the original miss) can be compared with ``==`` on
@@ -61,20 +68,29 @@ class ResultStore:
 
         Scans ``<root>/documents`` first (stored documents are already
         canonical), then every configured runs root, storing each
-        complete, seeded persisted run directory as a run-kind document.
-        Unreadable entries are skipped with a recorded reason (the
-        ``persist_scan_skipped_total`` counter, a journal event, and
-        the :attr:`skipped` list).  Returns the number of documents
-        stored.
+        complete, seeded, exact-tier persisted run directory as a
+        run-kind document.  Unreadable entries and non-exact specs are
+        skipped with a recorded reason (the :attr:`skipped` list; a
+        runs root's unreadable entries also bump the
+        ``persist_scan_skipped_total`` counter and emit a journal
+        event).  Returns the number of documents stored.
         """
         from ..io.streaming import iter_persisted_manifests
 
         hashes: Set[str] = set()
         for path in sorted(self.documents_dir.glob("*.json")):
-            if _HASH_RE.match(path.stem):
-                hashes.add(path.stem)
-            else:
+            if not _HASH_RE.match(path.stem):
                 self._record_skip(path, "not a spec-hash-named document")
+                continue
+            try:
+                document = json.loads(path.read_bytes())
+                reason = non_exact_reason(document.get("spec") or {})
+            except (OSError, ValueError, AttributeError, TypeError) as exc:
+                reason = f"unreadable document: {exc}"
+            if reason is not None:
+                self._record_skip(path, reason)
+                continue
+            hashes.add(path.stem)
         with self._lock:
             self._hashes = hashes
         for runs_root in self._runs_roots:
@@ -91,6 +107,10 @@ class ResultStore:
                 if spec.get("seed") is None:
                     # an unseeded run is a fresh random draw every time:
                     # its recorded outcome must never answer for a new one
+                    continue
+                reason = non_exact_reason(spec)
+                if reason is not None:
+                    self._record_skip(run_dir, reason)
                     continue
                 self.put(document["spec_hash"], document)
         return len(self)
@@ -153,3 +173,22 @@ class ResultStore:
     def hashes(self) -> List[str]:
         with self._lock:
             return sorted(self._hashes)
+
+
+def non_exact_reason(spec: Mapping[str, Any]) -> Optional[str]:
+    """Why the store may not hold answers to a spec document, or ``None``.
+
+    Every run the spec makes must be exact-tier: the run, the
+    ensemble's ``run``, or the sweep's ``base`` and ``fidelity`` axis (a
+    missing ``fidelity`` is ``"exact"``; an experiment has none).  It
+    reads the document's fields, so the startup scan builds no spec.
+    """
+    template = spec.get("run") or spec.get("base") or spec
+    default = [template.get("fidelity", "exact")]
+    others = sorted(set((spec.get("axes") or {}).get("fidelity", default)) - {"exact"})
+    if not others:
+        return None
+    return (
+        f"fidelity {others[0]!r} may answer from the surrogate tier; the "
+        "store holds exact answers only"
+    )

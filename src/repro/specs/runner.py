@@ -388,10 +388,10 @@ def _resume_persisted(spec: RunSpec):
 # table, keyed by ``spec.fidelity`` — the run-dispatch path is data,
 # not an if-ladder.  ``exact`` is today's engine path unchanged (bit
 # for bit); ``surrogate`` answers from the mean-field fluid limit and
-# fails loudly when the protocol has no surrogate (or scipy is
-# missing); ``auto`` answers from the surrogate only when its validity
-# verdict is TRUSTED and otherwise escalates to the exact resolver,
-# stamping the escalation verdict into the result metadata.
+# fails loudly when the protocol has no surrogate; ``auto`` answers
+# from the surrogate only when its validity verdict is TRUSTED and
+# otherwise escalates to the exact resolver, stamping the escalation
+# verdict into the result metadata.
 
 
 def _resolve_exact(spec: RunSpec):

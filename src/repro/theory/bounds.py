@@ -119,14 +119,14 @@ def lower_bound_parallel_time(n: float, k: float, bias: float | None = None) -> 
     return lower_bound_interactions(n, k, bias) / n
 
 
-def amir_upper_bound_parallel_time(n: float, k: float, constant: float = 1.0) -> float:
-    """Amir et al. (PODC'23): ``O(k log n)`` parallel time.
+def amir_upper_bound_parallel_time(n: float, k: float) -> float:
+    """Amir et al. (PODC'23): ``O(k log n)`` parallel time, as ``k ln n``.
 
     Valid for ``k = O(√n / log² n)``; the leading constant is not given
     explicitly in the paper, so experiments fit it.
     """
     _require_valid(n, k)
-    return constant * k * math.log(n)
+    return k * math.log(n)
 
 
 def trivial_lower_bound_parallel_time(n: float) -> float:

@@ -30,6 +30,9 @@ from .lemmas import (
 
 __all__ = ["EpochRecord", "LowerBoundCertificate", "certify_lower_bound"]
 
+#: Safety valve on the epoch enumeration (the gap doubles each epoch).
+_MAX_EPOCHS = 64
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -150,13 +153,13 @@ class LowerBoundCertificate:
 
 
 def certify_lower_bound(
-    n: float, k: float, bias: Optional[float] = None, *, max_epochs: int = 64
+    n: float, k: float, bias: Optional[float] = None
 ) -> LowerBoundCertificate:
     """Instantiate the Theorem 3.5 induction at concrete ``(n, k, bias)``.
 
     ``bias`` defaults to the paper's cap ``f(n)·√(n log n)``.  Epochs
-    are enumerated until the closure invariant fails (or ``max_epochs``,
-    a safety valve).
+    are enumerated until the closure invariant fails (or
+    ``_MAX_EPOCHS``, a safety valve).
     """
     if n < 16 or k < 2:
         raise RegimeError(f"certificate needs n >= 16 and k >= 2, got ({n}, {k})")
@@ -173,7 +176,7 @@ def certify_lower_bound(
     invariant_cap = n**0.75 / math.sqrt(k)
     sqrt_n_log_n = math.sqrt(n * math.log(n))
     epochs: List[EpochRecord] = []
-    for index in range(max_epochs):
+    for index in range(_MAX_EPOCHS):
         gap_in = (2.0**index) * bias
         gap_out = 2.0 * gap_in
         below_invariant = gap_out <= invariant_cap

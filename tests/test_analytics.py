@@ -386,9 +386,7 @@ class TestQuery:
             ds.query().ask("median")
 
     def test_envelope_matches_per_run_step_sampling(self, fleet, ds):
-        answer = ds.query().undecided_envelope(
-            grid_points=12, quantiles=(0.5,), fraction=True
-        )
+        answer = ds.query().undecided_envelope(grid_points=12, quantiles=(0.5,))
         assert answer["runs"] == 6
         # reference: sample each streamed run by hand onto the same grid
         series = []

@@ -13,15 +13,31 @@ from __future__ import annotations
 import json
 import shutil
 import threading
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import analytics
 from repro.cli import main
+from repro.core.kernels import reset_backend_state
 from repro.errors import AnalyticsError
-from repro.serve import ServeClient, ServeConfig, make_server, shutdown_server
-from repro.specs import document_bytes, load_spec, result_from_document, to_document
+from repro.serve import (
+    ResultStore,
+    ServeClient,
+    ServeConfig,
+    make_server,
+    shutdown_server,
+)
+from repro.specs import (
+    document_bytes,
+    load_spec,
+    result_from_document,
+    run_spec,
+    to_document,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -66,6 +82,18 @@ def _files(root):
     }
 
 
+def _daemon(root, requests):
+    """Run ``requests(client)`` against a daemon over ``root``."""
+    httpd = make_server(ServeConfig(port=0, root=root))
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        return requests(ServeClient(f"http://127.0.0.1:{httpd.server_address[1]}"))
+    finally:
+        shutdown_server(httpd)
+        thread.join(timeout=5.0)
+
+
 def _serve_store(path, tmp_path, capsys):
     expected = json.loads((path / "expected.json").read_text())
     spec_hash = expected["spec_hash"]
@@ -73,16 +101,13 @@ def _serve_store(path, tmp_path, capsys):
     copy = tmp_path / "serve" / "store"
     shutil.copytree(path / "store", copy)
     before = _files(copy)
-    httpd = make_server(ServeConfig(port=0, root=tmp_path / "serve"))
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        client = ServeClient(f"http://127.0.0.1:{httpd.server_address[1]}")
-        response = client.submit(expected["spec"])
-        served = client.result_bytes(spec_hash)
-    finally:
-        shutdown_server(httpd)
-        thread.join(timeout=5.0)
+    response, served = _daemon(
+        tmp_path / "serve",
+        lambda client: (
+            client.submit(expected["spec"]),
+            client.result_bytes(spec_hash),
+        ),
+    )
     assert response["status"] == "cached"
     assert response["spec_hash"] == spec_hash
     assert served == committed
@@ -94,11 +119,73 @@ def _serve_store(path, tmp_path, capsys):
     assert _files(copy) == before
 
 
+def _surrogate_store(path, tmp_path, capsys):
+    expected = json.loads((path / "expected.json").read_text())
+    spec_hash = expected["spec_hash"]
+    assert expected["spec"]["fidelity"] == "auto"
+    stored = path / "store" / "documents" / f"{spec_hash}.json"
+    assert json.loads(stored.read_bytes())["result_kind"] == "surrogate"
+    copy = tmp_path / "serve" / "store"
+    shutil.copytree(path / "store", copy)
+    # the scan skips the surrogate answer with a reason and leaves it
+    store = ResultStore(copy)
+    assert spec_hash not in store
+    [(skipped, reason)] = store.skipped
+    assert Path(skipped).name == stored.name and "exact answers only" in reason
+    assert _files(copy) == _files(path / "store")
+
+    exact = {**expected["spec"], "fidelity": "exact"}
+
+    def requests(client):
+        first = client.submit_and_wait(exact, timeout=60.0)
+        return first, client.submit(exact), client.result_bytes(spec_hash)
+
+    first, second, served = _daemon(tmp_path / "serve", requests)
+    # the first exact job is a miss, and its answer replaces the old one
+    assert first["status"] == "accepted" and first["spec_hash"] == spec_hash
+    assert first["result"]["result_kind"] == "run"
+    assert second["status"] == "cached"
+    assert served == (copy / "documents" / stored.name).read_bytes()
+    assert json.loads(served)["outcome"]["engine"] != "meanfield"
+
+
+def _recording(document):
+    """The recording block of a run, ensemble or sweep spec document."""
+    template = document.get("run") or document.get("base") or document
+    return template["recording"]
+
+
+def _spec_documents(path, tmp_path, capsys):
+    expected = json.loads((path / "expected.json").read_text())["spec_hash"]
+    assert set(expected) == {"run.json", "ensemble.json", "sweep.json"}
+    specs = {}
+    for name, spec_hash in expected.items():
+        document = json.loads((path / name).read_text())
+        spec = specs[name] = load_spec(document)
+        assert spec.spec_hash() == spec_hash
+        # record_async is read and ignored: it re-serializes as false
+        assert _recording(document)["record_async"] is True
+        assert _recording(spec.to_dict())["record_async"] is False
+    run = specs["run.json"]
+    assert (run.engine, run.backend) == ("batch", "numba")
+    reset_backend_state()  # an earlier test may have had the one warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_spec(run)
+    messages = [str(warning.message) for warning in caught]
+    assert len(messages) == 1 and "'numba'" in messages[0]
+    numpy_result = run_spec(replace(run, backend=None))
+    assert np.array_equal(result.final_counts, numpy_result.final_counts)
+    assert result.interactions == numpy_result.interactions
+
+
 ARTIFACTS = {
     "analytics/npz-dataset-7959d43": _npz_dataset,
     "analytics/parquet-dataset": _parquet_dataset,
     "analytics/parquet-trace": _parquet_trace,
     "serve/store-7959d43": _serve_store,
+    "serve/surrogate-store-93adf4a": _surrogate_store,
+    "specs/spec-4bb0996": _spec_documents,
 }
 
 

@@ -76,12 +76,20 @@ class TestFigure1Ensemble:
             "undecided_mean",
             "undecided_lower",
             "undecided_upper",
+            "undecided_meanfield",
             "stab_times",
         }
         # band ordering everywhere
         assert (
             result.series["undecided_lower"] <= result.series["undecided_upper"]
         ).all()
+        # the fluid-limit overlay is always computed, on the band's grid
+        overlay = result.series["undecided_meanfield"]
+        assert overlay.shape == result.series["grid"].shape
+        assert any(
+            note.startswith("ensemble mean u(t) tracks the mean-field surrogate")
+            for note in result.notes
+        )
 
     def test_partial_shard_report_summarises_polylines(self, tmp_path):
         """A partial-shard report must not dump the raw u(t) polylines

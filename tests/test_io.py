@@ -32,17 +32,20 @@ class TestTables:
         assert "—" in text  # None rendering
 
     def test_format_table_title_and_columns(self, rows):
-        text = format_table(rows, title="My table", columns=["time", "k"])
+        text = format_table(rows, title="My table")
         assert text.splitlines()[0] == "My table"
-        assert text.splitlines()[1].startswith("time")
+        # every key of every row, in order of first appearance
+        assert text.splitlines()[1].split() == ["k", "time", "ok", "extra"]
 
     def test_empty_rows_rejected(self):
         with pytest.raises(SerializationError):
             format_table([])
 
     def test_float_format_override(self, rows):
-        text = format_table(rows, float_format=".1f")
-        assert "12.5" in text and "12.500" not in text
+        # floats always render to three places; no keyword overrides it
+        assert "0.333 " in format_table([{"x": 1 / 3, "n": 2}])
+        with pytest.raises(TypeError):
+            format_table(rows, float_format=".1f")
 
 
 class TestTraceSerialization:

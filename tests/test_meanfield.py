@@ -1,5 +1,10 @@
 """Unit tests for the mean-field (fluid-limit) substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +18,8 @@ from repro.meanfield import (
     symmetric_interior_fixed_point,
     timescales_from_solution,
     undecided_fixed_point_fraction,
-    undecided_plateau_fraction,
 )
+from repro.theory import undecided_plateau
 
 
 class TestFixedPointFormulas:
@@ -26,7 +31,7 @@ class TestFixedPointFormulas:
     def test_plateau_is_large_k_expansion(self):
         for k in (50, 200, 1000):
             exact = undecided_fixed_point_fraction(k)
-            approx = undecided_plateau_fraction(k)
+            approx = undecided_plateau(1, k)
             assert abs(exact - approx) < 1.0 / k**2
 
     def test_rejects_bad_k(self):
@@ -40,13 +45,14 @@ class TestFixedPointFormulas:
         assert np.allclose(y[1:], y[1])
 
     def test_consensus_point(self):
-        y = consensus_fixed_point(4, winner=3)
-        assert y[3] == 1.0
+        y = consensus_fixed_point(4)
+        assert y[1] == 1.0
         assert y.sum() == 1.0
 
     def test_consensus_winner_range(self):
+        # the winner is opinion 1, which k = 0 does not have
         with pytest.raises(SimulationError):
-            consensus_fixed_point(4, winner=5)
+            consensus_fixed_point(0)
 
 
 class TestDynamics:
@@ -198,7 +204,7 @@ class TestEdgeCases:
 class TestTimescalesFromSolution:
     def test_matches_predict_timescales(self):
         config = Configuration.equal_minorities_with_bias(10_000, 4, 800)
-        direct = predict_timescales(config, horizon=60.0, grid_points=4000)
+        direct = predict_timescales(config, horizon=60.0)
         model = USDMeanField(k=4)
         grid = np.linspace(0.0, 60.0, 4000)
         solution = model.integrate(config, t_end=60.0, t_eval=grid)
@@ -221,3 +227,18 @@ class TestTimescalesFromSolution:
         solution = model.integrate(Configuration([6, 4]), t_end=1.0)
         with pytest.raises(SimulationError, match="tolerance"):
             timescales_from_solution(solution, tolerance=0.7)
+
+
+def test_import_repro_does_not_load_scipy():
+    # the CLI, the serve forkserver preload and every perfbench workload
+    # import these modules; only an ODE solve needs scipy (tens of MB of
+    # RSS), so USDMeanField.integrate imports it (a fresh interpreter,
+    # since this test process may already have)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, repro, repro.cli, repro.serve.worker; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

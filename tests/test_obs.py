@@ -23,7 +23,9 @@ from repro.obs.journal import (
     summarize_journal,
 )
 from repro.obs.metrics import (
+    DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
+    format_summary,
     prometheus_text,
     snapshot_delta,
 )
@@ -74,10 +76,9 @@ class TestMetricsRegistry:
     def test_disabled_registry_records_nothing(self):
         registry = MetricsRegistry()
         registry.inc("c")
-        registry.set_gauge("g", 3)
         registry.observe("h", 0.1)
         snapshot = registry.snapshot()
-        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snapshot == {"counters": {}, "histograms": {}}
 
     def test_refcount_gating(self):
         registry = MetricsRegistry()
@@ -103,23 +104,26 @@ class TestMetricsRegistry:
     def test_histogram_buckets_and_overflow(self):
         registry = MetricsRegistry()
         registry.activate()
-        registry.observe("h", 0.5, buckets=(1.0, 10.0))
-        registry.observe("h", 5.0, buckets=(1.0, 10.0))
-        registry.observe("h", 50.0, buckets=(1.0, 10.0))
+        registry.observe("h", 0.0002)  # first bucket
+        registry.observe("h", 0.3)  # the 0.5 s bucket
+        registry.observe("h", 50.0)  # past the last bucket: +Inf
         hist = registry.snapshot()["histograms"]["h"]
-        assert hist["counts"] == [1, 1, 1]
+        assert hist["buckets"] == list(DEFAULT_TIME_BUCKETS)
+        expected = [0] * (len(DEFAULT_TIME_BUCKETS) + 1)
+        expected[0] = expected[DEFAULT_TIME_BUCKETS.index(0.5)] = expected[-1] = 1
+        assert hist["counts"] == expected
         assert hist["count"] == 3
-        assert hist["sum"] == pytest.approx(55.5)
+        assert hist["sum"] == pytest.approx(50.3002)
 
     def test_snapshot_delta_subtracts_preexisting_state(self):
         registry = MetricsRegistry()
         registry.activate()
         registry.inc("c", 5)
-        registry.observe("h", 0.2, buckets=(1.0,))
+        registry.observe("h", 0.2)
         before = registry.snapshot()
         registry.inc("c", 2)
         registry.inc("fresh")
-        registry.observe("h", 0.3, buckets=(1.0,))
+        registry.observe("h", 0.3)
         delta = snapshot_delta(before, registry.snapshot())
         assert delta["counters"]["c"][""] == 2.0
         assert delta["counters"]["fresh"][""] == 1.0
@@ -139,37 +143,51 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.activate()
         registry.inc("c", 1)
-        registry.observe("h", 0.2, buckets=(1.0,))
-        registry.set_gauge("depth", 2)
+        registry.observe("h", 0.2)
+        half_second = DEFAULT_TIME_BUCKETS.index(0.5)
+        counts = [0] * (len(DEFAULT_TIME_BUCKETS) + 1)
+        counts[half_second] = 2
+        # shaped like a snapshot an older run wrote: it still carries
+        # the (always empty) gauge map, which merging and rendering skip
         child = {
             "counters": {"c": {"": 3.0}, "only_child": {"": 1.0}},
-            "gauges": {"depth": 5.0},
+            "gauges": {},
             "histograms": {
-                "h": {"buckets": [1.0], "counts": [2, 0], "sum": 0.4, "count": 2}
+                "h": {
+                    "buckets": list(DEFAULT_TIME_BUCKETS),
+                    "counts": counts,
+                    "sum": 0.4,
+                    "count": 2,
+                }
             },
         }
         registry.merge_snapshot(child)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["c"][""] == 4.0
         assert snapshot["counters"]["only_child"][""] == 1.0
-        assert snapshot["gauges"]["depth"] == 5.0  # max wins
         assert snapshot["histograms"]["h"]["count"] == 3
+        assert snapshot["histograms"]["h"]["counts"][half_second] == 3
+        assert "gauges" not in snapshot
+        assert prometheus_text(child) == prometheus_text(
+            {key: child[key] for key in ("counters", "histograms")}
+        )
+        assert "only_child = 1" in format_summary(child)
 
     def test_prometheus_text(self):
         registry = MetricsRegistry()
         registry.activate()
         registry.inc("interactions_total", 42)
         registry.inc("verdicts", verdict="TRUSTED")
-        registry.set_gauge("depth", 2)
-        registry.observe("h", 0.2, buckets=(1.0, 10.0))
+        registry.observe("h", 0.2)
         text = prometheus_text(registry.snapshot())
         assert "# TYPE interactions_total counter" in text
         assert "interactions_total 42" in text
         assert 'verdicts{verdict="TRUSTED"} 1' in text
-        assert "depth 2" in text
-        assert 'h_bucket{le="1"} 1' in text
+        assert 'h_bucket{le="0.1"} 0' in text
+        assert 'h_bucket{le="0.5"} 1' in text
         assert 'h_bucket{le="+Inf"} 1' in text
         assert "h_count 1" in text
+        assert "gauge" not in text
 
 
 class TestRunJournal:
@@ -193,12 +211,12 @@ class TestRunJournal:
         path = tmp_path / "journal.jsonl"
         with RunJournal(path) as journal:
             journal.span_begin("engine.run")
+        intact = read_journal(path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"event": "engine.prog')  # SIGKILL signature
         records = read_journal(path)
         assert all(isinstance(r, dict) for r in records)
-        with pytest.raises(ValueError):
-            read_journal(path, strict=True)
+        assert records == intact  # the torn tail is dropped, nothing else
 
     def test_torn_middle_line_raises(self, tmp_path):
         path = tmp_path / "journal.jsonl"

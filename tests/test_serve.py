@@ -5,16 +5,21 @@ The contracts under test, layer by layer:
 * ``ResultStore`` — content-addressed byte identity, refusal of
   mis-keyed documents, the startup scan of the documents directory and
   of plain persisted run directories at every start (skipping unseeded
-  runs, whose outcomes must never answer for a fresh random draw),
-  corrupt-entry skips with recorded reasons, and no ``index.json``;
+  runs, whose outcomes must never answer for a fresh random draw, and
+  specs that are not exact-tier, whose answers must never stand under
+  the exact answer's hash), corrupt-entry skips with recorded reasons,
+  and no ``index.json``;
+* cacheability — only seeded, exact-tier work is looked up, stored or
+  coalesced;
 * ``JobManager`` — duplicate submissions of an active ``spec_hash``
   coalesce onto one job instead of simulating twice, and settled jobs
   are evicted beyond the retention bound (both with
   ``JobManager._run_in_process`` replaced, so no worker is forked);
 * the HTTP daemon end to end, every job in a worker forked from the
   preloaded forkserver — submit/miss/hit, byte-identical result
-  fetches, live ``/metrics``, job status and journal progress, 400 on
-  invalid specs, 404 on unknown routes; plus a stress test of forked
+  fetches, an exact request after a TRUSTED ``auto`` one simulating,
+  live ``/metrics``, job status and journal progress, 400 on invalid
+  specs, 404 on unknown routes; plus a stress test of forked
   workers, concurrent ensemble jobs that each journal only their own
   runs, workers killed by SIGKILL and SIGSEGV whose job errors say so,
   and a cold-start check for a daemon whose forkserver could not
@@ -35,6 +40,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main as cli_main
 from repro.errors import ServeError
 from repro.io.streaming import find_persisted_by_hash
 from repro.obs import metrics as obs_metrics
@@ -47,7 +53,16 @@ from repro.serve import (
     make_server,
     shutdown_server,
 )
+from repro.serve.server import _cacheable
 from repro.specs import RunSpec, load_spec, run_spec, to_document
+
+#: A run ``fidelity='auto'`` answers from the surrogate (TRUSTED).
+FASTPATH = (
+    Path(__file__).resolve().parents[1]
+    / "examples"
+    / "scenarios"
+    / "meanfield_fastpath.json"
+)
 
 FAST_PAYLOAD = {
     "schema_version": 1,
@@ -156,6 +171,43 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store", runs_roots=[runs_root])
         assert any("corrupt" in path for path, _reason in store.skipped)
 
+    def test_rebuild_skips_non_exact_documents(self, tmp_path):
+        run = {"kind": "run", "fidelity": "exact"}
+        specs = {
+            "exact-run": run,
+            "pre-fidelity-run": {"kind": "run"},
+            "auto-run": {**run, "fidelity": "auto"},
+            "surrogate-ensemble": {
+                "kind": "ensemble",
+                "run": {**run, "fidelity": "surrogate"},
+            },
+            "auto-sweep": {"kind": "sweep", "base": {**run, "fidelity": "auto"}},
+            "axis-sweep": {
+                "kind": "sweep",
+                "base": run,
+                "axes": {"fidelity": ["exact", "auto"]},
+            },
+            "experiment": {"kind": "experiment", "experiment": "fig1-ensemble"},
+        }
+        documents = tmp_path / "store" / "documents"
+        documents.mkdir(parents=True)
+        hashes = {}
+        for index, (name, spec) in enumerate(specs.items()):
+            hashes[name] = f"{index:02d}" * 32
+            path = documents / f"{hashes[name]}.json"
+            path.write_text(json.dumps({"spec_hash": hashes[name], "spec": spec}))
+        (documents / f"{'ee' * 32}.json").write_text("{torn")
+        store = ResultStore(tmp_path / "store")
+        assert store.hashes() == sorted(
+            hashes[name] for name in ("exact-run", "pre-fidelity-run", "experiment")
+        )
+        reasons = {Path(path).stem: reason for path, reason in store.skipped}
+        for name in ("auto-run", "surrogate-ensemble", "auto-sweep", "axis-sweep"):
+            assert "exact answers only" in reasons[hashes[name]], name
+        assert "unreadable" in reasons["ee" * 32]
+        # skipped documents stay on disk, for the first exact job to replace
+        assert len(list(documents.glob("*.json"))) == len(specs) + 1
+
 
 def test_find_persisted_by_hash_skips_corrupt_with_reason(tmp_path):
     runs_root = tmp_path / "runs"
@@ -215,6 +267,30 @@ def test_concurrent_duplicate_submissions_coalesce(tmp_path, monkeypatch):
     finally:
         release.set()
         jobs.shutdown()
+
+
+def test_only_seeded_exact_tier_specs_are_cacheable():
+    run = RunSpec.from_dict(FAST_PAYLOAD)
+    assert _cacheable(run)
+    assert not _cacheable(run.with_seed(None))
+    assert not _cacheable(run.with_fidelity("auto"))
+    assert not _cacheable(run.with_fidelity("surrogate"))
+    ensemble = _ensemble_payload(2000, root_seed=3)
+    assert _cacheable(load_spec(ensemble))
+    auto_run = {**ensemble["run"], "fidelity": "auto"}
+    assert not _cacheable(load_spec({**ensemble, "run": auto_run}))
+    sweep = {
+        "schema_version": 1,
+        "kind": "sweep",
+        "sweep_id": "tiers",
+        "base": ensemble["run"],
+        "axes": {"initial.params.bias": [100, 150]},
+        "root_seed": 3,
+    }
+    assert _cacheable(load_spec(sweep))
+    assert not _cacheable(load_spec({**sweep, "base": auto_run}))
+    one_auto_point = {**sweep["axes"], "fidelity": ["exact", "auto"]}
+    assert not _cacheable(load_spec({**sweep, "axes": one_auto_point}))
 
 
 def test_non_cacheable_submissions_never_coalesce(tmp_path, monkeypatch):
@@ -428,6 +504,32 @@ class TestDaemon:
         final = client.wait(response["job"]["id"], timeout=60.0)
         assert final["result"]["spec_hash"] == response["spec_hash"]
         assert final["result"]["kind"] == "result"
+
+    def test_exact_request_after_trusted_auto_is_a_miss(self, daemon, capsys):
+        # fidelity stays out of spec_hash, so the surrogate answer a
+        # TRUSTED auto request gets must never answer an exact request
+        client, _httpd = daemon
+        auto = json.loads(FASTPATH.read_text())
+        exact = {**auto, "fidelity": "exact"}
+        first = client.submit_and_wait(auto, timeout=60.0)
+        assert first["status"] == "accepted"
+        assert first["result"]["result_kind"] == "surrogate"
+        second = client.submit_and_wait(exact, timeout=60.0)
+        assert second["spec_hash"] == first["spec_hash"]
+        assert second["status"] == "accepted"
+        assert second["result"]["result_kind"] == "run"
+        assert second["result"]["outcome"]["engine"] != "meanfield"
+        assert client.submit(exact)["status"] == "cached"
+        # an auto job answers with its own document, not the stored one
+        third = client.submit_and_wait(auto, timeout=60.0)
+        assert third["status"] == "accepted"
+        assert third["result"]["result_kind"] == "surrogate"
+        fetched = {}
+        for name, job in (("exact", second["job"]), ("auto", third["job"])):
+            assert cli_main(["fetch", job["id"], "--server", client.base_url]) == 0
+            fetched[name] = capsys.readouterr().out.encode("utf-8")
+        assert fetched["exact"] == client.result_bytes(first["spec_hash"])
+        assert json.loads(fetched["auto"])["result_kind"] == "surrogate"
 
 
 def test_process_mode_smoke(tmp_path):

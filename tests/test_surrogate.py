@@ -9,8 +9,8 @@ Covers the three contracts the fidelity layer makes:
   ``surrogate`` never instantiates an engine (and answers n = 10⁸ in
   well under 100 ms warm), ``auto`` is *bit-identical* to the exact
   tier whenever it escalates;
-* gating — a scipy-less install keeps the exact tier fully working
-  while the surrogate tier fails loudly and ``auto`` falls back.
+* support — a protocol with no surrogate fails loudly on the
+  surrogate tier, and ``auto`` escalates it.
 """
 
 import math
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import repro.core.run as core_run
-import repro.meanfield.ode as ode
 from repro import SimulationError
 from repro.meanfield import (
     ESCALATE,
@@ -158,7 +157,7 @@ class TestDispatch:
         bias = 4 * math.ceil(math.sqrt(n * math.log(n)))
         spec = usd_spec(n=n, bias=bias, fidelity="surrogate")
 
-        ode.load_solve_ivp()  # scipy's one-off import is not the resolve
+        import scipy.integrate  # noqa: F401 — its one-off import is not the resolve
         resolve_surrogate(usd_spec(fidelity="exact"))  # warm integrator
 
         def no_engines(*args, **kwargs):
@@ -277,43 +276,3 @@ class TestEnsembleAndSweepFidelity:
         )
         run = run_spec(sweep)
         assert run.escalated == ("initial.params.bias=0",)
-
-
-class TestScipyGating:
-    @pytest.fixture
-    def no_scipy(self, monkeypatch):
-        monkeypatch.setattr(ode, "_SCIPY_PROBED", True)
-        monkeypatch.setattr(ode, "_SOLVE_IVP", None)
-        monkeypatch.setattr(
-            ode, "_SCIPY_REASON", "scipy is not installed (test)"
-        )
-
-    def test_load_solve_ivp_is_loud(self, no_scipy):
-        with pytest.raises(SimulationError, match="needs scipy"):
-            ode.load_solve_ivp()
-
-    def test_usd_surrogate_unsupported_without_scipy(self, no_scipy):
-        spec = usd_spec()
-        assert "scipy" in surrogate_unsupported_reason(spec)
-        with pytest.raises(SimulationError, match="scipy"):
-            resolve_surrogate(spec)
-
-    def test_auto_falls_back_to_exact_without_scipy(self, no_scipy):
-        result = run_spec(usd_spec(n=1_000, bias=100, fidelity="auto"))
-        fidelity = result.metadata["fidelity"]
-        assert fidelity["resolved"] == "exact"
-        assert fidelity["verdict"] == "UNSUPPORTED"
-        assert result.stabilized is not None  # a real engine run
-
-    def test_gossip_surrogate_survives_without_scipy(self, no_scipy):
-        # the 3-majority round map is pure numpy — no integrator needed
-        spec = RunSpec(
-            protocol=ProtocolSpec(name="gossip-3-majority", k=2),
-            initial=InitialSpec(
-                kind="equal-minorities", n=100_000, params={"bias": 8_000}
-            ),
-            seed=3,
-            max_parallel_time=200,
-        )
-        assert surrogate_unsupported_reason(spec) is None
-        assert resolve_surrogate(spec).validity.verdict == TRUSTED

@@ -99,9 +99,6 @@ class TestContextBounds:
         assert amir_upper_bound_parallel_time(1e6, 27) == pytest.approx(
             27 * math.log(1e6)
         )
-        assert amir_upper_bound_parallel_time(1e6, 27, constant=2.0) == pytest.approx(
-            54 * math.log(1e6)
-        )
 
     def test_trivial_bound(self):
         assert trivial_lower_bound_parallel_time(1e6) == pytest.approx(math.log(1e6))
