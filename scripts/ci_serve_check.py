@@ -27,6 +27,9 @@ and holds it to the four promises the service makes:
    absolute time: a worker that re-imports ``repro`` per job reads
    about 1, a preloaded one about 0.05.  ``/metrics`` must count no
    cold worker starts.
+5. **SIGTERM stops the daemon cleanly.**  A daemon with a job running
+   (what ``docker stop`` and most supervisors send SIGTERM to) exits 0
+   within 10 s, and the job's worker does not outlive it.
 """
 
 import os
@@ -163,27 +166,26 @@ def check_store_survives_restart(root: Path, reference: bytes) -> None:
     print("store restart ok: still cached bytes, no index.json written")
 
 
-def check_kill_legibility(root: Path, client) -> None:
+def _submit_slow(root: Path, client):
+    """Submit SLOW_SPEC; return (job id, worker pid) once inside the engine."""
     response = client.submit(SLOW_SPEC)
     assert response["status"] == "accepted", response
     job_id = response["job"]["id"]
     journal_path = root / "jobs" / job_id / JOURNAL_NAME
-
-    # wait until the worker is demonstrably inside the engine
     deadline = time.monotonic() + 60.0
-    pid = None
     while time.monotonic() < deadline:
-        status = client.job(job_id)
-        pid = status.get("pid")
+        pid = client.job(job_id).get("pid")
         if pid is not None and journal_path.is_file():
-            records = read_journal(journal_path)
-            spans = summarize_journal(records).spans
+            spans = summarize_journal(read_journal(journal_path)).spans
             if spans.get("engine.run") is not None:
-                break
+                return job_id, pid
         time.sleep(0.1)
-    else:
-        raise AssertionError("worker never entered engine.run")
+    raise AssertionError("worker never entered engine.run")
 
+
+def check_kill_legibility(root: Path, client) -> None:
+    job_id, pid = _submit_slow(root, client)
+    journal_path = root / "jobs" / job_id / JOURNAL_NAME
     os.kill(pid, signal.SIGKILL)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -255,6 +257,44 @@ def check_warm_workers(root: Path, client) -> None:
     )
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaits only its reaper)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def check_sigterm_stop(root: Path) -> None:
+    proc, client = _start_daemon(root)
+    try:
+        _, pid = _submit_slow(root, client)
+        start = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=10.0)
+        assert code == 0, f"SIGTERM must stop the daemon with exit 0, got {code}"
+        stopped = time.monotonic() - start
+        deadline = time.monotonic() + 5.0
+        while _running(pid):
+            assert time.monotonic() < deadline, f"worker {pid} outlived the daemon"
+            time.sleep(0.05)
+    finally:
+        try:  # the daemon's session: its forkserver and workers too
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10.0)
+    print(
+        f"sigterm stop ok: daemon exited 0 {stopped:.2f} s after SIGTERM "
+        f"with a job running, worker {pid} gone"
+    )
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-ci-") as tmp:
         root = Path(tmp)
@@ -266,6 +306,7 @@ def main() -> int:
         finally:
             _stop_daemon(proc)
         check_store_survives_restart(root, reference)
+        check_sigterm_stop(root)
     print("serve leg ok")
     return 0
 

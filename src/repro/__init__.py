@@ -23,6 +23,12 @@ Population Protocol Model"* (El-Hayek, Elsässer, Schmid — PODC 2025):
   ``SweepSpec``) behind every run surface, and JSON *scenario files*
   that make new experiments data instead of code.
 
+``import repro`` loads the run path only (``core``, ``protocols``,
+``gossip``, ``specs``, ``io``); ``analysis``, ``experiments``,
+``meanfield``, ``parallel``, ``sweep``, ``theory`` and ``workloads``
+load on first access (``repro.theory.lemmas``, ``from repro import
+sweep``).
+
 Quickstart
 ----------
 >>> from repro import UndecidedStateDynamics, Configuration, simulate
@@ -148,20 +154,24 @@ from .specs import (
     load_spec_file,
     run_spec,
 )
-from . import (
-    analysis,
-    experiments,
-    gossip,
-    io,
-    meanfield,
-    parallel,
-    specs,
-    sweep,
-    theory,
-    workloads,
-)
+from . import gossip, io, specs
 
 __version__ = "1.0.0"
+
+#: Subpackages no run needs: each is imported on first attribute access
+#: (PEP 562), so ``import repro`` and the CLI pay only for the run path.
+_LAZY_SUBPACKAGES = frozenset(
+    {"analysis", "experiments", "meanfield", "parallel", "sweep", "theory", "workloads"}
+)
+
+
+def __getattr__(name):
+    if name in _LAZY_SUBPACKAGES:
+        import importlib  # a local name: ``repro.importlib`` stays undefined
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

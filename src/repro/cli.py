@@ -94,8 +94,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from .errors import ReproError
-from .experiments import list_experiments, render_result
-from .experiments.registry import EXPERIMENTS
 
 __all__ = ["main", "build_parser", "parse_overrides"]
 
@@ -732,6 +730,8 @@ def _run_command(args: Any) -> None:
     if args.experiment_id != "all":
         _run_and_print(args, ExperimentSpec(name=args.experiment_id, params=params), {})
         return
+    from .experiments.registry import EXPERIMENTS
+
     for experiment_id in sorted(EXPERIMENTS):
         print(f"=== {experiment_id} ===")
         _run_and_print(args, ExperimentSpec(name=experiment_id, params=params), {})
@@ -785,6 +785,7 @@ def _run_and_print(args: Any, spec_obj: Any, overrides: Dict[str, Any]) -> None:
 
 def _print_experiment_run(run: Any, *, out: Optional[Path], plots: bool) -> None:
     """Report an experiment run; a full run with ``out`` also saves it."""
+    from .experiments import render_result
     from .sweep import ShardSpec
 
     result = run.result
@@ -1276,6 +1277,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args: Any) -> int:
     """Execute one parsed command (inside any ambient obs scope)."""
     if args.command == "list":
+        from .experiments import list_experiments
+
         for line in list_experiments():
             print(line)
     elif args.command == "run":

@@ -21,10 +21,31 @@ Everything is standard library: ``http.server`` on the daemon side,
 """
 
 from .client import ServeClient
-from .jobs import Job, JobManager
-from .server import ServeApp, ServeConfig, make_server, run_server, shutdown_server
-from .store import ResultStore
-from .worker import execute_job
+
+#: Where each daemon-side name lives.  They import on first access
+#: (PEP 562): a client (``repro submit``, ``repro fetch``) loads neither
+#: ``http.server`` nor ``multiprocessing``.
+_LAZY = {
+    "Job": "jobs",
+    "JobManager": "jobs",
+    "ResultStore": "store",
+    "ServeApp": "server",
+    "ServeConfig": "server",
+    "execute_job": "worker",
+    "make_server": "server",
+    "run_server": "server",
+    "shutdown_server": "server",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "Job",

@@ -51,9 +51,13 @@ __all__ = ["Job", "JobManager"]
 STATUSES = ("queued", "running", "done", "failed")
 
 #: Modules the forkserver imports before it forks any job: the worker
-#: entry point, and the CLI that a daemon started through the ``repro``
-#: console script re-runs (as ``__mp_main__``) in every child.
-PRELOAD = ("repro.serve.worker", "repro.cli")
+#: entry point, the CLI that a daemon started through the ``repro``
+#: console script re-runs (as ``__mp_main__``) in every child, and the
+#: experiment registry, which reaches every subpackage a job can run
+#: (``import repro`` loads only the run path).  A forked job imports
+#: no ``repro`` module itself; ``tests/test_import_surface.py`` checks
+#: that for each job kind.
+PRELOAD = ("repro.serve.worker", "repro.cli", "repro.experiments")
 
 #: How much of a dead worker's ``stderr.log`` its job error quotes.
 STDERR_TAIL_BYTES = 4096

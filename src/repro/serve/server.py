@@ -35,6 +35,7 @@ Endpoints
 from __future__ import annotations
 
 import json
+import signal
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -317,8 +318,21 @@ def make_server(config: ServeConfig) -> _Server:
     return _Server(config)
 
 
+#: The signals that stop ``repro serve`` cleanly.  Both are handled
+#: explicitly: SIGTERM is what ``docker stop`` and most supervisors
+#: send, and a daemon started with ``&`` from a non-interactive shell
+#: inherits SIGINT as ignored.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 def run_server(config: ServeConfig) -> None:
-    """Run the daemon until interrupted.  Used by ``repro serve``."""
+    """Run the daemon until SIGINT or SIGTERM.  Used by ``repro serve``.
+
+    Either signal ends ``serve_forever`` and tears the daemon down with
+    :func:`shutdown_server`, which terminates running workers; further
+    stop signals are ignored until that teardown is done.  Call it from
+    the main thread (it installs signal handlers).
+    """
     httpd = make_server(config)
     host, port = httpd.server_address[:2]
     print(f"repro serve listening on http://{host}:{port}", flush=True)
@@ -327,12 +341,20 @@ def run_server(config: ServeConfig) -> None:
         f"({len(httpd.app.store)} cached result(s))",
         flush=True,
     )
+    previous = {
+        signum: signal.signal(signum, signal.default_int_handler)
+        for signum in _STOP_SIGNALS
+    }
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for signum in _STOP_SIGNALS:
+            signal.signal(signum, signal.SIG_IGN)
         shutdown_server(httpd)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def shutdown_server(httpd: _Server) -> None:

@@ -22,15 +22,10 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import ReproError, SpecError
-
-# the filesystem-safe-slug rule is shared with the sweep checkpoint
-# naming, so per-point persist directories and checkpoint files for
-# the same point can never slugify differently
-from ..sweep.plan import _SLUG_UNSAFE
 from .ensemble import EnsembleSpec
 from .experiment import ExperimentSpec
 from .model import RunSpec
-from .sweep import SweepSpec
+from .sweep import _SLUG_UNSAFE, SweepSpec
 
 __all__ = [
     "EnsembleRun",

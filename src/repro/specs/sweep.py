@@ -18,11 +18,11 @@ the scenario as data), and per-point seeds follow the plan contract
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
 from ..errors import SpecError
-from ..sweep.plan import _SLUG_UNSAFE
 from .hashing import canonicalize, content_hash
 from .merge import apply_overrides
 from .model import (
@@ -36,6 +36,13 @@ from .model import (
 )
 
 __all__ = ["SweepSpec"]
+
+#: Characters kept verbatim in sweep ids, checkpoint file names and
+#: per-point persist directories; everything else (unicode in bias
+#: labels, commas, spaces) collapses to ``-``.  The sweep executor's
+#: checkpoint naming imports this rule, so a point's checkpoint and its
+#: persist directory can never slugify differently.
+_SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9_.=-]+")
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,10 @@ from typing import Any, Dict, List, Tuple, Union
 
 from ..errors import SweepError
 from ..rng import derive_seed
+from ..specs.sweep import _SLUG_UNSAFE
 from ..workloads.sweeps import SweepPoint, ensure_unique_labels
 
 __all__ = ["ShardSpec", "SweepPlan"]
-
-#: Characters kept verbatim in checkpoint file names; everything else
-#: (unicode in bias labels, commas, spaces) collapses to ``-``.
-_SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9_.=-]+")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,5 @@
 """Unit tests for the mean-field (fluid-limit) substrate."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -227,18 +222,3 @@ class TestTimescalesFromSolution:
         solution = model.integrate(Configuration([6, 4]), t_end=1.0)
         with pytest.raises(SimulationError, match="tolerance"):
             timescales_from_solution(solution, tolerance=0.7)
-
-
-def test_import_repro_does_not_load_scipy():
-    # the CLI, the serve forkserver preload and every perfbench workload
-    # import these modules; only an ODE solve needs scipy (tens of MB of
-    # RSS), so USDMeanField.integrate imports it (a fresh interpreter,
-    # since this test process may already have)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import sys, repro, repro.cli, repro.serve.worker; "
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
-        "assert not loaded, loaded"
-    )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,10 +1,5 @@
 """Unit tests for repro.core.scheduler."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -90,13 +85,3 @@ class TestGraphPairScheduler:
         assert scheduler.num_edges == 10
         initiators, responders = scheduler.sample_pairs(rng, 100)
         assert np.all(initiators != responders)
-
-
-def test_import_repro_does_not_load_networkx():
-    # every CLI call and the serve forkserver import repro; only graph
-    # schedulers need networkx, so it must load lazily (a fresh
-    # interpreter, since this test process already imported it)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import repro, sys; assert 'networkx' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)

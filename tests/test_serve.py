@@ -791,6 +791,63 @@ def test_cold_worker_start_is_counted_and_journaled(tmp_path):
     assert "serve.worker_cold_start" in report["events"]
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie awaits only its reaper)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGTERM, signal.SIGINT], ids=lambda signum: signum.name
+)
+def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum):
+    """``repro serve`` stops cleanly on SIGTERM and on SIGINT.
+
+    The daemon runs in its own process with SIGINT inherited as ignored
+    (what ``&`` in a non-interactive shell does); either signal must
+    still end it with exit 0 within 10 s, its running worker terminated.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--root", str(tmp_path / "serve"), "--jobs", "1"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        announced = proc.stdout.readline()
+        assert "listening on http://" in announced, announced
+        client = ServeClient(announced.split()[-1])
+        job_id = client.submit(SLOW_PAYLOAD)["job"]["id"]
+        deadline = time.monotonic() + 60.0
+        while (pid := client.job(job_id).get("pid")) is None:
+            assert time.monotonic() < deadline, "the job never started a worker"
+            time.sleep(0.05)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10.0) == 0
+        deadline = time.monotonic() + 5.0
+        while _running(pid):
+            assert time.monotonic() < deadline, f"worker {pid} outlived the daemon"
+            time.sleep(0.05)
+    finally:
+        try:  # the daemon's session: its forkserver and workers too
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10.0)
+        proc.stdout.close()
+
+
 def test_process_mode_needs_forkserver(tmp_path, monkeypatch):
     import multiprocessing
 
