@@ -2,7 +2,7 @@
 
 Boots a real ``repro serve`` daemon (worker processes forked from a
 preloaded ``forkserver``, the production mode) on an ephemeral port
-and holds it to the four promises the service makes:
+and holds it to the six promises the service makes:
 
 1. **Never compute the same answer twice.**  A seeded spec submitted
    twice simulates once; the second submission is answered from the
@@ -30,6 +30,10 @@ and holds it to the four promises the service makes:
 5. **SIGTERM stops the daemon cleanly.**  A daemon with a job running
    (what ``docker stop`` and most supervisors send SIGTERM to) exits 0
    within 10 s, and the job's worker does not outlive it.
+6. **A worker dies with its daemon.**  A daemon SIGKILLed with a job
+   running (as the OOM killer would) runs no handler; its worker must
+   still be gone within 5 s, because it exits when the pipe only the
+   daemon held closes.
 """
 
 import os
@@ -270,19 +274,25 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def check_sigterm_stop(root: Path) -> None:
+def check_signal_stop(root: Path, signum: signal.Signals) -> None:
+    """SIGTERM: the daemon exits 0 and stops its worker.  SIGKILL: the
+    daemon runs nothing, and the worker follows it through its lifeline."""
+    expected = 0 if signum == signal.SIGTERM else -signum
     proc, client = _start_daemon(root)
     try:
         _, pid = _submit_slow(root, client)
         start = time.monotonic()
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)
         code = proc.wait(timeout=10.0)
-        assert code == 0, f"SIGTERM must stop the daemon with exit 0, got {code}"
+        assert code == expected, (
+            f"{signum.name} must end the daemon with exit {expected}, got {code}"
+        )
         stopped = time.monotonic() - start
         deadline = time.monotonic() + 5.0
         while _running(pid):
             assert time.monotonic() < deadline, f"worker {pid} outlived the daemon"
-            time.sleep(0.05)
+            time.sleep(0.01)
+        gone = time.monotonic() - start
     finally:
         try:  # the daemon's session: its forkserver and workers too
             os.killpg(proc.pid, signal.SIGKILL)
@@ -290,8 +300,9 @@ def check_sigterm_stop(root: Path) -> None:
             pass
         proc.wait(timeout=10.0)
     print(
-        f"sigterm stop ok: daemon exited 0 {stopped:.2f} s after SIGTERM "
-        f"with a job running, worker {pid} gone"
+        f"{signum.name.lower()} stop ok: daemon exited {code} {stopped:.2f} s "
+        f"after {signum.name} with a job running, worker {pid} gone "
+        f"{gone * 1e3:.0f} ms after the signal"
     )
 
 
@@ -306,7 +317,8 @@ def main() -> int:
         finally:
             _stop_daemon(proc)
         check_store_survives_restart(root, reference)
-        check_sigterm_stop(root)
+        check_signal_stop(root, signal.SIGTERM)
+        check_signal_stop(root, signal.SIGKILL)
     print("serve leg ok")
     return 0
 

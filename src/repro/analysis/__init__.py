@@ -15,7 +15,6 @@ from .stabilization import (
 from .stats import (
     LinearFit,
     Summary,
-    fit_linear,
     fit_proportional,
     summarize,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "compare_scaling_laws",
     "doubling_time",
     "ensemble_band_from_series",
-    "fit_linear",
     "fit_proportional",
     "law_value",
     "majority_minority_gap_series",

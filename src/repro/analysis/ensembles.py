@@ -23,6 +23,11 @@ from ..errors import ExperimentError
 
 __all__ = ["EnsembleBand", "ensemble_band_from_series"]
 
+#: Points on the common parallel-time grid, and the ensemble quantile the
+#: band starts at (it ends at the complement).
+GRID_POINTS = 200
+BAND_QUANTILE = 0.1
+
 
 @dataclass(frozen=True)
 class EnsembleBand:
@@ -49,9 +54,6 @@ class EnsembleBand:
 
 def ensemble_band_from_series(
     series: Sequence[Sequence[Sequence[float]]],
-    *,
-    grid_points: int = 200,
-    quantile: float = 0.1,
 ) -> EnsembleBand:
     """Aggregate raw ``(times, values)`` pairs into a mean ± quantile band.
 
@@ -59,28 +61,24 @@ def ensemble_band_from_series(
     :class:`~repro.core.recorder.Trace`, e.g.
     ``(trace.parallel_times, trace.undecided_series())``; for a
     sweep-checkpoint row, its downsampled polyline).  The grid spans
-    [0, max last time across runs]; outside a run's own time range its
-    boundary value is held (an absorbed run cannot change).  The band
-    runs from the ``quantile`` to the ``1 − quantile`` ensemble quantile
-    at each grid point.
+    [0, max last time across runs] in :data:`GRID_POINTS` points; outside
+    a run's own time range its boundary value is held (an absorbed run
+    cannot change).  The band runs from the :data:`BAND_QUANTILE` to the
+    ``1 − BAND_QUANTILE`` ensemble quantile at each grid point.
     """
     if not series:
         raise ExperimentError("need at least one series to aggregate")
-    if not 0 <= quantile < 0.5:
-        raise ExperimentError(f"quantile must be in [0, 0.5), got {quantile}")
-    if grid_points < 2:
-        raise ExperimentError(f"need at least 2 grid points, got {grid_points}")
     pairs = [
         (np.asarray(times, dtype=float), np.asarray(values, dtype=float))
         for times, values in series
     ]
     horizon = max(float(times[-1]) for times, _ in pairs)
-    grid = np.linspace(0.0, horizon, grid_points)
+    grid = np.linspace(0.0, horizon, GRID_POINTS)
     matrix = np.vstack([np.interp(grid, times, values) for times, values in pairs])
     return EnsembleBand(
         grid=grid,
         mean=matrix.mean(axis=0),
-        lower=np.quantile(matrix, quantile, axis=0),
-        upper=np.quantile(matrix, 1.0 - quantile, axis=0),
+        lower=np.quantile(matrix, BAND_QUANTILE, axis=0),
+        upper=np.quantile(matrix, 1.0 - BAND_QUANTILE, axis=0),
         runs=matrix.shape[0],
     )

@@ -18,7 +18,6 @@ __all__ = [
     "Summary",
     "summarize",
     "LinearFit",
-    "fit_linear",
     "fit_proportional",
 ]
 
@@ -80,24 +79,6 @@ class LinearFit:
     slope: float
     intercept: float
     r_squared: float
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted line."""
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
-
-def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
-    """Ordinary least squares with intercept."""
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if x_arr.size != y_arr.size or x_arr.size < 2:
-        raise ReproError("fit_linear needs two same-length samples of size >= 2")
-    slope, intercept = np.polyfit(x_arr, y_arr, 1)
-    return LinearFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=_r_squared(y_arr, slope * x_arr + intercept),
-    )
 
 
 def fit_proportional(x: Sequence[float], y: Sequence[float]) -> LinearFit:

@@ -122,7 +122,8 @@ def read_columnar(path: PathLike) -> Dict[str, Any]:
         raise AnalyticsError(
             f"{path} is a {path.suffix[1:]} trace; the arrow and parquet "
             "formats were retired and npz is the only trace format. "
-            "Re-export the run: repro trace export RUN_DIR --to FILE.npz"
+            "Re-export the run: repro trace export RUN_DIR --to FILE.npz, "
+            "and read that file with repro.io.load_trace"
         )
     try:
         with np.load(path, allow_pickle=False) as archive:

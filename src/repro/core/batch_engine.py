@@ -88,11 +88,6 @@ class BatchEngine(BaseEngine):
         return self._nominal_batch
 
     @property
-    def kernel_inputs(self) -> KernelInputs:
-        """The frozen per-run kernel inputs (shared by every step)."""
-        return self._inputs
-
-    @property
     def rejection_halvings(self) -> int:
         """Total negativity rejections taken so far.
 

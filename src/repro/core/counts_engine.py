@@ -67,11 +67,6 @@ class CountsEngine(BaseEngine):
         super().__init__(protocol, counts, seed, backend=backend)
         self._inputs = KernelInputs.from_table(protocol.table, self._n)
 
-    @property
-    def kernel_inputs(self) -> KernelInputs:
-        """The frozen per-run kernel inputs (shared by every step)."""
-        return self._inputs
-
     def effective_probability(self) -> float:
         """Probability that the *next* interaction changes the configuration."""
         inputs = self._inputs

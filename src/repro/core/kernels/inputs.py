@@ -83,11 +83,6 @@ class KernelInputs:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    @property
-    def num_pairs(self) -> int:
-        """Number of effective ordered pairs ``E``."""
-        return int(self.eff_a.shape[0])
-
     def effective_weight(self, counts: np.ndarray) -> int:
         """``Σ c_a (c_b - [a = b])`` over the effective pairs.
 

@@ -74,11 +74,6 @@ class MultiBatchEngine(BaseEngine):
         super().__init__(protocol, counts, seed, backend=backend)
         self._inputs = EpochInputs.from_table(protocol.table, self._n)
 
-    @property
-    def kernel_inputs(self) -> EpochInputs:
-        """The frozen per-run kernel inputs (shared by every step)."""
-        return self._inputs
-
     def effective_probability(self) -> float:
         """Probability that the *next* interaction changes the configuration."""
         pairs = self._inputs.pairs

@@ -171,11 +171,6 @@ class PersistentTrajectoryRecorder(TrajectoryRecorder):
         """Snapshots already written to chunk files."""
         return sum(record["snapshots"] for record in self._chunk_records)
 
-    @property
-    def buffered_snapshots(self) -> int:
-        """Recorded snapshots currently held in the chunk buffer."""
-        return len(self._times)
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------

@@ -111,14 +111,6 @@ class PopulationProtocol(abc.ABC):
         np.fill_diagonal(feasible, counts > 1)
         return not bool(np.any(feasible & ~self.table.null_mask))
 
-    def validate(self) -> None:
-        """Check that every transition lands inside the alphabet.
-
-        Called automatically when the table is compiled; exposed so test
-        suites can assert protocol well-formedness explicitly.
-        """
-        self.table  # compiling performs the range checks
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(states={self.num_states})"
 

@@ -50,11 +50,6 @@ class PairScheduler(abc.ABC):
         interacts with itself).
         """
 
-    def sample_pair(self, rng: np.random.Generator) -> Tuple[int, int]:
-        """Convenience wrapper sampling a single ordered pair."""
-        initiators, responders = self.sample_pairs(rng, 1)
-        return int(initiators[0]), int(responders[0])
-
 
 class UniformPairScheduler(PairScheduler):
     """Uniform ordered pairs of distinct agents on the clique.
@@ -107,11 +102,6 @@ class GraphPairScheduler(PairScheduler):
         import networkx as nx  # lazy: `import repro` must not pay for it
 
         return cls(nx.complete_graph(n))
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges available to the scheduler."""
-        return int(self._edge_u.size)
 
     def sample_pairs(
         self, rng: np.random.Generator, count: int

@@ -3,21 +3,19 @@
 A stopping condition is any callable taking an engine (anything
 satisfying :class:`repro.types.SupportsCounts`) and returning ``True``
 to halt.  This module provides the targets the experiments need: the
-opinion-growth and gap-doubling events of Lemmas 3.3 and 3.4 and the
-undecided-count threshold of Lemma 3.1.  Absorption needs no predicate
-(every run loop stops at it), and conditions combine with a plain
-``lambda engine: p(engine) or q(engine)``.
+opinion-growth and gap-doubling events of Lemmas 3.3 and 3.4.
+Absorption needs no predicate (every run loop stops at it), and
+conditions combine with a plain ``lambda engine: p(engine) or q(engine)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ProtocolError
 from ..types import StopPredicate, SupportsCounts
 from .protocol import OpinionProtocol
 
-__all__ = ["opinion_reached", "gap_reached", "undecided_reached"]
+__all__ = ["opinion_reached", "gap_reached"]
 
 
 def opinion_reached(
@@ -42,18 +40,5 @@ def gap_reached(protocol: OpinionProtocol, threshold: int) -> StopPredicate:
     def predicate(engine: SupportsCounts) -> bool:
         opinions = np.asarray(engine.counts)[start:]
         return int(opinions.max() - opinions.min()) >= threshold
-
-    return predicate
-
-
-def undecided_reached(protocol: OpinionProtocol, threshold: int) -> StopPredicate:
-    """The undecided count reached ``threshold`` (Lemma 3.1 exceedance probes)."""
-    if protocol.num_bookkeeping_states != 1:
-        raise ProtocolError(
-            f"{protocol.name} does not have a single undecided bookkeeping state"
-        )
-
-    def predicate(engine: SupportsCounts) -> bool:
-        return int(engine.counts[0]) >= threshold
 
     return predicate

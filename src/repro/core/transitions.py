@@ -136,13 +136,6 @@ class TransitionTable:
     # Queries
     # ------------------------------------------------------------------
 
-    def apply(self, initiator: int, responder: int) -> Tuple[int, int]:
-        """Post-interaction ordered pair for ``(initiator, responder)``."""
-        return (
-            int(self.out_initiator[initiator, responder]),
-            int(self.out_responder[initiator, responder]),
-        )
-
     def delta_of(self, initiator: int, responder: int) -> np.ndarray:
         """Net count change of one ``(initiator, responder)`` interaction."""
         return self.delta_matrix[initiator * self.num_states + responder]

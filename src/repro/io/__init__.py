@@ -2,7 +2,7 @@
 
 from .atomic import atomic_write
 from .serialization import load_result_rows, load_trace, save_result_rows, save_trace
-from .streaming import StreamedTrace, load_manifest, update_manifest
+from .streaming import StreamedTrace, load_manifest
 from .tables import format_table
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "load_trace",
     "save_result_rows",
     "save_trace",
-    "update_manifest",
 ]

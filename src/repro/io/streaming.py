@@ -46,7 +46,6 @@ __all__ = [
     "load_chunk",
     "load_chunk_times",
     "load_manifest",
-    "update_manifest",
     "write_chunk",
     "write_manifest",
 ]
@@ -149,14 +148,6 @@ def load_manifest(directory: PathLike) -> Dict[str, Any]:
     return manifest
 
 
-def update_manifest(directory: PathLike, **fields: Any) -> Dict[str, Any]:
-    """Merge ``fields`` into the manifest (atomic read-modify-replace)."""
-    manifest = load_manifest(directory)
-    manifest.update(fields)
-    write_manifest(directory, manifest)
-    return manifest
-
-
 def _record_scan_skip(directory: Path, reason: str, on_skip) -> None:
     """Record (never raise) one unreadable manifest during a scan."""
     from ..obs import metrics as obs_metrics
@@ -213,24 +204,20 @@ def iter_persisted_manifests(
         yield directory, manifest
 
 
-def find_persisted_by_hash(
-    root: PathLike, spec_hash: str, *, on_skip=None
-) -> Optional[Path]:
+def find_persisted_by_hash(root: PathLike, spec_hash: str) -> Optional[Path]:
     """First *complete* streamed run under ``root`` recording ``spec_hash``.
 
-    The shared answer to "has this exact run already been computed?":
-    the spec runner's persistence resume and the serve layer's result
-    store both look runs up through this helper, so they can never
-    disagree about what counts as a match.  Only manifests marked
-    complete and carrying a post-run summary qualify — a crashed or
-    in-flight stream never answers for a finished run.  A manifest
-    without a recorded ``spec_hash`` (a keyword run that could not
-    normalise, a pre-hash run directory) never answers either; it still
-    loads through :class:`StreamedTrace`.  Returns the run directory,
-    or ``None``; unreadable manifests are skipped with a recorded reason
-    (see :func:`iter_persisted_manifests`).
+    The spec runner's persistence resume asks it whether this exact run
+    has already been computed.  Only manifests marked complete and
+    carrying a post-run summary qualify — a crashed or in-flight stream
+    never answers for a finished run.  A manifest without a recorded
+    ``spec_hash`` (a keyword run that could not normalise, a pre-hash
+    run directory) never answers either; it still loads through
+    :class:`StreamedTrace`.  Returns the run directory, or ``None``;
+    unreadable manifests are skipped with a recorded reason (see
+    :func:`iter_persisted_manifests`).
     """
-    for directory, manifest in iter_persisted_manifests(root, on_skip=on_skip):
+    for directory, manifest in iter_persisted_manifests(root):
         if not manifest.get("complete") or manifest.get("summary") is None:
             continue
         if manifest.get("run_info", {}).get("spec_hash") == spec_hash:
@@ -441,12 +428,6 @@ class StreamedTrace:
                 f"no snapshots in time window [{start_time}, {end_time}]"
             )
         return self[int(indices[0]) : int(indices[-1]) + 1 : every]
-
-    def downsample(self, every: int) -> Trace:
-        """Materialize every ``every``-th snapshot (``[::every]``)."""
-        if every < 1:
-            raise SerializationError(f"downsample factor must be >= 1, got {every}")
-        return self[::every]
 
     def materialize(self) -> Trace:
         """Rebuild the full in-memory :class:`Trace`.

@@ -27,7 +27,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class USDMeanField:
         initial: Union[Configuration, Sequence[float]],
         t_end: float,
         *,
-        t_eval: Optional[np.ndarray] = None,
+        t_eval: np.ndarray,
     ) -> MeanFieldSolution:
         """Integrate the fluid limit up to parallel time ``t_end``."""
         from scipy.integrate import solve_ivp
@@ -115,8 +115,6 @@ class USDMeanField:
         if t_end <= 0:
             raise SimulationError(f"t_end must be positive, got {t_end}")
         y0 = self.initial_state(initial)
-        if t_eval is None:
-            t_eval = np.linspace(0.0, t_end, 500)
         solution = solve_ivp(
             self.rhs,
             (0.0, float(t_end)),

@@ -96,9 +96,3 @@ class FourStateExactMajority(PopulationProtocol):
              int(counts[STATE_B] + counts[STATE_WEAK_B])],
             undecided=0,
         )
-
-    @staticmethod
-    def strong_difference(counts: np.ndarray) -> int:
-        """The invariant ``#A − #B`` tracking the true vote balance."""
-        counts = np.asarray(counts)
-        return int(counts[STATE_A] - counts[STATE_B])

@@ -288,16 +288,22 @@ class JobManager:
     def _run_in_process(
         self, job: Job, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
+        # only the daemon holds the write end: its death is the worker's EOF
+        lifeline, keepalive = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker._job_entry,
-            args=(payload, str(job.dir), self.progress_interval),
+            args=(payload, str(job.dir), self.progress_interval, lifeline),
             daemon=True,
         )
-        process.start()
-        job.pid = process.pid
-        with self._lock:
-            self._processes[job.id] = process
-        process.join()
+        try:
+            process.start()
+            lifeline.close()
+            job.pid = process.pid
+            with self._lock:
+                self._processes[job.id] = process
+            process.join()
+        finally:
+            keepalive.close()
         opened = self._journal_opened(job)
         if opened is not None:
             obs_metrics.REGISTRY.observe(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import faulthandler
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
@@ -106,14 +107,27 @@ def execute_job(
     return doc
 
 
+def _exit_with_daemon(lifeline) -> None:
+    try:
+        lifeline.recv_bytes()
+    except (EOFError, OSError):
+        os._exit(1)
+
+
 def _json_bytes(value: Any) -> bytes:
     return (json.dumps(value, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _job_entry(
-    payload: Dict[str, Any], job_dir: str, progress_interval: float
+    payload: Dict[str, Any], job_dir: str, progress_interval: float, lifeline
 ) -> None:
-    """Worker-process entry point: execute, or leave an ``error.json``."""
+    """Worker-process entry point: execute, or leave an ``error.json``.
+
+    ``lifeline`` is the read end of a ``multiprocessing`` pipe whose write
+    end only the daemon holds: a daemon that dies without stopping its
+    workers (SIGKILL, the OOM killer) closes it, and the worker exits.
+    """
+    threading.Thread(target=_exit_with_daemon, args=(lifeline,), daemon=True).start()
     directory = Path(job_dir)
     with open(directory / STDERR_NAME, "wb") as log:
         os.dup2(log.fileno(), 2)

@@ -90,11 +90,6 @@ class ShardRun:
         return [outcome.row for outcome in self.outcomes]
 
     @property
-    def executed(self) -> int:
-        """Points actually computed by this call."""
-        return sum(1 for outcome in self.outcomes if not outcome.reused)
-
-    @property
     def reused(self) -> int:
         """Points restored from checkpoints instead of re-executed."""
         return sum(1 for outcome in self.outcomes if outcome.reused)

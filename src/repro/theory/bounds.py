@@ -104,19 +104,17 @@ def theorem35_num_epochs(n: float, k: float, bias: float | None = None) -> float
     return math.log2(value)
 
 
-def lower_bound_interactions(
-    n: float, k: float, bias: float | None = None
-) -> float:
+def lower_bound_interactions(n: float, k: float) -> float:
     """Theorem 3.5's stabilization lower bound, in interactions.
 
     ``(k·n/25) · ℓ_max`` — asymptotically ``Θ(k·n·log(√n/(k log n)))``.
     """
-    return theorem35_epoch_interactions(n, k) * theorem35_num_epochs(n, k, bias)
+    return theorem35_epoch_interactions(n, k) * theorem35_num_epochs(n, k)
 
 
-def lower_bound_parallel_time(n: float, k: float, bias: float | None = None) -> float:
+def lower_bound_parallel_time(n: float, k: float) -> float:
     """Theorem 3.5's lower bound in parallel time (interactions / n)."""
-    return lower_bound_interactions(n, k, bias) / n
+    return lower_bound_interactions(n, k) / n
 
 
 def amir_upper_bound_parallel_time(n: float, k: float) -> float:

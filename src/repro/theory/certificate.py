@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import RegimeError
-from .bounds import EPOCH_CONSTANT, max_initial_bias, regime_ratio
+from .bounds import EPOCH_CONSTANT, max_initial_bias, regime_ratio, theorem35_num_epochs
 from .lemmas import (
     lemma33_walk_parameters,
     lemma34_walk_parameters,
@@ -133,8 +133,7 @@ class LowerBoundCertificate:
     @property
     def asymptotic_epochs(self) -> float:
         """The paper's ℓ_max at this (n, k, bias), ignoring conditions."""
-        value = self.n**0.75 / (math.sqrt(self.k) * self.bias)
-        return math.log2(value) if value > 1.0 else 0.0
+        return theorem35_num_epochs(self.n, self.k, self.bias)
 
     def rows(self) -> List[dict]:
         """Tabular per-epoch view (for reports and EXPERIMENTS.md)."""

@@ -14,7 +14,7 @@ constructors reject duplicate labels up front.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from ..errors import ExperimentError
 from .initial import paper_bias
@@ -98,19 +98,15 @@ def ensure_unique_labels(points: Sequence[SweepPoint]) -> Sequence[SweepPoint]:
     return points
 
 
-def k_sweep(
-    n: int,
-    ks: Iterable[int],
-    bias: Optional[int] = None,
-) -> List[SweepPoint]:
+def k_sweep(n: int, ks: Iterable[int]) -> List[SweepPoint]:
     """Fixed ``n``, varying ``k`` — the Theorem 3.5 shape-in-k grid.
 
-    The bias defaults to the paper's ``√(n ln n)`` at each point.
+    Every point has the paper's bias ``√(n ln n)``.
     """
+    bias = paper_bias(n)
     points = []
     for k in ks:
-        b = paper_bias(n) if bias is None else bias
-        points.append(SweepPoint(n=n, k=int(k), bias=b, label=f"k={k}"))
+        points.append(SweepPoint(n=n, k=int(k), bias=bias, label=f"k={k}"))
     if not points:
         raise ExperimentError("k_sweep needs at least one k value")
     ensure_unique_labels(points)

@@ -7,7 +7,6 @@ from repro import Configuration, ReproError, Trace
 from repro.analysis import (
     compare_scaling_laws,
     doubling_time,
-    fit_linear,
     fit_proportional,
     law_value,
     majority_minority_gap_series,
@@ -49,15 +48,6 @@ class TestStats:
         with pytest.raises(ReproError):
             summarize([])
 
-    def test_fit_linear_recovers_line(self):
-        x = np.arange(20.0)
-        y = 3.0 * x + 7.0
-        fit = fit_linear(x, y)
-        assert fit.slope == pytest.approx(3.0)
-        assert fit.intercept == pytest.approx(7.0)
-        assert fit.r_squared == pytest.approx(1.0)
-        assert fit.predict(np.array([100.0]))[0] == pytest.approx(307.0)
-
     def test_fit_proportional(self):
         x = np.array([1.0, 2.0, 4.0])
         y = 2.5 * x
@@ -67,8 +57,6 @@ class TestStats:
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_fit_validation(self):
-        with pytest.raises(ReproError):
-            fit_linear([1.0], [2.0])
         with pytest.raises(ReproError):
             fit_proportional([0.0, 0.0], [1.0, 2.0])
 

@@ -72,6 +72,8 @@ def _parquet_trace(path, tmp_path, capsys):
     with pytest.raises(AnalyticsError) as err:
         analytics.read_columnar(path / "trace.parquet")
     assert "repro trace export RUN_DIR --to FILE.npz" in str(err.value)
+    # that command writes the save_trace layout, which load_trace reads
+    assert "repro.io.load_trace" in str(err.value)
 
 
 def _files(root):
@@ -149,6 +151,38 @@ def _surrogate_store(path, tmp_path, capsys):
     assert json.loads(served)["outcome"]["engine"] != "meanfield"
 
 
+def _checkpoints(directory):
+    return {
+        path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(directory.glob("point-*.json"))
+    }
+
+
+def _sweep_checkpoint(path, tmp_path, capsys):
+    spec_file = CORPUS / "specs" / "spec-4bb0996" / "sweep.json"
+    committed = path / "out" / "spec-4bb0996"
+    copy = tmp_path / "out"
+    shutil.copytree(path / "out", copy)  # copy2: the mtimes come along
+    directory = copy / "spec-4bb0996"
+    points = _checkpoints(directory)
+    assert len(points) == 2
+    command = ["run", "--spec", str(spec_file), "--out", str(copy), "--resume"]
+    assert main(command) == 0
+    capsys.readouterr()
+    # every point is restored, none recomputed or rewritten
+    assert _checkpoints(directory) == points
+    merged = (directory / "merged.json").read_bytes()
+    assert merged == (committed / "merged.json").read_bytes()
+    # each restored point keeps the shard its checkpoint records
+    old, new = (
+        json.loads((where / "provenance.json").read_text())
+        for where in (committed, directory)
+    )
+    assert old.pop("repo_state")["commit"].startswith("7959d43")
+    new.pop("repo_state")
+    assert new == old
+
+
 def _recording(document):
     """The recording block of a run, ensemble or sweep spec document."""
     template = document.get("run") or document.get("base") or document
@@ -183,9 +217,11 @@ ARTIFACTS = {
     "analytics/npz-dataset-7959d43": _npz_dataset,
     "analytics/parquet-dataset": _parquet_dataset,
     "analytics/parquet-trace": _parquet_trace,
+    "serve/batch-store-7959d43": _serve_store,
     "serve/store-7959d43": _serve_store,
     "serve/surrogate-store-93adf4a": _surrogate_store,
     "specs/spec-4bb0996": _spec_documents,
+    "sweep/checkpoint-7959d43": _sweep_checkpoint,
 }
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro import CountsEngine, SimulationError, TrajectoryRecorder
-from repro.core import stopping
 from repro.gossip import GossipEngine, GossipUSD
 from repro.protocols import UndecidedStateDynamics
 
@@ -104,11 +103,11 @@ class TestRunLoop(EngineAgnosticRunLoop):
         assert list(trace.times) == [0, 50, 100] or len(trace) <= 3
 
     def test_stop_checked_at_chunk_granularity(self):
-        protocol, engine = make_engine(seed=5)
+        _, engine = make_engine(seed=5)
         engine.run(
             10_000,
             snapshot_every=10,
-            stop=stopping.undecided_reached(protocol, 5),
+            stop=lambda e: e.counts[0] >= 5,
         )
         # stopped at some multiple of 10 interactions once u >= 5
         assert engine.counts[0] >= 5
@@ -130,9 +129,9 @@ class TestRunLoop(EngineAgnosticRunLoop):
             assert engine.interactions >= first
 
     def test_stop_condition_met_at_start_runs_zero_interactions(self):
-        protocol, engine = make_engine(counts=(30, 40, 30))
+        _, engine = make_engine(counts=(30, 40, 30))
         # u = 30 already satisfies the threshold before any stepping
-        engine.run(10_000, stop=stopping.undecided_reached(protocol, 30))
+        engine.run(10_000, stop=lambda e: e.counts[0] >= 30)
         assert engine.interactions == 0
         assert engine.counts[0] == 30
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Trace
 from repro.analysis import ensemble_band_from_series
+from repro.analysis.ensembles import BAND_QUANTILE, GRID_POINTS
 from repro.errors import ExperimentError
 
 
@@ -38,16 +39,19 @@ def majority(traces):
 
 class TestAlign:
     def test_interpolation_and_holding(self, traces):
-        band = ensemble_band_from_series(
-            undecided(traces), grid_points=5, quantile=0.0
-        )
-        assert band.grid.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
-        # first trace: interpolate 0→40 over [0,1], 40→0 over [1,2] —
-        # [0, 20, 40, 20, 0]; the second ends at parallel time 1 and its
-        # value is held at 20 after — [0, 10, 20, 20, 20]
-        assert band.lower.tolist() == [0, 10, 20, 20, 0]
-        assert band.upper.tolist() == [0, 20, 40, 20, 20]
-        assert band.mean.tolist() == [0, 15, 30, 20, 10]
+        band = ensemble_band_from_series(undecided(traces))
+        grid = band.grid
+        assert len(grid) == GRID_POINTS
+        assert grid[0] == 0.0 and grid[-1] == pytest.approx(2.0)
+        # first trace: interpolate 0→40 over [0,1], 40→0 over [1,2]; the
+        # second ends at parallel time 1 and its value is held at 20 after
+        first = np.where(grid <= 1, 40 * grid, 40 * (2 - grid))
+        second = np.where(grid <= 1, 20 * grid, 20.0)
+        low, high = np.minimum(first, second), np.maximum(first, second)
+        spread = BAND_QUANTILE * (high - low)
+        assert np.allclose(band.mean, (first + second) / 2)
+        assert np.allclose(band.lower, low + spread)
+        assert np.allclose(band.upper, high - spread)
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
@@ -56,9 +60,7 @@ class TestAlign:
 
 class TestEnsembleBand:
     def test_band_contains_mean(self, traces):
-        band = ensemble_band_from_series(
-            undecided(traces), grid_points=10, quantile=0.0
-        )
+        band = ensemble_band_from_series(undecided(traces))
         assert band.runs == 2
         assert band.grid[0] == 0.0
         assert band.grid[-1] == pytest.approx(2.0)
@@ -66,12 +68,6 @@ class TestEnsembleBand:
         assert np.all(band.mean <= band.upper + 1e-12)
 
     def test_single_trace_band_is_degenerate(self, traces):
-        band = ensemble_band_from_series(majority(traces[:1]), grid_points=5)
+        band = ensemble_band_from_series(majority(traces[:1]))
         assert np.allclose(band.lower, band.upper)
         assert np.allclose(band.mean, band.lower)
-
-    def test_validation(self, traces):
-        with pytest.raises(ExperimentError):
-            ensemble_band_from_series(undecided(traces), quantile=0.7)
-        with pytest.raises(ExperimentError):
-            ensemble_band_from_series(undecided(traces), grid_points=1)

@@ -99,7 +99,7 @@ class TestTransitions:
         assert HysteresisUSD(k=3, r=2).is_symmetric()
 
     def test_validates(self):
-        HysteresisUSD(k=3, r=4).validate()
+        HysteresisUSD(k=3, r=4).table  # compiling performs the range checks
 
 
 class TestEncoding:

@@ -93,8 +93,9 @@ class TestKernelInputs:
         assert inputs.num_states == 4
         assert inputs.n == 100
         assert inputs.pair_denominator == 100 * 99
-        assert inputs.num_pairs == len(protocol.table.effective_pairs)
-        assert inputs.eff_delta.shape == (inputs.num_pairs, 4)
+        num_pairs = len(protocol.table.effective_pairs)
+        assert inputs.eff_a.shape == inputs.eff_b.shape == (num_pairs,)
+        assert inputs.eff_delta.shape == (num_pairs, 4)
         # every delta row conserves the population
         assert np.all(inputs.eff_delta.sum(axis=1) == 0)
 

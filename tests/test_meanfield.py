@@ -17,6 +17,11 @@ from repro.meanfield import (
 from repro.theory import undecided_plateau
 
 
+def _grid(t_end: float) -> np.ndarray:
+    """The 500-point grid the tests integrate on."""
+    return np.linspace(0.0, t_end, 500)
+
+
 class TestFixedPointFormulas:
     def test_fixed_point_fraction(self):
         assert undecided_fixed_point_fraction(1) == 0.0
@@ -71,7 +76,7 @@ class TestDynamics:
     def test_integration_reaches_consensus_from_bias(self):
         model = USDMeanField(k=4)
         config = Configuration.equal_minorities_with_bias(10_000, 4, 800)
-        solution = model.integrate(config, t_end=60.0)
+        solution = model.integrate(config, t_end=60.0, t_eval=_grid(60.0))
         assert solution.opinions[-1][0] == pytest.approx(1.0, abs=1e-3)
         assert solution.undecided[-1] == pytest.approx(0.0, abs=1e-3)
 
@@ -81,7 +86,7 @@ class TestDynamics:
         k = 8
         model = USDMeanField(k=k)
         config = Configuration.equal_minorities_with_bias(100_000, k, 1500)
-        solution = model.integrate(config, t_end=80.0)
+        solution = model.integrate(config, t_end=80.0, t_eval=_grid(80.0))
         target = undecided_fixed_point_fraction(k)
         assert np.abs(solution.undecided - target).min() < 0.01
 
@@ -100,7 +105,7 @@ class TestDynamics:
     def test_t_end_validation(self):
         model = USDMeanField(k=2)
         with pytest.raises(SimulationError):
-            model.integrate(Configuration([5, 5]), t_end=0.0)
+            model.integrate(Configuration([5, 5]), t_end=0.0, t_eval=_grid(0.0))
 
 
 class TestLinearization:
@@ -137,7 +142,7 @@ class TestEdgeCases:
         assert undecided_fixed_point_fraction(1) == 0.0
         model = USDMeanField(k=1)
         solution = model.integrate(
-            Configuration([500], undecided=500), t_end=30.0
+            Configuration([500], undecided=500), t_end=30.0, t_eval=_grid(30.0)
         )
         assert solution.undecided[-1] == pytest.approx(0.0, abs=1e-4)
         assert solution.opinions[-1, 0] == pytest.approx(1.0, abs=1e-4)
@@ -147,7 +152,9 @@ class TestEdgeCases:
         ODE (the stochastic system does, by noise — the documented
         divergence between the fluid limit and the paper's system)."""
         model = USDMeanField(k=2)
-        solution = model.integrate(Configuration([1000, 1000]), t_end=100.0)
+        solution = model.integrate(
+            Configuration([1000, 1000]), t_end=100.0, t_eval=_grid(100.0)
+        )
         assert np.allclose(
             solution.opinions[:, 0], solution.opinions[:, 1], atol=1e-9
         )
@@ -163,7 +170,9 @@ class TestEdgeCases:
         """Starting at the brink of consensus: no plateau visit, an
         immediate finish, and doubling is impossible (a_1 > 1/2)."""
         model = USDMeanField(k=2)
-        solution = model.integrate(Configuration([1995, 5]), t_end=50.0)
+        solution = model.integrate(
+            Configuration([1995, 5]), t_end=50.0, t_eval=_grid(50.0)
+        )
         times = timescales_from_solution(solution)
         assert times.consensus is not None and times.consensus < 10.0
         assert times.majority_doubling is None
@@ -219,6 +228,8 @@ class TestTimescalesFromSolution:
 
     def test_tolerance_validated(self):
         model = USDMeanField(k=2)
-        solution = model.integrate(Configuration([6, 4]), t_end=1.0)
+        solution = model.integrate(
+            Configuration([6, 4]), t_end=1.0, t_eval=_grid(1.0)
+        )
         with pytest.raises(SimulationError, match="tolerance"):
             timescales_from_solution(solution, tolerance=0.7)

@@ -161,7 +161,7 @@ class TestExactFewStepLaw:
     )
     def test_matches_dynamic_programming(self, protocol, counts):
         start = MultiBatchEngine(protocol, np.array(counts), seed=0)
-        inputs = start.kernel_inputs
+        inputs = EpochInputs.from_table(protocol.table, start.n)
         assert start.effective_probability() * inputs.expected_epoch >= 1
         steps = 9
         law = exact_law(protocol, counts, steps)
@@ -303,7 +303,8 @@ class TestContract:
         # one undecided agent among 10⁴ decided ones: p_effective · E[ℓ] ≪ 1
         protocol = UndecidedStateDynamics(k=2)
         engine = MultiBatchEngine(protocol, np.array([1, 9_999, 0]), seed=4)
-        assert engine.effective_probability() * engine.kernel_inputs.expected_epoch < 1
+        inputs = EpochInputs.from_table(protocol.table, engine.n)
+        assert engine.effective_probability() * inputs.expected_epoch < 1
         engine.step(10**6)
         assert engine.is_absorbed
         assert engine.counts.tolist() == [0, 10_000, 0]

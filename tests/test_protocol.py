@@ -68,11 +68,11 @@ class TestPopulationProtocol:
 
     def test_validate_rejects_broken_protocol(self):
         with pytest.raises(ProtocolError):
-            BrokenProtocol().validate()
+            BrokenProtocol().table
 
     def test_non_tuple_transition_rejected(self):
         with pytest.raises(ProtocolError):
-            NonTupleProtocol().validate()
+            NonTupleProtocol().table
 
     def test_is_absorbing_shape_check(self):
         with pytest.raises(ProtocolError):

@@ -13,7 +13,6 @@ from repro import (
     make_engine,
     simulate,
 )
-from repro.core import stopping
 from repro.core.run import resolve_engine_name
 from repro.protocols import FourStateExactMajority, UndecidedStateDynamics, VoterModel
 
@@ -91,14 +90,13 @@ class TestSimulate:
         assert np.array_equal(result.trace.final_counts(), result.final_counts)
 
     def test_custom_stop_predicate(self, usd2):
-        target = stopping.undecided_reached(usd2, 10)
         result = simulate(
             usd2,
             Configuration([50, 50]),
             seed=4,
             max_parallel_time=10_000,
             snapshot_every=5,
-            stop=target,
+            stop=lambda engine: engine.counts[0] >= 10,
         )
         assert result.final_counts[0] >= 10
         assert not result.stabilized or result.final_counts[0] >= 10

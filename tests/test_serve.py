@@ -42,7 +42,7 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.errors import ServeError
-from repro.io.streaming import find_persisted_by_hash
+from repro.io.streaming import find_persisted_by_hash, iter_persisted_manifests
 from repro.obs import metrics as obs_metrics
 from repro.obs.journal import read_journal
 from repro.serve import (
@@ -218,12 +218,12 @@ def test_find_persisted_by_hash_skips_corrupt_with_reason(tmp_path):
     bad = runs_root / "aaa-corrupt"  # sorts before the valid run dir
     bad.mkdir()
     (bad / "manifest.json").write_text("{torn")
-    skips = []
-    found = find_persisted_by_hash(
-        runs_root, spec.spec_hash(), on_skip=lambda p, r: skips.append((p, r))
-    )
+    found = find_persisted_by_hash(runs_root, spec.spec_hash())
     assert found is not None
     assert str(found) == str(result.persist_dir)
+    # the lookup walks iter_persisted_manifests, which records the reason
+    skips = []
+    list(iter_persisted_manifests(runs_root, on_skip=lambda p, r: skips.append((p, r))))
     assert any("aaa-corrupt" in str(path) for path, _reason in skips)
 
 
@@ -805,14 +805,18 @@ def _running(pid):
 
 
 @pytest.mark.parametrize(
-    "signum", [signal.SIGTERM, signal.SIGINT], ids=lambda signum: signum.name
+    "signum, exitcode",
+    [(signal.SIGTERM, 0), (signal.SIGINT, 0), (signal.SIGKILL, -signal.SIGKILL)],
+    ids=["SIGTERM", "SIGINT", "SIGKILL"],
 )
-def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum):
+def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum, exitcode):
     """``repro serve`` stops cleanly on SIGTERM and on SIGINT.
 
     The daemon runs in its own process with SIGINT inherited as ignored
     (what ``&`` in a non-interactive shell does); either signal must
     still end it with exit 0 within 10 s, its running worker terminated.
+    A SIGKILLed daemon runs no handler at all: its worker must still be
+    gone within 5 s, because it exits when its lifeline pipe closes.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -834,7 +838,7 @@ def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum):
             assert time.monotonic() < deadline, "the job never started a worker"
             time.sleep(0.05)
         proc.send_signal(signum)
-        assert proc.wait(timeout=10.0) == 0
+        assert proc.wait(timeout=10.0) == exitcode
         deadline = time.monotonic() + 5.0
         while _running(pid):
             assert time.monotonic() < deadline, f"worker {pid} outlived the daemon"

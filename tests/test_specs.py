@@ -31,7 +31,7 @@ from repro.io.streaming import (
     StreamedTrace,
     find_persisted_by_hash,
     load_manifest,
-    update_manifest,
+    write_manifest,
 )
 from repro.protocols import UndecidedStateDynamics, VoterModel
 from repro.rng import derive_seed
@@ -533,13 +533,13 @@ class TestPersistenceIntegration:
         still loads as a stream, but no hash finds it for resume."""
         result = self.run_persisted(tmp_path)
         run_dir = tmp_path / "run"
-        run_info = load_manifest(run_dir)["run_info"]
-        legacy_info = {
+        manifest = load_manifest(run_dir)
+        manifest["run_info"] = {
             key: value
-            for key, value in run_info.items()
+            for key, value in manifest["run_info"].items()
             if key not in ("spec_hash", "spec")
         }
-        update_manifest(run_dir, run_info=legacy_info)
+        write_manifest(run_dir, manifest)
         stream = StreamedTrace(run_dir)
         assert stream.complete
         assert np.array_equal(stream.materialize().counts, result.trace.counts)

@@ -1,12 +1,10 @@
 """Unit tests for repro.core.stopping."""
 
 import numpy as np
-import pytest
 
 from repro import CountsEngine
 from repro.core import stopping
-from repro.errors import ProtocolError
-from repro.protocols import UndecidedStateDynamics, VoterModel
+from repro.protocols import UndecidedStateDynamics
 
 
 def engine_with(counts, k=3, seed=0):
@@ -28,12 +26,3 @@ class TestThresholdPredicates:
     def test_gap_ignores_undecided(self):
         protocol, engine = engine_with([9, 6, 6, 6])
         assert not stopping.gap_reached(protocol, 1)(engine)
-
-    def test_undecided_reached(self):
-        protocol, engine = engine_with([4, 6, 0, 0])
-        assert stopping.undecided_reached(protocol, 4)(engine)
-        assert not stopping.undecided_reached(protocol, 5)(engine)
-
-    def test_undecided_reached_needs_usd_layout(self):
-        with pytest.raises(ProtocolError):
-            stopping.undecided_reached(VoterModel(k=2), 1)

@@ -127,11 +127,6 @@ class TestSlicing:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.counts, want.counts)
 
-    def test_downsample(self, pair):
-        reference, stream = pair
-        got = stream.downsample(5)
-        assert np.array_equal(got.times, reference.times[::5])
-
     def test_empty_selection_rejected(self, pair):
         _, stream = pair
         with pytest.raises(SerializationError):
@@ -139,7 +134,7 @@ class TestSlicing:
         with pytest.raises(SerializationError):
             stream.time_slice(-10, -5)
         with pytest.raises(SerializationError):
-            stream.downsample(0)
+            stream.time_slice(0, int(stream.times[-1]), every=0)
         with pytest.raises(SerializationError):
             stream["not-a-slice"]
 

@@ -169,7 +169,7 @@ class TestRunSweep:
         plan = make_plan(5)
         run = run_sweep(plan, toy_task, out_dir=tmp_path)
         assert [o.index for o in run.outcomes] == [0, 1, 2, 3, 4]
-        assert run.executed == 5 and run.reused == 0
+        assert len(run.outcomes) - run.reused == 5 and run.reused == 0
         assert [row["seed"] for row in run.rows] == plan.point_seeds()
 
     def test_checkpoints_written_per_point(self, tmp_path):
@@ -258,7 +258,7 @@ class TestResumeSemantics:
         counter = CountingTask()
         resumed = run_sweep(plan, counter, out_dir=interrupted_dir, resume=True)
         assert counter.calls == ["p3", "p4", "p5"]
-        assert resumed.reused == 3 and resumed.executed == 3
+        assert resumed.reused == 3 and len(resumed.outcomes) - resumed.reused == 3
 
         # the merged artifact is byte-identical to the uninterrupted run
         merged = resumed.artifacts
@@ -270,7 +270,7 @@ class TestResumeSemantics:
         counter = CountingTask()
         resumed = run_sweep(plan, counter, out_dir=tmp_path, resume=True)
         assert counter.calls == []
-        assert resumed.reused == 4 and resumed.executed == 0
+        assert resumed.reused == 4 and len(resumed.outcomes) - resumed.reused == 0
         assert resumed.rows == run_sweep(plan, toy_task).rows
 
 
@@ -288,7 +288,7 @@ class TestMergeAndStatus:
                 plan, toy_task, out_dir=sharded_dir, shard=f"{shard_index}/{m}"
             )
         merge = run_sweep(plan, toy_task, out_dir=sharded_dir, resume=True)
-        assert merge.executed == 0
+        assert merge.reused == len(merge.outcomes)
         assert serial[0].read_bytes() == merge.artifacts[0].read_bytes()
 
     def test_merged_provenance(self, tmp_path):

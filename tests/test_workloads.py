@@ -132,10 +132,6 @@ class TestSweeps:
         assert [p.k for p in points] == [4, 8]
         assert all(p.bias == paper_bias(10_000) for p in points)
 
-    def test_k_sweep_explicit_bias(self):
-        points = k_sweep(10_000, [4], bias=50)
-        assert points[0].bias == 50
-
     def test_k_sweep_empty_rejected(self):
         with pytest.raises(ExperimentError):
             k_sweep(10_000, [])
