@@ -70,7 +70,8 @@ Subcommands
     many settled jobs (and their directories) are retained.
 ``repro submit FILE --server URL [--set dotted.key=value ...] [--wait]``
     Submit a scenario file to a running daemon; ``--wait`` blocks until
-    the result document is available (cached answers return instantly).
+    the job settles and returns its result document then, not at a
+    later poll (cached answers return instantly).
 ``repro fetch TARGET --server URL``
     Fetch a result document from a daemon by job id (``job-...``),
     spec file path, or raw spec hash.
@@ -553,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait",
         action="store_true",
         help=(
-            "block until the result document is available (cached "
-            "answers return instantly either way)"
+            "block until the job settles (cached answers return "
+            "instantly either way)"
         ),
     )
     submit.add_argument(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Union
 
@@ -19,12 +18,12 @@ def atomic_write(
     open binary handle (e.g. ``np.savez_compressed``).  They go to a
     sibling temp file (``<name>.<random>.tmp``) that is then renamed
     over ``path``; on any failure the temp file is removed and the
-    error propagates.
+    error propagates.  The file gets the mode the umask leaves, as one
+    written with ``open`` does.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             if callable(data):

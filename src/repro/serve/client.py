@@ -9,6 +9,7 @@ server's error message.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -67,6 +68,12 @@ class ServeClient:
         except urllib.error.URLError as exc:
             raise ServeError(
                 f"could not reach {self.base_url}: {exc.reason}"
+            ) from exc
+        except (http.client.HTTPException, OSError) as exc:
+            # the connection broke after the request went out, as when the
+            # daemon dies while it holds a ``?wait=`` request
+            raise ServeError(
+                f"{method} {path} got no answer from {self.base_url}: {exc}"
             ) from exc
 
     def _json(
@@ -127,13 +134,25 @@ class ServeClient:
     def wait(
         self, job_id: str, *, timeout: float = 120.0, poll: float = 0.2
     ) -> Dict[str, Any]:
-        """Poll until the job settles; returns the final status payload.
+        """Block until the job settles; returns the final status payload.
+
+        Each status request (``GET /runs/{id}?wait=``) asks the daemon
+        to hold it up to ``poll`` seconds, so the answer comes as the
+        job settles.  ``poll`` is the longest one request is held
+        before the client asks again; after an unsettled answer that
+        came sooner, the client sleeps out the rest of ``poll``.
 
         Raises :class:`ServeError` on job failure or timeout.
         """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.job(job_id)
+            asked = time.monotonic()
+            _code, data = self._request(
+                "GET",
+                f"/runs/{job_id}?wait={poll:g}",
+                timeout=poll + self.timeout,
+            )
+            status = json.loads(data.decode("utf-8"))
             if status.get("status") == "done":
                 return status
             if status.get("status") == "failed":
@@ -145,7 +164,7 @@ class ServeClient:
                     f"job {job_id} still {status.get('status')!r} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(poll)
+            time.sleep(max(0.0, asked + poll - time.monotonic()))
 
     def submit_and_wait(
         self, payload: Mapping[str, Any], *, timeout: float = 120.0

@@ -50,6 +50,9 @@ __all__ = ["Job", "JobManager"]
 #: Job lifecycle states, in order.
 STATUSES = ("queued", "running", "done", "failed")
 
+#: The states a job ends in.
+SETTLED = ("done", "failed")
+
 #: Modules the forkserver imports before it forks any job: the worker
 #: entry point, the CLI that a daemon started through the ``repro``
 #: console script re-runs (as ``__mp_main__``) in every child, and the
@@ -136,6 +139,8 @@ class JobManager:
         self.max_retained_jobs = max_retained_jobs
         self._slots = threading.BoundedSemaphore(max_workers)
         self._lock = threading.Lock()
+        # notified, under ``_lock``, each time a job settles
+        self._settled = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._by_hash: Dict[str, str] = {}  # active job per spec_hash
         self._counter = itertools.count(1)
@@ -199,6 +204,11 @@ class JobManager:
         with self._lock:
             return self._jobs.get(job_id)
 
+    def wait_settled(self, job: Job, timeout: float) -> None:
+        """Block until ``job`` is done or failed, at most ``timeout`` s."""
+        with self._settled:
+            self._settled.wait_for(lambda: job.status in SETTLED, timeout)
+
     def counts(self) -> Dict[str, int]:
         """How many jobs sit in each lifecycle state."""
         with self._lock:
@@ -231,10 +241,12 @@ class JobManager:
                 obs_metrics.REGISTRY.observe(
                     "serve_job_seconds", job.finished - job.started
                 )
-                # settle last: a client that reads the final status also
-                # reads ``finished`` and the job's latency histograms
-                job.status = status
                 with self._lock:
+                    # settle last: a client that reads the final status
+                    # also reads ``finished`` and the job's latency
+                    # histograms
+                    job.status = status
+                    self._settled.notify_all()
                     if self._by_hash.get(job.spec_hash) == job.id:
                         del self._by_hash[job.spec_hash]
                     self._threads.pop(job.id, None)
@@ -266,7 +278,7 @@ class JobManager:
             settled = [
                 job
                 for job in self._jobs.values()
-                if job.status in ("done", "failed")
+                if job.status in SETTLED
             ]
             excess = len(settled) - self.max_retained_jobs
             if excess <= 0:

@@ -19,10 +19,14 @@ Endpoints
     ``status: "coalesced"``).
 ``GET /runs/{id}``
     Job status; includes the result document once done.
+    ``?wait=SECONDS`` holds the answer until the job settles or SECONDS
+    (at most :data:`MAX_WAIT_S`) pass, so a waiting client learns of
+    the settle at once instead of at its next poll.
 ``GET /runs/{id}/progress``
     The job's journal as NDJSON — heartbeats, spans, crash signatures.
     ``?follow=1`` keeps the connection open, streaming new records
-    until the job settles (or ``?timeout=`` seconds elapse).
+    until the job settles (or ``?timeout=`` seconds elapse); it ends
+    as soon as the job settles.
 ``GET /results/{spec_hash}``
     The stored result document, served as the exact bytes the store
     holds — byte-identical across hits.
@@ -47,10 +51,14 @@ from ..obs import metrics as obs_metrics
 from ..obs.journal import read_journal
 from ..specs import load_spec
 from . import worker
-from .jobs import JobManager
+from .jobs import SETTLED, JobManager
 from .store import ResultStore, non_exact_reason
 
 __all__ = ["ServeConfig", "ServeApp", "make_server", "run_server"]
+
+#: The longest one ``GET /runs/{id}?wait=`` request is held, whatever
+#: it asks, so no request pins a handler thread indefinitely.
+MAX_WAIT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -152,11 +160,17 @@ class ServeApp:
             "job_url": f"/runs/{job.id}",
         }
 
-    def job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
-        """``GET /runs/{id}``: lifecycle + result once done."""
+    def job_status(self, job_id: str, wait: float) -> Tuple[int, Dict[str, Any]]:
+        """``GET /runs/{id}``: lifecycle + result once done.
+
+        An active job is first given up to ``wait`` seconds (at most
+        :data:`MAX_WAIT_S`) to settle.
+        """
         job = self.jobs.get(job_id)
         if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}
+        if wait > 0:
+            self.jobs.wait_settled(job, min(wait, MAX_WAIT_S))
         payload = job.to_dict()
         if job.status == "done":
             document = self.store.get(job.spec_hash) if job.cacheable else None
@@ -261,7 +275,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_bytes(200, data, "application/json")
         elif len(parts) == 2 and parts[0] == "runs":
             self._count("get_run")
-            status, payload = self.app.job_status(parts[1])
+            try:
+                wait = _seconds(parse_qs(parsed.query), "wait", 0.0)
+            except ValueError as exc:
+                self._send_json(400, {"error": str(exc)})
+                return
+            status, payload = self.app.job_status(parts[1], wait)
             self._send_json(status, payload)
         elif len(parts) == 3 and parts[0] == "runs" and parts[2] == "progress":
             self._count("progress")
@@ -278,7 +297,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown job {job_id!r}"})
             return
         follow = (query.get("follow") or ["0"])[0] in ("1", "true")
-        timeout = float((query.get("timeout") or ["30"])[0])
+        try:
+            timeout = _seconds(query, "timeout", 30.0)
+        except ValueError as exc:
+            self._send_json(400, {"error": str(exc)})
+            return
         journal_path = job.dir / worker.JOURNAL_NAME
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
@@ -297,11 +320,31 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(line.encode("utf-8"))
             self.wfile.flush()
             sent = len(records)
-            settled = job.status in ("done", "failed")
+            settled = job.status in SETTLED
             if not follow or settled or time.monotonic() >= deadline:
                 break
-            time.sleep(0.2)
+            # re-read the journal every 0.2 s, but end as the job settles
+            self.app.jobs.wait_settled(job, 0.2)
         self.close_connection = True
+
+
+def _seconds(query: Mapping[str, Any], name: str, default: float) -> float:
+    """The non-negative number of seconds a query parameter names.
+
+    Raises :class:`ValueError`, worded for a 400 answer, on anything else.
+    """
+    values = query.get(name)
+    if not values:
+        return default
+    try:
+        seconds = float(values[0])
+        if seconds >= 0:  # false for NaN too
+            return seconds
+    except ValueError:
+        pass
+    raise ValueError(
+        f"?{name}= must be a non-negative number of seconds, got {values[0]!r}"
+    )
 
 
 class _Server(ThreadingHTTPServer):

@@ -1,5 +1,8 @@
 """Unit tests for repro.io (tables and serialization)."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,19 @@ class TestAtomicWrite:
         atomic_write(path, lambda handle: handle.write(b"second"))
         assert path.read_bytes() == b"second"
         assert [entry.name for entry in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_file_mode_follows_the_umask(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            atomic_write(tmp_path / "atomic.json", b"{}")
+            (tmp_path / "plain.json").write_text("{}")
+        finally:
+            os.umask(previous)
+        modes = {
+            entry.name: stat.S_IMODE(entry.stat().st_mode)
+            for entry in tmp_path.iterdir()
+        }
+        assert modes == {"atomic.json": 0o644, "plain.json": 0o644}
 
     def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -19,7 +19,10 @@ The contracts under test, layer by layer:
   preloaded forkserver — submit/miss/hit, byte-identical result
   fetches, an exact request after a TRUSTED ``auto`` one simulating,
   live ``/metrics``, job status and journal progress, 400 on invalid
-  specs, 404 on unknown routes; plus a stress test of forked
+  specs and queries, 404 on unknown routes, and a ``ServeClient.wait``
+  that returns as its job settles (the daemon holds ``GET
+  /runs/{id}?wait=``) and polls without spinning a daemon that
+  answers at once; plus a stress test of forked
   workers, concurrent ensemble jobs that each journal only their own
   runs, workers killed by SIGKILL and SIGSEGV whose job errors say so,
   and a cold-start check for a daemon whose forkserver could not
@@ -48,6 +51,7 @@ from repro.obs.journal import read_journal
 from repro.serve import (
     JobManager,
     ResultStore,
+    ServeApp,
     ServeClient,
     ServeConfig,
     make_server,
@@ -318,15 +322,6 @@ def test_non_cacheable_submissions_never_coalesce(tmp_path, monkeypatch):
         jobs.shutdown()
 
 
-def _wait_settled(job, *, timeout=10.0):
-    gate = threading.Event()
-    for _ in range(int(timeout / 0.02)):
-        if job.status in ("done", "failed"):
-            return
-        gate.wait(0.02)
-    raise AssertionError(f"job {job.id} never settled (status {job.status})")
-
-
 def test_settled_jobs_evicted_beyond_retention_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(
         JobManager,
@@ -344,7 +339,8 @@ def test_settled_jobs_evicted_beyond_retention_bound(tmp_path, monkeypatch):
                 kind="run",
                 cacheable=False,
             )
-            _wait_settled(job)
+            jobs.wait_settled(job, 10.0)
+            assert job.status == "done"
             settled.append(job)
         # the status flip precedes the evicting thread's cleanup by a
         # hair: give the final eviction a moment to land
@@ -378,9 +374,10 @@ def test_eviction_counts_failed_jobs_and_records_metric(tmp_path, monkeypatch):
     obs_metrics.REGISTRY.activate()
     try:
         first, _ = jobs.submit({}, spec_hash="aa" * 32, kind="run", cacheable=False)
-        _wait_settled(first)
+        jobs.wait_settled(first, 10.0)
         second, _ = jobs.submit({}, spec_hash="bb" * 32, kind="run", cacheable=False)
-        _wait_settled(second)
+        jobs.wait_settled(second, 10.0)
+        assert first.status == second.status == "failed"
         gate = threading.Event()
         for _ in range(200):
             counters = obs_metrics.REGISTRY.snapshot()["counters"]
@@ -409,7 +406,7 @@ def test_unbounded_retention_keeps_every_settled_job(tmp_path, monkeypatch):
             job, _ = jobs.submit(
                 {}, spec_hash=f"{index:02d}" * 32, kind="run", cacheable=False
             )
-            _wait_settled(job)
+            jobs.wait_settled(job, 10.0)
         assert jobs.counts()["done"] == 4
     finally:
         jobs.shutdown()
@@ -422,6 +419,16 @@ def test_retention_bound_must_be_positive(tmp_path):
 
 
 # ------------------------------------------------------------ HTTP daemon
+
+
+def _settles_after(seconds):
+    """A fake ``JobManager._run_in_process``: done after ``seconds``."""
+
+    def run(self, job, payload):
+        time.sleep(seconds)
+        return {"spec_hash": job.spec_hash, "kind": "result"}
+
+    return run
 
 
 @pytest.fixture()
@@ -483,6 +490,10 @@ class TestDaemon:
         client, _httpd = daemon
         with pytest.raises(ServeError, match="HTTP 404"):
             client.job("job-does-not-exist")
+        start = time.monotonic()
+        with pytest.raises(ServeError, match="HTTP 404"):
+            client.wait("job-does-not-exist", poll=30.0)
+        assert time.monotonic() - start < 5.0, "an unknown job is never held"
         with pytest.raises(ServeError, match="HTTP 404"):
             client.result_bytes("0" * 64)
         with pytest.raises(ServeError, match="HTTP 404"):
@@ -530,6 +541,59 @@ class TestDaemon:
             fetched[name] = capsys.readouterr().out.encode("utf-8")
         assert fetched["exact"] == client.result_bytes(first["spec_hash"])
         assert json.loads(fetched["auto"])["result_kind"] == "surrogate"
+
+    def test_wait_returns_as_the_job_settles(self, daemon, monkeypatch):
+        client, _httpd = daemon
+        monkeypatch.setattr(JobManager, "_run_in_process", _settles_after(0.3))
+        job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+        start = time.monotonic()
+        final = client.wait(job_id, poll=5.0)
+        # a client that slept ``poll`` between requests would take 5 s
+        assert time.monotonic() - start < 2.0
+        assert final["status"] == "done"
+        assert final["result"]["spec_hash"] == final["spec_hash"]
+
+    def test_wait_polls_a_daemon_that_answers_at_once(self, daemon, monkeypatch):
+        client, _httpd = daemon
+        monkeypatch.setattr(JobManager, "_run_in_process", _settles_after(1.0))
+        held = ServeApp.job_status
+        monkeypatch.setattr(
+            ServeApp,
+            "job_status",
+            lambda self, job_id, wait: held(self, job_id, 0.0),
+        )
+        job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+        assert client.wait(job_id, poll=0.2)["status"] == "done"
+        # about one request per ``poll`` over the 1 s job, no busy loop
+        requests = obs_metrics.REGISTRY.snapshot()["counters"]
+        assert 2 <= requests["serve_requests_total"]["endpoint=get_run"] <= 8
+
+    def test_wait_survives_a_two_argument_job_replacement(
+        self, daemon, monkeypatch
+    ):
+        # perfbench counts polls by replacing ``ServeClient.job`` with a
+        # ``(client, job_id)`` function; ``wait`` must keep working
+        client, _httpd = daemon
+        monkeypatch.setattr(JobManager, "_run_in_process", _settles_after(0.2))
+        plain = ServeClient.job
+        monkeypatch.setattr(
+            ServeClient, "job", lambda client, job_id: plain(client, job_id)
+        )
+        job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+        final = client.wait(job_id, poll=0.02)
+        assert final["id"] == job_id and final["status"] == "done"
+
+    def test_seconds_queries_are_validated(self, daemon, monkeypatch):
+        client, _httpd = daemon
+        monkeypatch.setattr(JobManager, "_run_in_process", _settles_after(0.0))
+        job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+        for bad in ("abc", "-1", "nan"):
+            with pytest.raises(ServeError, match="HTTP 400: [?]wait="):
+                client._request("GET", f"/runs/{job_id}?wait={bad}")
+        with pytest.raises(ServeError, match="HTTP 400: [?]timeout="):
+            client._request("GET", f"/runs/{job_id}/progress?timeout=abc")
+        _status, data = client._request("GET", f"/runs/{job_id}?wait=10")
+        assert json.loads(data)["status"] == "done"
 
 
 def test_process_mode_smoke(tmp_path):
@@ -593,10 +657,8 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
             thread.join(timeout=30.0)
             assert not thread.is_alive(), "a submission never returned"
         deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline and any(
-            job.status not in ("done", "failed") for job in submitted
-        ):
-            time.sleep(0.05)
+        for job in submitted:
+            jobs.wait_settled(job, max(0.0, deadline - time.monotonic()))
         for job, spec in zip(submitted, specs):
             assert job.status == "done", job.error
             local = to_document(run_spec(spec), spec)["outcome"]
@@ -612,7 +674,7 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
         ]
         outcomes = []
         for job in draws:
-            _wait_settled(job, timeout=60.0)
+            jobs.wait_settled(job, 60.0)
             assert job.status == "done", job.error
             document = json.loads((job.dir / "result.json").read_text())
             outcomes.append(document["outcome"])
@@ -665,7 +727,7 @@ def test_concurrent_ensemble_jobs_journal_only_their_own_runs(tmp_path):
             )
             submitted.append((n, job))
         for n, job in submitted:
-            _wait_settled(job, timeout=120.0)
+            jobs.wait_settled(job, 120.0)
             assert job.status == "done", job.error
             assert _engine_runs(job) == [n] * 6
     finally:
@@ -707,7 +769,7 @@ def test_killed_worker_error_names_the_signal(tmp_path, signum):
             assert time.monotonic() < deadline, "worker never entered engine.run"
             time.sleep(0.05)
         os.kill(job.pid, signum)
-        _wait_settled(job, timeout=30.0)
+        jobs.wait_settled(job, 30.0)
         assert job.status == "failed"
         assert job.error.startswith(f"worker killed by {signum.name}"), job.error
         if signum == signal.SIGSEGV:
@@ -791,6 +853,14 @@ def test_cold_worker_start_is_counted_and_journaled(tmp_path):
     assert "serve.worker_cold_start" in report["events"]
 
 
+def _status_requests(client):
+    """How many ``GET /runs/{id}`` requests the daemon has counted."""
+    for line in client.metrics_text().splitlines():
+        if line.startswith('serve_requests_total{endpoint="get_run"} '):
+            return float(line.split()[-1])
+    return 0.0
+
+
 def _running(pid):
     """Whether ``pid`` is a live process (a zombie awaits only its reaper)."""
     try:
@@ -817,6 +887,9 @@ def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum, exitco
     still end it with exit 0 within 10 s, its running worker terminated.
     A SIGKILLed daemon runs no handler at all: its worker must still be
     gone within 5 s, because it exits when its lifeline pipe closes.
+    A client waiting on the job, its status request held by the daemon,
+    gets a :class:`ServeError` in every case: no hang, no raw socket
+    error.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -837,8 +910,25 @@ def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum, exitco
         while (pid := client.job(job_id).get("pid")) is None:
             assert time.monotonic() < deadline, "the job never started a worker"
             time.sleep(0.05)
+        outcome = []
+
+        def wait():
+            try:
+                outcome.append(client.wait(job_id, poll=30.0))
+            except Exception as exc:  # noqa: BLE001 — the type is the check
+                outcome.append(exc)
+
+        asked = _status_requests(client)
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        while _status_requests(client) < asked + 1:
+            assert time.monotonic() < deadline, "the wait request never arrived"
+            time.sleep(0.01)
         proc.send_signal(signum)
         assert proc.wait(timeout=10.0) == exitcode
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive(), "the waiting client outlived the daemon"
+        assert isinstance(outcome[0], ServeError), repr(outcome[0])
         deadline = time.monotonic() + 5.0
         while _running(pid):
             assert time.monotonic() < deadline, f"worker {pid} outlived the daemon"
