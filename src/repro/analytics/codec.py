@@ -1,7 +1,7 @@
 """The npz trace codec: one streamed run as one columnar file.
 
-A *columnar trace* renders a run's snapshot chunks into one
-``np.savez_compressed`` archive of named arrays::
+A *columnar trace* renders a run's snapshot chunks into one npz
+archive of named arrays, written by :func:`repro.io.streaming.write_npz`::
 
     times      int64 (T,)     snapshot interaction indices
     counts     int64 (T, S)   the full state-count vectors
@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import AnalyticsError, SerializationError
+from ..io.streaming import write_npz
 
 __all__ = ["read_columnar", "run_identity", "write_columnar"]
 
@@ -101,9 +102,7 @@ def write_columnar(
         "summary": run_info.get("summary"),
     }
     arrays["meta"] = np.asarray(json.dumps(meta, sort_keys=True))
-    # through a handle: given a path, savez would append ".npz" to it
-    with open(dest, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    write_npz(dest, arrays)
     return int(all_times.shape[0])
 
 
@@ -127,10 +126,10 @@ def read_columnar(path: PathLike) -> Dict[str, Any]:
         )
     try:
         with np.load(path, allow_pickle=False) as archive:
-            times = archive["times"].astype(np.int64)
-            counts = archive["counts"].astype(np.int64)
+            times = np.ascontiguousarray(archive["times"], dtype=np.int64)
+            counts = np.ascontiguousarray(archive["counts"], dtype=np.int64)
             undecided = (
-                archive["undecided"].astype(np.int64)
+                np.ascontiguousarray(archive["undecided"], dtype=np.int64)
                 if "undecided" in archive.files
                 else None
             )

@@ -192,7 +192,9 @@ class PersistentTrajectoryRecorder(TrajectoryRecorder):
         if not self._times:
             return
         times = np.asarray(self._times, dtype=np.int64)
-        counts = np.stack(self._counts).astype(np.int64)
+        # the int64 snapshots laid out column-major in one allocation,
+        # the order the chunk is stored in
+        counts = np.stack(self._counts, axis=1).T
         record = {
             "index": len(self._chunk_records),
             "snapshots": int(times.shape[0]),

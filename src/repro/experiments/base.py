@@ -20,6 +20,7 @@ import numpy as np
 
 from ..errors import ExperimentError, SpecError
 from ..io.serialization import save_result_rows
+from ..io.streaming import write_npz
 from ..io.tables import format_table
 from ..obs.timing import wall_timer
 from ..specs import merge_params
@@ -124,7 +125,7 @@ class ExperimentResult:
         written.append(rows_path)
         if self.series:
             series_path = directory / f"{self.experiment_id}_series.npz"
-            np.savez_compressed(series_path, **self.series)
+            write_npz(series_path, self.series)
             written.append(series_path)
         return written
 

@@ -15,10 +15,10 @@ def atomic_write(
     """Replace ``path`` with ``data`` so readers never see a torn file.
 
     ``data`` is the file's bytes, or a callable that writes them to the
-    open binary handle (e.g. ``np.savez_compressed``).  They go to a
-    sibling temp file (``<name>.<random>.tmp``) that is then renamed
-    over ``path``; on any failure the temp file is removed and the
-    error propagates.  The file gets the mode the umask leaves, as one
+    open binary handle (e.g. :func:`~repro.io.streaming.write_npz`).
+    They go to a sibling temp file (``<name>.<random>.tmp``) that is
+    then renamed over ``path``; on any failure the temp file is removed
+    and the error propagates.  The file gets the mode the umask leaves, as one
     written with ``open`` does.
     """
     path = Path(path)

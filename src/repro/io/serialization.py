@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.recorder import Trace
 from ..errors import SerializationError
+from .streaming import write_npz
 
 __all__ = ["save_trace", "load_trace", "save_result_rows", "load_result_rows"]
 
@@ -33,16 +34,16 @@ def save_trace(trace: Trace, path: PathLike) -> None:
         "metadata": _jsonable(trace.metadata),
     }
     try:
-        # through a handle: given a path, savez would append ".npz" to it
-        with open(path, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                times=trace.times,
-                counts=trace.counts,
-                header=np.frombuffer(
+        write_npz(
+            path,
+            {
+                "times": trace.times,
+                "counts": trace.counts,
+                "header": np.frombuffer(
                     json.dumps(header).encode("utf-8"), dtype=np.uint8
                 ),
-            )
+            },
+        )
     except OSError as exc:
         raise SerializationError(f"could not write trace to {path}: {exc}") from exc
 
@@ -59,8 +60,8 @@ def load_trace(path: PathLike) -> Trace:
         raise SerializationError(f"could not read trace from {path}: {exc}") from exc
     header = json.loads(header_bytes.decode("utf-8"))
     return Trace(
-        times=times.astype(np.int64),
-        counts=counts.astype(np.int64),
+        times=np.ascontiguousarray(times, dtype=np.int64),
+        counts=np.ascontiguousarray(counts, dtype=np.int64),
         n=int(header["n"]),
         state_names=tuple(header["state_names"]),
         protocol_name=str(header["protocol_name"]),

@@ -24,6 +24,13 @@ The forkserver runs none of those threads.
 A worker that dies without writing ``error.json`` fails its job with
 the signal or exit code, followed by the tail of the worker's
 ``stderr.log`` (a fatal signal's stack, from :mod:`faulthandler`).
+
+Every worker start and every read of a worker's exit status holds one
+lock.  :mod:`multiprocessing` reads a forkserver child's status from
+its sentinel without a lock of its own, and ``Process.start`` polls
+every live child: two threads reading one status at once leave one of
+them EOF, which it records as exit code 255 for a worker that
+succeeded.
 """
 
 from __future__ import annotations
@@ -147,6 +154,8 @@ class JobManager:
         self._threads: Dict[str, threading.Thread] = {}
         self._processes: Dict[str, Any] = {}
         self._closed = False
+        # held around every worker start and exit-status read
+        self._status_lock = threading.Lock()
 
     # -- submission ----------------------------------------------------
 
@@ -300,6 +309,8 @@ class JobManager:
     def _run_in_process(
         self, job: Job, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
+        from multiprocessing.connection import wait
+
         # only the daemon holds the write end: its death is the worker's EOF
         lifeline, keepalive = self._context.Pipe(duplex=False)
         process = self._context.Process(
@@ -308,12 +319,16 @@ class JobManager:
             daemon=True,
         )
         try:
-            process.start()
+            with self._status_lock:
+                process.start()
             lifeline.close()
             job.pid = process.pid
             with self._lock:
                 self._processes[job.id] = process
-            process.join()
+            # the job runs unlocked; only the status read takes the lock
+            wait([process.sentinel])
+            with self._status_lock:
+                process.join()
         finally:
             keepalive.close()
         opened = self._journal_opened(job)
@@ -363,9 +378,10 @@ class JobManager:
             self._closed = True
             processes = list(self._processes.values())
             threads = list(self._threads.values())
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
+        with self._status_lock:
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
         deadline = time.time() + 5.0
         for thread in threads:
             thread.join(max(0.0, deadline - time.time()))

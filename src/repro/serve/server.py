@@ -38,12 +38,15 @@ Endpoints
 
 from __future__ import annotations
 
+import functools
 import json
 import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import SpecError
@@ -59,6 +62,10 @@ __all__ = ["ServeConfig", "ServeApp", "make_server", "run_server"]
 #: The longest one ``GET /runs/{id}?wait=`` request is held, whatever
 #: it asks, so no request pins a handler thread indefinitely.
 MAX_WAIT_S = 60.0
+
+#: How long a stopping daemon waits, once its jobs have settled, for the
+#: requests it is still answering.  Idle connections are not waited for.
+ANSWER_GRACE_S = 3.0
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,17 @@ class ServeApp:
         }
 
 
+def _answering(method):
+    """Count a request as in flight while ``method`` answers it."""
+
+    @functools.wraps(method)
+    def answer(self) -> None:
+        with self.server.answering():
+            method(self)
+
+    return answer
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP routing over a :class:`ServeApp`."""
 
@@ -228,6 +246,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
 
+    @_answering
     def do_POST(self) -> None:  # noqa: N802 — http.server naming
         parsed = urlparse(self.path)
         if parsed.path != "/runs":
@@ -246,6 +265,7 @@ class _Handler(BaseHTTPRequestHandler):
         status, response = self.app.submit(payload)
         self._send_json(status, response)
 
+    @_answering
     def do_GET(self) -> None:  # noqa: N802 — http.server naming
         parsed = urlparse(self.path)
         parts = [part for part in parsed.path.split("/") if part]
@@ -353,7 +373,26 @@ class _Server(ThreadingHTTPServer):
 
     def __init__(self, config: ServeConfig) -> None:
         self.app = ServeApp(config)
+        # requests between their route and their answer's last byte
+        self._in_flight = 0
+        self._in_flight_changed = threading.Condition()
         super().__init__((config.host, config.port), _Handler)
+
+    @contextmanager
+    def answering(self) -> Iterator[None]:
+        with self._in_flight_changed:
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._in_flight_changed:
+                self._in_flight -= 1
+                self._in_flight_changed.notify_all()
+
+    def wait_answered(self, timeout: float) -> None:
+        """Block until no request is being answered, at most ``timeout`` s."""
+        with self._in_flight_changed:
+            self._in_flight_changed.wait_for(lambda: self._in_flight == 0, timeout)
 
 
 def make_server(config: ServeConfig) -> _Server:
@@ -401,7 +440,12 @@ def run_server(config: ServeConfig) -> None:
 
 
 def shutdown_server(httpd: _Server) -> None:
-    """Tear the daemon down: stop accepting, settle jobs, free the port.
+    """Tear the daemon down: settle jobs, answer, stop accepting, free the port.
+
+    Settling the running jobs wakes every held ``?wait=`` request, and
+    the teardown waits up to :data:`ANSWER_GRACE_S` for those answers
+    to go out: handler threads are daemon threads, so a process that
+    exits sooner cuts them off mid-answer.
 
     Safe from any thread *other* than the one inside ``serve_forever``
     (and after that loop has exited): ``shutdown()`` blocks until the
@@ -409,5 +453,6 @@ def shutdown_server(httpd: _Server) -> None:
     is accepting.
     """
     httpd.app.close()
+    httpd.wait_answered(ANSWER_GRACE_S)
     httpd.shutdown()
     httpd.server_close()

@@ -24,6 +24,8 @@ from repro import analytics
 from repro.cli import main
 from repro.core.kernels import reset_backend_state
 from repro.errors import AnalyticsError
+from repro.io.streaming import StreamedTrace
+from repro.obs.journal import read_journal
 from repro.serve import (
     ResultStore,
     ServeClient,
@@ -84,9 +86,9 @@ def _files(root):
     }
 
 
-def _daemon(root, requests):
+def _daemon(root, requests, runs_roots=()):
     """Run ``requests(client)`` against a daemon over ``root``."""
-    httpd = make_server(ServeConfig(port=0, root=root))
+    httpd = make_server(ServeConfig(port=0, root=root, runs_roots=runs_roots))
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
@@ -183,6 +185,63 @@ def _sweep_checkpoint(path, tmp_path, capsys):
     assert new == old
 
 
+def _persisted_run(path, tmp_path, capsys):
+    expected = json.loads((path / "expected.json").read_text())
+    copy = tmp_path / "runs"
+    shutil.copytree(path, copy)
+    run_dir = copy / "run"
+    before = _files(run_dir)
+    stream = StreamedTrace(run_dir)
+    assert stream.complete and stream.num_chunks == expected["chunks"] > 1
+    trace = stream.materialize()
+    assert trace.times.dtype == trace.counts.dtype == np.int64
+    assert trace.times.tolist() == expected["times"]
+    assert trace.counts.tolist() == expected["counts"]
+
+    # the journal the run kept beside its chunks records each spill
+    spills = [
+        record["chunk"]
+        for record in read_journal(run_dir / "journal.jsonl")
+        if record["event"] == "recorder.spill"
+    ]
+    assert spills == list(range(expected["chunks"]))
+
+    assert main(["trace", "info", str(run_dir)]) == 0
+    info = capsys.readouterr().out
+    assert "[complete]" in info
+    lines = [line.split() for line in info.splitlines()]
+    assert ["seed", "11"] in lines
+    assert ["snapshots", str(len(expected["times"]))] in lines
+
+    # the spec names the run directory relative to the working directory
+    document = json.loads((copy / "spec.json").read_text())
+    assert document["recording"]["persist_to"] == "run"
+    document["recording"]["persist_to"] = str(run_dir)
+    spec = load_spec(document)
+    assert spec.spec_hash() == expected["spec_hash"]
+    with pytest.MonkeyPatch.context() as patch:
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the persisted run was simulated again")
+
+        patch.setattr("repro.core.run.simulate", no_simulation)
+        result = run_spec(spec)
+    outcome = to_document(result, spec)["outcome"]
+    assert {key: outcome[key] for key in expected["outcome"]} == expected["outcome"]
+
+    response = _daemon(
+        tmp_path / "serve",
+        lambda client: client.submit(json.loads((path / "spec.json").read_text())),
+        runs_roots=(copy,),
+    )
+    assert response["status"] == "cached"
+    assert response["spec_hash"] == expected["spec_hash"]
+    served = response["result"]["outcome"]
+    assert {key: served[key] for key in expected["outcome"]} == expected["outcome"]
+    # reading, resuming and serving the run rewrote none of its files
+    assert _files(run_dir) == before
+
+
 def _recording(document):
     """The recording block of a run, ensemble or sweep spec document."""
     template = document.get("run") or document.get("base") or document
@@ -217,6 +276,7 @@ ARTIFACTS = {
     "analytics/npz-dataset-7959d43": _npz_dataset,
     "analytics/parquet-dataset": _parquet_dataset,
     "analytics/parquet-trace": _parquet_trace,
+    "persist/run-7959d43": _persisted_run,
     "serve/batch-store-7959d43": _serve_store,
     "serve/store-7959d43": _serve_store,
     "serve/surrogate-store-93adf4a": _surrogate_store,

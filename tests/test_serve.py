@@ -23,10 +23,12 @@ The contracts under test, layer by layer:
   that returns as its job settles (the daemon holds ``GET
   /runs/{id}?wait=``) and polls without spinning a daemon that
   answers at once; plus a stress test of forked
-  workers, concurrent ensemble jobs that each journal only their own
-  runs, workers killed by SIGKILL and SIGSEGV whose job errors say so,
-  and a cold-start check for a daemon whose forkserver could not
-  preload ``repro``.
+  workers, worker starts that must not take a finished worker's exit
+  status from its job, concurrent ensemble jobs that each journal only
+  their own runs, workers killed by SIGKILL and SIGSEGV whose job
+  errors say so, a cold-start check for a daemon whose forkserver could
+  not preload ``repro``, and stop signals that end the daemon after it
+  answers the requests it holds.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlparse
 
 import pytest
 
@@ -629,8 +633,10 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
     """More workers than CPUs, all submitted at once, then fresh entropy.
 
     Every forked job must reproduce the in-process outcome of its spec,
-    and two unseeded jobs must differ: randomness drawn at import time
-    in the forkserver would be copied into every job it forks.
+    and three unseeded jobs must not all agree: randomness drawn at
+    import time in the forkserver would be copied into every job it
+    forks.  Two independent draws of this spec collide about once in
+    200, so a chance failure needs two collisions.
     """
     store = ResultStore(tmp_path / "store")
     jobs = JobManager(store, tmp_path, max_workers=3)
@@ -670,7 +676,7 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
             jobs.submit(
                 unseeded, spec_hash=spec_hash, kind="run", cacheable=False
             )[0]
-            for _ in range(2)
+            for _ in range(3)
         ]
         outcomes = []
         for job in draws:
@@ -678,7 +684,54 @@ def test_forked_workers_under_load_match_in_process_runs(tmp_path):
             assert job.status == "done", job.error
             document = json.loads((job.dir / "result.json").read_text())
             outcomes.append(document["outcome"])
-        assert outcomes[0] != outcomes[1]
+        assert not outcomes[0] == outcomes[1] == outcomes[2]
+    finally:
+        jobs.shutdown()
+
+
+def test_concurrent_starts_never_steal_an_exit_status(tmp_path, monkeypatch):
+    """Jobs whose workers succeed settle ``done`` while other jobs start.
+
+    ``Process.start`` polls every live child, and the forkserver's
+    ``Popen.poll`` reads a child's exit status from its sentinel with no
+    lock.  Here the blocking read that ``join`` makes pauses between the
+    sentinel turning readable and the read, so a start in another
+    thread nearly always reads the status first; ``join`` then finds
+    EOF, which multiprocessing records as exit code 255.
+    """
+    from multiprocessing import forkserver, popen_forkserver
+    from multiprocessing.connection import wait
+
+    def paused_poll(self, flag=os.WNOHANG):
+        if self.returncode is None:
+            if not wait([self.sentinel], 0 if flag == os.WNOHANG else None):
+                return None
+            if flag != os.WNOHANG:
+                time.sleep(0.2)
+            try:
+                self.returncode = forkserver.read_signed(self.sentinel)
+            except (OSError, EOFError):
+                self.returncode = 255
+        return self.returncode
+
+    monkeypatch.setattr(popen_forkserver.Popen, "poll", paused_poll)
+    jobs = JobManager(ResultStore(tmp_path / "store"), tmp_path, max_workers=3)
+    try:
+        submitted = []
+        for i in range(9):
+            payload = {**FAST_PAYLOAD, "seed": 300 + i}
+            job, _ = jobs.submit(
+                payload,
+                spec_hash=load_spec(payload).spec_hash(),
+                kind="run",
+                cacheable=True,
+            )
+            submitted.append(job)
+        deadline = time.monotonic() + 120.0
+        for job in submitted:
+            jobs.wait_settled(job, max(0.0, deadline - time.monotonic()))
+        assert [job.error for job in submitted] == [None] * 9
+        assert [job.status for job in submitted] == ["done"] * 9
     finally:
         jobs.shutdown()
 
@@ -884,12 +937,16 @@ def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum, exitco
 
     The daemon runs in its own process with SIGINT inherited as ignored
     (what ``&`` in a non-interactive shell does); either signal must
-    still end it with exit 0 within 10 s, its running worker terminated.
+    still end it with exit 0 within 10 s, its running worker terminated,
+    although a connection that never sends a request is open.
     A SIGKILLed daemon runs no handler at all: its worker must still be
     gone within 5 s, because it exits when its lifeline pipe closes.
     A client waiting on the job, its status request held by the daemon,
     gets a :class:`ServeError` in every case: no hang, no raw socket
-    error.
+    error.  After SIGTERM or SIGINT it is the job's own settled answer,
+    ``failed`` with ``worker killed by SIGTERM`` (the signal the daemon
+    sends its workers): the daemon answers held requests before it
+    exits.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -918,6 +975,8 @@ def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum, exitco
             except Exception as exc:  # noqa: BLE001 — the type is the check
                 outcome.append(exc)
 
+        address = urlparse(client.base_url)
+        idle = socket.create_connection((address.hostname, address.port))
         asked = _status_requests(client)
         waiter = threading.Thread(target=wait, daemon=True)
         waiter.start()
@@ -926,9 +985,13 @@ def test_stop_signal_ends_daemon_and_its_running_worker(tmp_path, signum, exitco
             time.sleep(0.01)
         proc.send_signal(signum)
         assert proc.wait(timeout=10.0) == exitcode
+        idle.close()
         waiter.join(timeout=10.0)
         assert not waiter.is_alive(), "the waiting client outlived the daemon"
         assert isinstance(outcome[0], ServeError), repr(outcome[0])
+        if signum != signal.SIGKILL:
+            settled = f"job {job_id} failed: worker killed by SIGTERM"
+            assert str(outcome[0]).startswith(settled), str(outcome[0])
         deadline = time.monotonic() + 5.0
         while _running(pid):
             assert time.monotonic() < deadline, f"worker {pid} outlived the daemon"

@@ -8,6 +8,7 @@ cadences, including chunk-boundary slicing and resume-from-manifest.
 """
 
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from repro.cli import main
 from repro.core.kernels import available_backends
 from repro.errors import SerializationError, SimulationError
 from repro.io import load_trace
-from repro.io.streaming import StreamedTrace, find_persisted_by_hash, load_manifest
+from repro.io.streaming import (
+    StreamedTrace,
+    find_persisted_by_hash,
+    load_chunk,
+    load_chunk_times,
+    load_manifest,
+)
 from repro.protocols import UndecidedStateDynamics
 from repro.rng import derive_seed
 
@@ -91,6 +98,66 @@ class TestBitIdentity:
         mem = _paper_run()
         with pytest.raises(SimulationError, match="not persisted"):
             mem.streamed_trace()
+
+
+class TestChunkEncoding:
+    """How a chunk is stored today, and that older chunks still read."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """A full chunk of a seeded USD run, and the run's in-memory trace."""
+        protocol = UndecidedStateDynamics(k=11)
+        initial = Configuration.equal_minorities_with_bias(n=5000, k=11, bias=500)
+        kwargs = dict(
+            engine="batch", seed=4, max_parallel_time=400.0, snapshot_every=50
+        )
+        run_dir = tmp_path_factory.mktemp("encoding") / "run"
+        simulate(
+            protocol, initial, persist_to=run_dir, persist_chunk_snapshots=512, **kwargs
+        )
+        reference = simulate(protocol, initial, **kwargs).trace
+        return run_dir / "chunk-00000.npz", reference
+
+    def test_counts_are_deflated_column_major(self, written):
+        path, reference = written
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+            names = [member.filename for member in members]
+            assert names == ["times.npy", "counts.npy"]
+            assert all(m.compress_type == zipfile.ZIP_DEFLATED for m in members)
+            with archive.open("counts.npy") as member:
+                assert np.lib.format.read_magic(member) == (1, 0)
+                header = np.lib.format.read_array_header_1_0(member)
+        # (shape, fortran_order, dtype)
+        assert header == ((512, 12), True, np.dtype(np.int64))
+        with np.load(path, allow_pickle=False) as archive:
+            assert np.array_equal(archive["times"], reference.times[:512])
+            assert np.array_equal(archive["counts"], reference.counts[:512])
+
+    def test_load_chunk_returns_c_ordered_int64(self, written):
+        path, reference = written
+        times, counts = load_chunk(path)
+        for array in (times, counts):
+            assert array.dtype == np.int64 and array.flags.c_contiguous
+        assert np.array_equal(counts, reference.counts[:512])
+
+    def test_no_larger_than_numpy_default_encoding(self, written, tmp_path):
+        path, _ = written
+        times, counts = load_chunk(path)
+        np.savez_compressed(tmp_path / "numpy.npz", times=times, counts=counts)
+        assert path.stat().st_size <= (tmp_path / "numpy.npz").stat().st_size
+
+    def test_older_level_six_row_major_chunk_loads_identically(
+        self, written, tmp_path
+    ):
+        path, reference = written
+        times, counts = load_chunk(path)
+        old = tmp_path / "chunk-00000.npz"
+        np.savez_compressed(old, times=times, counts=counts)
+        old_times, old_counts = load_chunk(old)
+        assert np.array_equal(old_times, times) and np.array_equal(old_counts, counts)
+        assert old_counts.dtype == np.int64 and old_counts.flags.c_contiguous
+        assert np.array_equal(load_chunk_times(old), reference.times[:512])
 
 
 class TestSlicing:
