@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import AnalyticsError, SerializationError
-from ..io.streaming import write_npz
+from ..io.streaming import read_npz, write_npz
 
 __all__ = ["read_columnar", "run_identity", "write_columnar"]
 
@@ -125,7 +125,7 @@ def read_columnar(path: PathLike) -> Dict[str, Any]:
             "and read that file with repro.io.load_trace"
         )
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with read_npz(path) as archive:
             times = np.ascontiguousarray(archive["times"], dtype=np.int64)
             counts = np.ascontiguousarray(archive["counts"], dtype=np.int64)
             undecided = (

@@ -8,8 +8,9 @@ effective pairs regrouped by initiator for the exact counts kernel.
 Engines build it once in their constructor and hand it to every kernel
 call, so kernels stay stateless and work on plain arrays instead of
 protocol objects.  :class:`EpochInputs` adds what the
-collision-free epoch kernel needs on top: the flat transition table and
-the law of the epoch length at this ``n``.
+collision-free epoch kernel needs on top: the post-states and the
+effectiveness of every ordered pair by flat index, and the law of the
+epoch length at this ``n``.
 """
 
 from __future__ import annotations
@@ -53,13 +54,12 @@ class KernelInputs:
     n:
         Population size.
 
-    ``counts_step`` also reads the pairs grouped by initiator: the
-    cached properties :attr:`responder_matrix`, :attr:`block_self`,
-    :attr:`block_pairs`, :attr:`pair_count_change` and
-    :attr:`pair_partner_change`, built at its first call (so an engine
-    that never runs it never builds them).  Block ``a`` holds the
-    effective pairs whose initiator is ``a``; with ``B(a)`` its
-    responders, ``R = responder_matrix @ counts`` gives
+    :meth:`effective_weight` and ``counts_step`` read the pairs grouped
+    by initiator: the cached properties :attr:`responder_matrix`,
+    :attr:`block_self`, :attr:`block_pairs`, :attr:`pair_count_change`
+    and :attr:`pair_partner_change`, each built at its first use.
+    Block ``a`` holds the effective pairs whose initiator is ``a``; with
+    ``B(a)`` its responders, ``R = responder_matrix @ counts`` gives
     ``R_a = Σ_{b ∈ B(a)} c_b``, and ``partners_a = R_a - block_self_a``
     counts the agents an ``a``-agent meets in one of the block's pairs,
     so the block weighs ``W_a = c_a · partners_a``, the sum of its
@@ -88,9 +88,10 @@ class KernelInputs:
 
         The number of ordered pairs of distinct agents whose interaction
         is effective; over :attr:`pair_denominator` it is the probability
-        that the next interaction changes the configuration.
+        that the next interaction changes the configuration.  Summed by
+        initiator block, it is ``c · (M c - block_self)``.
         """
-        return int((counts[self.eff_a] * (counts[self.eff_b] - self.eff_same)).sum())
+        return int(counts @ (self.responder_matrix @ counts - self.block_self))
 
     @cached_property
     def responder_matrix(self) -> np.ndarray:
@@ -175,43 +176,45 @@ class EpochInputs:
         The :class:`KernelInputs` of the same protocol and ``n``: the
         epoch kernel weighs the effective pairs with it, and the engine
         hands it to ``counts_step`` near absorption.
-    out_initiator, out_responder:
+    post_states:
         Post-interaction states of the ordered pair ``(a, b)`` at flat
-        index ``a * S + b``, shape ``(S²,)`` ``int64``.
+        index ``a * S + b``: the initiator's in row 0, the responder's
+        in row 1, shape ``(2, S²)`` ``int64``.
     effective:
         ``True`` at the flat index of every non-null ordered pair.
+    delta:
+        Net count change of the ordered pair at each flat index, shape
+        ``(S², S)`` ``int64`` (the colliding interaction applies one row).
     epoch_table:
-        ``epoch_table[m] = −log P(ℓ ≥ m)`` for ``m = 0 .. M``, where ℓ
-        is the number of pairwise-disjoint interactions before the first
-        one that touches an agent already touched (see
-        :data:`EPOCH_TABLE_ROOTS` for ``M``).  Non-decreasing, with
-        ``epoch_table[0] = epoch_table[1] = 0``.
+        ``epoch_table[m] = −log P(ℓ ≥ m)`` for ``m = 0 .. M``, as a tuple
+        of floats, where ℓ is the number of pairwise-disjoint
+        interactions before the first one that touches an agent already
+        touched (see :data:`EPOCH_TABLE_ROOTS` for ``M``).
+        Non-decreasing, with ``epoch_table[0] = epoch_table[1] = 0``.
     expected_epoch:
         ``E[min(ℓ, M)]``, about ``0.63 · √n`` interactions.
     """
 
     pairs: KernelInputs
-    out_initiator: np.ndarray
-    out_responder: np.ndarray
+    post_states: np.ndarray
     effective: np.ndarray
-    epoch_table: np.ndarray
+    delta: np.ndarray
+    epoch_table: Tuple[float, ...]
     expected_epoch: float
 
     def __post_init__(self) -> None:
         for name, dtype in (
-            ("out_initiator", np.int64),
-            ("out_responder", np.int64),
+            ("post_states", np.int64),
             ("effective", np.bool_),
-            ("epoch_table", np.float64),
+            ("delta", np.int64),
         ):
-            array = np.array(getattr(self, name), dtype=dtype, order="C").ravel()
+            array = np.array(getattr(self, name), dtype=dtype, order="C")
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-
-    @property
-    def longest_epoch(self) -> int:
-        """``M``, the most disjoint interactions one epoch plays."""
-        return int(self.epoch_table.shape[0]) - 1
+        # the kernel bisects it once per epoch, faster on a tuple of
+        # Python floats than ``searchsorted`` on an array
+        epoch_table = np.asarray(self.epoch_table, dtype=np.float64)
+        object.__setattr__(self, "epoch_table", tuple(epoch_table.tolist()))
 
     @classmethod
     def from_table(cls, table, n: int) -> "EpochInputs":
@@ -224,9 +227,11 @@ class EpochInputs:
         epoch_table = np.concatenate(([0.0], -np.cumsum(log_disjoint)))
         return cls(
             pairs=KernelInputs.from_table(table, n),
-            out_initiator=table.out_initiator,
-            out_responder=table.out_responder,
-            effective=~table.null_mask,
+            post_states=np.stack(
+                (table.out_initiator.ravel(), table.out_responder.ravel())
+            ),
+            effective=~table.null_mask.ravel(),
+            delta=table.delta_matrix,
             epoch_table=epoch_table,
             expected_epoch=float(np.exp(-epoch_table[1:]).sum()),
         )

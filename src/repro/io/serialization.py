@@ -9,6 +9,7 @@ NumPy and the standard library.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..core.recorder import Trace
 from ..errors import SerializationError
-from .streaming import write_npz
+from .streaming import read_npz, write_npz
 
 __all__ = ["save_trace", "load_trace", "save_result_rows", "load_result_rows"]
 
@@ -52,11 +53,11 @@ def load_trace(path: PathLike) -> Trace:
     """Read a :class:`Trace` previously written by :func:`save_trace`."""
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with read_npz(path) as archive:
             times = archive["times"]
             counts = archive["counts"]
             header_bytes = archive["header"].tobytes()
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise SerializationError(f"could not read trace from {path}: {exc}") from exc
     header = json.loads(header_bytes.decode("utf-8"))
     return Trace(

@@ -12,7 +12,8 @@ A *streamed trace* is a run directory written incrementally by
   slowly moving count after another, which deflates as long runs);
   :func:`load_chunk` returns C-ordered arrays whatever order a chunk
   was stored in, so the row-major chunks of older versions read the
-  same.
+  same.  Every npz reader opens its file through :func:`read_npz`,
+  which closes it even when the archive is torn.
 
 Both files are written atomically (temp file + ``os.replace``), so any
 chunk present on disk is complete even after a hard kill — the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -50,6 +52,7 @@ __all__ = [
     "load_chunk",
     "load_chunk_times",
     "load_manifest",
+    "read_npz",
     "write_chunk",
     "write_manifest",
     "write_npz",
@@ -100,6 +103,18 @@ def write_npz(file: Union[PathLike, IO[bytes]], arrays: Mapping[str, Any]) -> No
                 np.save(member, value, allow_pickle=False)
 
 
+@contextmanager
+def read_npz(path: PathLike) -> Iterator[Any]:
+    """Open the npz archive at ``path`` for reading, pickles refused.
+
+    The file is opened here and its handle handed to ``np.load``, so it
+    closes even when the archive is torn: given a path, ``np.load``
+    leaks the file it opened if the archive cannot be read.
+    """
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
+        yield archive
+
+
 def chunk_filename(index: int) -> str:
     """File name of chunk ``index`` (zero-padded for lexicographic order)."""
     if index < 0:
@@ -132,10 +147,10 @@ def load_chunk(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     """Read one chunk back as C-ordered ``(times, counts)`` ``int64`` arrays."""
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with read_npz(path) as archive:
             times = np.ascontiguousarray(archive["times"], dtype=np.int64)
             counts = np.ascontiguousarray(archive["counts"], dtype=np.int64)
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise SerializationError(f"could not read chunk {path}: {exc}") from exc
     if times.ndim != 1 or counts.ndim != 2 or times.shape[0] != counts.shape[0]:
         raise SerializationError(f"chunk {path} has inconsistent shapes")
@@ -146,9 +161,9 @@ def load_chunk_times(path: PathLike) -> np.ndarray:
     """Read only a chunk's ``times`` member (cheap: one int64 per snapshot)."""
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with read_npz(path) as archive:
             return np.ascontiguousarray(archive["times"], dtype=np.int64)
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise SerializationError(f"could not read chunk {path}: {exc}") from exc
 
 

@@ -152,10 +152,11 @@ class JobManager:
         self._by_hash: Dict[str, str] = {}  # active job per spec_hash
         self._counter = itertools.count(1)
         self._threads: Dict[str, threading.Thread] = {}
-        self._processes: Dict[str, Any] = {}
         self._closed = False
-        # held around every worker start and exit-status read
+        # held around every worker start and exit-status read, and
+        # around ``_processes``: shutdown terminates under it
         self._status_lock = threading.Lock()
+        self._processes: Dict[str, Any] = {}
 
     # -- submission ----------------------------------------------------
 
@@ -259,7 +260,6 @@ class JobManager:
                     if self._by_hash.get(job.spec_hash) == job.id:
                         del self._by_hash[job.spec_hash]
                     self._threads.pop(job.id, None)
-                    self._processes.pop(job.id, None)
                 obs_metrics.REGISTRY.inc(
                     "serve_jobs_total", status=job.status
                 )
@@ -320,16 +320,21 @@ class JobManager:
         )
         try:
             with self._status_lock:
+                # a job that gets its slot after shutdown began starts
+                # no worker; one that started is in ``_processes``
+                if self._closed:
+                    raise ServeError("the job manager is shutting down")
                 process.start()
+                self._processes[job.id] = process
             lifeline.close()
             job.pid = process.pid
-            with self._lock:
-                self._processes[job.id] = process
             # the job runs unlocked; only the status read takes the lock
             wait([process.sentinel])
             with self._status_lock:
                 process.join()
+                del self._processes[job.id]
         finally:
+            lifeline.close()
             keepalive.close()
         opened = self._journal_opened(job)
         if opened is not None:
@@ -376,10 +381,9 @@ class JobManager:
         """Stop accepting jobs, terminate what still runs, wait up to 5 s."""
         with self._lock:
             self._closed = True
-            processes = list(self._processes.values())
             threads = list(self._threads.values())
         with self._status_lock:
-            for process in processes:
+            for process in self._processes.values():
                 if process.is_alive():
                     process.terminate()
         deadline = time.time() + 5.0

@@ -26,9 +26,10 @@ The contracts under test, layer by layer:
   workers, worker starts that must not take a finished worker's exit
   status from its job, concurrent ensemble jobs that each journal only
   their own runs, workers killed by SIGKILL and SIGSEGV whose job
-  errors say so, a cold-start check for a daemon whose forkserver could
-  not preload ``repro``, and stop signals that end the daemon after it
-  answers the requests it holds.
+  errors say so, a shutdown that starts no queued job, a cold-start
+  check for a daemon whose forkserver could not preload ``repro``, and
+  stop signals that end the daemon after it answers the requests it
+  holds.
 """
 
 from __future__ import annotations
@@ -831,6 +832,47 @@ def test_killed_worker_error_names_the_signal(tmp_path, signum):
         assert job.spec_hash not in store
     finally:
         jobs.shutdown()
+
+
+def test_shutdown_starts_no_queued_job(tmp_path):
+    """A job still queued for a slot when ``shutdown`` begins settles
+    ``failed`` and forks no worker, so ``shutdown`` returns as soon as
+    the running worker is gone instead of waiting out its 5 s."""
+    store = ResultStore(tmp_path / "store")
+    jobs = JobManager(store, tmp_path, max_workers=1)
+    queued = None
+    try:
+        running, _ = jobs.submit(
+            SLOW_PAYLOAD,
+            spec_hash=load_spec(SLOW_PAYLOAD).spec_hash(),
+            kind="run",
+            cacheable=True,
+        )
+        deadline = time.monotonic() + 60.0
+        while running.pid is None:
+            assert time.monotonic() < deadline, "the first job never started"
+            time.sleep(0.05)
+        payload = {**SLOW_PAYLOAD, "seed": 8}
+        queued, _ = jobs.submit(
+            payload,
+            spec_hash=load_spec(payload).spec_hash(),
+            kind="run",
+            cacheable=True,
+        )
+        assert queued.status == "queued"
+        began = time.monotonic()
+        jobs.shutdown()
+        assert time.monotonic() - began < 4.0
+        assert running.status == "failed"
+        assert (queued.status, queued.error) == (
+            "failed",
+            "the job manager is shutting down",
+        )
+        assert queued.pid is None
+    finally:
+        jobs.shutdown()
+        if queued is not None and queued.pid is not None and _running(queued.pid):
+            os.kill(queued.pid, signal.SIGKILL)
 
 
 #: A daemon that reaches ``repro`` only through a runtime ``sys.path``

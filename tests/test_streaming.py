@@ -7,7 +7,9 @@ same run records in memory — across engines, backends and snapshot
 cadences, including chunk-boundary slicing and resume-from-manifest.
 """
 
+import gc
 import math
+import warnings
 import zipfile
 
 import numpy as np
@@ -17,16 +19,19 @@ from hypothesis import strategies as st
 
 from repro import Configuration, PersistentTrajectoryRecorder, simulate
 from repro.analysis import usd_stabilization_ensemble
+from repro.analytics.codec import read_columnar, write_columnar
 from repro.cli import main
 from repro.core.kernels import available_backends
 from repro.errors import SerializationError, SimulationError
-from repro.io import load_trace
+from repro.core.recorder import Trace
+from repro.io import load_trace, save_trace
 from repro.io.streaming import (
     StreamedTrace,
     find_persisted_by_hash,
     load_chunk,
     load_chunk_times,
     load_manifest,
+    write_chunk,
 )
 from repro.protocols import UndecidedStateDynamics
 from repro.rng import derive_seed
@@ -158,6 +163,60 @@ class TestChunkEncoding:
         assert np.array_equal(old_times, times) and np.array_equal(old_counts, counts)
         assert old_counts.dtype == np.int64 and old_counts.flags.c_contiguous
         assert np.array_equal(load_chunk_times(old), reference.times[:512])
+
+
+TORN_TIMES = np.arange(0, 4000, 10, dtype=np.int64)
+TORN_COUNTS = np.stack([TORN_TIMES % 7, 900 - TORN_TIMES % 7], axis=1)
+
+
+def _write_trace(directory):
+    path = directory / "trace.npz"
+    trace = Trace(
+        times=TORN_TIMES,
+        counts=TORN_COUNTS,
+        n=900,
+        state_names=("a", "b"),
+        protocol_name="voter",
+        undecided_index=None,
+    )
+    save_trace(trace, path)
+    return path
+
+
+def _write_columnar(directory):
+    path = directory / "fragment.npz"
+    write_columnar(path, [(TORN_TIMES, TORN_COUNTS)], identity={"run": "torn"})
+    return path
+
+
+#: Each npz reader, with a writer of the files it reads.
+NPZ_READERS = {
+    "load_chunk": (lambda d: write_chunk(d, 0, TORN_TIMES, TORN_COUNTS), load_chunk),
+    "load_chunk_times": (
+        lambda d: write_chunk(d, 0, TORN_TIMES, TORN_COUNTS),
+        load_chunk_times,
+    ),
+    "load_trace": (_write_trace, load_trace),
+    "read_columnar": (_write_columnar, read_columnar),
+}
+
+
+@pytest.mark.parametrize("kept", [0.5, 0.0], ids=["half", "empty"])
+@pytest.mark.parametrize("reader", sorted(NPZ_READERS))
+def test_torn_npz_raises_and_closes_its_file(reader, kept, tmp_path):
+    """A truncated archive raises ``SerializationError``, and the reader
+    leaves no file open behind it (no ``ResourceWarning``)."""
+    write, read = NPZ_READERS[reader]
+    path = write(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: int(len(data) * kept)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SerializationError):
+            read(path)
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestSlicing:
