@@ -54,10 +54,12 @@ class KernelInputs:
     n:
         Population size.
 
-    :meth:`effective_weight` and ``counts_step`` read the pairs grouped
-    by initiator: the cached properties :attr:`responder_matrix`,
-    :attr:`block_self`, :attr:`block_pairs`, :attr:`pair_count_change`
-    and :attr:`pair_partner_change`, each built at its first use.
+    ``batch_step`` reads :attr:`eff_delta_float`, a cached ``float64``
+    copy of ``eff_delta``.  :meth:`effective_weight` and ``counts_step``
+    read the pairs grouped by initiator: the cached properties
+    :attr:`responder_matrix`, :attr:`block_self`, :attr:`block_pairs`,
+    :attr:`pair_count_change` and :attr:`pair_partner_change`, each
+    built at its first use.
     Block ``a`` holds the effective pairs whose initiator is ``a``; with
     ``B(a)`` its responders, ``R = responder_matrix @ counts`` gives
     ``R_a = Σ_{b ∈ B(a)} c_b``, and ``partners_a = R_a - block_self_a``
@@ -92,6 +94,14 @@ class KernelInputs:
         initiator block, it is ``c · (M c - block_self)``.
         """
         return int(counts @ (self.responder_matrix @ counts - self.block_self))
+
+    @cached_property
+    def eff_delta_float(self) -> np.ndarray:
+        """``eff_delta`` as ``float64``, shape ``(E, S)``: ``batch_step``
+        multiplies the multinomial's pair counts by it through BLAS."""
+        matrix = self.eff_delta.astype(np.float64)
+        matrix.setflags(write=False)
+        return matrix
 
     @cached_property
     def responder_matrix(self) -> np.ndarray:

@@ -18,7 +18,17 @@ Python ints (the counts and each block's ``partners``, updated by the
 pair's sparse changes) instead of numpy calls over all E pairs.
 
 ``batch_step`` is the binomial/multinomial τ-leaping loop with
-rejection halving.
+rejection halving.  A batch of ``attempt`` interactions draws
+``rng.binomial(attempt, p_effective)`` and, if that is positive,
+``rng.multinomial(effective, weights / total)``: the pair weights over
+their float sum, by true division.  A batch that would drive a count
+negative is drawn again at half the size.  The delta is one float64
+product of the pair counts with :attr:`KernelInputs.eff_delta_float`,
+which BLAS computes faster than numpy's int64 product; it is exact,
+since every term and partial sum is an integer of magnitude at most
+2n < 2⁵³.  ``tests/test_batch_kernel_differential.py`` keeps the loop
+it replaced as the reference: the same draws, arguments and order, so
+seeded trajectories are the same draw for draw.
 
 ``multibatch_step`` is the collision-free epoch loop of the exact
 batched engine.  An epoch makes four draws, ``standard_exponential()``
@@ -132,34 +142,44 @@ def batch_step(
     last_change: Optional[int] = None
     remaining = num
     halvings = 0
+    eff_a, eff_b, eff_same = inputs.eff_a, inputs.eff_b, inputs.eff_same
+    eff_delta = inputs.eff_delta_float
+    denominator = inputs.pair_denominator
+    binomial, multinomial = rng.binomial, rng.multinomial
     while remaining > 0:
-        weights = counts[inputs.eff_a] * (counts[inputs.eff_b] - inputs.eff_same)
+        weights = counts[eff_a] * (counts[eff_b] - eff_same)
         total = float(weights.sum())
         if total == 0.0:
             return interactions + remaining, last_change, True, batch, halvings
-        p_effective = min(1.0, total / inputs.pair_denominator)
+        p_effective = min(1.0, total / denominator)
         attempt = min(batch, remaining)
         # Sample one batch, halving on negativity rejection (never
         # clamping, which would bias the drift's sign); B = 1 reproduces
         # the exact single-interaction distribution, so this terminates.
+        # A true division: ``* (1 / total)`` can differ in the last bit,
+        # and that would move the multinomial draw.
         probabilities = weights / total
         while True:
             if attempt < 1:  # pragma: no cover - defensive; B=1 cannot reject
                 raise BatchSizeError("batch size collapsed below one interaction")
-            effective = int(rng.binomial(attempt, p_effective))
+            effective = int(binomial(attempt, p_effective))
             if effective == 0:
                 applied = attempt
                 break
-            pair_counts = rng.multinomial(effective, probabilities)
-            delta = pair_counts @ inputs.eff_delta
+            # The float product is exact: every term and partial sum is
+            # an integer of magnitude at most 2 · effective <= 2n < 2⁵³,
+            # in any summation order.
+            delta = (multinomial(effective, probabilities) @ eff_delta).astype(
+                np.int64
+            )
             candidate = counts + delta
-            if np.any(candidate < 0):
+            if candidate.min() < 0:
                 attempt = max(1, attempt // 2)
                 batch = attempt
                 halvings += 1
                 continue
             counts[:] = candidate
-            if np.any(delta != 0):
+            if delta.any():
                 last_change = interactions + attempt
             applied = attempt
             break

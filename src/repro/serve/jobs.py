@@ -259,7 +259,6 @@ class JobManager:
                     self._settled.notify_all()
                     if self._by_hash.get(job.spec_hash) == job.id:
                         del self._by_hash[job.spec_hash]
-                    self._threads.pop(job.id, None)
                 obs_metrics.REGISTRY.inc(
                     "serve_jobs_total", status=job.status
                 )
@@ -267,6 +266,11 @@ class JobManager:
                     "serve.job_finished", job=job.id, status=job.status
                 )
                 self._evict_settled()
+                # leave ``_threads`` last: ``shutdown`` then also waits
+                # for the evictions and counts this thread makes after
+                # its job settled
+                with self._lock:
+                    self._threads.pop(job.id, None)
 
     def _evict_settled(self) -> None:
         """Drop the oldest settled jobs beyond ``max_retained_jobs``.

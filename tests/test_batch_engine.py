@@ -5,6 +5,7 @@ import pytest
 
 from repro import BatchEngine, Configuration, SimulationError
 from repro.protocols import UndecidedStateDynamics
+from repro.workloads.initial import paper_initial_configuration
 
 
 def make_engine(k=3, counts=(0, 400, 350, 250), seed=0, **kwargs):
@@ -113,3 +114,69 @@ class TestDeterminism:
         a.step(5000)
         b.step(5000)
         assert np.array_equal(a.counts, b.counts)
+
+
+class TestPinnedTrajectories:
+    """Seeded trajectories recorded before the kernel's glue was cut:
+    any change to the draws, their order or the batch bookkeeping shows
+    here.  Each pin is ``(counts, interactions, last_change_interaction,
+    rejection_halvings)``."""
+
+    @staticmethod
+    def paper_engine(k, n, seed, **kwargs):
+        protocol = UndecidedStateDynamics(k=k)
+        config = paper_initial_configuration(n, k)
+        return BatchEngine(
+            protocol, protocol.encode_configuration(config), seed=seed, **kwargs
+        )
+
+    @staticmethod
+    def pin(engine):
+        return (
+            engine.counts.tolist(),
+            engine.interactions,
+            engine.last_change_interaction,
+            engine.rejection_halvings,
+        )
+
+    def test_figure_one_configuration(self):
+        """The paper's n = 10⁶, k = 27: 250 batches of 2000."""
+        engine = self.paper_engine(27, 10**6, seed=2025)
+        engine.step(500_000)
+        assert self.pin(engine) == (
+            [
+                379579, 25396, 22879, 22716, 22827, 22923, 22997, 22950,
+                22819, 22898, 22520, 22914, 23102, 22766, 22706, 22908,
+                22814, 22900, 23029, 23265, 22912, 22734, 23015, 22877,
+                23086, 22667, 22881, 22920,
+            ],
+            500_000,
+            500_000,
+            0,
+        )
+
+    def test_many_short_calls(self):
+        """n = 10⁵, k = 11: twenty calls of one nominal batch each."""
+        engine = self.paper_engine(11, 10**5, seed=11)
+        for _ in range(20):
+            engine.step(200)
+        assert self.pin(engine) == (
+            [6610, 9397, 8411, 8371, 8419, 8448, 8401, 8389, 8398, 8363, 8402, 8391],
+            4000,
+            4000,
+            0,
+        )
+
+    #: seed -> pin of a run at n = 60, k = 3 with epsilon = 1.0
+    HALVING_PINS = {
+        0: ([0, 60, 0, 0], 600, 555, 10),
+        1: ([0, 60, 0, 0], 600, 210, 5),
+        2: ([0, 60, 0, 0], 600, 330, 3),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(HALVING_PINS))
+    def test_whole_population_batches_halve(self, seed):
+        """A nominal batch of n rejects, halves and recovers to the end."""
+        engine = self.paper_engine(3, 60, seed=seed, epsilon=1.0)
+        engine.step(600)
+        assert self.pin(engine) == self.HALVING_PINS[seed]

@@ -272,10 +272,25 @@ def _spec_documents(path, tmp_path, capsys):
     assert result.interactions == numpy_result.interactions
 
 
+def _experiment_document(path, tmp_path, capsys):
+    expected = json.loads((path / "expected.json").read_text())
+    committed = (path / "document.json").read_bytes()
+    document = json.loads(committed)
+    # written before experiments stated claims: the key is absent
+    assert "claims" not in document["outcome"]
+    result = result_from_document(document)
+    assert result.claims == ()
+    assert len(result.rows) == expected["rows"]
+    spec = load_spec(document["spec"])
+    assert spec.spec_hash() == document["spec_hash"] == expected["spec_hash"]
+    assert document_bytes(to_document(result, spec)) == committed
+
+
 ARTIFACTS = {
     "analytics/npz-dataset-7959d43": _npz_dataset,
     "analytics/parquet-dataset": _parquet_dataset,
     "analytics/parquet-trace": _parquet_trace,
+    "experiment/fig1-left-7959d43": _experiment_document,
     "persist/run-7959d43": _persisted_run,
     "serve/batch-store-7959d43": _serve_store,
     "serve/store-7959d43": _serve_store,

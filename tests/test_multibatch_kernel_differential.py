@@ -29,6 +29,8 @@ from repro.protocols import (
     VoterModel,
 )
 
+from recording_generator import RecordingGenerator
+
 
 def reference_multibatch_step(
     inputs: EpochInputs,
@@ -97,41 +99,6 @@ def reference_multibatch_step(
 
 def _untouched_state(untouched: np.ndarray, index: int) -> int:
     return int(untouched.cumsum().searchsorted(index, side="right"))
-
-
-class RecordingGenerator:
-    """A seeded generator that logs every draw the kernels make.
-
-    Each entry is the method and its arguments (the hypergeometric's
-    colour counts and the array handed to ``shuffle`` as lists), so two
-    logs are equal exactly when the same calls were made with the same
-    arguments in the same order.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.generator = np.random.default_rng(seed)
-        self.bit_generator = self.generator.bit_generator
-        self.calls = []
-
-    def standard_exponential(self):
-        self.calls.append(("standard_exponential",))
-        return self.generator.standard_exponential()
-
-    def multivariate_hypergeometric(self, colors, nsample):
-        self.calls.append(("multivariate_hypergeometric", colors.tolist(), nsample))
-        return self.generator.multivariate_hypergeometric(colors, nsample)
-
-    def shuffle(self, x):
-        self.calls.append(("shuffle", x.tolist()))
-        self.generator.shuffle(x)
-
-    def integers(self, low, high):
-        self.calls.append(("integers", low, high))
-        return self.generator.integers(low, high)
-
-    def geometric(self, p):
-        self.calls.append(("geometric", p))
-        return self.generator.geometric(p)
 
 
 # HysteresisUSD's effective self-pairs, (1, 1), (3, 3), ..., exercise

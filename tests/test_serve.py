@@ -377,25 +377,59 @@ def test_eviction_counts_failed_jobs_and_records_metric(tmp_path, monkeypatch):
     store = ResultStore(tmp_path / "store")
     jobs = JobManager(store, tmp_path, max_workers=1, max_retained_jobs=1)
     obs_metrics.REGISTRY.activate()
+    # the registry is process-wide: an earlier test may have counted
+    # evictions already, so count this test's from a baseline
+    baseline = obs_metrics.REGISTRY.snapshot()
+
+    def evicted():
+        delta = obs_metrics.snapshot_delta(baseline, obs_metrics.REGISTRY.snapshot())
+        return delta["counters"].get("serve_jobs_evicted_total", {}).get("", 0.0)
+
     try:
         first, _ = jobs.submit({}, spec_hash="aa" * 32, kind="run", cacheable=False)
         jobs.wait_settled(first, 10.0)
         second, _ = jobs.submit({}, spec_hash="bb" * 32, kind="run", cacheable=False)
         jobs.wait_settled(second, 10.0)
         assert first.status == second.status == "failed"
-        gate = threading.Event()
-        for _ in range(200):
-            counters = obs_metrics.REGISTRY.snapshot()["counters"]
-            if "serve_jobs_evicted_total" in counters:
-                break
-            gate.wait(0.02)
-        assert jobs.get(first.id) is None and not first.dir.exists()
+        # the evicting thread removes the directory, then counts: wait
+        # for the count
+        deadline = time.monotonic() + 10.0
+        while evicted() < 1 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert evicted() == 1.0, f"{evicted()} evictions counted within 10 s"
+        assert jobs.get(first.id) is None, "the first job is still listed"
+        assert not first.dir.exists(), "the first job's directory is still there"
         assert jobs.get(second.id) is second
-        counters = obs_metrics.REGISTRY.snapshot()["counters"]
-        assert counters["serve_jobs_evicted_total"][""] == 1.0
+        assert second.dir.exists()
     finally:
         obs_metrics.REGISTRY.deactivate()
         jobs.shutdown()
+
+
+def test_shutdown_waits_for_evictions_after_a_job_settles(tmp_path, monkeypatch):
+    """A job's thread evicts after its job settles; ``shutdown`` waits
+    for that too, so no eviction lands after it returns."""
+    monkeypatch.setattr(
+        JobManager,
+        "_run_in_process",
+        lambda self, job, payload: {"spec_hash": "ee" * 32, "kind": "result"},
+    )
+    evict = JobManager._evict_settled
+
+    def late_evict(self):
+        time.sleep(0.2)
+        evict(self)
+
+    monkeypatch.setattr(JobManager, "_evict_settled", late_evict)
+    store = ResultStore(tmp_path / "store")
+    jobs = JobManager(store, tmp_path, max_workers=1, max_retained_jobs=1)
+    first, _ = jobs.submit({}, spec_hash="aa" * 32, kind="run", cacheable=False)
+    jobs.wait_settled(first, 10.0)
+    second, _ = jobs.submit({}, spec_hash="bb" * 32, kind="run", cacheable=False)
+    jobs.wait_settled(second, 10.0)
+    jobs.shutdown()
+    assert jobs.get(first.id) is None and not first.dir.exists()
+    assert jobs.get(second.id) is second
 
 
 def test_unbounded_retention_keeps_every_settled_job(tmp_path, monkeypatch):
