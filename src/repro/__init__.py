@@ -120,8 +120,6 @@ from .core import (
     TrajectoryRecorder,
     TransitionTable,
     UniformPairScheduler,
-    available_backends,
-    get_backend,
     make_engine,
     simulate,
     stopping,
@@ -190,8 +188,6 @@ __all__ = [
     "TrajectoryRecorder",
     "TransitionTable",
     "UniformPairScheduler",
-    "available_backends",
-    "get_backend",
     "make_engine",
     "simulate",
     "stopping",

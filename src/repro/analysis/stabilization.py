@@ -109,7 +109,6 @@ def usd_stabilization_ensemble(
     num_seeds: int = 10,
     seed: int = 0,
     engine: str = "auto",
-    backend: Optional[str] = None,
     max_parallel_time: float = 10_000.0,
     workers: Optional[int] = 0,
     persist_to: Optional[Union[str, Path]] = None,
@@ -140,7 +139,6 @@ def usd_stabilization_ensemble(
             protocol=ProtocolSpec(name="usd", k=initial.k),
             initial=InitialSpec.from_configuration(initial),
             engine=engine,
-            backend=backend,
             max_parallel_time=max_parallel_time,
             recording=RecordingSpec(
                 persist_to=None if persist_to is None else str(persist_to)
@@ -162,7 +160,6 @@ def usd_stabilization_ensemble(
         "k": initial.k,
         "bias": initial.bias(),
         "engine": engine,
-        "backend": backend,
         "num_seeds": num_seeds,
         "root_seed": ensemble.root_seed,
         "workers": workers,

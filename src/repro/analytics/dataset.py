@@ -366,6 +366,9 @@ def _record_from_document(spec_hash: str, document: Any) -> Union[Dict[str, Any]
         )
     outcome = document.get("outcome") or {}
     spec = document.get("spec") or {}
+    # the kernels that ran, as a run directory's manifest records them;
+    # the spec's ``backend`` is only what was requested (usually null)
+    metadata = document.get("metadata") or {}
     protocol = (spec.get("protocol") or {}).get("name")
     initial = spec.get("initial") or {}
     n = initial.get("n")
@@ -390,7 +393,7 @@ def _record_from_document(spec_hash: str, document: Any) -> Union[Dict[str, Any]
         "n": None if n is None else int(n),
         "seed": spec.get("seed"),
         "engine": outcome.get("engine"),
-        "backend": spec.get("backend"),
+        "backend": metadata.get("backend"),
         "undecided_index": None,
         "fragment": None,
         "rows": 0,

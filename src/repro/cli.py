@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``repro list``
     Show every registered experiment id with its title.
-``repro run <id> [--set name=value ...] [--out DIR] [--shard I/M] [--resume] [--no-plots] [--workers N] [--backend B] [--persist DIR]``
+``repro run <id> [--set name=value ...] [--out DIR] [--shard I/M] [--resume] [--no-plots] [--workers N] [--persist DIR]``
     Run one registry experiment (or ``all``) and print its report.  The
     id form is the ``ExperimentSpec`` naming the experiment with the
     ``--set`` overrides as its params, executed by
@@ -16,8 +16,7 @@ Subcommands
     checkpoints) and ``--resume`` skips points already checkpointed, so
     a full ``--resume`` run after the shards is their merge.
     ``--workers`` fans ensembles and grids out over N processes
-    (bit-identical results either way) and ``--backend`` is accepted
-    for compatibility (every name runs the numpy kernels); ``--persist``
+    (bit-identical results either way); ``--persist``
     (``fig1-ensemble`` only) streams member trajectories to
     spill-to-disk run directories that later invocations resume from.
     A flag the experiment cannot honour fails with an error naming it.
@@ -181,16 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
             "process-pool size for ensembles and grid sweeps "
             "(0 = in-process serial, the default; results are bit-identical "
             "for every worker count)"
-        ),
-    )
-    run.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "compute-kernel backend, accepted for compatibility: every "
-            "name runs the numpy kernels, and the removed 'numba' and "
-            "'cython' warn once"
         ),
     )
     run.add_argument(
@@ -392,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_query.add_argument("--n", type=int, default=None, help="filter: population")
     trace_query.add_argument("--spec-hash", default=None, help="filter: spec hash")
     trace_query.add_argument("--engine", default=None, help="filter: engine name")
-    trace_query.add_argument("--backend", default=None, help="filter: kernel backend")
+    trace_query.add_argument(
+        "--backend", default=None, help="filter: the kernel backend a run recorded"
+    )
     trace_query.add_argument(
         "--json",
         action="store_true",
@@ -623,12 +614,10 @@ def parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
 def _spec_with_cli_overrides(
     spec_obj: Any,
     overrides: Dict[str, Any],
-    backend: Optional[str],
     persist: Optional[Path],
     fidelity: Optional[str] = None,
 ) -> Any:
-    """Layer ``--set`` / ``--backend`` / ``--persist`` / ``--fidelity``
-    onto a spec.
+    """Layer ``--set`` / ``--persist`` / ``--fidelity`` onto a spec.
 
     The implied flags address the run template of whichever spec kind
     was loaded (the run itself, an ensemble's ``run``, a sweep's
@@ -647,8 +636,6 @@ def _spec_with_cli_overrides(
         "experiment": "params.",
     }[kind]
     implied: Dict[str, Any] = {}
-    if backend is not None:
-        implied[f"{prefix}backend"] = backend
     if persist is not None:
         # fig1-ensemble takes a flat 'persist' parameter; the
         # run-template kinds nest it under the recording block
@@ -744,7 +731,7 @@ def _run_and_print(args: Any, spec_obj: Any, overrides: Dict[str, Any]) -> None:
     from .specs import EnsembleRun, ExperimentSpecRun, SweepSpecRun, run_spec
 
     spec_obj = _spec_with_cli_overrides(
-        spec_obj, overrides, args.backend, args.persist, args.fidelity
+        spec_obj, overrides, args.persist, args.fidelity
     )
     result = run_spec(
         spec_obj,

@@ -5,7 +5,7 @@ from .batch_engine import BatchEngine
 from .configuration import Configuration
 from .counts_engine import CountsEngine
 from .engine import BaseEngine
-from .kernels import KernelInputs, available_backends, get_backend
+from .kernels import KernelInputs
 from .multibatch_engine import MultiBatchEngine
 from .persistent_recorder import PersistentTrajectoryRecorder
 from .protocol import OpinionProtocol, PopulationProtocol, default_undecided_index
@@ -34,9 +34,7 @@ __all__ = [
     "TransitionTable",
     "UniformPairScheduler",
     "ENGINE_NAMES",
-    "available_backends",
     "default_undecided_index",
-    "get_backend",
     "kernels",
     "make_engine",
     "simulate",

@@ -34,12 +34,10 @@ class AgentEngine(BaseEngine):
 
     Parameters
     ----------
-    protocol, counts, seed, backend:
-        As for :class:`repro.core.engine.BaseEngine`.  The ``backend``
-        is accepted for API uniformity but unused (``uses_kernels`` is
-        ``False``, so it is never even resolved): the per-agent loop is
-        the reference implementation and deliberately stays in plain
-        Python.
+    protocol, counts, seed:
+        As for :class:`repro.core.engine.BaseEngine`.  The per-agent
+        loop is the reference implementation and deliberately stays in
+        plain Python, so it calls no kernel (``backend`` is ``None``).
     scheduler:
         Pair scheduler; defaults to the paper's uniform clique
         scheduler.  Graph-restricted runs pass a
@@ -47,7 +45,7 @@ class AgentEngine(BaseEngine):
     """
 
     engine_name = "agent"
-    uses_kernels = False
+    backend = None
 
     def __init__(
         self,
@@ -55,9 +53,8 @@ class AgentEngine(BaseEngine):
         counts: np.ndarray,
         seed: SeedLike = None,
         scheduler: Optional[PairScheduler] = None,
-        backend: Optional[str] = None,
     ):
-        super().__init__(protocol, counts, seed, backend=backend)
+        super().__init__(protocol, counts, seed)
         if scheduler is None:
             scheduler = UniformPairScheduler(self._n)
         if scheduler.n != self._n:

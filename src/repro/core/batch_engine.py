@@ -29,14 +29,13 @@ interaction clock, the adaptive batch size) and bookkeeping.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import SimulationError
 from ..types import SeedLike
 from .engine import BaseEngine
 from .kernels import KernelInputs
+from .kernels.numpy_backend import batch_step
 from .protocol import PopulationProtocol
 
 __all__ = ["BatchEngine"]
@@ -50,7 +49,7 @@ class BatchEngine(BaseEngine):
 
     Parameters
     ----------
-    protocol, counts, seed, backend:
+    protocol, counts, seed:
         As for :class:`repro.core.engine.BaseEngine`.
     epsilon:
         Target batch size as a fraction of ``n``.  Smaller is more
@@ -66,9 +65,8 @@ class BatchEngine(BaseEngine):
         counts: np.ndarray,
         seed: SeedLike = None,
         epsilon: float = DEFAULT_EPSILON,
-        backend: Optional[str] = None,
     ):
-        super().__init__(protocol, counts, seed, backend=backend)
+        super().__init__(protocol, counts, seed)
         if not 0 < epsilon <= 1:
             raise SimulationError(f"epsilon must be in (0, 1], got {epsilon}")
         self._epsilon = float(epsilon)
@@ -98,7 +96,7 @@ class BatchEngine(BaseEngine):
         return self._halvings
 
     def _step_impl(self, num: int) -> None:
-        interactions, last_change, absorbed, batch, halvings = self._kernels.batch_step(
+        interactions, last_change, absorbed, batch, halvings = batch_step(
             self._inputs,
             self._counts,
             self._rng,

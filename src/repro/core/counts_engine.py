@@ -35,18 +35,17 @@ independent of the snapshot cadence.
 
 *How* a step is computed lives in :mod:`repro.core.kernels`: the engine
 builds one frozen :class:`~repro.core.kernels.KernelInputs` and
-delegates stepping to the numpy ``counts_step`` kernel.
+calls the numpy ``counts_step`` kernel with it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from ..types import SeedLike
 from .engine import BaseEngine
 from .kernels import KernelInputs
+from .kernels.numpy_backend import counts_step
 from .protocol import PopulationProtocol
 
 __all__ = ["CountsEngine"]
@@ -62,9 +61,8 @@ class CountsEngine(BaseEngine):
         protocol: PopulationProtocol,
         counts: np.ndarray,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
     ):
-        super().__init__(protocol, counts, seed, backend=backend)
+        super().__init__(protocol, counts, seed)
         self._inputs = KernelInputs.from_table(protocol.table, self._n)
 
     def effective_probability(self) -> float:
@@ -73,7 +71,7 @@ class CountsEngine(BaseEngine):
         return inputs.effective_weight(self._counts) / inputs.pair_denominator
 
     def _step_impl(self, num: int) -> None:
-        interactions, last_change, absorbed = self._kernels.counts_step(
+        interactions, last_change, absorbed = counts_step(
             self._inputs,
             self._counts,
             self._rng,

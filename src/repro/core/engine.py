@@ -36,7 +36,6 @@ from ..errors import SimulationError
 from ..obs.runtime import observe_engine_run
 from ..rng import make_rng
 from ..types import SeedLike, StopPredicate, as_int_vector
-from .kernels import get_backend
 from .protocol import PopulationProtocol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,29 +69,22 @@ class BaseEngine(abc.ABC):
         :class:`~repro.core.configuration.Configuration` first.
     seed:
         Seed for the engine's private random stream.
-    backend:
-        Compute-kernel backend name (see :mod:`repro.core.kernels`),
-        accepted for compatibility: every name runs the numpy kernels,
-        and the removed ``'numba'``/``'cython'`` warn once.  Engines
-        that do not delegate to kernels (the per-agent reference
-        engine) accept and ignore it.
     """
 
     #: Engine identifier used in results and the CLI.
     engine_name: str = "base"
 
-    #: Whether this engine delegates stepping to compute kernels.  The
-    #: per-agent reference engine sets this to ``False``: it then never
-    #: resolves a backend (so a retired name warns nothing there) and
-    #: reports ``backend = None``.
-    uses_kernels: bool = True
+    #: The kernel implementation this engine calls, recorded in result
+    #: metadata, manifests and journals: the numpy kernels of
+    #: :mod:`repro.core.kernels`.  ``None`` on the engines that call no
+    #: kernel (the per-agent reference engine and the gossip engine).
+    backend: Optional[str] = "numpy"
 
     def __init__(
         self,
         protocol: PopulationProtocol,
         counts: np.ndarray,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
     ):
         vec = as_int_vector(counts)
         if vec.size != protocol.num_states:
@@ -108,7 +100,6 @@ class BaseEngine(abc.ABC):
         self._protocol = protocol
         self._counts = vec
         self._n = n
-        self._kernels = get_backend(backend) if self.uses_kernels else None
         self._rng = make_rng(seed)
         self._interactions = 0
         self._last_change: Optional[int] = None
@@ -189,15 +180,6 @@ class BaseEngine(abc.ABC):
     def rng(self) -> np.random.Generator:
         """The engine's random stream (exposed for reproducibility tooling)."""
         return self._rng
-
-    @property
-    def backend(self) -> Optional[str]:
-        """Name of the resolved compute-kernel backend: ``'numpy'``.
-
-        ``None`` for engines that do not delegate to kernels
-        (``uses_kernels = False``).
-        """
-        return None if self._kernels is None else self._kernels.name
 
     # ------------------------------------------------------------------
     # Execution

@@ -2,12 +2,11 @@
 
 *How a step is computed* lives here; *engine classes* own only state,
 bookkeeping and the run contract.  An engine builds one frozen
-:class:`KernelInputs` from its transition table and delegates its hot
-loops to the :class:`~repro.core.kernels.registry.KernelBackend` that
-:func:`get_backend` resolves from its ``backend`` parameter.  The only
-implementation is the numpy kernels of :mod:`.numpy_backend`;
-``backend`` stays accepted for compatibility, and the removed
-``'numba'`` and ``'cython'`` names warn once and run numpy.
+:class:`KernelInputs` (or :class:`EpochInputs`) from its transition
+table and calls the numpy kernels of :mod:`.numpy_backend` directly.
+:mod:`.registry` checks the ``backend`` spec-document key once per run
+(:func:`get_backend`): every accepted name is these kernels, and the
+removed ``'numba'`` and ``'cython'`` names warn once.
 """
 
 from .inputs import EpochInputs, KernelInputs

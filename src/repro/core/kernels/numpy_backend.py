@@ -1,4 +1,4 @@
-"""The numpy backend's kernels — the engine hot loops.
+"""The numpy kernels — the engine hot loops, which the engines call directly.
 
 ``counts_step`` plays the exact counts dynamics one effective
 interaction at a time: a geometric gap over the null interactions, then

@@ -1,28 +1,24 @@
-"""The kernel backend: the ``backend`` knob resolved onto the numpy kernels.
+"""The ``backend`` document key, checked against the one kernel implementation.
 
-A :class:`KernelBackend` bundles the three hot-loop kernels the engines
-delegate to — ``counts_step`` (exact geometric null-skipping),
-``batch_step`` (τ-leaping) and ``multibatch_step`` (exact
-collision-free epochs).  There is one implementation, the numpy
-kernels of :mod:`.numpy_backend`.
-
-``backend`` is a placement knob that never enters a ``spec_hash``, so
-every name a spec document, sweep checkpoint or ``--backend`` flag may
-hold still resolves: ``None``, ``'auto'``, ``'default'`` and
-``'numpy'`` run numpy, and the removed ``'numba'`` and ``'cython'``
-backends run numpy too, after one :class:`RuntimeWarning` per name and
-process.  Any other name raises :class:`~repro.errors.SimulationError`.
+The engines call the numpy kernels of :mod:`.numpy_backend` directly;
+nothing selects a kernel by name.  ``backend`` survives only as a
+schema-v1 spec-document key (a run's ``backend``, an experiment's
+``backend`` parameter) that never enters a ``spec_hash``, so every name
+an old document or sweep checkpoint may hold is checked once per run by
+:func:`get_backend`: ``None``, ``'auto'``, ``'default'`` and ``'numpy'``
+pass silently, the removed ``'numba'`` and ``'cython'`` pass after one
+:class:`RuntimeWarning` per name and process, and any other name raises
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ...errors import SimulationError
 from ...obs import metrics as obs_metrics
-from . import numpy_backend
 
 __all__ = [
     "KERNEL_NAMES",
@@ -32,42 +28,21 @@ __all__ = [
     "reset_backend_state",
 ]
 
-#: The kernels a backend provides, in display order.
+#: The kernels of :mod:`.numpy_backend`, in display order.
 KERNEL_NAMES = ("counts_step", "batch_step", "multibatch_step")
 
-#: Names that resolve to the numpy kernels silently.
+#: Names that pass silently.
 _NUMPY_NAMES = (None, "auto", "default", "numpy")
 
-#: Removed backends: accepted, warned about once, run on numpy.
+#: Removed backends: accepted, warned about once.
 _RETIRED_NAMES = ("numba", "cython")
 
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One named kernel implementation.
-
-    Attributes
-    ----------
-    name:
-        Backend name (``'numpy'``).
-    counts_step:
-        ``(inputs, counts, rng, start, target) -> (interactions,
-        last_change, absorbed)`` — the exact counts kernel.
-    batch_step:
-        ``(inputs, counts, rng, num, start, batch, nominal_batch) ->
-        (interactions, last_change, absorbed, batch, halvings)`` — the
-        τ-leaping kernel.
-    multibatch_step:
-        ``(epoch_inputs, counts, rng, start, target) -> (interactions,
-        last_change, absorbed)`` — the exact collision-free epoch
-        kernel, which may return before ``target`` (see
-        :func:`~repro.core.kernels.numpy_backend.multibatch_step`).
-    """
+    """The kernel implementation a ``backend`` name stands for: ``'numpy'``."""
 
     name: str
-    counts_step: Callable
-    batch_step: Callable
-    multibatch_step: Callable
 
     @property
     def provenance_map(self) -> Dict[str, str]:
@@ -75,12 +50,7 @@ class KernelBackend:
         return {kernel: self.name for kernel in KERNEL_NAMES}
 
 
-_NUMPY = KernelBackend(
-    name="numpy",
-    counts_step=numpy_backend.counts_step,
-    batch_step=numpy_backend.batch_step,
-    multibatch_step=numpy_backend.multibatch_step,
-)
+_NUMPY = KernelBackend(name="numpy")
 
 #: Retired names already warned about, so each warns exactly once.
 _WARNED: set = set()
@@ -92,10 +62,10 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a ``backend`` name into the numpy :class:`KernelBackend`.
+    """Check a ``backend`` name; every accepted one is the numpy kernels.
 
-    A retired name warns once per process and counts every resolution
-    in ``backend_fallbacks_total``; an unknown name raises
+    A retired name warns once per process and counts every check in
+    ``backend_fallbacks_total``; an unknown name raises
     :class:`~repro.errors.SimulationError`.
     """
     if name in _NUMPY_NAMES:

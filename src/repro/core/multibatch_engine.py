@@ -49,6 +49,7 @@ import numpy as np
 from ..types import SeedLike
 from .engine import BaseEngine
 from .kernels import EpochInputs
+from .kernels.numpy_backend import counts_step, multibatch_step
 from .protocol import PopulationProtocol
 
 __all__ = ["MultiBatchEngine"]
@@ -69,9 +70,8 @@ class MultiBatchEngine(BaseEngine):
         protocol: PopulationProtocol,
         counts: np.ndarray,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
     ):
-        super().__init__(protocol, counts, seed, backend=backend)
+        super().__init__(protocol, counts, seed)
         self._inputs = EpochInputs.from_table(protocol.table, self._n)
 
     def effective_probability(self) -> float:
@@ -81,10 +81,9 @@ class MultiBatchEngine(BaseEngine):
 
     def _step_impl(self, num: int) -> None:
         target = self._interactions + num
-        kernels = self._kernels
         while True:
             self._advance(
-                kernels.multibatch_step(
+                multibatch_step(
                     self._inputs, self._counts, self._rng, self._interactions, target
                 )
             )
@@ -93,7 +92,7 @@ class MultiBatchEngine(BaseEngine):
             # the epoch kernel handed over: p_effective · E[ℓ] < 1
             stretch = math.ceil(COUNTS_STRETCH_EVENTS / self.effective_probability())
             self._advance(
-                kernels.counts_step(
+                counts_step(
                     self._inputs.pairs,
                     self._counts,
                     self._rng,

@@ -164,7 +164,6 @@ def make_engine(
     *,
     engine: str = "auto",
     seed: SeedLike = None,
-    backend: Optional[str] = None,
 ) -> BaseEngine:
     """Construct an engine from a protocol and an initial condition.
 
@@ -173,9 +172,7 @@ def make_engine(
     one of :data:`ENGINE_NAMES`: ``'agent'``, ``'counts'``,
     ``'multibatch'`` (all three exact), ``'batch'`` (τ-leaping, only
     when asked for) or ``'auto'`` (the exact ``'multibatch'`` engine at
-    every ``n``).  ``backend`` is accepted for compatibility: every
-    name runs the numpy kernels (:mod:`repro.core.kernels`).  Gossip
-    dynamics always run on the synchronous
+    every ``n``).  Gossip dynamics always run on the synchronous
     :class:`~repro.gossip.engine.GossipEngine` (``engine='auto'``).
     """
     if isinstance(initial, Configuration):
@@ -197,7 +194,7 @@ def make_engine(
             raise SimulationError(
                 f"unknown engine {engine!r}; choose from {sorted(_ENGINES)} or 'auto'"
             ) from None
-    return engine_cls(protocol, counts, seed=seed, backend=backend)
+    return engine_cls(protocol, counts, seed=seed)
 
 
 def resolve_engine_name(engine: str, n: int) -> str:
@@ -220,7 +217,6 @@ def simulate(
     *,
     engine: str = "auto",
     seed: SeedLike = None,
-    backend: Optional[str] = None,
     max_interactions: Optional[int] = None,
     max_parallel_time: Optional[float] = None,
     snapshot_every: Optional[int] = None,
@@ -261,8 +257,7 @@ def simulate(
 
     ``snapshot_every`` sets the recording / stop-checking cadence in
     the engine's steps — interactions, or rounds for gossip (default:
-    half a parallel round, or every round).  ``backend`` is
-    accepted for compatibility: every name runs the numpy kernels.
+    half a parallel round, or every round).
 
     ``persist_to=DIR`` streams the trajectory to disk while the run is
     in flight: the recorder writes one chunk every
@@ -314,7 +309,6 @@ def simulate(
             initial,
             engine=engine,
             seed=seed,
-            backend=backend,
             max_interactions=max_interactions,
             max_parallel_time=max_parallel_time,
             snapshot_every=snapshot_every,
@@ -326,7 +320,7 @@ def simulate(
             obs=obs,
         )
 
-    eng = make_engine(protocol, initial, engine=engine, seed=seed, backend=backend)
+    eng = make_engine(protocol, initial, engine=engine, seed=seed)
     if (max_interactions is None) == (max_parallel_time is None):
         raise SimulationError(
             "specify exactly one of max_interactions / max_parallel_time"
@@ -352,7 +346,7 @@ def simulate(
         **(metadata or {}),
     }
     if spec is not None:
-        # the resolved backend is recorded above; the hash covers the
+        # the engine's kernels are recorded above; the hash covers the
         # result-determining configuration only, so it is identical for
         # the keyword and the spec form of the same run
         meta["spec_hash"] = spec.spec_hash()

@@ -18,6 +18,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from ..core.kernels import get_backend
 from ..errors import ExperimentError, SpecError
 from ..io.serialization import save_result_rows
 from ..io.streaming import write_npz
@@ -143,12 +144,13 @@ class Experiment(abc.ABC):
     it computes, so none enters an
     :class:`~repro.specs.ExperimentSpec` hash.  Every experiment takes
     ``workers`` (the process-pool size for experiments built on seed
-    ensembles or grids; ``0`` = in-process serial, ``None`` = all CPUs)
-    and ``backend`` (the compute-kernel backend of
-    :mod:`repro.core.kernels`); results are bit-identical for every
-    value of either.  :class:`SweepExperiment` adds the sweep trio
-    ``shard``/``resume``/``out`` and ``fig1-ensemble`` adds
-    ``persist``; any other experiment rejects those names like any
+    ensembles or grids; ``0`` = in-process serial, ``None`` = all CPUs;
+    results are bit-identical for every value) and ``backend``, a
+    schema-v1 document key that selects nothing: :meth:`run` checks it
+    once (:func:`repro.core.kernels.get_backend`) and the result's
+    ``params`` write it back as given.  :class:`SweepExperiment` adds
+    the sweep trio ``shard``/``resume``/``out`` and ``fig1-ensemble``
+    adds ``persist``; any other experiment rejects those names like any
     unknown parameter.
     """
 
@@ -188,6 +190,7 @@ class Experiment(abc.ABC):
 
     def run(self) -> ExperimentResult:
         """Execute the experiment and stamp timing/provenance."""
+        get_backend(self.params["backend"])
         with wall_timer() as timer:
             result = self._execute()
         result.wall_seconds = timer.seconds

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.stabilization import usd_stabilization_ensemble
 from ..workloads.initial import paper_initial_configuration
@@ -51,7 +51,6 @@ def _threshold_point(
     *,
     num_seeds: int,
     engine: str,
-    backend: Optional[str],
     max_parallel_time: float,
 ) -> Dict[str, Any]:
     """One (k, bias) cell of the threshold grid (module-level: pickles)."""
@@ -61,7 +60,6 @@ def _threshold_point(
         num_seeds=num_seeds,
         seed=point_seed,
         engine=engine,
-        backend=backend,
         max_parallel_time=max_parallel_time,
         workers=0,
     )
@@ -113,7 +111,6 @@ class BiasThresholdExperiment(SweepExperiment):
             _threshold_point,
             num_seeds=self.params["num_seeds"],
             engine=self.params["engine"],
-            backend=self.params["backend"],
             max_parallel_time=self.params["max_parallel_time"],
         )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -37,7 +37,6 @@ def _logn_point(
     *,
     num_seeds: int,
     engine: str,
-    backend: Optional[str],
     max_parallel_time: float,
 ) -> Dict[str, Any]:
     """One n of the k = 2 grid (module-level so it pickles)."""
@@ -47,7 +46,6 @@ def _logn_point(
         num_seeds=num_seeds,
         seed=point_seed,
         engine=engine,
-        backend=backend,
         max_parallel_time=max_parallel_time,
         workers=0,
     )
@@ -88,7 +86,6 @@ class BinaryLogNExperiment(SweepExperiment):
             _logn_point,
             num_seeds=self.params["num_seeds"],
             engine=self.params["engine"],
-            backend=self.params["backend"],
             max_parallel_time=self.params["max_parallel_time"],
         )
 

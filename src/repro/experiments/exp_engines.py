@@ -56,7 +56,6 @@ class EngineAblationExperiment(Experiment):
                     protocol,
                     config,
                     engine=engine_name,
-                    backend=self.params["backend"],
                     seed=derive_seed(self.params["seed"], index),
                     max_parallel_time=self.params["max_parallel_time"],
                 )
@@ -115,7 +114,6 @@ class EngineAblationExperiment(Experiment):
             protocol if config.k == protocol.k else UndecidedStateDynamics(config.k),
             config,
             engine=engine_name,
-            backend=self.params["backend"],
             seed=self.params["seed"],
         )
         with wall_timer() as timer:

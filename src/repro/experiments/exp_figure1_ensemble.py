@@ -85,7 +85,6 @@ def _figure1_member(
     point_seed: int,
     *,
     engine: str,
-    backend: Optional[str],
     max_parallel_time: float,
     persist: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -121,7 +120,6 @@ def _figure1_member(
             paper_initial_configuration(point.n, point.k, point.bias)
         ),
         engine=engine,
-        backend=backend,
         seed=point_seed,
         max_parallel_time=max_parallel_time,
         recording=RecordingSpec(
@@ -199,7 +197,6 @@ class Figure1EnsembleExperiment(SweepExperiment):
         return partial(
             _figure1_member,
             engine=self.params["engine"],
-            backend=self.params["backend"],
             max_parallel_time=self.params["max_parallel_time"],
             persist=None if persist is None else str(persist),
         )

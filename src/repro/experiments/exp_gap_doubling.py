@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -73,7 +73,6 @@ def _gap_point(
     *,
     num_seeds: int,
     engine: str,
-    backend: Optional[str],
     horizon_multiple: float,
 ) -> Dict[str, Any]:
     """One k of the Lemma 3.4 grid (module-level so it pickles)."""
@@ -90,7 +89,6 @@ def _gap_point(
             protocol,
             config,
             engine=engine,
-            backend=backend,
             seed=derive_seed(point_seed, index),
             max_interactions=horizon,
             snapshot_every=max(1, n // 10),
@@ -151,7 +149,6 @@ class GapDoublingExperiment(SweepExperiment):
             _gap_point,
             num_seeds=self.params["num_seeds"],
             engine=self.params["engine"],
-            backend=self.params["backend"],
             horizon_multiple=self.params["horizon_multiple"],
         )
 

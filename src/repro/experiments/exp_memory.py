@@ -63,7 +63,6 @@ class MemoryUSDExperiment(Experiment):
                     protocol,
                     config,
                     engine=self.params["engine"],
-                    backend=self.params["backend"],
                     seed=derive_seed(self.params["seed"] + r, index),
                     max_parallel_time=self.params["max_parallel_time"],
                 )

@@ -101,7 +101,6 @@ class ModelComparisonExperiment(Experiment):
                 num_seeds=self.params["num_seeds"],
                 seed=self.params["seed"] + k,
                 engine=self.params["engine"],
-                backend=self.params["backend"],
                 max_parallel_time=self.params["max_parallel_time"],
                 workers=self.params["workers"],
             )

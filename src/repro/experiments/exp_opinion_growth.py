@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -51,7 +51,6 @@ def _growth_point(
     *,
     num_seeds: int,
     engine: str,
-    backend: Optional[str],
     horizon_multiple: float,
 ) -> Dict[str, Any]:
     """One k of the Lemma 3.3 grid (module-level so it pickles)."""
@@ -71,7 +70,6 @@ def _growth_point(
             protocol,
             config,
             engine=engine,
-            backend=backend,
             seed=derive_seed(point_seed, index),
             max_interactions=horizon,
             snapshot_every=max(1, n // 10),
@@ -133,7 +131,6 @@ class OpinionGrowthExperiment(SweepExperiment):
             _growth_point,
             num_seeds=self.params["num_seeds"],
             engine=self.params["engine"],
-            backend=self.params["backend"],
             horizon_multiple=self.params["horizon_multiple"],
         )
 

@@ -28,7 +28,7 @@ changing a single number.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.scaling import compare_scaling_laws, law_value
 from ..analysis.stabilization import usd_stabilization_ensemble
@@ -54,7 +54,6 @@ def _scaling_point(
     *,
     num_seeds: int,
     engine: str,
-    backend: Optional[str],
     max_parallel_time: float,
 ) -> Dict[str, Any]:
     """One k of the Theorem 3.5 grid (module-level so it pickles)."""
@@ -64,7 +63,6 @@ def _scaling_point(
         num_seeds=num_seeds,
         seed=point_seed,
         engine=engine,
-        backend=backend,
         max_parallel_time=max_parallel_time,
         workers=0,
     )
@@ -105,7 +103,6 @@ class ScalingExperiment(SweepExperiment):
             _scaling_point,
             num_seeds=self.params["num_seeds"],
             engine=self.params["engine"],
-            backend=self.params["backend"],
             max_parallel_time=self.params["max_parallel_time"],
         )
 

@@ -61,7 +61,6 @@ def _ceiling_point(
     *,
     num_seeds: int,
     engine: str,
-    backend: Optional[str],
     max_parallel_time: float,
 ) -> Dict[str, Any]:
     """One (n, k) cell of the Lemma 3.1 grid (module-level so it pickles)."""
@@ -74,7 +73,6 @@ def _ceiling_point(
             protocol,
             config,
             engine=engine,
-            backend=backend,
             seed=derive_seed(point_seed, index),
             max_parallel_time=max_parallel_time,
             snapshot_every=max(1, n // 20),
@@ -147,7 +145,6 @@ class UndecidedCeilingExperiment(SweepExperiment):
             _ceiling_point,
             num_seeds=self.params["num_seeds"],
             engine=self.params["engine"],
-            backend=self.params["backend"],
             max_parallel_time=self.params["max_parallel_time"],
         )
 

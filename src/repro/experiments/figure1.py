@@ -65,7 +65,6 @@ def run_figure1_trace(
     engine: str,
     max_parallel_time: float,
     snapshots_per_parallel_time: int,
-    backend: Optional[str] = None,
 ) -> Tuple[Trace, RunResult, int, int]:
     """Execute the Figure 1 run; returns (trace, result, k, bias)."""
     if k is None:
@@ -79,7 +78,6 @@ def run_figure1_trace(
         protocol,
         config,
         engine=engine,
-        backend=backend,
         seed=seed,
         max_parallel_time=max_parallel_time,
         snapshot_every=snapshot_every,
@@ -111,9 +109,7 @@ class Figure1Left(Experiment):
     DEFAULTS = dict(_FIGURE1_DEFAULTS)
 
     def _execute(self) -> ExperimentResult:
-        trace, run, k, bias = run_figure1_trace(
-            backend=self.params["backend"], **self.local_params
-        )
+        trace, run, k, bias = run_figure1_trace(**self.local_params)
         n = trace.n
         parallel = trace.parallel_times
         undecided = trace.undecided_series()
@@ -241,9 +237,7 @@ class Figure1Right(Experiment):
     DEFAULTS = dict(_FIGURE1_DEFAULTS)
 
     def _execute(self) -> ExperimentResult:
-        trace, run, k, bias = run_figure1_trace(
-            backend=self.params["backend"], **self.local_params
-        )
+        trace, run, k, bias = run_figure1_trace(**self.local_params)
         n = trace.n
         parallel = trace.parallel_times
         majority = trace.opinion_series(1)

@@ -71,7 +71,7 @@ class GossipEngine(BaseEngine):
     """
 
     engine_name = "gossip"
-    uses_kernels = False
+    backend = None
 
     @property
     def step_interactions(self) -> int:

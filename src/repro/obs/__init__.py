@@ -1,8 +1,8 @@
 """Observability: metrics, run journals, progress heartbeats.
 
 Three pillars, all hanging off one :class:`ObsConfig` (carried on
-``RunSpec`` like ``backend`` — excluded from ``spec_hash``, because
-telemetry never changes the answer):
+``RunSpec``, excluded from ``spec_hash``, because telemetry never
+changes the answer):
 
 * :mod:`repro.obs.metrics` — a process-local registry of counters
   and fixed-bucket histograms with ``snapshot()`` /

@@ -3,9 +3,9 @@
 Carried on :class:`repro.specs.RunSpec` (defaulting to fully off) and
 activatable ambiently for a whole process via
 :func:`repro.obs.runtime.activated` (the ``--obs``/``--progress`` CLI
-flags).  Like ``backend``, it is *excluded* from ``spec_hash`` and
-from sweep/ensemble row payloads: telemetry describes how a run was
-watched, never what it computed.
+flags).  It is *excluded* from ``spec_hash`` and from sweep/ensemble
+row payloads: telemetry describes how a run was watched, never what it
+computed.
 """
 
 from __future__ import annotations

@@ -9,13 +9,15 @@ against the experiment's defaults, so a spec that constructs will run.
 
 The hash identity is the *resolved* experiment parameters: spelling a
 default explicitly hashes identically to omitting it, and the
-experiment's placement parameters (``GLOBAL_DEFAULTS``: ``workers`` and
-``backend`` everywhere, ``shard``/``resume``/``out`` on grid sweeps,
-``persist`` on ``fig1-ensemble`` — unless the experiment re-declares one
-as its own parameter) are excluded, exactly like ``backend`` on a
-:class:`~repro.specs.model.RunSpec`: where the work runs is not what
-the work computes.  A placement name the experiment does not take is an
-unknown parameter, so the spec fails validation.
+experiment's placement parameters (``GLOBAL_DEFAULTS``: ``workers``
+everywhere, ``shard``/``resume``/``out`` on grid sweeps, ``persist`` on
+``fig1-ensemble`` — unless the experiment re-declares one as its own
+parameter) are excluded: where the work runs is not what the work
+computes.  So is ``backend``, a schema-v1 key that every experiment
+still takes, checks once per run and writes back as given, like the
+same key of a :class:`~repro.specs.model.RunSpec`.  A placement name
+the experiment does not take is an unknown parameter, so the spec fails
+validation.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ One frozen, validated, hashable object family describes *everything* a
 run needs: :class:`ProtocolSpec` (which dynamics), :class:`InitialSpec`
 (which starting configuration), :class:`RecordingSpec` (cadence,
 spill-to-disk persistence) and :class:`RunSpec` (the whole
-run: protocol + initial + engine + backend + seed + horizon +
-recording).  Every spec
+run: protocol + initial + engine + seed + horizon + recording).
+Every spec
 
 * is a frozen dataclass — construction *is* validation;
 * round-trips exactly through ``to_dict``/``from_dict`` and JSON;
@@ -14,9 +14,9 @@ recording).  Every spec
   result-determining fields in *resolved* form (protocol, canonical
   initial state counts, resolved engine, seed, horizon in interactions,
   snapshot cadence, stop mode) and deliberately excludes pure
-  throughput/placement knobs (``backend``, persist paths, free-form
-  metadata) — so the same logical run hashes equal
-  across machines, backends and persistence layouts.
+  placement and provenance keys (persist paths, free-form metadata,
+  the schema-v1 ``backend`` key) — so the same logical run hashes
+  equal across machines and persistence layouts.
 
 The keyword form of :func:`repro.core.run.simulate` normalises into a
 :class:`RunSpec` whenever its arguments are declarative (registered
@@ -55,8 +55,8 @@ SCHEMA_VERSION = 1
 #: Fidelity tiers :class:`RunSpec` accepts.  ``'exact'`` runs the real
 #: engines, ``'surrogate'`` the mean-field fluid limit, ``'auto'``
 #: answers from the surrogate only when its validity verdict is TRUSTED
-#: and escalates to exact otherwise.  Like ``backend``, fidelity is a
-#: *resolution* knob, excluded from :meth:`RunSpec.spec_hash`.
+#: and escalates to exact otherwise.  Fidelity is a *resolution* knob,
+#: excluded from :meth:`RunSpec.spec_hash`.
 FIDELITY_NAMES = ("exact", "surrogate", "auto")
 
 
@@ -578,18 +578,24 @@ class RunSpec:
 
     Exactly one horizon must be set: ``max_interactions`` or
     ``max_parallel_time`` (interpreted as synchronous *rounds* for
-    gossip protocols).  ``engine``/``backend`` select the execution
-    machinery (``backend`` is bit-identical across choices and is
-    excluded from :meth:`spec_hash`); ``fidelity`` selects the answer
-    tier (:data:`FIDELITY_NAMES` — also excluded from the hash: it
-    changes how the question is *answered*, not which question it is);
-    ``seed`` may be ``None`` for template specs that receive derived
-    seeds from an ensemble or sweep.  ``metadata`` is free-form
-    provenance threaded into the result, never hashed.  ``obs``
-    (:class:`repro.obs.ObsConfig`, default fully off) selects the
-    telemetry the run emits — like ``backend``, it cannot change the
-    answer (instrumented runs are bit-identical by contract), so it is
-    excluded from :meth:`spec_hash` too.
+    gossip protocols).  ``engine`` selects the execution machinery;
+    ``fidelity`` selects the answer tier (:data:`FIDELITY_NAMES` —
+    excluded from :meth:`spec_hash`: it changes how the question is
+    *answered*, not which question it is); ``seed`` may be ``None`` for
+    template specs that receive derived seeds from an ensemble or
+    sweep.  ``metadata`` is free-form provenance threaded into the
+    result, never hashed.  ``obs`` (:class:`repro.obs.ObsConfig`,
+    default fully off) selects the telemetry the run emits; it cannot
+    change the answer (instrumented runs are bit-identical by
+    contract), so it is excluded from :meth:`spec_hash` too.
+
+    ``backend`` selects nothing: it is a schema-v1 document key, kept
+    so that old documents and sweep checkpoints load and write back
+    unchanged, and never hashed.  The exact tier checks it once per
+    simulated run (:func:`repro.core.kernels.get_backend`): ``None``,
+    ``'auto'``, ``'default'`` and ``'numpy'`` pass, the removed
+    ``'numba'`` and ``'cython'`` warn once, and any other name raises
+    :class:`~repro.errors.SimulationError`.
     """
 
     protocol: ProtocolSpec

@@ -86,7 +86,6 @@ def normalize_run(
     *,
     engine: str = "auto",
     seed: Any = None,
-    backend: Optional[str] = None,
     max_interactions: Optional[int] = None,
     max_parallel_time: Optional[float] = None,
     snapshot_every: Optional[int] = None,
@@ -138,7 +137,6 @@ def normalize_run(
             protocol=protocol_spec,
             initial=initial_spec,
             engine=engine,
-            backend=backend,
             seed=seed,
             max_interactions=max_interactions,
             max_parallel_time=max_parallel_time,
@@ -390,7 +388,15 @@ def _resume_persisted(spec: RunSpec):
 
 
 def _resolve_exact(spec: RunSpec):
-    """The exact tier: one ``simulate`` call, population or gossip."""
+    """The exact tier: one ``simulate`` call, population or gossip.
+
+    The ``backend`` key is checked here, once per run, a resumed one
+    included: a removed name warns, an unknown one raises, and every
+    accepted name runs the engines' numpy kernels.
+    """
+    from ..core.kernels import get_backend
+
+    get_backend(spec.backend)
     resumed = _resume_persisted(spec)
     if resumed is not None:
         return resumed
@@ -402,7 +408,6 @@ def _resolve_exact(spec: RunSpec):
         spec.build_initial(),
         engine=spec.engine,
         seed=spec.seed,
-        backend=spec.backend,
         max_interactions=spec.max_interactions,
         max_parallel_time=spec.max_parallel_time,
         snapshot_every=recording.snapshot_every,

@@ -249,6 +249,42 @@ class TestDataset:
         answer = ds.query(protocol="usd").hitting_time_quantiles((0.5,))
         assert answer["runs"] == 1 and answer["quantiles"]["0.5"] == 48000.0
 
+    def test_store_and_run_directory_records_agree_on_what_ran(self, tmp_path):
+        # one seeded run, exported from its run directory and from its
+        # store document: both records name the kernels that ran
+        from repro.specs import document_bytes, load_spec, run_spec, to_document
+
+        spec = load_spec(
+            {
+                "schema_version": 1,
+                "kind": "run",
+                "protocol": {"name": "usd", "k": 3, "params": {}},
+                "initial": {"kind": "paper", "n": 400},
+                "engine": "counts",
+                "seed": 7,
+                "max_parallel_time": 300.0,
+                "recording": {"persist_to": str(tmp_path / "runs" / "r0")},
+            }
+        )
+        result = run_spec(spec)
+        documents = tmp_path / "store" / "documents"
+        documents.mkdir(parents=True)
+        (documents / f"{spec.spec_hash()}.json").write_bytes(
+            document_bytes(to_document(result, spec))
+        )
+        analytics.export_dataset(tmp_path / "by-run", runs_roots=[tmp_path / "runs"])
+        analytics.export_dataset(tmp_path / "by-store", store=tmp_path / "store")
+        answers = []
+        for name in ("by-run", "by-store"):
+            ds = analytics.dataset(tmp_path / name)
+            (record,) = ds.runs
+            assert record["spec_hash"] == spec.spec_hash()
+            assert record["backend"] == "numpy"
+            winners = ds.query(backend="numpy").winner_breakdown()
+            assert winners["runs"] == 1
+            answers.append(sorted(ds.query().backend_throughput()["groups"]))
+        assert answers[0] == answers[1] == ["counts/numpy"]
+
     def test_opening_a_non_dataset_directory_is_an_error(self, tmp_path):
         with pytest.raises(AnalyticsError, match="not an analytics dataset"):
             analytics.dataset(tmp_path)

@@ -286,11 +286,35 @@ def _experiment_document(path, tmp_path, capsys):
     assert document_bytes(to_document(result, spec)) == committed
 
 
+def _gossip_document(path, tmp_path, capsys):
+    expected = json.loads((path / "expected.json").read_text())
+    document = json.loads((path / "document.json").read_text())
+    # written before gossip ran on the shared engine loop, counted in rounds
+    assert document["result_kind"] == "gossip"
+    spec = load_spec(document["spec"])
+    assert spec.spec_hash() == document["spec_hash"] == expected["spec_hash"]
+    loaded = result_from_document(document)
+    fresh = run_spec(spec)
+    n = spec.n
+    assert loaded.engine_name == fresh.engine_name == "gossip"
+    assert loaded.metadata["spec_hash"] == fresh.metadata["spec_hash"]
+    assert loaded.rounds == fresh.rounds == expected["rounds"]
+    assert loaded.interactions == fresh.interactions == expected["rounds"] * n
+    assert loaded.stabilized and fresh.stabilized
+    assert loaded.stabilization_rounds == fresh.stabilization_rounds
+    assert loaded.stabilization_rounds == expected["stabilization_rounds"]
+    assert loaded.stabilization_interactions == fresh.stabilization_interactions
+    assert loaded.winner == fresh.winner == expected["winner"]
+    assert loaded.final_counts.tolist() == fresh.final_counts.tolist()
+    assert loaded.final_counts.tolist() == expected["final_counts"]
+
+
 ARTIFACTS = {
     "analytics/npz-dataset-7959d43": _npz_dataset,
     "analytics/parquet-dataset": _parquet_dataset,
     "analytics/parquet-trace": _parquet_trace,
     "experiment/fig1-left-7959d43": _experiment_document,
+    "gossip/document-90c692c": _gossip_document,
     "persist/run-7959d43": _persisted_run,
     "serve/batch-store-7959d43": _serve_store,
     "serve/store-7959d43": _serve_store,

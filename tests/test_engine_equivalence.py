@@ -23,11 +23,12 @@ HORIZON = 450  # 1.5 parallel times: mid-ramp, far from absorption
 RUNS = 120
 
 
-def ensemble_moments(engine_cls, **kwargs):
+def ensemble_moments(engine_cls, backend=None, **kwargs):
     protocol = UndecidedStateDynamics(k=K)
     undecided, majority, gaps = [], [], []
     for index in range(RUNS):
         engine = engine_cls(protocol, COUNTS, seed=5000 + index, **kwargs)
+        assert engine.backend == backend  # the kernels it calls, or None
         engine.step(HORIZON)
         counts = engine.counts
         undecided.append(counts[0])
@@ -49,7 +50,8 @@ def agent_moments():
     return ensemble_moments(AgentEngine)
 
 
-# Parametrized over the kernel backends (only numpy).
+# Parametrized over the kernel implementations the engines call (only
+# numpy); each engine reports the one it ran as ``engine.backend``.
 @pytest.fixture(scope="module", params=available_backends())
 def counts_moments(request):
     return ensemble_moments(CountsEngine, backend=request.param)

@@ -25,7 +25,8 @@ import pytest
 from scipy import stats
 
 from repro import Configuration, CountsEngine, MultiBatchEngine
-from repro.core.kernels import EpochInputs, get_backend
+from repro.core.kernels import EpochInputs
+from repro.core.kernels.numpy_backend import multibatch_step
 from repro.protocols import FourStateExactMajority, UndecidedStateDynamics
 
 #: Smallest p-value a law comparison accepts.  The seeds are fixed, so
@@ -197,11 +198,11 @@ class TestEpochKernelLaw:
         inputs = replace(
             EpochInputs.from_table(protocol.table, n), expected_epoch=math.inf
         )
-        step = get_backend("numpy").multibatch_step
         outcomes = defaultdict(int)
         for seed in range(self.SAMPLES):
             state = np.array(counts, dtype=np.int64)
-            played, last, _ = step(inputs, state, np.random.default_rng(seed), 0, steps)
+            rng = np.random.default_rng(seed)
+            played, last, _ = multibatch_step(inputs, state, rng, 0, steps)
             assert played == steps
             outcomes[(tuple(int(c) for c in state), last or 0)] += 1
         law = exact_law(protocol, counts, steps)

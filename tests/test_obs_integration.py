@@ -68,23 +68,19 @@ def _run_doc(n=400, k=3, seed=9, **extra):
 class TestBitIdentity:
     @pytest.mark.parametrize("engine", ["counts", "batch", "multibatch"])
     def test_population_engines(self, engine, capsys):
-        from repro.core.kernels import available_backends
-
         protocol = UndecidedStateDynamics(k=3)
         config = paper_initial_configuration(500, 3)
-        for backend in available_backends():
-            off = simulate(
-                protocol, config, engine=engine, backend=backend,
-                seed=11, max_parallel_time=300,
-            )
-            on = simulate(
-                protocol, config, engine=engine, backend=backend,
-                seed=11, max_parallel_time=300, obs=FULL_OBS,
-            )
-            np.testing.assert_array_equal(off.trace.times, on.trace.times)
-            np.testing.assert_array_equal(off.trace.counts, on.trace.counts)
-            assert off.interactions == on.interactions
-            assert off.winner == on.winner
+        off = simulate(
+            protocol, config, engine=engine, seed=11, max_parallel_time=300
+        )
+        on = simulate(
+            protocol, config, engine=engine,
+            seed=11, max_parallel_time=300, obs=FULL_OBS,
+        )
+        np.testing.assert_array_equal(off.trace.times, on.trace.times)
+        np.testing.assert_array_equal(off.trace.counts, on.trace.counts)
+        assert off.interactions == on.interactions
+        assert off.winner == on.winner
         capsys.readouterr()  # swallow the progress heartbeats
 
     def test_gossip_engine(self, capsys):

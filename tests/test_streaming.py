@@ -37,13 +37,12 @@ from repro.protocols import UndecidedStateDynamics
 from repro.rng import derive_seed
 
 
-def _paper_run(tmp_path=None, *, engine="counts", backend=None, snapshot_every=37,
+def _paper_run(tmp_path=None, *, engine="counts", snapshot_every=37,
                chunk_snapshots=64, window=16, n=900, seed=5):
     protocol = UndecidedStateDynamics(k=3)
     initial = Configuration.equal_minorities_with_bias(n=n, k=3, bias=n // 10)
     kwargs = dict(
         engine=engine,
-        backend=backend,
         seed=seed,
         max_parallel_time=400.0,
         snapshot_every=snapshot_every,
@@ -84,9 +83,12 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_materialize_matches_across_backends(self, tmp_path, backend):
-        mem = _paper_run(backend=backend)
-        per = _paper_run(tmp_path / "run", backend=backend)
-        full = per.streamed_trace().materialize()
+        mem = _paper_run()
+        per = _paper_run(tmp_path / "run")
+        stream = per.streamed_trace()
+        # both record the kernels that ran, in the manifest too
+        assert mem.metadata["backend"] == stream.run_info["backend"] == backend
+        full = stream.materialize()
         assert np.array_equal(full.times, mem.trace.times)
         assert np.array_equal(full.counts, mem.trace.counts)
 
