@@ -10,7 +10,8 @@ Runs, on the same biased two-opinion workload:
   bias 1).
 
 Reports winner correctness and stabilization time over a seed ensemble
-— the trade-off landscape the paper's related-work section describes.
+— the trade-off landscape the paper's related-work section describes —
+and the agents' outputs when four-state absorbs on an exact tie.
 
 Run:  python examples/protocol_comparison.py
 """
@@ -24,17 +25,6 @@ from repro.protocols import (
     UndecidedStateDynamics,
     VoterModel,
 )
-
-
-def winner_of(protocol, result) -> int:
-    """Map a stabilized result onto side 1 / side 2 (0 = no winner)."""
-    if result.winner is not None:
-        return result.winner
-    outputs = {
-        protocol.output(state)
-        for state in np.flatnonzero(result.final_counts)
-    }
-    return outputs.pop() if len(outputs) == 1 else 0
 
 
 def main() -> None:
@@ -63,7 +53,7 @@ def main() -> None:
             )
             assert result.stabilized, f"{protocol.name} did not stabilize"
             times.append(result.stabilization_parallel_time)
-            correct += winner_of(protocol, result) == 1
+            correct += result.winner == 1
         rows.append(
             {
                 "protocol": protocol.name,
@@ -74,6 +64,19 @@ def main() -> None:
             }
         )
     print(format_table(rows, title="binary majority: correctness and parallel time"))
+
+    # On an exact tie the strong agents annihilate and the population
+    # absorbs in mixed weak states: both outputs survive, so no winner.
+    four_state = FourStateExactMajority()
+    tie = simulate(
+        four_state,
+        Configuration([n // 2, n // 2]),
+        engine="counts",
+        seed=0,
+        max_parallel_time=100_000.0,
+    )
+    outputs = sorted({four_state.output(s) for s in np.flatnonzero(tie.final_counts)})
+    print(f"\nfour-state on an exact tie: outputs {outputs}, winner {tie.winner}")
     print(
         "\nUSD amplifies the bias quickly but can fail at small bias;\n"
         "the voter model is a proportional lottery and Θ(n) slow;\n"

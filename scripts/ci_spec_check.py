@@ -13,8 +13,10 @@ Modes
     ``RunResult``s — same trace arrays (values *and* dtypes), same
     final counts, same scalar outcome, same metadata (including the
     shared ``spec_hash``).  Also re-checks the JSON round-trip and the
-    key-order invariance of the hash on the way.  Checked for a
-    population run (``usd``) and a gossip run (``gossip-usd``).
+    key-order invariance of the hash on the way.  Checked on both
+    opinion layouts in both models: ⊥ first (``usd``, ``gossip-usd``)
+    and opinions only (``voter``, ``gossip-voter``,
+    ``gossip-3-majority``).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Configuration, UndecidedStateDynamics, simulate
-from repro.gossip import GossipUSD
+from repro import Configuration, UndecidedStateDynamics, VoterModel, simulate
+from repro.gossip import GossipThreeMajority, GossipUSD, GossipVoter
 from repro.specs import (
     InitialSpec,
     ProtocolSpec,
@@ -124,7 +126,10 @@ def _check_keyword_matches_spec(protocol, name: str, horizon: float) -> None:
 
 def check_bitidentity() -> int:
     _check_keyword_matches_spec(UndecidedStateDynamics(k=3), "usd", 1500.0)
+    _check_keyword_matches_spec(VoterModel(k=3), "voter", 1500.0)
     _check_keyword_matches_spec(GossipUSD(k=3), "gossip-usd", 300.0)
+    _check_keyword_matches_spec(GossipVoter(k=3), "gossip-voter", 300.0)
+    _check_keyword_matches_spec(GossipThreeMajority(k=3), "gossip-3-majority", 300.0)
     return 0
 
 

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import AnalyticsError
+from ..specs.model import _aliases
 
 __all__ = [
     "FleetQuery",
@@ -66,17 +67,27 @@ def sample_step_function(
     return np.asarray(values)[idx]
 
 
-def _match(record: Dict[str, Any], key: str, wanted: Any) -> bool:
+def _match(
+    record: Dict[str, Any], key: str, wanted: Any, aliases: Dict[str, str]
+) -> bool:
     if wanted is None:
         return True
-    return record.get(key) == wanted
+    value = record.get(key)
+    if key == "protocol":
+        # a run directory files a run under its protocol object's name
+        # and a store document under its spec's: compare registry names
+        return aliases.get(value, value) == aliases.get(wanted, wanted)
+    return value == wanted
 
 
 class FleetQuery:
     """One filtered view over a dataset, with the canned answers.
 
     Filters are exact matches on record identity (``protocol``, ``n``,
-    ``spec_hash``, ``engine``, ``backend``); ``None`` means "any".
+    ``spec_hash``, ``engine``, ``backend``); ``None`` means "any".  A
+    protocol matches by either of its names (``usd`` or
+    ``undecided-state-dynamics``), through the alias table of
+    :class:`~repro.specs.model.ProtocolSpec`.
     Summary-backed answers (hitting times, winners, throughput) read
     only the manifest; trajectory-backed answers (envelopes) scan the
     columnar fragments, skipping unreadable ones with recorded reasons
@@ -104,10 +115,14 @@ class FleetQuery:
 
     @property
     def records(self) -> List[Dict[str, Any]]:
+        aliases = _aliases()
         return [
             record
             for record in self.dataset.runs
-            if all(_match(record, key, want) for key, want in self.filters.items())
+            if all(
+                _match(record, key, want, aliases)
+                for key, want in self.filters.items()
+            )
         ]
 
     def __len__(self) -> int:

@@ -377,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="time-grid points for the undecided envelope (default 50)",
     )
-    trace_query.add_argument("--protocol", default=None, help="filter: protocol name")
+    trace_query.add_argument(
+        "--protocol",
+        default=None,
+        help="filter: protocol name (usd and undecided-state-dynamics both match)",
+    )
     trace_query.add_argument("--n", type=int, default=None, help="filter: population")
     trace_query.add_argument("--spec-hash", default=None, help="filter: spec hash")
     trace_query.add_argument("--engine", default=None, help="filter: engine name")

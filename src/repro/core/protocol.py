@@ -6,6 +6,12 @@ output map ``γ : Σ → Γ``.  Engines never call :meth:`transition`
 directly in their hot loops — they compile the protocol into a dense
 :class:`repro.core.transitions.TransitionTable` once — so subclasses
 only need to provide a clear, readable transition rule.
+
+:class:`OpinionAlphabet` owns the one opinion count layout, ``[⊥,
+opinion 1..k]`` or ``[opinion 1..k]``: its state names, the encoding
+from a :class:`Configuration` and the decoding back.  USD, the voter
+model and the three gossip dynamics inherit it and define only
+``num_states`` and their dynamics.
 """
 
 from __future__ import annotations
@@ -116,16 +122,18 @@ class PopulationProtocol(abc.ABC):
 
 
 class OpinionAlphabet:
-    """Mixin for an opinion-structured alphabet of ``num_states`` states.
+    """Mixin that owns the opinion count layout of ``num_states`` states.
 
-    The alphabet layout is ``[⊥?, opinion 1, ..., opinion k]`` — i.e.
-    the *last* ``k`` states are the opinions, optionally preceded by
-    bookkeeping states (USD has a single ⊥ in front; the voter model has
-    none).  This matches :meth:`Configuration.to_state_counts` when the
-    bookkeeping prefix is exactly one undecided state.  Population
-    protocols (:class:`OpinionProtocol`) and the gossip dynamics share
-    it, so one winner rule and one undecided-index rule serve both
-    models.
+    The layout is ``[⊥, opinion 1, ..., opinion k]`` or ``[opinion 1,
+    ..., opinion k]``: the *last* ``k`` states are the opinions, and
+    :attr:`num_bookkeeping_states` (``num_states − k``) says whether
+    the undecided state ⊥ precedes them (1) or not (0).  USD has ⊥ in
+    front; the voter model and 3-majority have none.  A subclass
+    defines ``num_states`` and its dynamics; the state names, the
+    encoding of a :class:`Configuration`, the decoding back (which
+    names a run's winner) and the undecided index all come from here.
+    Population protocols (:class:`OpinionProtocol`) and the gossip
+    dynamics share it, so one layout serves both models.
     """
 
     def __init__(self, k: int):
@@ -140,8 +148,13 @@ class OpinionAlphabet:
 
     @property
     def num_bookkeeping_states(self) -> int:
-        """States preceding the opinion block (0 unless overridden)."""
+        """States preceding the opinion block: 1 for ⊥ first, else 0."""
         return self.num_states - self._k
+
+    def state_names(self) -> Tuple[str, ...]:
+        """``⊥`` (if the layout has it) then ``opinion1..opinion{k}``."""
+        undecided = ("⊥",) * self.num_bookkeeping_states
+        return undecided + tuple(f"opinion{i}" for i in range(1, self._k + 1))
 
     def opinion_state(self, opinion: int) -> int:
         """Alphabet index of 1-based ``opinion``."""
@@ -153,6 +166,28 @@ class OpinionAlphabet:
         """Slice per-opinion counts out of a raw state-count vector."""
         arr = np.asarray(counts)
         return arr[self.num_bookkeeping_states :]
+
+    def encode_configuration(self, config: Configuration) -> np.ndarray:
+        """Opinion-level configuration → this layout's state counts."""
+        if config.k != self._k:
+            raise ProtocolError(
+                f"configuration has k={config.k}, {self.name} expects k={self._k}"
+            )
+        if self.num_bookkeeping_states:
+            return config.to_state_counts()
+        if config.undecided != 0:
+            raise ProtocolError(f"{self.name} has no undecided state")
+        return config.opinion_counts.copy()
+
+    def decode_counts(self, counts: Sequence[int] | np.ndarray) -> Configuration:
+        """State counts in this layout → opinion-level configuration."""
+        counts = np.asarray(counts)
+        if counts.shape != (self.num_states,):
+            raise ProtocolError(
+                f"counts must have shape ({self.num_states},), got {counts.shape}"
+            )
+        undecided = int(counts[0]) if self.num_bookkeeping_states else 0
+        return Configuration(self.opinion_counts_of(counts), undecided=undecided)
 
 
 class OpinionProtocol(OpinionAlphabet, PopulationProtocol):

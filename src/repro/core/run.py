@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import ProtocolError, SimulationError
 from ..gossip.engine import GossipDynamics, GossipEngine
 from ..obs import runtime as obs_runtime
 from ..obs.config import ObsConfig
@@ -37,7 +37,7 @@ from .counts_engine import CountsEngine
 from .engine import BaseEngine
 from .multibatch_engine import MultiBatchEngine
 from .persistent_recorder import PersistentTrajectoryRecorder
-from .protocol import OpinionAlphabet, PopulationProtocol, default_undecided_index
+from .protocol import PopulationProtocol, default_undecided_index
 from .recorder import Trace, TrajectoryRecorder
 
 __all__ = [
@@ -84,9 +84,11 @@ class RunResult:
         happened, when the run stabilized — i.e. the stabilization time.
         ``None`` for unstabilized runs.
     winner:
-        1-based surviving opinion for stabilized opinion-protocol runs
-        that ended in consensus; ``None`` otherwise (including the
-        all-undecided failure absorption).
+        1-based opinion that every agent holds when a stabilized run
+        decodes to consensus through the protocol's ``decode_counts``
+        (so also four-state and hysteresis runs); ``None`` otherwise,
+        including the all-undecided failure absorption and protocols
+        that define no decoding.
     engine_name:
         Which engine executed the run.
     wall_seconds:
@@ -495,12 +497,12 @@ def _jsonable_seed(seed: SeedLike) -> Union[int, str, None]:
 
 
 def _winner_of(protocol: Any, counts: np.ndarray) -> Optional[int]:
-    """Surviving opinion of a consensus state, if the protocol exposes one."""
-    if not isinstance(protocol, OpinionAlphabet):
+    """The opinion every agent holds, if the counts decode to consensus."""
+    decode = getattr(protocol, "decode_counts", None)
+    if decode is None:
         return None
-    opinions = protocol.opinion_counts_of(counts)
-    n = int(np.sum(counts))
-    winners = np.flatnonzero(opinions == n)
-    if winners.size != 1:
+    try:
+        decoded = decode(counts)
+    except ProtocolError:
         return None
-    return int(winners[0]) + 1
+    return decoded.plurality_winner() if decoded.is_consensus() else None

@@ -17,19 +17,20 @@ the round factorises into binomial/multinomial draws.  Sampling is
 uniform over all ``n`` nodes, self included — the standard analytical
 convention, differing from sampling a strictly-other node by O(1/n).
 
-State layout matches the population-model USD: ``[⊥, opinion 1..k]``
-for :class:`GossipUSD` and ``[opinion 1..k]`` for the others — the
-:class:`~repro.core.protocol.OpinionAlphabet` the population protocols
-use — so the same recorders, winner rule and analysis code apply.
+The state layout is the population protocols' own
+:class:`~repro.core.protocol.OpinionAlphabet`: ``[⊥, opinion 1..k]``
+for :class:`GossipUSD` and ``[opinion 1..k]`` for the others.  It
+names the states, encodes and decodes configurations and names the
+winner, so the same recorders and analysis code apply; each class here
+defines only ``num_states`` and its ``round_update``, and
+:meth:`GossipDynamics.is_absorbing` is their one absorption rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.configuration import Configuration
 from ..core.protocol import OpinionAlphabet
-from ..errors import ProtocolError
 from .engine import GossipDynamics
 
 __all__ = [
@@ -48,17 +49,6 @@ class GossipUSD(OpinionAlphabet, GossipDynamics):
     @property
     def num_states(self) -> int:
         return self._k + 1
-
-    def state_names(self):
-        return ("⊥",) + tuple(f"opinion{i}" for i in range(1, self._k + 1))
-
-    def encode_configuration(self, config: Configuration) -> np.ndarray:
-        """Opinion-level configuration → ``[u, x_1..x_k]`` counts."""
-        if config.k != self._k:
-            raise ProtocolError(
-                f"configuration has k={config.k}, dynamics expects k={self._k}"
-            )
-        return config.to_state_counts()
 
     def round_update(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = int(counts.sum())
@@ -82,10 +72,6 @@ class GossipUSD(OpinionAlphabet, GossipDynamics):
         new[1:] = opinions - losses + adopted[1:]
         new[0] = u - int(adopted[1:].sum()) + int(losses.sum())
         return new
-
-    def is_absorbing(self, counts: np.ndarray) -> bool:
-        n = int(counts.sum())
-        return int(counts[0]) == n or bool(np.any(counts[1:] == n))
 
 
 def three_majority_distribution(fractions: np.ndarray) -> np.ndarray:
@@ -117,18 +103,6 @@ class GossipThreeMajority(OpinionAlphabet, GossipDynamics):
     def num_states(self) -> int:
         return self._k
 
-    def state_names(self):
-        return tuple(f"opinion{i}" for i in range(1, self._k + 1))
-
-    def encode_configuration(self, config: Configuration) -> np.ndarray:
-        if config.k != self._k:
-            raise ProtocolError(
-                f"configuration has k={config.k}, dynamics expects k={self._k}"
-            )
-        if config.undecided != 0:
-            raise ProtocolError("3-majority has no undecided state")
-        return config.opinion_counts.copy()
-
     def round_update(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = int(counts.sum())
         q = three_majority_distribution(counts / n)
@@ -136,10 +110,6 @@ class GossipThreeMajority(OpinionAlphabet, GossipDynamics):
         q = np.clip(q, 0.0, None)
         q /= q.sum()
         return rng.multinomial(n, q)
-
-    def is_absorbing(self, counts: np.ndarray) -> bool:
-        n = int(counts.sum())
-        return bool(np.any(counts == n))
 
 
 class GossipVoter(OpinionAlphabet, GossipDynamics):
@@ -151,22 +121,6 @@ class GossipVoter(OpinionAlphabet, GossipDynamics):
     def num_states(self) -> int:
         return self._k
 
-    def state_names(self):
-        return tuple(f"opinion{i}" for i in range(1, self._k + 1))
-
-    def encode_configuration(self, config: Configuration) -> np.ndarray:
-        if config.k != self._k:
-            raise ProtocolError(
-                f"configuration has k={config.k}, dynamics expects k={self._k}"
-            )
-        if config.undecided != 0:
-            raise ProtocolError("the voter model has no undecided state")
-        return config.opinion_counts.copy()
-
     def round_update(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = int(counts.sum())
         return rng.multinomial(n, counts / n)
-
-    def is_absorbing(self, counts: np.ndarray) -> bool:
-        n = int(counts.sum())
-        return bool(np.any(counts == n))

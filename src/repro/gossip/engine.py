@@ -54,9 +54,14 @@ class GossipDynamics(abc.ABC):
     ) -> np.ndarray:
         """Sample the next round's counts given the current ones (exact)."""
 
-    @abc.abstractmethod
     def is_absorbing(self, counts: np.ndarray) -> bool:
-        """Whether no future round can change the configuration."""
+        """Whether no future round can change the configuration.
+
+        True when one state holds all ``n`` nodes: every node then
+        samples its own state, which USD, the voter model and
+        3-majority all keep.  A dynamics with another rule overrides it.
+        """
+        return bool(np.any(counts == counts.sum()))
 
     def state_names(self):
         """Names of the states (default ``s0..``)."""

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.protocol import default_undecided_index
 from ..core.recorder import Trace
 from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
@@ -280,6 +281,7 @@ def _fraction_counts(fractions: np.ndarray, n: int) -> np.ndarray:
 def _solve_usd(spec, requested: str) -> SurrogateResult:
     n = spec.n
     k = spec.protocol.k
+    protocol = spec.build_protocol()
     counts = np.asarray(spec.canonical_state_counts(), dtype=np.int64)
     y0 = counts / n  # [v, a_1..a_k]
     horizon_t = spec.resolved_horizon() / n
@@ -324,9 +326,9 @@ def _solve_usd(spec, requested: str) -> SurrogateResult:
         times=times,
         counts=counts_traj,
         n=n,
-        state_names=("⊥",) + tuple(f"opinion{i}" for i in range(1, k + 1)),
+        state_names=protocol.state_names(),
         protocol_name=spec.protocol.name,
-        undecided_index=0,
+        undecided_index=default_undecided_index(protocol),
         metadata=meta,
     )
     return SurrogateResult(
@@ -347,7 +349,7 @@ def _solve_usd(spec, requested: str) -> SurrogateResult:
 
 def _solve_voter(spec, requested: str) -> SurrogateResult:
     n = spec.n
-    k = spec.protocol.k
+    protocol = spec.build_protocol()
     counts = np.asarray(spec.canonical_state_counts(), dtype=np.int64)
     horizon = spec.resolved_horizon()
 
@@ -369,9 +371,9 @@ def _solve_voter(spec, requested: str) -> SurrogateResult:
         times=times,
         counts=np.tile(counts, (length, 1)),
         n=n,
-        state_names=tuple(f"opinion{i}" for i in range(1, k + 1)),
+        state_names=protocol.state_names(),
         protocol_name=spec.protocol.name,
-        undecided_index=None,
+        undecided_index=default_undecided_index(protocol),
         metadata=meta,
     )
     return SurrogateResult(
@@ -393,7 +395,7 @@ def _solve_three_majority(spec, requested: str) -> SurrogateResult:
     from ..gossip.dynamics import three_majority_distribution
 
     n = spec.n
-    k = spec.protocol.k
+    protocol = spec.build_protocol()
     counts = np.asarray(spec.canonical_state_counts(), dtype=np.int64)
     max_rounds = spec.resolved_horizon()  # gossip horizons are rounds
     threshold = 1.0 - _half_agent(n)
@@ -430,9 +432,9 @@ def _solve_three_majority(spec, requested: str) -> SurrogateResult:
         times=np.arange(len(snapshots), dtype=np.int64),
         counts=counts_traj,
         n=n,
-        state_names=tuple(f"opinion{i}" for i in range(1, k + 1)),
+        state_names=protocol.state_names(),
         protocol_name=spec.protocol.name,
-        undecided_index=None,
+        undecided_index=default_undecided_index(protocol),
         metadata=meta,
     )
     winner = int(np.argmax(counts_traj[-1])) + 1 if stabilized else None

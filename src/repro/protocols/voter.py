@@ -10,11 +10,7 @@ which USD's bias amplification is compared.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.configuration import Configuration
 from ..core.protocol import OpinionProtocol
-from ..errors import ProtocolError
 from ..types import StatePair
 
 __all__ = ["VoterModel"]
@@ -25,32 +21,10 @@ class VoterModel(OpinionProtocol):
 
     name = "voter-model"
 
-    def __init__(self, k: int):
-        super().__init__(k)
-
     @property
     def num_states(self) -> int:
         """Exactly the ``k`` opinions — no bookkeeping states."""
         return self._k
 
-    @property
-    def num_bookkeeping_states(self) -> int:
-        return 0
-
-    def state_names(self):
-        return tuple(f"opinion{i}" for i in range(1, self._k + 1))
-
     def transition(self, initiator: int, responder: int) -> StatePair:
         return (initiator, initiator)
-
-    def encode_configuration(self, config: Configuration) -> np.ndarray:
-        if config.k != self._k:
-            raise ProtocolError(
-                f"configuration has k={config.k}, protocol expects k={self._k}"
-            )
-        if config.undecided != 0:
-            raise ProtocolError("the voter model has no undecided state")
-        return config.opinion_counts.copy()
-
-    def decode_counts(self, counts: np.ndarray) -> Configuration:
-        return Configuration(np.asarray(counts), undecided=0)

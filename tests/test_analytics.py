@@ -21,6 +21,7 @@ Contracts under test, layer by layer:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,42 @@ from repro.cli import main
 from repro.errors import AnalyticsError
 from repro.io.streaming import StreamedTrace, iter_persisted_manifests
 from repro.protocols import UndecidedStateDynamics
+
+
+OLD_DATASET = (
+    Path(__file__).parent / "corpus" / "analytics" / "npz-dataset-7959d43" / "ds"
+)
+
+
+def _export_run_and_its_document(tmp_path, *, seed):
+    """Export one seeded USD run by its run directory and by its document.
+
+    Writes the datasets ``tmp_path/by-run`` and ``tmp_path/by-store``
+    and returns the run's spec.
+    """
+    from repro.specs import document_bytes, load_spec, run_spec, to_document
+
+    spec = load_spec(
+        {
+            "schema_version": 1,
+            "kind": "run",
+            "protocol": {"name": "usd", "k": 3, "params": {}},
+            "initial": {"kind": "paper", "n": 400},
+            "engine": "counts",
+            "seed": seed,
+            "max_parallel_time": 300.0,
+            "recording": {"persist_to": str(tmp_path / "runs" / "r0")},
+        }
+    )
+    result = run_spec(spec)
+    documents = tmp_path / "store" / "documents"
+    documents.mkdir(parents=True)
+    (documents / f"{spec.spec_hash()}.json").write_bytes(
+        document_bytes(to_document(result, spec))
+    )
+    analytics.export_dataset(tmp_path / "by-run", runs_roots=[tmp_path / "runs"])
+    analytics.export_dataset(tmp_path / "by-store", store=tmp_path / "store")
+    return spec
 
 
 def _persist_run(run_dir, *, n=300, k=2, seed=11, snapshot_every=17):
@@ -246,34 +283,15 @@ class TestDataset:
         assert record["protocol"] == "usd" and record["n"] == 4000
         assert record["summary"]["stabilization_interactions"] == 48000
         # the summary-only record joins summary queries but not scans
-        answer = ds.query(protocol="usd").hitting_time_quantiles((0.5,))
+        answer = ds.query(spec_hash="ab" * 32).hitting_time_quantiles((0.5,))
         assert answer["runs"] == 1 and answer["quantiles"]["0.5"] == 48000.0
+        # its protocol filter also finds the six run-directory records
+        assert len(ds.query(protocol="usd")) == 7
 
     def test_store_and_run_directory_records_agree_on_what_ran(self, tmp_path):
         # one seeded run, exported from its run directory and from its
         # store document: both records name the kernels that ran
-        from repro.specs import document_bytes, load_spec, run_spec, to_document
-
-        spec = load_spec(
-            {
-                "schema_version": 1,
-                "kind": "run",
-                "protocol": {"name": "usd", "k": 3, "params": {}},
-                "initial": {"kind": "paper", "n": 400},
-                "engine": "counts",
-                "seed": 7,
-                "max_parallel_time": 300.0,
-                "recording": {"persist_to": str(tmp_path / "runs" / "r0")},
-            }
-        )
-        result = run_spec(spec)
-        documents = tmp_path / "store" / "documents"
-        documents.mkdir(parents=True)
-        (documents / f"{spec.spec_hash()}.json").write_bytes(
-            document_bytes(to_document(result, spec))
-        )
-        analytics.export_dataset(tmp_path / "by-run", runs_roots=[tmp_path / "runs"])
-        analytics.export_dataset(tmp_path / "by-store", store=tmp_path / "store")
+        spec = _export_run_and_its_document(tmp_path, seed=7)
         answers = []
         for name in ("by-run", "by-store"):
             ds = analytics.dataset(tmp_path / name)
@@ -284,6 +302,37 @@ class TestDataset:
             assert winners["runs"] == 1
             answers.append(sorted(ds.query().backend_throughput()["groups"]))
         assert answers[0] == answers[1] == ["counts/numpy"]
+
+    def test_protocol_filter_takes_either_name(self, tmp_path, capsys):
+        # a run directory files its run under the protocol object's name,
+        # a store document under the spec's: either name finds both
+        _export_run_and_its_document(tmp_path, seed=5)
+        for name, filed_as in (
+            ("by-run", "undecided-state-dynamics"),
+            ("by-store", "usd"),
+        ):
+            ds = analytics.dataset(tmp_path / name)
+            (record,) = ds.runs
+            assert record["protocol"] == filed_as
+            fragment = record["fragment"]
+            assert fragment is None or fragment.startswith(
+                f"fragments/protocol={filed_as}/"
+            )
+            for protocol in ("usd", "undecided-state-dynamics"):
+                assert len(ds.query(protocol=protocol)) == 1
+                query = ["trace", "query", str(tmp_path / name), "--ask", "winners"]
+                assert main([*query, "--protocol", protocol, "--json"]) == 0
+                assert json.loads(capsys.readouterr().out)["runs"] == 1
+            assert len(ds.query(protocol="voter")) == 0
+
+    def test_protocol_filter_takes_either_name_on_an_old_dataset(self):
+        # the three USD runs that 7959d43 exported from run directories
+        ds = analytics.dataset(OLD_DATASET)
+        assert {record["protocol"] for record in ds.runs} == {
+            "undecided-state-dynamics"
+        }
+        for protocol in ("usd", "undecided-state-dynamics"):
+            assert len(ds.query(protocol=protocol)) == 3
 
     def test_opening_a_non_dataset_directory_is_an_error(self, tmp_path):
         with pytest.raises(AnalyticsError, match="not an analytics dataset"):

@@ -107,6 +107,20 @@ class TestGossipUSD:
         assert not dynamics.is_absorbing(np.array([1, 9, 0]))
 
 
+@pytest.mark.parametrize(
+    "dynamics, config",
+    [
+        (GossipUSD(k=2), Configuration([6, 4], undecided=2)),
+        (GossipVoter(k=2), Configuration([6, 4])),
+        (GossipThreeMajority(k=2), Configuration([6, 4])),
+    ],
+    ids=["usd", "voter", "3-majority"],
+)
+def test_decode_inverts_encode(dynamics, config):
+    # the population protocols' decoding, which names a gossip run's winner
+    assert dynamics.decode_counts(dynamics.encode_configuration(config)) == config
+
+
 class TestThreeMajority:
     def test_distribution_is_probability_vector(self):
         for p in ([0.5, 0.5], [0.7, 0.2, 0.1], [0.25] * 4):

@@ -136,3 +136,10 @@ class TestOpinionProtocol:
         protocol = TinyOpinion(k=3)
         counts = np.array([9, 1, 2, 3])
         assert list(protocol.opinion_counts_of(counts)) == [1, 2, 3]
+
+    def test_decode_rejects_counts_of_another_layout(self):
+        protocol = TinyOpinion(k=3)
+        assert protocol.decode_counts([9, 1, 2, 3]) == Configuration([1, 2, 3], 9)
+        for counts in ([9, 1, 2], [9, 1, 2, 3, 4], [[9, 1, 2, 3]]):
+            with pytest.raises(ProtocolError, match="counts must have shape"):
+                protocol.decode_counts(counts)

@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.core.run import resolve_engine_name
 from repro.protocols import FourStateExactMajority, UndecidedStateDynamics, VoterModel
+from repro.specs import load_spec, run_spec, to_document
 
 
 @pytest.fixture
@@ -120,7 +121,8 @@ class TestSimulate:
         assert final.n == 100
         assert final.is_stable()
 
-    def test_winner_none_for_non_opinion_protocol(self):
+    def test_winner_decoded_for_non_opinion_protocol(self):
+        # four-state has no opinion block: its counts decode to side totals
         protocol = FourStateExactMajority()
         result = simulate(
             protocol,
@@ -129,7 +131,32 @@ class TestSimulate:
             max_parallel_time=10_000,
         )
         assert result.stabilized
-        assert result.winner is None  # four-state has no opinion block
+        decoded = protocol.decode_counts(result.final_counts)
+        assert decoded.opinion_counts.tolist() == [100, 0]
+        assert result.winner == 1
+
+    def test_hysteresis_winner_reaches_its_document(self):
+        spec = load_spec(
+            {
+                "schema_version": 1,
+                "kind": "run",
+                "protocol": {"name": "hysteresis", "k": 3, "params": {"r": 2}},
+                "initial": {
+                    "kind": "equal-minorities",
+                    "n": 300,
+                    "params": {"bias": 30},
+                },
+                "seed": 1,
+                "max_parallel_time": 10_000.0,
+            }
+        )
+        result = run_spec(spec)
+        document = to_document(result, spec)
+        assert result.stabilized
+        decoded = spec.build_protocol().decode_counts(result.final_counts)
+        assert decoded.opinion_counts.tolist() == [300, 0, 0]
+        assert result.winner == 1
+        assert document["outcome"]["winner"] == document["summary"]["winner"] == 1
 
     def test_voter_winner(self):
         protocol = VoterModel(k=3)
